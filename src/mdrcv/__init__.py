@@ -17,12 +17,9 @@ from .estimator import (
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
-    estimate_conditional,
+    fold_cell_counts,
     fold_partition,
-    fold_penalty_estimate,
     influence_values,
-    predict_regularized,
-    threshold_estimate,
 )
 from .model import (
     Dataset,

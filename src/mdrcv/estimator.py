@@ -21,12 +21,18 @@ with the empty-cell convention 0/0 := 0, which makes unseen cells predict
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateLabelsError, ValidationError
-from .model import Dataset, FactorSubset, cylinder_codes, cylinder_count
+from .model import (
+    Dataset,
+    FactorSubset,
+    cell_conditionals,
+    cylinder_codes,
+    cylinder_count,
+)
 
 DEFAULT_EPS_C0 = 1.0
 DEFAULT_EPS_BETA = 0.25
@@ -91,78 +97,6 @@ class EpsilonSchedule:
 DEFAULT_SCHEDULE = EpsilonSchedule()
 
 
-def _indices_to_zero_based(dataset: Dataset, where: Iterable[int]) -> np.ndarray:
-    idx = np.asarray(list(where), dtype=np.int64)
-    if idx.size and (idx.min() < 1 or idx.max() > len(dataset)):
-        raise ValidationError(f"record indices must lie in 1..{len(dataset)}")
-    return idx - 1
-
-
-def estimate_conditional(
-    dataset: Dataset,
-    where: Iterable[int],
-    subset: FactorSubset,
-    u: Sequence[int],
-) -> float:
-    """Empirical P(Y=1 | X in cylinder) over the given records (1-based).
-
-    Ratio of indicator counts; an empty cylinder yields 0 by convention.
-    """
-    subset.validate_for(dataset.space)
-    rows = _indices_to_zero_based(dataset, where)
-    cols = np.asarray(subset.indices, dtype=np.int64) - 1
-    in_cell = np.all(
-        dataset.x[rows][:, cols] == np.asarray(u, dtype=np.int64), axis=1
-    )
-    denom = int(in_cell.sum())
-    if denom == 0:
-        return 0.0
-    num = int((in_cell & (dataset.y[rows] == 1)).sum())
-    return num / denom
-
-
-def threshold_estimate(dataset: Dataset, where: Iterable[int]) -> float:
-    """Empirical label frequency P(Y=1) over the given records (1-based)."""
-    rows = _indices_to_zero_based(dataset, where)
-    if rows.size == 0:
-        raise ValidationError("threshold estimate needs a nonempty index set")
-    return float((dataset.y[rows] == 1).mean())
-
-
-def fold_penalty_estimate(dataset: Dataset, fold: Iterable[int], y: int) -> float:
-    """Reciprocal of the fold's empirical frequency of label y; 0 when the
-    fold contains no such label (the 0/0 := 0 convention)."""
-    if y not in (-1, 1):
-        raise ValidationError(f"label must be -1 or +1, got {y}")
-    rows = _indices_to_zero_based(dataset, fold)
-    if rows.size == 0:
-        raise ValidationError("penalty estimate needs a nonempty fold")
-    count = int((dataset.y[rows] == y).sum())
-    if count == 0:
-        return 0.0
-    return rows.size / count
-
-
-def predict_regularized(
-    x: Sequence[int],
-    dataset: Dataset,
-    where: Iterable[int],
-    subset: FactorSubset,
-    eps: float,
-) -> int:
-    """Label for x from the inflated-threshold cylinder-frequency rule.
-
-    +1 iff the empirical cylinder conditional strictly exceeds the
-    empirical label frequency plus eps; eps = 0 recovers the plain rule.
-    """
-    if eps < 0:
-        raise ValidationError(f"eps must be >= 0, got {eps}")
-    where = list(where)
-    p_hat = estimate_conditional(dataset, where, subset, subset.project(x))
-    g_hat = threshold_estimate(dataset, where)
-    return 1 if p_hat > g_hat + eps else -1
-
-
 @dataclass(frozen=True)
 class ErrEstimate:
     """Cross-validated prediction error with its per-fold ingredients."""
@@ -173,10 +107,40 @@ class ErrEstimate:
     fold_miss_counts: tuple[tuple[int, int], ...]    # misses for y=-1, y=+1
 
 
-def _fold_cell_stats(codes: np.ndarray, pos_mask: np.ndarray, cells: int):
-    tot = np.bincount(codes, minlength=cells)
-    pos = np.bincount(codes[pos_mask], minlength=cells)
-    return tot, pos
+def fold_cell_counts(
+    codes: np.ndarray, positive: np.ndarray, n_folds: int, cells: int
+) -> np.ndarray:
+    """Record counts per (fold, cylinder cell, label), shape (K, cells, 2).
+
+    Label column 0 is y = -1 and column 1 is y = +1.  Folds are the
+    contiguous blocks of ``fold_partition``; ``n_folds=1`` counts the whole
+    sample as a single fold.
+    """
+    n = len(codes)
+    if not 1 <= n_folds <= n:
+        raise ValidationError(f"cannot split {n} records into {n_folds} folds")
+    fold = np.minimum(np.arange(n) // (n // n_folds), n_folds - 1)
+    key = (fold * cells + codes) * 2 + positive
+    return np.bincount(key, minlength=n_folds * cells * 2).reshape(n_folds, cells, 2)
+
+
+def _dataset_counts(
+    dataset: Dataset, subset: FactorSubset, n_folds: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell codes, positive-label mask and ``fold_cell_counts`` of a dataset."""
+    subset.validate_for(dataset.space)
+    codes = cylinder_codes(dataset.x, subset, dataset.space.q)
+    positive = dataset.y == 1
+    cells = cylinder_count(subset, dataset.space.q)
+    return codes, positive, fold_cell_counts(codes, positive, n_folds, cells)
+
+
+def _trained_rule(train: np.ndarray, eps: float) -> np.ndarray:
+    """Cells the regularized rule predicts +1 after training on the
+    (..., cells, 2) label counts ``train``."""
+    tot = train.sum(axis=-1)
+    gamma = train[..., 1].sum(axis=-1) / tot.sum(axis=-1)
+    return cell_conditionals(tot, train[..., 1]) > (gamma + eps)[..., None]
 
 
 def cv_prediction_error(
@@ -193,64 +157,37 @@ def cv_prediction_error(
     mode forcing both penalty estimates to 1, which reduces the value to
     twice the fold-averaged misclassification frequency.
     """
-    subset.validate_for(dataset.space)
     n = len(dataset)
-    partition = fold_partition(n, n_folds)
+    sizes = fold_partition(n, n_folds).sizes()
     eps = schedule.value(n)
-
-    codes = cylinder_codes(dataset.x, subset, dataset.space.q)
-    cells = cylinder_count(subset, dataset.space.q)
-    pos_mask = dataset.y == 1
-    tot_all, pos_all = _fold_cell_stats(codes, pos_mask, cells)
-    n_pos_all = int(pos_mask.sum())
-
-    fold_penalties = []
-    fold_misses = []
-    fold_sizes = []
-    for fold in partition.folds:
-        a, b = fold.start - 1, fold.stop - 1
-        size = b - a
-        codes_k = codes[a:b]
-        pos_k_mask = pos_mask[a:b]
-        tot_k, pos_k = _fold_cell_stats(codes_k, pos_k_mask, cells)
-
-        tot_w = tot_all - tot_k
-        pos_w = pos_all - pos_k
-        n_w = n - size
-        n_pos_w = n_pos_all - int(pos_k_mask.sum())
-        gamma_w = n_pos_w / n_w
-        cell_est = np.divide(
-            pos_w, tot_w, out=np.zeros(cells, dtype=np.float64), where=tot_w > 0
+    _, _, counts = _dataset_counts(dataset, subset, n_folds)
+    # fold k's rule is trained on every count outside fold k
+    plus = _trained_rule(counts.sum(axis=0) - counts, eps)
+    miss_neg = (counts[..., 0] * plus).sum(axis=1).tolist()
+    miss_pos = (counts[..., 1] * ~plus).sum(axis=1).tolist()
+    fold_misses = tuple(zip(miss_neg, miss_pos))
+    if unit_penalty:
+        fold_penalties = ((1.0, 1.0),) * n_folds
+    else:
+        fold_penalties = tuple(
+            tuple(size / c if c else 0.0 for c in labels)
+            for size, labels in zip(sizes, counts.sum(axis=1).tolist())
         )
-        pred_plus = cell_est[codes_k] > gamma_w + eps
-
-        miss_pos = int((pos_k_mask & ~pred_plus).sum())
-        miss_neg = int((~pos_k_mask & pred_plus).sum())
-        n_pos_k = int(pos_k_mask.sum())
-        n_neg_k = size - n_pos_k
-        if unit_penalty:
-            psi_neg = psi_pos = 1.0
-        else:
-            psi_neg = size / n_neg_k if n_neg_k else 0.0
-            psi_pos = size / n_pos_k if n_pos_k else 0.0
-        fold_penalties.append((psi_neg, psi_pos))
-        fold_misses.append((miss_neg, miss_pos))
-        fold_sizes.append(size)
 
     # Combine in the formula's order: outer sum over labels, inner over folds.
     value = 0.0
     for col in (0, 1):
         acc = 0.0
         for k in range(n_folds):
-            acc += fold_penalties[k][col] * fold_misses[k][col] / fold_sizes[k]
+            acc += fold_penalties[k][col] * fold_misses[k][col] / sizes[k]
         value += acc / n_folds
     value *= 2.0
 
     return ErrEstimate(
         value=value,
         eps=eps,
-        fold_penalties=tuple(fold_penalties),
-        fold_miss_counts=tuple(fold_misses),
+        fold_penalties=fold_penalties,
+        fold_miss_counts=fold_misses,
     )
 
 
@@ -266,53 +203,33 @@ def influence_values(
     counterparts.  The returned values sum to exactly zero whenever both
     label classes are present; a missing class raises.
     """
-    subset.validate_for(dataset.space)
     n = len(dataset)
-    eps = schedule.value(n)
-    codes = cylinder_codes(dataset.x, subset, dataset.space.q)
-    cells = cylinder_count(subset, dataset.space.q)
-    pos_mask = dataset.y == 1
-    tot, pos = _fold_cell_stats(codes, pos_mask, cells)
-    n_pos = int(pos_mask.sum())
-    n_neg = n - n_pos
+    codes, positive, counts = _dataset_counts(dataset, subset, 1)
+    n_neg, n_pos = counts[0].sum(axis=0).tolist()
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("influence values need both label classes")
-    gamma = n_pos / n
-    cell_est = np.divide(pos, tot, out=np.zeros(cells, dtype=np.float64), where=tot > 0)
-    pred_plus = cell_est[codes] > gamma + eps
+    plus = _trained_rule(counts, schedule.value(n))[0]
+    rate_pos = int(counts[0, ~plus, 1].sum()) / n_pos
+    rate_neg = int(counts[0, plus, 0].sum()) / n_neg
 
-    miss = pred_plus != pos_mask
-    rate_pos = int((miss & pos_mask).sum()) / n_pos
-    rate_neg = int((miss & ~pos_mask).sum()) / n_neg
-    freq = np.where(pos_mask, n_pos / n, n_neg / n)
-    rate = np.where(pos_mask, rate_pos, rate_neg)
+    miss = plus[codes] != positive
+    freq = np.where(positive, n_pos / n, n_neg / n)
+    rate = np.where(positive, rate_pos, rate_neg)
     return (2.0 / freq) * (miss.astype(np.float64) - rate)
 
 
-def asymptotic_sd_estimate(
-    dataset: Dataset,
-    n_folds: int,
-    subset: FactorSubset,
-    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-) -> float:
+def asymptotic_sd_estimate(influence: np.ndarray) -> float:
     """Plug-in estimate of the CLT scale: the empirical standard deviation
-    of the influence values (trained on the full sample)."""
-    del n_folds  # the plug-in trains on the full sample
-    v = influence_values(dataset, subset, schedule)
-    return float(np.std(v))
+    of one subset's ``influence_values``."""
+    return float(np.std(influence))
 
 
-def asymptotic_covariance_estimate(
-    dataset: Dataset,
-    n_folds: int,
-    subsets: Sequence[FactorSubset],
-    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-) -> np.ndarray:
-    """Plug-in estimate of the joint influence covariance across subsets."""
-    del n_folds
-    if len(subsets) < 1:
+def asymptotic_covariance_estimate(influences: Sequence[np.ndarray]) -> np.ndarray:
+    """Plug-in estimate of the joint influence covariance across subsets,
+    from one row of ``influence_values`` per subset."""
+    if len(influences) < 1:
         raise ValidationError("need at least one subset")
-    rows = np.stack([influence_values(dataset, s, schedule) for s in subsets])
+    rows = np.stack(influences)
     centered = rows - rows.mean(axis=1, keepdims=True)
     c = centered @ centered.T / rows.shape[1]
     return (c + c.T) / 2.0

@@ -1,8 +1,5 @@
-"""Symmetric eigendecomposition and inverse square root for small matrices.
-
-Cyclic Jacobi rotations; the matrices here are covariance estimates of a
-handful of subsets, so robustness beats asymptotic speed.
-"""
+"""Inverse square root of small symmetric positive-definite matrices, the
+covariance estimates used to whiten a handful of subsets' deviations."""
 
 from __future__ import annotations
 
@@ -10,9 +7,7 @@ import numpy as np
 
 from .errors import NearSingularMatrixError, ValidationError
 
-JACOBI_TOL = 1e-12
 MIN_EIGENVALUE = 1e-8
-_MAX_SWEEPS = 100
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -26,41 +21,6 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a
-    symmetric matrix, by cyclic Jacobi sweeps."""
-    m = _check_symmetric(a)
-    s = m.shape[0]
-    vecs = np.eye(s)
-    if s == 1:
-        return m.diagonal().copy(), vecs
-    scale = max(float(np.abs(m).max()), 1.0)
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(m, -1) ** 2))
-        if off <= JACOBI_TOL * scale:
-            break
-        for p in range(s - 1):
-            for q_ in range(p + 1, s):
-                apq = m[p, q_]
-                if abs(apq) <= JACOBI_TOL * scale * 1e-4:
-                    continue
-                theta = (m[q_, q_] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                rot = np.eye(s)
-                rot[p, p] = c
-                rot[q_, q_] = c
-                rot[p, q_] = sn
-                rot[q_, p] = -sn
-                m = rot.T @ m @ rot
-                vecs = vecs @ rot
-    order = np.argsort(m.diagonal())
-    return m.diagonal()[order].copy(), vecs[:, order]
-
-
 def inv_sqrt_symmetric(
     a: np.ndarray, min_eigenvalue: float = MIN_EIGENVALUE
 ) -> np.ndarray:
@@ -69,7 +29,7 @@ def inv_sqrt_symmetric(
     Raises NearSingularMatrixError when an eigenvalue falls below
     ``min_eigenvalue``: whitening with such a matrix is meaningless.
     """
-    vals, vecs = jacobi_eigh(a)
+    vals, vecs = np.linalg.eigh(_check_symmetric(a))
     if vals.min() < min_eigenvalue:
         raise NearSingularMatrixError(
             f"near-singular matrix: smallest eigenvalue {vals.min():.3e} "

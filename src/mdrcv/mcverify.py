@@ -23,6 +23,7 @@ from .estimator import (
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
+    influence_values,
 )
 from .linalg import inv_sqrt_symmetric
 from .model import FactorSubset, JointDistribution, sample
@@ -80,12 +81,11 @@ def _replicate(
         * (cv_prediction_error(dataset, n_folds, s, schedule).value - err)
         for s, err in zip(subsets, oracle_errors)
     )
-    sds = tuple(
-        asymptotic_sd_estimate(dataset, n_folds, s, schedule) for s in subsets
-    )
+    influences = [influence_values(dataset, s, schedule) for s in subsets]
+    sds = tuple(asymptotic_sd_estimate(v) for v in influences)
     cov = None
     if len(subsets) > 1:
-        cov = asymptotic_covariance_estimate(dataset, n_folds, subsets, schedule)
+        cov = asymptotic_covariance_estimate(influences)
     return ReplicationResult(replication, seed, z, sds, cov)
 
 
@@ -135,6 +135,8 @@ def ks_statistic(samples: Sequence[float], mean: float = 0.0, sd: float = 1.0) -
     arr = np.sort((np.asarray(samples, dtype=np.float64) - mean) / sd)
     if arr.size == 0:
         raise ValidationError("ks_statistic needs a nonempty sample")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("ks_statistic needs finite samples")
     cdf = np.array([normal_cdf(v) for v in arr])
     n = arr.size
     upper = np.arange(1, n + 1) / n - cdf

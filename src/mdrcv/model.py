@@ -34,7 +34,9 @@ MAX_POINTS = 2**24
 NORMALIZATION_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
+# Each cached table is (q+1)^n x n int16, several hundred MB near the
+# dense-table cap; keep only the two most recent alive.
+@lru_cache(maxsize=2)
 def _points_array(n: int, q: int) -> np.ndarray:
     """All points of {0,...,q}^n as an array, lexicographic row order."""
     grids = np.meshgrid(*[np.arange(q + 1)] * n, indexing="ij")
@@ -131,10 +133,11 @@ def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarr
     Codes enumerate the sub-vectors u lexicographically, so code 0 is
     u = (0,...,0) and code (q+1)^r - 1 is u = (q,...,q).
     """
-    cols = np.asarray(subset.indices, dtype=np.int64) - 1
-    sub = np.asarray(x_rows)[:, cols].astype(np.int64)
-    weights = (q + 1) ** np.arange(subset.r - 1, -1, -1, dtype=np.int64)
-    return sub @ weights
+    x = np.asarray(x_rows)
+    codes = np.zeros(x.shape[0], dtype=np.int64)
+    for i in subset.indices:
+        codes = codes * (q + 1) + x[:, i - 1]
+    return codes
 
 
 def cylinder_code_of(u: Sequence[int], q: int) -> int:
@@ -218,8 +221,12 @@ class JointDistribution:
             raise ValidationError(
                 f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
             )
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        marginal = p.sum(axis=1)
+        cdf = np.cumsum(p.ravel())  # atom order: (x0,-1), (x0,+1), (x1,-1), ...
+        cdf[-1] = 1.0
+        for name, arr in (("probs", p), ("_point_probs", marginal), ("_cdf", cdf)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_atoms(
@@ -262,8 +269,8 @@ class JointDistribution:
         return cls(space, p)
 
     def point_probs(self) -> np.ndarray:
-        """P(X=x) for every point, enumeration order."""
-        return self.probs.sum(axis=1)
+        """P(X=x) for every point, enumeration order (read-only)."""
+        return self._point_probs
 
     def point_prob(self, x: Sequence[int]) -> float:
         return float(self.point_probs()[self.space.rank(x)])
@@ -272,7 +279,7 @@ class JointDistribution:
         return float(self.probs[self.space.rank(x), LABELS.index(y)])
 
     def support_mask(self) -> np.ndarray:
-        return self.point_probs() > 0.0
+        return self._point_probs > 0.0
 
     def atoms(self) -> list[tuple[tuple[int, ...], int, float]]:
         """Nonzero atoms (x, y, p) in enumeration order."""
@@ -300,14 +307,21 @@ def label_marginal(dist: JointDistribution, y: int) -> float:
 
 def cylinder_masses(
     dist: JointDistribution, subset: FactorSubset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per cylinder cell: (P(X in C), P(Y=1, X in C)), indexed by cell code."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cylinder cell: (P(X in C), P(Y=1, X in C)), indexed by cell code,
+    and the cell code of every point of the table."""
     subset.validate_for(dist.space)
     codes = cylinder_codes(dist.space.points(), subset, dist.space.q)
     cells = cylinder_count(subset, dist.space.q)
     tot = np.bincount(codes, weights=dist.point_probs(), minlength=cells)
     pos = np.bincount(codes, weights=dist.probs[:, 1], minlength=cells)
-    return tot, pos
+    return tot, pos, codes
+
+
+def cell_conditionals(tot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """pos / tot per cell, from masses or counts, with 0/0 := 0 on cells
+    that carry nothing."""
+    return np.divide(pos, tot, out=np.zeros(np.shape(pos)), where=tot > 0)
 
 
 def cylinder_conditional(
@@ -320,7 +334,7 @@ def cylinder_conditional(
     subset.validate_for(dist.space)
     if len(u) != subset.r:
         raise ValidationError(f"sub-vector length {len(u)} != subset size {subset.r}")
-    tot, pos = cylinder_masses(dist, subset)
+    tot, pos, _ = cylinder_masses(dist, subset)
     code = cylinder_code_of(u, dist.space.q)
     if tot[code] <= 0.0:
         raise NullEventError(
@@ -381,12 +395,9 @@ def sample(dist: JointDistribution, n_records: int, seed: int) -> Dataset:
     """
     if n_records < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
-    flat = dist.probs.ravel()  # atom order: (x0,-1), (x0,+1), (x1,-1), ...
-    cum = np.cumsum(flat)
-    cum[-1] = 1.0
     rng = np.random.default_rng(seed)
     u = rng.random(n_records)
-    atom_idx = np.searchsorted(cum, u, side="right")
+    atom_idx = np.searchsorted(dist._cdf, u, side="right")
     point_rank = atom_idx >> 1
     ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)
     xs = dist.space.points()[point_rank]

@@ -18,7 +18,7 @@ from .model import (
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
-    cylinder_codes,
+    cell_conditionals,
     cylinder_masses,
     label_marginal,
 )
@@ -81,6 +81,13 @@ def _full_subset(dist: JointDistribution) -> FactorSubset:
     return FactorSubset(tuple(range(1, dist.space.n + 1)))
 
 
+def _conditional_at_points(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
+    """Per point of the table: the cylinder conditional of its cell, 0 on
+    cells without mass.  The full subset gives the pointwise conditional."""
+    tot, pos, codes = cylinder_masses(dist, subset)
+    return cell_conditionals(tot, pos)[codes]
+
+
 def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> set[tuple[int, ...]]:
     """Points of the support whose conditional P(Y=1 | X=x) strictly exceeds
     the threshold; the minimal-cardinality error-optimal plus-set.
@@ -88,16 +95,7 @@ def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> set[tuple[in
     Strict inequality is resolved with the EQUALITY_TOL tolerance so that
     authored exact ties stay out of the set regardless of rounding.
     """
-    if psi.psi_pos == 0.0:
-        return set()
-    tot = dist.point_probs()
-    pos = dist.probs[:, 1]
-    gamma = psi.threshold
-    mask = tot > 0.0
-    cond = np.divide(pos, tot, out=np.zeros_like(pos), where=mask)
-    plus = mask & (cond > gamma + EQUALITY_TOL)
-    pts = dist.space.points()
-    return {tuple(int(v) for v in pts[i]) for i in np.nonzero(plus)[0]}
+    return optimal_predictor(dist, psi).plus_set()
 
 
 def optimal_predictor(
@@ -111,15 +109,10 @@ def optimal_predictor(
     exceeds the threshold; -1 elsewhere, including off the support.
     ``subset=None`` means all factors, i.e. pointwise conditionals.
     """
-    if subset is None:
-        subset = _full_subset(dist)
-    tot, pos = cylinder_masses(dist, subset)
-    cond = np.divide(pos, tot, out=np.zeros_like(pos), where=tot > 0.0)
-    codes = cylinder_codes(dist.space.points(), subset, dist.space.q)
-    in_support = dist.support_mask()
+    cond = _conditional_at_points(dist, subset or _full_subset(dist))
     # ties at the threshold resolve to -1: strict inequality, with the
     # tolerance shielding authored exact ties from rounding noise
-    plus = in_support & (cond[codes] > psi.threshold + EQUALITY_TOL)
+    plus = dist.support_mask() & (cond > psi.threshold + EQUALITY_TOL)
     if psi.psi_pos == 0.0:
         plus[:] = False
     values = np.where(plus, 1, -1).astype(np.int8)
@@ -158,18 +151,10 @@ def is_significant(
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
     support point, within ``tol``.
     """
-    subset.validate_for(dist.space)
-    tot_cell, pos_cell = cylinder_masses(dist, subset)
-    codes = cylinder_codes(dist.space.points(), subset, dist.space.q)
-    point_tot = dist.point_probs()
-    mask = point_tot > 0.0
-    point_cond = np.divide(
-        dist.probs[:, 1], point_tot, out=np.zeros(dist.space.num_points), where=mask
-    )
-    cell_cond = np.divide(
-        pos_cell, tot_cell, out=np.zeros_like(pos_cell), where=tot_cell > 0.0
-    )
-    return bool(np.all(np.abs(point_cond[mask] - cell_cond[codes][mask]) <= tol))
+    cell_cond = _conditional_at_points(dist, subset)
+    point_cond = _conditional_at_points(dist, _full_subset(dist))
+    mask = dist.support_mask()
+    return bool(np.all(np.abs(point_cond[mask] - cell_cond[mask]) <= tol))
 
 
 def decided_set(
@@ -180,15 +165,8 @@ def decided_set(
 ) -> set[tuple[int, ...]]:
     """Support points whose cylinder conditional is separated from the
     threshold (no exact tie); on these the empirical rule converges."""
-    subset.validate_for(dist.space)
-    tot_cell, pos_cell = cylinder_masses(dist, subset)
-    cell_cond = np.divide(
-        pos_cell, tot_cell, out=np.zeros_like(pos_cell), where=tot_cell > 0.0
-    )
-    codes = cylinder_codes(dist.space.points(), subset, dist.space.q)
-    mask = dist.support_mask() & (
-        np.abs(cell_cond[codes] - psi.threshold) > tol
-    )
+    cell_cond = _conditional_at_points(dist, subset)
+    mask = dist.support_mask() & (np.abs(cell_cond - psi.threshold) > tol)
     pts = dist.space.points()
     return {tuple(int(v) for v in pts[i]) for i in np.nonzero(mask)[0]}
 

@@ -10,15 +10,20 @@ from mdrcv.estimator import (
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
-    estimate_conditional,
+    fold_cell_counts,
     fold_partition,
-    fold_penalty_estimate,
     influence_values,
-    predict_regularized,
-    threshold_estimate,
 )
 from mdrcv.linalg import NearSingularMatrixError, inv_sqrt_symmetric
-from mdrcv.model import Dataset, FactorSpace, FactorSubset, sample
+from mdrcv.model import (
+    Dataset,
+    FactorSpace,
+    FactorSubset,
+    cell_conditionals,
+    cylinder_codes,
+    cylinder_count,
+    sample,
+)
 from mdrcv.oracle import asymptotic_variance, balanced_penalty, optimal_predictor, prediction_error
 from mdrcv.scenarios import generate_scenario, scenario_a
 
@@ -133,41 +138,110 @@ class TestEpsilonSchedule:
         assert scaled == sorted(scaled)
 
 
+def dataset_counts(ds, subset, n_folds):
+    codes = cylinder_codes(ds.x, subset, ds.space.q)
+    cells = cylinder_count(subset, ds.space.q)
+    return fold_cell_counts(codes, ds.y == 1, n_folds, cells)
+
+
+def whole_sample_conditionals(ds, subset):
+    """Empirical P(Y=1 | cell) over every record, 0 on empty cells."""
+    counts = dataset_counts(ds, subset, 1)[0]
+    return cell_conditionals(counts.sum(axis=1), counts[:, 1])
+
+
+def label_frequency(ds):
+    """Empirical P(Y=1) from the count table's label totals."""
+    neg, pos = dataset_counts(ds, FactorSubset.of(1), 1).sum(axis=(0, 1))
+    return pos / (neg + pos)
+
+
+def schedule_for(eps, n_records, beta=0.25):
+    """A schedule whose inflation at n_records is eps (up to rounding)."""
+    return EpsilonSchedule(eps * n_records**beta, beta)
+
+
+class TestFoldCellCounts:
+    def test_counts_each_fold_cell_and_label(self):
+        # folds of 10 records into 3: 1-3, 4-6, 7-10
+        xs = [[0], [1], [1], [0], [0], [1], [1], [1], [0], [1]]
+        ys = [1, -1, 1, -1, -1, 1, 1, -1, 1, 1]
+        ds = Dataset(FactorSpace(1, 1), xs, ys)
+        counts = dataset_counts(ds, FactorSubset.of(1), 3)
+        assert counts.shape == (3, 2, 2)
+        assert counts.tolist() == [
+            [[0, 1], [1, 1]],
+            [[2, 0], [0, 1]],
+            [[0, 1], [1, 2]],
+        ]
+
+    @given(ds=small_datasets(), k=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_fold_bincounts(self, ds, k):
+        sub = FactorSubset(tuple(range(1, ds.space.n + 1)))
+        counts = dataset_counts(ds, sub, k)
+        codes = cylinder_codes(ds.x, sub, ds.space.q)
+        cells = cylinder_count(sub, ds.space.q)
+        blocks = fold_partition(len(ds), k).folds if k > 1 else [range(1, len(ds) + 1)]
+        for fold, got in zip(blocks, counts):
+            rows = np.arange(fold.start - 1, fold.stop - 1)
+            for col, label in enumerate((-1, 1)):
+                keep = rows[ds.y[rows] == label]
+                assert got[:, col].tolist() == np.bincount(
+                    codes[keep], minlength=cells
+                ).tolist()
+
+    def test_rejects_more_folds_than_records(self):
+        with pytest.raises(ValidationError):
+            fold_cell_counts(np.zeros(3, dtype=np.int64), np.ones(3, bool), 4, 1)
+
+
 class TestEstimateConditional:
     def test_all_in_cell_positive(self):
         ds = Dataset(FactorSpace(1, 1), [[0], [0], [0]], [1, 1, 1])
-        got = estimate_conditional(ds, [1, 2, 3], FactorSubset.of(1), (0,))
-        assert got == 1.0
+        assert whole_sample_conditionals(ds, FactorSubset.of(1))[0] == 1.0
 
     def test_empty_cell_uses_zero_convention(self):
         ds = Dataset(FactorSpace(1, 1), [[0], [0]], [1, -1])
-        assert estimate_conditional(ds, [1, 2], FactorSubset.of(1), (1,)) == 0.0
+        assert whole_sample_conditionals(ds, FactorSubset.of(1))[1] == 0.0
+        # fold 1 holds a positive record in cell (1,), which fold 2 never
+        # saw: 0/0 := 0 puts it under the threshold, so it counts as a miss
+        ds = Dataset(FactorSpace(1, 1), [[1], [0], [0], [0]], [1, 1, -1, 1])
+        sched = schedule_for(0.05, 4)
+        est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
+        assert est.fold_miss_counts[0] == (0, 2)
+        assert est.value == transcribed_cv_error(ds, 2, FactorSubset.of(1), sched.value(4))
 
     def test_counted_fixture(self):
-        # five records in the cell, two of them positive
+        # five records in cell (0,), two of them positive
         xs = [[0], [0], [0], [0], [0], [1], [1]]
         ys = [1, 1, -1, -1, -1, 1, 1]
         ds = Dataset(FactorSpace(1, 1), xs, ys)
-        got = estimate_conditional(ds, range(1, 6), FactorSubset.of(1), (0,))
-        assert got == pytest.approx(0.4)
+        assert dataset_counts(ds, FactorSubset.of(1), 1)[0].tolist() == [[3, 2], [0, 2]]
+        got = whole_sample_conditionals(ds, FactorSubset.of(1))
+        assert got[0] == pytest.approx(0.4)
 
 
 class TestFoldPenaltyEstimate:
     def test_two_to_one_labels(self):
-        ds = Dataset(FactorSpace(1, 1), [[0], [0], [0]], [1, 1, -1])
-        assert fold_penalty_estimate(ds, [1, 2, 3], 1) == pytest.approx(1.5)
-        assert fold_penalty_estimate(ds, [1, 2, 3], -1) == pytest.approx(3.0)
+        ds = Dataset(FactorSpace(1, 1), [[0]] * 6, [1, 1, -1] * 2)
+        est = cv_prediction_error(ds, 2, FactorSubset.of(1))
+        assert est.fold_penalties == ((3.0, 1.5), (3.0, 1.5))
 
     def test_absent_label_gives_zero(self):
-        ds = Dataset(FactorSpace(1, 1), [[0], [1]], [-1, -1])
-        assert fold_penalty_estimate(ds, [1, 2], 1) == 0.0
+        ds = Dataset(FactorSpace(1, 1), [[0], [1], [0], [1]], [-1, -1, 1, -1])
+        sched = EpsilonSchedule(0.5, 0.25)
+        est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
+        assert est.fold_penalties == ((1.0, 0.0), (2.0, 2.0))
+        assert est.value == transcribed_cv_error(ds, 2, FactorSubset.of(1), sched.value(4))
 
     def test_converges_to_balanced_weights(self, toy_balanced):
         psi = balanced_penalty(toy_balanced)
         errors = []
         for n in (100, 1000, 10000):
             ds = sample(toy_balanced, n, seed=5)
-            got = fold_penalty_estimate(ds, range(1, n + 1), 1)
+            penalties = cv_prediction_error(ds, 2, FactorSubset.of(1)).fold_penalties
+            got = np.mean([pos for _, pos in penalties])
             errors.append(abs(got - psi.psi_pos))
         assert errors[-1] < errors[0]
         assert errors[-1] < 0.05
@@ -176,57 +250,68 @@ class TestFoldPenaltyEstimate:
 class TestThresholdEstimate:
     def test_alternating_labels(self):
         ds = Dataset(FactorSpace(1, 1), [[0]] * 4, [1, -1, 1, -1])
-        assert threshold_estimate(ds, [1, 2, 3, 4]) == 0.5
+        assert label_frequency(ds) == 0.5
 
     def test_all_positive(self):
         ds = Dataset(FactorSpace(1, 1), [[0]] * 3, [1, 1, 1])
-        assert threshold_estimate(ds, [1, 2, 3]) == 1.0
+        assert label_frequency(ds) == 1.0
 
     def test_converges_to_prevalence(self, n2_partial_support):
         devs = []
         for n in (200, 2000, 20000):
             ds = sample(n2_partial_support, n, seed=13)
-            devs.append(abs(threshold_estimate(ds, range(1, n + 1)) - 0.4))
+            devs.append(abs(label_frequency(ds) - 0.4))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.02
 
 
 class TestPredictRegularized:
+    """The trained rule, seen through the per-fold miss counts."""
+
     def _dataset(self):
-        # cell (0,): 3 of 5 positive -> 0.6; overall frequency 0.5
+        # each fold is this block: cell (0,) 3 of 5 positive -> 0.6, cell
+        # (1,) 1 of 5 -> 0.2, overall frequency 0.4; so each fold's rule is
+        # trained on exactly these frequencies
         xs = [[0], [0], [0], [0], [0], [1], [1], [1], [1], [1]]
         ys = [1, 1, 1, -1, -1, 1, -1, -1, -1, -1]
-        return Dataset(FactorSpace(1, 1), xs, ys)
+        return Dataset(FactorSpace(1, 1), xs * 2, ys * 2)
+
+    def _check(self, ds, sched, misses):
+        est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
+        assert est.fold_miss_counts == misses
+        assert est.value == transcribed_cv_error(
+            ds, 2, FactorSubset.of(1), sched.value(len(ds))
+        )
 
     def test_estimate_above_inflated_threshold(self):
-        ds = self._dataset()
-        got = predict_regularized((0,), ds, range(1, 11), FactorSubset.of(1), 0.05)
-        assert got == 1  # 0.6 > 0.4 + 0.05
+        # 0.6 > 0.4 + 0.05: cell (0,) predicts +1, missing its 2 negatives
+        self._check(self._dataset(), schedule_for(0.05, 20), ((2, 1), (2, 1)))
 
     def test_inflation_can_flip_the_decision(self):
-        ds = self._dataset()
-        got = predict_regularized((0,), ds, range(1, 11), FactorSubset.of(1), 0.25)
-        assert got == -1  # 0.6 <= 0.4 + 0.25
+        # 0.6 <= 0.4 + 0.25: every record predicts -1, missing all 4 positives
+        self._check(self._dataset(), schedule_for(0.25, 20), ((0, 4), (0, 4)))
 
     def test_unseen_point_predicts_minus(self):
-        ds = Dataset(FactorSpace(1, 1), [[0], [0], [0]], [1, 1, -1])
-        got = predict_regularized((1,), ds, [1, 2, 3], FactorSubset.of(1), 0.0)
-        assert got == -1
+        # fold 1 sits in cell (1,), which its training fold never saw
+        xs = [[1], [1], [1], [0], [0], [0]]
+        ys = [1, 1, 1, 1, 1, -1]
+        self._check(Dataset(FactorSpace(1, 1), xs, ys), schedule_for(1e-3, 6),
+                    ((0, 3), (0, 2)))
 
     def test_rejects_negative_eps(self):
-        ds = self._dataset()
         with pytest.raises(ValidationError):
-            predict_regularized((0,), ds, [1, 2], FactorSubset.of(1), -0.1)
+            EpsilonSchedule(-0.1, 0.25)
 
-    @given(ds=small_datasets(), eps1=st.floats(0, 1), eps2=st.floats(0, 1))
+    @given(ds=small_datasets(), eps1=st.floats(1e-6, 1), eps2=st.floats(1e-6, 1))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_eps(self, ds, eps1, eps2):
+        # a larger inflation only turns +1 predictions into -1
         lo, hi = sorted((eps1, eps2))
-        sub = FactorSubset.of(1)
-        where = range(1, len(ds) + 1)
-        for x in ds.space.points()[:4]:
-            if predict_regularized(tuple(x), ds, where, sub, lo) == -1:
-                assert predict_regularized(tuple(x), ds, where, sub, hi) == -1
+        n, sub = len(ds), FactorSubset.of(1)
+        at_lo = cv_prediction_error(ds, 2, sub, schedule_for(lo, n)).fold_miss_counts
+        at_hi = cv_prediction_error(ds, 2, sub, schedule_for(hi, n)).fold_miss_counts
+        for (neg_lo, pos_lo), (neg_hi, pos_hi) in zip(at_lo, at_hi):
+            assert neg_hi <= neg_lo and pos_hi >= pos_lo
 
 
 class TestCvPredictionError:
@@ -309,22 +394,22 @@ class TestCvPredictionError:
 class TestSdEstimate:
     def test_deterministic_relation_gives_zero(self, deterministic_labels):
         ds = sample(deterministic_labels, 400, seed=2)
-        assert asymptotic_sd_estimate(ds, 5, FactorSubset.of(1)) == 0.0
+        assert asymptotic_sd_estimate(influence_values(ds, FactorSubset.of(1))) == 0.0
 
     def test_permutation_invariant(self):
         dist = scenario_a()
         ds = sample(dist, 500, seed=77)
         sub = FactorSubset.of(1, 2)
-        base = asymptotic_sd_estimate(ds, 5, sub)
+        base = asymptotic_sd_estimate(influence_values(ds, sub))
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(ds))
         shuffled = Dataset(ds.space, ds.x[perm], ds.y[perm])
-        assert asymptotic_sd_estimate(shuffled, 5, sub) == pytest.approx(base, abs=1e-12)
+        assert asymptotic_sd_estimate(influence_values(shuffled, sub)) == pytest.approx(base, abs=1e-12)
 
     def test_single_label_class_raises(self):
         ds = Dataset(FactorSpace(1, 1), [[0], [1], [0]], [1, 1, 1])
         with pytest.raises(DegenerateLabelsError):
-            asymptotic_sd_estimate(ds, 2, FactorSubset.of(1))
+            influence_values(ds, FactorSubset.of(1))
 
     def test_consistent_for_oracle_scale(self):
         dist = scenario_a()
@@ -333,7 +418,7 @@ class TestSdEstimate:
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=n)
-            devs.append(abs(asymptotic_sd_estimate(ds, 5, sub) - sigma))
+            devs.append(abs(asymptotic_sd_estimate(influence_values(ds, sub)) - sigma))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.05 * sigma
 
@@ -349,8 +434,9 @@ class TestCovarianceEstimate:
         dist = scenario_a()
         ds = sample(dist, 800, seed=4)
         sub = FactorSubset.of(1, 2)
-        c = asymptotic_covariance_estimate(ds, 5, [sub])
-        sd = asymptotic_sd_estimate(ds, 5, sub)
+        v = influence_values(ds, sub)
+        c = asymptotic_covariance_estimate([v])
+        sd = asymptotic_sd_estimate(v)
         assert c.shape == (1, 1)
         assert c[0, 0] == pytest.approx(sd**2, rel=1e-12)
 
@@ -358,7 +444,8 @@ class TestCovarianceEstimate:
         dist = scenario_a()
         ds = sample(dist, 800, seed=4)
         sub = FactorSubset.of(1, 2)
-        c = asymptotic_covariance_estimate(ds, 5, [sub, sub])
+        v = influence_values(ds, sub)
+        c = asymptotic_covariance_estimate([v, v])
         with pytest.raises(NearSingularMatrixError):
             inv_sqrt_symmetric(c)
 
@@ -371,7 +458,7 @@ class TestCovarianceEstimate:
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=3 * n + 1)
-            c = asymptotic_covariance_estimate(ds, 5, subs)
+            c = asymptotic_covariance_estimate([influence_values(ds, s) for s in subs])
             devs.append(float(np.abs(c - oracle).max()))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.1

@@ -72,6 +72,11 @@ class TestKsStatistic:
         with pytest.raises(ValidationError):
             ks_statistic([])
 
+    def test_non_finite_sample_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                ks_statistic([0.0, bad, 1.0])
+
     def test_nonpositive_sd_rejected(self):
         with pytest.raises(ValidationError):
             ks_statistic([1.0, 2.0], 0.0, 0.0)

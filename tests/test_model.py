@@ -12,7 +12,11 @@ from mdrcv.model import (
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
+    _points_array,
+    cell_conditionals,
+    cylinder_codes,
     cylinder_conditional,
+    cylinder_masses,
     label_marginal,
     load_distribution,
     sample,
@@ -97,6 +101,13 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             toy_balanced.probs[0, 0] = 0.9
 
+    def test_derived_arrays_are_cached_and_frozen(self, n2_partial_support):
+        marginal = n2_partial_support.point_probs()
+        assert marginal is n2_partial_support.point_probs()
+        assert marginal.tolist() == pytest.approx([0.4, 0.6, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            marginal[0] = 1.0
+
     def test_duplicate_atom_rejected(self):
         with pytest.raises(ValidationError):
             JointDistribution.from_atoms(
@@ -145,6 +156,24 @@ class TestCylinderConditional:
     def test_null_cylinder_raises(self, n2_partial_support):
         with pytest.raises(NullEventError):
             cylinder_conditional(n2_partial_support, FactorSubset.of(1), (1,))
+
+
+class TestCylinderMasses:
+    def test_masses_and_codes(self, n2_partial_support):
+        tot, pos, codes = cylinder_masses(n2_partial_support, FactorSubset.of(2))
+        assert tot.tolist() == pytest.approx([0.4, 0.6])
+        assert pos.tolist() == pytest.approx([0.3, 0.1])
+        pts = n2_partial_support.space.points()
+        assert codes.tolist() == cylinder_codes(pts, FactorSubset.of(2), 1).tolist()
+        assert codes.tolist() == [0, 1, 0, 1]
+
+    def test_cell_conditionals_zero_on_empty_cells(self):
+        got = cell_conditionals(np.array([4, 0, 2]), np.array([1, 0, 2]))
+        assert got.tolist() == [0.25, 0.0, 1.0]
+
+
+def test_points_cache_is_bounded():
+    assert _points_array.cache_info().maxsize is not None
 
 
 class TestLabelMarginal:

@@ -1,0 +1,41 @@
+"""Byte-level pins of two small CLI reports.
+
+Report JSON is a deterministic function of its configuration, so a
+refactor that keeps the numbers must keep these digests.  A change that
+moves any reported float, even in its last bit, fails here and has to
+say why the new bytes are right.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from mdrcv.cli import main
+
+# Scenario A (pair epistasis, n=3, q=2, penetrance 0.05/0.95).
+CLT_VERIFY_ARGS = [
+    "clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+    "--p-low", "0.05", "--p-high", "0.95", "--subsets", "1,2;1,3",
+    "--N", "500", "--K", "5", "--M", "40", "--seed", "23",
+]
+CLT_VERIFY_SHA256 = "a5ad13ccb299bf52dba06401cfb6bb3b8e3f8f44d022f5e768db2c685eaa4145"
+
+SEARCH_ARGS = [
+    "search", "--preset", "pair-epistasis", "--n", "6", "--q", "1",
+    "--N", "2000", "--seed", "7", "--r", "2", "--K", "5",
+]
+SEARCH_SHA256 = "c5ada2b2e9b915707eba692ce59a67aed7ac20d6cb77ae6133fa9699fbc4c629"
+
+
+def report_digest(args, path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args + ["--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_clt_verify_report_bytes(tmp_path):
+    assert report_digest(CLT_VERIFY_ARGS, tmp_path / "clt.json") == CLT_VERIFY_SHA256
+
+
+def test_search_report_bytes(tmp_path):
+    assert report_digest(SEARCH_ARGS, tmp_path / "search.json") == SEARCH_SHA256
