@@ -8,6 +8,7 @@ from .errors import (
     NearSingularMatrixError,
     NullEventError,
     ValidationError,
+    ZeroScaleError,
 )
 from .estimator import (
     DEFAULT_SCHEDULE,

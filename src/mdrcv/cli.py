@@ -33,6 +33,7 @@ from .oracle import (
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,
+    influence_table,
     is_significant,
     optimal_predictor,
     prediction_error,
@@ -226,16 +227,18 @@ def _cmd_oracle(args) -> int:
         "high_risk_set": sorted(list(x) for x in high_risk_set(dist, psi)),
         "subsets": [],
     }
+    tables = []
     for s in subsets:
         f = optimal_predictor(dist, psi, s)
+        tables.append(influence_table(dist, f))
         doc["subsets"].append({
             "indices": list(s.indices),
             "significant": is_significant(dist, s),
             "error": prediction_error(dist, psi, f),
-            "asymptotic_variance": asymptotic_variance(dist, s),
+            "asymptotic_variance": asymptotic_variance(dist, tables[-1]),
         })
     if len(subsets) > 1:
-        doc["asymptotic_covariance"] = asymptotic_covariance(dist, subsets).tolist()
+        doc["asymptotic_covariance"] = asymptotic_covariance(dist, tables).tolist()
     print(f"threshold: {doc['threshold']:.6f}   "
           f"P(Y=1): {doc['label_marginal_pos']:.6f}")
     for entry in doc["subsets"]:

@@ -17,5 +17,9 @@ class DegenerateLabelsError(MdrError):
     """A label class is empty where a nondegenerate sample is required."""
 
 
+class ZeroScaleError(MdrError):
+    """A plug-in scale of zero leaves a self-normalized deviation undefined."""
+
+
 class NearSingularMatrixError(MdrError):
     """Matrix inverse square root blocked by a near-zero eigenvalue."""

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularMatrixError, ValidationError
+from .errors import NearSingularMatrixError, ValidationError, ZeroScaleError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
@@ -31,6 +31,7 @@ from .oracle import (
     asymptotic_covariance,
     asymptotic_variance,
     balanced_penalty,
+    influence_table,
     optimal_predictor,
     prediction_error,
 )
@@ -96,6 +97,7 @@ def _replicate_args(args) -> ReplicationResult:
 def run_replications(
     dist: JointDistribution,
     subsets: Sequence[FactorSubset],
+    oracle_errors: Sequence[float],
     n_records: int,
     n_folds: int,
     schedule: EpsilonSchedule,
@@ -104,14 +106,13 @@ def run_replications(
     workers: int = 1,
 ) -> list[ReplicationResult]:
     """Replications 1..M, each on a fresh dataset; deterministic per-index
-    seeds, results ordered by replication index."""
+    seeds, results ordered by replication index.  Deviations are centred
+    at ``oracle_errors``, each subset's exact optimal error."""
     if n_replications < 1:
         raise ValidationError("need at least one replication")
     subsets = list(subsets)
-    psi = balanced_penalty(dist)
-    oracle_errors = [
-        prediction_error(dist, psi, optimal_predictor(dist, psi, s)) for s in subsets
-    ]
+    if len(oracle_errors) != len(subsets):
+        raise ValidationError("need one oracle error per subset")
     arglist = [
         (dist, subsets, n_records, n_folds, schedule, oracle_errors, master_seed, m)
         for m in range(1, n_replications + 1)
@@ -163,21 +164,7 @@ class UnivariateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "n_replications": self.n_replications,
-            "z_mean": self.z_mean,
-            "z_var": self.z_var,
-            "oracle_var": self.oracle_var,
-            "degenerate": self.degenerate,
-            "ks_oracle": self.ks_oracle,
-            "ks_self_norm": self.ks_self_norm,
-            "var_ratio": self.var_ratio,
-            "ks_limit": self.ks_limit,
-            "self_norm_limit": self.self_norm_limit,
-            "var_rtol": self.var_rtol,
-            "passed": self.passed,
-        }
+        return {**vars(self), "subset": list(self.subset)}
 
 
 def clt_check(
@@ -196,6 +183,7 @@ def clt_check(
     normal, KS of the per-replication self-normalized values, and the
     empirical-to-oracle variance ratio.  A zero oracle variance routes to
     the degenerate branch, which requires every deviation to vanish.
+    A plug-in scale of zero raises ``ZeroScaleError``.
     """
     m = len(results)
     z = np.array([res.z[subset_index] for res in results])
@@ -220,10 +208,14 @@ def clt_check(
         )
     ks_limit = ks_level_constant / math.sqrt(m)
     ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
-    self_norm = [
-        res.z[subset_index] / res.sd_estimates[subset_index] for res in results
-    ]
-    ks_self = ks_statistic(self_norm, 0.0, 1.0)
+    sds = np.array([res.sd_estimates[subset_index] for res in results])
+    zero_scale = int(np.count_nonzero(sds == 0.0))
+    if zero_scale:
+        raise ZeroScaleError(
+            f"subset {subset.indices}: {zero_scale} of {m} replications have "
+            f"plug-in scale 0, so their self-normalized deviations are undefined"
+        )
+    ks_self = ks_statistic(z / sds, 0.0, 1.0)
     z_var = float(z.var(ddof=1)) if m > 1 else float("nan")
     ratio = z_var / oracle_sigma2
     passed = (
@@ -266,17 +258,11 @@ class MultivariateCheck:
 
     def to_dict(self) -> dict:
         return {
+            **vars(self),
             "subsets": [list(s) for s in self.subsets],
-            "n_replications": self.n_replications,
             "sample_cov": self.sample_cov.tolist(),
             "oracle_cov": self.oracle_cov.tolist(),
-            "max_abs_discrepancy": self.max_abs_discrepancy,
-            "frobenius_discrepancy": self.frobenius_discrepancy,
-            "entry_limit": self.entry_limit,
             "whitened_ks": list(self.whitened_ks) if self.whitened_ks else None,
-            "whitening_skipped": self.whitening_skipped,
-            "ks_limit": self.ks_limit,
-            "passed": self.passed,
         }
 
 
@@ -355,13 +341,7 @@ class CltReport:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "n_records": self.n_records,
-            "n_folds": self.n_folds,
-            "n_replications": self.n_replications,
-            "master_seed": self.master_seed,
-            "eps_c0": self.eps_c0,
-            "eps_beta": self.eps_beta,
+            **vars(self),
             "subsets": [list(s) for s in self.subsets],
             "oracle_errors": list(self.oracle_errors),
             "univariate": [u.to_dict() for u in self.univariate],
@@ -387,26 +367,27 @@ def verify_clt(
     scenario: str = "",
     workers: int = 1,
 ) -> tuple[CltReport, list[ReplicationResult]]:
-    """Run the full pipeline: replications, per-subset univariate checks,
-    and the joint check when more than one subset is given."""
+    """Run the full pipeline: the exact oracle (one optimal predictor and
+    influence table per subset), replications, per-subset univariate
+    checks, and the joint check when more than one subset is given."""
     subsets = list(subsets)
-    results = run_replications(
-        dist, subsets, n_records, n_folds, schedule, n_replications, master_seed,
-        workers=workers,
-    )
     psi = balanced_penalty(dist)
-    oracle_errors = tuple(
-        prediction_error(dist, psi, optimal_predictor(dist, psi, s)) for s in subsets
+    predictors = [optimal_predictor(dist, psi, s) for s in subsets]
+    oracle_errors = tuple(prediction_error(dist, psi, f) for f in predictors)
+    tables = [influence_table(dist, f) for f in predictors]
+    oracle_vars = [asymptotic_variance(dist, v) for v in tables]
+    oracle_cov = asymptotic_covariance(dist, tables) if len(subsets) > 1 else None
+    results = run_replications(
+        dist, subsets, oracle_errors, n_records, n_folds, schedule,
+        n_replications, master_seed, workers=workers,
     )
     univariate = tuple(
-        clt_check(results, asymptotic_variance(dist, s), s, subset_index=i)
-        for i, s in enumerate(subsets)
+        clt_check(results, var, s, subset_index=i)
+        for i, (s, var) in enumerate(zip(subsets, oracle_vars))
     )
     multivariate = None
-    if len(subsets) > 1:
-        multivariate = multivariate_check(
-            results, asymptotic_covariance(dist, subsets), subsets
-        )
+    if oracle_cov is not None:
+        multivariate = multivariate_check(results, oracle_cov, subsets)
     report = CltReport(
         scenario=scenario,
         n_records=n_records,

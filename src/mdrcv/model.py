@@ -35,12 +35,16 @@ NORMALIZATION_TOL = 1e-12
 
 
 # Each cached table is (q+1)^n x n int16, several hundred MB near the
-# dense-table cap; keep only the two most recent alive.
+# dense-table cap; keep only the two most recent alive.  Sampling, cell
+# coding and two presets read levels off ranks with ``point_levels``.
 @lru_cache(maxsize=2)
 def _points_array(n: int, q: int) -> np.ndarray:
     """All points of {0,...,q}^n as an array, lexicographic row order."""
-    grids = np.meshgrid(*[np.arange(q + 1)] * n, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int16)
+    space = FactorSpace(n, q)
+    pts = np.empty(space.grid_shape + (n,), dtype=np.int16)
+    for i in range(1, n + 1):
+        pts[..., i - 1] = point_levels(space, i)
+    pts = pts.reshape(-1, n)
     pts.flags.writeable = False
     return pts
 
@@ -65,6 +69,11 @@ class FactorSpace:
     @property
     def num_points(self) -> int:
         return (self.q + 1) ** self.n
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        """One axis per factor; its C-order ravel is the point enumeration."""
+        return (self.q + 1,) * self.n
 
     def points(self) -> np.ndarray:
         """(num_points, n) read-only array of all points in enumeration order."""
@@ -121,6 +130,30 @@ class FactorSubset:
     def project(self, x: Sequence[int]) -> tuple[int, ...]:
         """Sub-vector u with u_i = x_{m_i}."""
         return tuple(int(x[i - 1]) for i in self.indices)
+
+
+def point_levels(
+    space: FactorSpace, factor: int, ranks: np.ndarray | None = None
+) -> np.ndarray:
+    """Level of the 1-based ``factor`` at the points with the given
+    lexicographic ranks: the rank's base-(q+1) digit for that factor.
+
+    ``ranks=None`` means every point, as the q+1 levels along the factor's
+    axis of an array that broadcasts against ``space.grid_shape``; it
+    stays that small until ``on_points`` spreads it over the table.
+    """
+    base = space.q + 1
+    if ranks is None:
+        shape = [1] * space.n
+        shape[factor - 1] = base
+        return np.arange(base).reshape(shape)
+    return np.asarray(ranks) // base ** (space.n - factor) % base
+
+
+def on_points(space: FactorSpace, grid: np.ndarray) -> np.ndarray:
+    """One value per point, in enumeration order, from an array that
+    broadcasts against ``space.grid_shape``."""
+    return np.broadcast_to(grid, space.grid_shape).reshape(-1)
 
 
 def cylinder_count(subset: FactorSubset, q: int) -> int:
@@ -190,7 +223,7 @@ class PenaltyFunction:
 UNIT_PENALTY = PenaltyFunction(1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Exact probability table p(x, y) on {0..q}^n x {-1,+1}.
 
@@ -198,6 +231,7 @@ class JointDistribution:
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
     must be strictly positive (degenerate labels are rejected).
+    Equal spaces and tables make equal distributions, which are unhashable.
     """
 
     space: FactorSpace
@@ -227,6 +261,13 @@ class JointDistribution:
         for name, arr in (("probs", p), ("_point_probs", marginal), ("_cdf", cdf)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JointDistribution):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.probs, other.probs)
+
+    __hash__ = None
 
     @classmethod
     def from_atoms(
@@ -283,21 +324,20 @@ class JointDistribution:
 
     def atoms(self) -> list[tuple[tuple[int, ...], int, float]]:
         """Nonzero atoms (x, y, p) in enumeration order."""
-        out = []
-        pts = self.space.points()
-        for rank in range(self.space.num_points):
-            for col, y in enumerate(LABELS):
-                p = float(self.probs[rank, col])
-                if p > 0.0:
-                    out.append((tuple(int(v) for v in pts[rank]), y, p))
-        return out
+        ranks, cols = np.nonzero(self.probs > 0.0)
+        xs = self.space.points()[ranks].tolist()
+        ps = self.probs[ranks, cols].tolist()
+        return [(tuple(x), LABELS[c], p) for x, c, p in zip(xs, cols.tolist(), ps)]
+
+
+def points_where(space: FactorSpace, mask: np.ndarray) -> list[tuple[int, ...]]:
+    """The points whose entry of a per-point mask is true, in enumeration order."""
+    return [tuple(x) for x in space.points()[mask].tolist()]
 
 
 def support(dist: JointDistribution) -> set[tuple[int, ...]]:
     """The set of points with P(X=x) > 0."""
-    pts = dist.space.points()
-    mask = dist.support_mask()
-    return {tuple(int(v) for v in pts[i]) for i in np.nonzero(mask)[0]}
+    return set(points_where(dist.space, dist.support_mask()))
 
 
 def label_marginal(dist: JointDistribution, y: int) -> float:
@@ -310,9 +350,13 @@ def cylinder_masses(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per cylinder cell: (P(X in C), P(Y=1, X in C)), indexed by cell code,
     and the cell code of every point of the table."""
-    subset.validate_for(dist.space)
-    codes = cylinder_codes(dist.space.points(), subset, dist.space.q)
-    cells = cylinder_count(subset, dist.space.q)
+    space = dist.space
+    subset.validate_for(space)
+    grid = 0
+    for i in subset.indices:
+        grid = grid * (space.q + 1) + point_levels(space, i)
+    codes = on_points(space, grid)
+    cells = cylinder_count(subset, space.q)
     tot = np.bincount(codes, weights=dist.point_probs(), minlength=cells)
     pos = np.bincount(codes, weights=dist.probs[:, 1], minlength=cells)
     return tot, pos, codes
@@ -398,10 +442,14 @@ def sample(dist: JointDistribution, n_records: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     u = rng.random(n_records)
     atom_idx = np.searchsorted(dist._cdf, u, side="right")
-    point_rank = atom_idx >> 1
+    # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
+    point_rank = (atom_idx >> 1).astype(np.int32)
     ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)
-    xs = dist.space.points()[point_rank]
-    return Dataset(dist.space, xs, ys)
+    space = dist.space
+    xs = np.empty((n_records, space.n), dtype=np.int16)
+    for i in range(1, space.n + 1):
+        xs[:, i - 1] = point_levels(space, i, point_rank)
+    return Dataset(space, xs, ys)
 
 
 def save_distribution(dist: JointDistribution, path) -> None:

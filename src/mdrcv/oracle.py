@@ -21,6 +21,7 @@ from .model import (
     cell_conditionals,
     cylinder_masses,
     label_marginal,
+    points_where,
 )
 
 # Separates authored exact ties from double-precision rounding noise in
@@ -53,10 +54,7 @@ class Predictor:
         return int(self.values[self.space.rank(x)])
 
     def plus_set(self) -> set[tuple[int, ...]]:
-        pts = self.space.points()
-        return {
-            tuple(int(v) for v in pts[i]) for i in np.nonzero(self.values == 1)[0]
-        }
+        return set(points_where(self.space, self.values == 1))
 
     @classmethod
     def from_plus_set(cls, space: FactorSpace, plus: set) -> "Predictor":
@@ -167,8 +165,7 @@ def decided_set(
     threshold (no exact tie); on these the empirical rule converges."""
     cell_cond = _conditional_at_points(dist, subset)
     mask = dist.support_mask() & (np.abs(cell_cond - psi.threshold) > tol)
-    pts = dist.space.points()
-    return {tuple(int(v) for v in pts[i]) for i in np.nonzero(mask)[0]}
+    return set(points_where(dist.space, mask))
 
 
 def consistency_defect(
@@ -189,7 +186,9 @@ def consistency_defect(
     if target is None:
         target = optimal_predictor(dist, psi, subset)
     decided = decided_set(dist, psi, subset)
-    sup_pts = [x for x in _support_points(dist) if x not in decided]
+    sup_pts = [
+        x for x in points_where(dist.space, dist.support_mask()) if x not in decided
+    ]
     x_plus = [x for x in sup_pts if target.value_at(x) == 1]
     x_minus = [x for x in sup_pts if target.value_at(x) == -1]
     total = 0.0
@@ -203,53 +202,47 @@ def consistency_defect(
     return total
 
 
-def _support_points(dist: JointDistribution) -> list[tuple[int, ...]]:
-    pts = dist.space.points()
-    return [tuple(int(v) for v in pts[i]) for i in np.nonzero(dist.support_mask())[0]]
-
-
-def influence_table(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
+def influence_table(dist: JointDistribution, predictor: Predictor) -> np.ndarray:
     """Per-atom values of the influence variable behind the CLT.
 
     Shape (num_points, 2), columns y = -1 and y = +1:
 
         v(x, y) = (2 / P(Y=y)) * (1{f(x) != y} - P(f(X) != y | Y=y))
 
-    with f the optimal predictor for the subset under balanced penalties.
-    Its mean under the distribution is exactly zero.
+    with f the given predictor; the CLT scale of a subset's cross-validated
+    error uses its optimal predictor under balanced penalties.  The mean of
+    v under the distribution is exactly zero.
     """
-    psi = balanced_penalty(dist)
-    f = optimal_predictor(dist, psi, subset)
+    f = predictor.values
     p_pos = label_marginal(dist, 1)
     p_neg = 1.0 - p_pos
-    miss_neg = float(dist.probs[f.values == 1, 0].sum()) / p_neg
-    miss_pos = float(dist.probs[f.values == -1, 1].sum()) / p_pos
+    miss_neg = float(dist.probs[f == 1, 0].sum()) / p_neg
+    miss_pos = float(dist.probs[f == -1, 1].sum()) / p_pos
     v = np.empty((dist.space.num_points, 2))
-    v[:, 0] = (2.0 / p_neg) * ((f.values == 1).astype(float) - miss_neg)
-    v[:, 1] = (2.0 / p_pos) * ((f.values == -1).astype(float) - miss_pos)
+    v[:, 0] = (2.0 / p_neg) * ((f == 1).astype(float) - miss_neg)
+    v[:, 1] = (2.0 / p_pos) * ((f == -1).astype(float) - miss_pos)
     return v
 
 
-def asymptotic_variance(dist: JointDistribution, subset: FactorSubset) -> float:
-    """Exact variance of the influence variable; the CLT scale for the
-    cross-validated error of this subset's predictor."""
-    v = influence_table(dist, subset)
-    mean = float((dist.probs * v).sum())
+def asymptotic_variance(dist: JointDistribution, table: np.ndarray) -> float:
+    """Exact variance of an influence variable given by its ``influence_table``;
+    the CLT scale for the cross-validated error of that table's predictor."""
+    mean = float((dist.probs * table).sum())
     if abs(mean) > 1e-12:
         raise ValidationError(f"influence variable mean {mean} not zero; table corrupt?")
-    var = float((dist.probs * (v - mean) ** 2).sum())
+    var = float((dist.probs * (table - mean) ** 2).sum())
     return var
 
 
 def asymptotic_covariance(
-    dist: JointDistribution, subsets: Sequence[FactorSubset]
+    dist: JointDistribution, tables: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Exact covariance matrix of the influence variables of several subsets."""
-    if len(subsets) < 1:
+    """Exact covariance matrix of several influence variables, one
+    ``influence_table`` per subset."""
+    if len(tables) < 1:
         raise ValidationError("need at least one subset")
-    tables = [influence_table(dist, s) for s in subsets]
     means = [float((dist.probs * v).sum()) for v in tables]
-    s = len(subsets)
+    s = len(tables)
     c = np.zeros((s, s))
     for i in range(s):
         for j in range(i, s):

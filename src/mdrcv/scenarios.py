@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .model import FactorSpace, JointDistribution
+from .model import FactorSpace, JointDistribution, on_points, point_levels
 
 PRESETS = ("null", "independent", "single-factor", "pair-epistasis")
 
@@ -42,10 +42,10 @@ def _null(space: FactorSpace, p_pos: float) -> JointDistribution:
 
 def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> JointDistribution:
     _check_band(p_low, p_high)
-    x1 = space.points()[:, 0].astype(np.float64)
+    x1 = point_levels(space, 1).astype(np.float64)
     cond = p_low + (p_high - p_low) * x1 / space.q
     return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), cond
+        space.n, space.q, _uniform_marginal(space), on_points(space, cond)
     )
 
 
@@ -53,11 +53,10 @@ def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> JointDis
     if space.n < 2:
         raise ValidationError("pair-epistasis needs at least two factors")
     _check_band(p_low, p_high)
-    pts = space.points()
-    joint_risk = pts[:, 0] + pts[:, 1] >= space.q + 1
+    joint_risk = point_levels(space, 1) + point_levels(space, 2) >= space.q + 1
     cond = np.where(joint_risk, p_high, p_low)
     return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), cond
+        space.n, space.q, _uniform_marginal(space), on_points(space, cond)
     )
 
 

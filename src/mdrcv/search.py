@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ValidationError
 from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_prediction_error
@@ -84,7 +83,6 @@ def rank_subsets(
     if tie_tolerance > 0.0:
         near = [s for s, v in scored if v <= best_value + tie_tolerance]
         selected = min(near, key=lambda s: s.indices)
-    assert len(scored) == comb(n, r)
     return SearchReport(
         r=r,
         n_folds=n_folds,

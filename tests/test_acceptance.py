@@ -45,6 +45,7 @@ from mdrcv.oracle import (
 from mdrcv.scenarios import generate_scenario, scenario_a
 from mdrcv.search import enumerate_subsets, rank_subsets
 
+from conftest import subset_oracle
 from test_estimator import transcribed_cv_error
 
 
@@ -73,7 +74,8 @@ def scenario_a_run():
     subsets = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
     start = time.perf_counter()
     results = run_replications(
-        dist, subsets, 2000, 5, DEFAULT_SCHEDULE, 1000, master_seed=23
+        dist, subsets, subset_oracle(dist, subsets).errors, 2000, 5,
+        DEFAULT_SCHEDULE, 1000, master_seed=23,
     )
     elapsed = time.perf_counter() - start
     return dist, subsets, results, elapsed
@@ -171,7 +173,7 @@ def test_criterion_4_limit_normality_known_scale(scenario_a_run):
     and their empirical variance matches it within 10 percent."""
     dist, subsets, results, run_elapsed = scenario_a_run
     start = time.perf_counter()
-    sigma2 = asymptotic_variance(dist, subsets[0])
+    sigma2 = asymptotic_variance(dist, subset_oracle(dist, subsets).tables[0])
     z = np.array([r.z[0] for r in results])
     ks = ks_statistic(z, 0.0, math.sqrt(sigma2))
     ratio = float(z.var(ddof=1)) / sigma2
@@ -202,7 +204,7 @@ def test_criterion_6_joint_limit_law(scenario_a_run):
     per-replication whitening makes each coordinate standard normal."""
     dist, subsets, results, run_elapsed = scenario_a_run
     start = time.perf_counter()
-    oracle = asymptotic_covariance(dist, subsets)
+    oracle = asymptotic_covariance(dist, subset_oracle(dist, subsets).tables)
     entry = multivariate_check(results, oracle, subsets)
     ok = (
         entry.max_abs_discrepancy <= entry.entry_limit
@@ -226,9 +228,10 @@ def test_criterion_7_degenerate_scale():
     start = time.perf_counter()
     dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
     sub = FactorSubset.of(1)
-    sigma2 = asymptotic_variance(dist, sub)
+    errors, tables = subset_oracle(dist, [sub])
+    sigma2 = asymptotic_variance(dist, tables[0])
     results = run_replications(
-        dist, [sub], 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=41
+        dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=41
     )
     worst = max(abs(r.z[0]) for r in results)
     entry = clt_check(results, sigma2, sub)

@@ -176,6 +176,19 @@ class TestCliCommands:
         ])
         assert code == 2
 
+    def test_zero_plug_in_scale_exits_two(self, capsys):
+        # near-deterministic labels on one binary factor: most replications
+        # see no misclassified record, so their plug-in scale is exactly 0
+        code = main([
+            "clt-verify", "--preset", "single-factor", "--n", "1", "--q", "1",
+            "--p-low", "0.02", "--p-high", "0.98", "--subsets", "1",
+            "--N", "30", "--M", "300", "--seed", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "subset (1,)" in err and "200 of 300 replications" in err
+
     def test_module_entry_point(self, toy_dist_file):
         proc = subprocess.run(
             [sys.executable, "-m", "mdrcv.cli", "oracle", "--dist", str(toy_dist_file)],

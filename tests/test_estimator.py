@@ -27,7 +27,7 @@ from mdrcv.model import (
 from mdrcv.oracle import asymptotic_variance, balanced_penalty, optimal_predictor, prediction_error
 from mdrcv.scenarios import generate_scenario, scenario_a
 
-from conftest import small_datasets
+from conftest import small_datasets, subset_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,7 @@ class TestSdEstimate:
     def test_consistent_for_oracle_scale(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        sigma = np.sqrt(asymptotic_variance(dist, sub))
+        sigma = np.sqrt(asymptotic_variance(dist, subset_oracle(dist, [sub]).tables[0]))
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=n)
@@ -454,7 +454,7 @@ class TestCovarianceEstimate:
 
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        oracle = asymptotic_covariance(dist, subs)
+        oracle = asymptotic_covariance(dist, subset_oracle(dist, subs).tables)
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=3 * n + 1)

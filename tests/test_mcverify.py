@@ -6,10 +6,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrcv.errors import ValidationError
+from mdrcv.errors import ValidationError, ZeroScaleError
 from mdrcv.estimator import DEFAULT_SCHEDULE
 from mdrcv.mcverify import (
     CltReport,
+    ReplicationResult,
     clt_check,
     derive_seed,
     ks_statistic,
@@ -22,6 +23,8 @@ from mdrcv.mcverify import (
 from mdrcv.model import FactorSubset
 from mdrcv.oracle import asymptotic_covariance, asymptotic_variance
 from mdrcv.scenarios import generate_scenario, scenario_a
+
+from conftest import subset_oracle
 
 
 def series_normal_cdf(z, terms=120):
@@ -116,33 +119,38 @@ class TestRunReplications:
     def test_single_replication_reproducible(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2)]
-        a = run_replications(dist, subs, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
-        b = run_replications(dist, subs, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
+        errors = subset_oracle(dist, subs).errors
+        a = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
+        b = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
         assert a[0].z == b[0].z
         assert a[0].seed == b[0].seed
 
     def test_deterministic_scenario_yields_exact_zeros(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
+        subs = [FactorSubset.of(1)]
         res = run_replications(
-            dist, [FactorSubset.of(1)], 500, 5, DEFAULT_SCHEDULE, 20, master_seed=3
+            dist, subs, subset_oracle(dist, subs).errors, 500, 5, DEFAULT_SCHEDULE, 20,
+            master_seed=3,
         )
         assert max(abs(r.z[0]) for r in res) == 0.0
 
     def test_centering_at_scale(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        sigma = math.sqrt(asymptotic_variance(dist, sub))
+        errors, tables = subset_oracle(dist, [sub])
+        sigma = math.sqrt(asymptotic_variance(dist, tables[0]))
         m = 1000
-        res = run_replications(dist, [sub], 2000, 5, DEFAULT_SCHEDULE, m, master_seed=17)
+        res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, m, master_seed=17)
         z = np.array([r.z[0] for r in res])
         assert abs(z.mean()) < 4 * sigma / math.sqrt(m)
 
     def test_worker_pool_matches_serial(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        serial = run_replications(dist, subs, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9)
+        errors = subset_oracle(dist, subs).errors
+        serial = run_replications(dist, subs, errors, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9)
         parallel = run_replications(
-            dist, subs, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9, workers=2
+            dist, subs, errors, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9, workers=2
         )
         assert [r.z for r in serial] == [r.z for r in parallel]
 
@@ -151,20 +159,30 @@ class TestRunReplications:
         # sample sizes once the rule has locked onto the target predictor
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
+        errors = subset_oracle(dist, [sub]).errors
         q99 = []
         for n in (2000, 8000):
             res = run_replications(
-                dist, [sub], n, 5, DEFAULT_SCHEDULE, 400, master_seed=31
+                dist, [sub], errors, n, 5, DEFAULT_SCHEDULE, 400, master_seed=31
             )
             q99.append(float(np.quantile(np.abs([r.z[0] for r in res]), 0.99)))
         assert 0.6 < q99[1] / q99[0] < 1.6
+
+    def test_error_count_must_match_subsets(self):
+        dist = scenario_a()
+        with pytest.raises(ValidationError):
+            run_replications(
+                dist, [FactorSubset.of(1, 2)], [0.1, 0.2], 100, 2, DEFAULT_SCHEDULE, 1,
+                master_seed=1,
+            )
 
 
 class TestCltCheck:
     def test_degenerate_branch(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
         sub = FactorSubset.of(1)
-        res = run_replications(dist, [sub], 500, 5, DEFAULT_SCHEDULE, 50, master_seed=1)
+        errors = subset_oracle(dist, [sub]).errors
+        res = run_replications(dist, [sub], errors, 500, 5, DEFAULT_SCHEDULE, 50, master_seed=1)
         entry = clt_check(res, 0.0, sub)
         assert entry.degenerate and entry.passed
         assert entry.ks_oracle is None
@@ -172,27 +190,50 @@ class TestCltCheck:
     def test_healthy_scenario_passes(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        res = run_replications(dist, [sub], 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
-        entry = clt_check(res, asymptotic_variance(dist, sub), sub)
+        errors, tables = subset_oracle(dist, [sub])
+        res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
+        entry = clt_check(res, asymptotic_variance(dist, tables[0]), sub)
         assert not entry.degenerate
         assert entry.passed, entry
 
     def test_wrong_oracle_variance_fails_the_ratio(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        res = run_replications(dist, [sub], 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=2)
-        entry = clt_check(res, 10.0 * asymptotic_variance(dist, sub), sub)
+        errors, tables = subset_oracle(dist, [sub])
+        res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=2)
+        entry = clt_check(res, 10.0 * asymptotic_variance(dist, tables[0]), sub)
         assert not entry.passed
+
+    def test_zero_plug_in_scale_names_subset_and_count(self):
+        sub = FactorSubset.of(2)
+        results = [
+            ReplicationResult(m, m, (0.5 * m,), (0.0 if m % 3 else 1.0,))
+            for m in range(1, 10)
+        ]
+        with pytest.raises(ZeroScaleError, match=r"subset \(2,\): 6 of 9 replications"):
+            clt_check(results, 1.0, sub)
+
+    @given(
+        z=st.lists(st.floats(-50, 50), min_size=2, max_size=30),
+        sd=st.lists(st.floats(1e-3, 20), min_size=30, max_size=30),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_self_normalized_ks_matches_scalar_division(self, z, sd):
+        results = [ReplicationResult(i, i, (zi,), (sd[i],)) for i, zi in enumerate(z)]
+        entry = clt_check(results, 1.0, FactorSubset.of(1))
+        scalar = ks_statistic([zi / sd[i] for i, zi in enumerate(z)], 0.0, 1.0)
+        assert entry.ks_self_norm == scalar
 
 
 class TestMultivariateCheck:
     def test_identical_subsets_whitening_is_flagged(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
+        errors, tables = subset_oracle(dist, [sub, sub])
         res = run_replications(
-            dist, [sub, sub], 1000, 5, DEFAULT_SCHEDULE, 100, master_seed=6
+            dist, [sub, sub], errors, 1000, 5, DEFAULT_SCHEDULE, 100, master_seed=6
         )
-        oracle = asymptotic_covariance(dist, [sub, sub])
+        oracle = asymptotic_covariance(dist, tables)
         entry = multivariate_check(res, oracle, [sub, sub])
         assert entry.whitening_skipped
         assert not entry.passed
@@ -205,9 +246,10 @@ class TestMultivariateCheck:
     ):
         dist = conditionally_independent_pair
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
-        oracle = asymptotic_covariance(dist, subs)
+        errors, tables = subset_oracle(dist, subs)
+        oracle = asymptotic_covariance(dist, tables)
         assert oracle[0, 1] == pytest.approx(0.0, abs=1e-12)
-        res = run_replications(dist, subs, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=11)
+        res = run_replications(dist, subs, errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=11)
         z = np.array([r.z for r in res])
         cross = float(np.cov(z.T, ddof=1)[0, 1])
         # noise scale of the sample covariance, from the exact oracle moments
@@ -217,8 +259,9 @@ class TestMultivariateCheck:
     def test_scenario_pair_passes(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        res = run_replications(dist, subs, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
-        entry = multivariate_check(res, asymptotic_covariance(dist, subs), subs)
+        errors, tables = subset_oracle(dist, subs)
+        res = run_replications(dist, subs, errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
+        entry = multivariate_check(res, asymptotic_covariance(dist, tables), subs)
         assert not entry.whitening_skipped
         assert entry.passed, entry
 

@@ -19,10 +19,14 @@ from mdrcv.model import (
     cylinder_masses,
     label_marginal,
     load_distribution,
+    on_points,
+    point_levels,
     sample,
     save_distribution,
     support,
 )
+
+from mdrcv.scenarios import generate_scenario
 
 from conftest import small_distributions
 
@@ -107,6 +111,19 @@ class TestJointDistribution:
         assert marginal.tolist() == pytest.approx([0.4, 0.6, 0.0, 0.0])
         with pytest.raises(ValueError):
             marginal[0] = 1.0
+
+    def test_value_equality(self):
+        a = generate_scenario("pair-epistasis", n=3, q=2)
+        assert a == generate_scenario("pair-epistasis", n=3, q=2)
+        assert a != generate_scenario("pair-epistasis", n=3, q=2, p_low=0.1)
+        assert a != a.space
+        # same table, different space
+        p = np.full((4, 2), 0.125)
+        assert JointDistribution(FactorSpace(1, 3), p) != JointDistribution(FactorSpace(2, 1), p)
+
+    def test_unhashable(self, toy_balanced):
+        with pytest.raises(TypeError):
+            hash(toy_balanced)
 
     def test_duplicate_atom_rejected(self):
         with pytest.raises(ValidationError):
@@ -278,3 +295,64 @@ def test_sampling_is_reproducible(dist, seed):
     a = sample(dist, 40, seed=seed)
     b = sample(dist, 40, seed=seed)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+
+@st.composite
+def spaces(draw, max_n=6, max_q=4):
+    return FactorSpace(draw(st.integers(1, max_n)), draw(st.integers(1, max_q)))
+
+
+@st.composite
+def subsets_of(draw, n):
+    idx = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return FactorSubset(tuple(sorted(idx)))
+
+
+class TestGridFreePath:
+    """Factor levels read off point ranks agree bit for bit with the
+    materialized point grid they replace."""
+
+    @given(space=spaces())
+    @settings(max_examples=40, deadline=None)
+    def test_points_match_indices_reference(self, space):
+        ref = np.indices(space.grid_shape).reshape(space.n, -1).T
+        pts = _points_array(space.n, space.q)
+        assert pts.dtype == np.int16 and not pts.flags.writeable
+        assert np.array_equal(pts, ref)
+
+    @given(space=spaces(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_point_levels_read_the_grid(self, space, data):
+        pts = space.points()
+        factor = data.draw(st.integers(1, space.n))
+        ranks = np.array(
+            data.draw(st.lists(st.integers(0, space.num_points - 1), max_size=20)),
+            dtype=np.int64,
+        )
+        assert np.array_equal(point_levels(space, factor, ranks), pts[ranks, factor - 1])
+        assert np.array_equal(on_points(space, point_levels(space, factor)), pts[:, factor - 1])
+
+    @given(dist=small_distributions(max_n=3, max_q=3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_cell_codes_match_point_coding(self, dist, data):
+        subset = data.draw(subsets_of(dist.space.n))
+        pts = dist.space.points()
+        tot, pos, codes = cylinder_masses(dist, subset)
+        want = cylinder_codes(pts, subset, dist.space.q)
+        assert codes.dtype == want.dtype and np.array_equal(codes, want)
+        cells = tot.size
+        assert np.array_equal(tot, np.bincount(want, weights=dist.point_probs(), minlength=cells))
+        assert np.array_equal(pos, np.bincount(want, weights=dist.probs[:, 1], minlength=cells))
+
+    @given(
+        dist=small_distributions(max_n=3, max_q=3),
+        n_records=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_matches_point_gather(self, dist, n_records, seed):
+        u = np.random.default_rng(seed).random(n_records)
+        atom = np.searchsorted(dist._cdf, u, side="right")
+        ds = sample(dist, n_records, seed)
+        assert np.array_equal(ds.x, dist.space.points()[atom >> 1])
+        assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))

@@ -28,7 +28,7 @@ from mdrcv.oracle import (
     prediction_error,
 )
 
-from conftest import small_distributions
+from conftest import small_distributions, subset_oracle
 
 
 def all_predictors(space):
@@ -285,27 +285,26 @@ class TestConsistencyDefect:
 
 class TestAsymptoticVariance:
     def test_deterministic_labels_have_zero_variance(self, deterministic_labels):
-        assert asymptotic_variance(
-            deterministic_labels, FactorSubset.of(1)
-        ) == pytest.approx(0.0, abs=1e-15)
+        (v,) = subset_oracle(deterministic_labels, [FactorSubset.of(1)]).tables
+        assert asymptotic_variance(deterministic_labels, v) == pytest.approx(0.0, abs=1e-15)
 
     def test_toy_table_exact_value(self, toy_balanced):
         # misclassified mass 0.2, per-class miss rates 0.2, weights 2:
         # V is 3.2 on misses and -0.8 on hits, so Var V = 2.56
-        got = asymptotic_variance(toy_balanced, FactorSubset.of(1))
+        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        got = asymptotic_variance(toy_balanced, v)
         assert got == pytest.approx(2.56, abs=1e-12)
 
     def test_conditional_means_vanish_per_label(self, toy_balanced):
-        v = influence_table(toy_balanced, FactorSubset.of(1))
+        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
         p = toy_balanced.probs
         for col in (0, 1):
             cond_mean = float((p[:, col] * v[:, col]).sum()) / float(p[:, col].sum())
             assert cond_mean == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_cross_check(self, toy_balanced):
-        sub = FactorSubset.of(1)
-        sigma2 = asymptotic_variance(toy_balanced, sub)
-        v = influence_table(toy_balanced, sub)
+        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        sigma2 = asymptotic_variance(toy_balanced, v)
         # exact fourth moment gives the standard error of the sample variance
         p = toy_balanced.probs
         fourth = float((p * v**4).sum())
@@ -320,14 +319,14 @@ class TestAsymptoticVariance:
 
 class TestAsymptoticCovariance:
     def test_single_subset_reduces_to_variance(self, toy_balanced):
-        sub = FactorSubset.of(1)
-        c = asymptotic_covariance(toy_balanced, [sub])
+        tables = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        c = asymptotic_covariance(toy_balanced, tables)
         assert c.shape == (1, 1)
-        assert c[0, 0] == pytest.approx(asymptotic_variance(toy_balanced, sub))
+        assert c[0, 0] == pytest.approx(asymptotic_variance(toy_balanced, tables[0]))
 
     def test_duplicated_subset_is_rank_deficient(self, toy_balanced):
         sub = FactorSubset.of(1)
-        c = asymptotic_covariance(toy_balanced, [sub, sub])
+        c = asymptotic_covariance(toy_balanced, subset_oracle(toy_balanced, [sub, sub]).tables)
         assert c[0, 0] == pytest.approx(c[0, 1])
         assert c[0, 1] == pytest.approx(c[1, 1])
         assert abs(np.linalg.det(c)) < 1e-12
@@ -336,22 +335,24 @@ class TestAsymptoticCovariance:
         self, conditionally_independent_pair
     ):
         dist = conditionally_independent_pair
-        c = asymptotic_covariance(dist, [FactorSubset.of(1), FactorSubset.of(2)])
+        subs = [FactorSubset.of(1), FactorSubset.of(2)]
+        c = asymptotic_covariance(dist, subset_oracle(dist, subs).tables)
         assert c[0, 0] > 0.1 and c[1, 1] > 0.1
         assert c[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_and_psd(self, single_factor_table):
         subs = subsets_of_size(2, 1) + subsets_of_size(2, 2)
-        c = asymptotic_covariance(single_factor_table, subs)
+        c = asymptotic_covariance(
+            single_factor_table, subset_oracle(single_factor_table, subs).tables
+        )
         assert np.array_equal(c, c.T)
         assert np.linalg.eigvalsh(c).min() >= -1e-10
 
     def test_monte_carlo_cross_check_two_subsets(self, conditionally_independent_pair):
         dist = conditionally_independent_pair
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
-        c = asymptotic_covariance(dist, subs)
-        v1 = influence_table(dist, subs[0])
-        v2 = influence_table(dist, subs[1])
+        v1, v2 = subset_oracle(dist, subs).tables
+        c = asymptotic_covariance(dist, [v1, v2])
         p = dist.probs
         var_prod = float((p * (v1 * v2) ** 2).sum()) - c[0, 1] ** 2
         n = 10**6
@@ -380,3 +381,58 @@ class TestPenaltyScaling:
         g = optimal_predictor(dist, scaled)
         assert np.array_equal(f.values, g.values)
         assert prediction_error(dist, scaled, f) == c * prediction_error(dist, psi, f)
+
+
+def composite_influence_table(dist, subset):
+    """The influence table as one function of (dist, subset): the balanced
+    optimal predictor and its per-class miss rates, written out inline."""
+    f = optimal_predictor(dist, balanced_penalty(dist), subset).values
+    p_pos = label_marginal(dist, 1)
+    p_neg = 1.0 - p_pos
+    miss_neg = float(dist.probs[f == 1, 0].sum()) / p_neg
+    miss_pos = float(dist.probs[f == -1, 1].sum()) / p_pos
+    v = np.empty((dist.space.num_points, 2))
+    v[:, 0] = (2.0 / p_neg) * ((f == 1).astype(float) - miss_neg)
+    v[:, 1] = (2.0 / p_pos) * ((f == -1).astype(float) - miss_pos)
+    return v
+
+
+class TestOracleFromTables:
+    """The reductions over prebuilt predictors and influence tables equal
+    the composite per-subset expressions bit for bit."""
+
+    @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_composite_expressions(self, dist, data):
+        n = dist.space.n
+        subsets = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+            .map(lambda idx: FactorSubset(tuple(sorted(idx)))),
+            min_size=1, max_size=3,
+        ))
+        errors, tables = subset_oracle(dist, subsets)
+        psi = balanced_penalty(dist)
+        composite = [composite_influence_table(dist, s) for s in subsets]
+        for s, err, v, ref in zip(subsets, errors, tables, composite):
+            assert err == prediction_error(dist, psi, optimal_predictor(dist, psi, s))
+            assert np.array_equal(v, ref)
+            mean = float((dist.probs * ref).sum())
+            assert asymptotic_variance(dist, v) == float((dist.probs * (ref - mean) ** 2).sum())
+        means = [float((dist.probs * ref).sum()) for ref in composite]
+        c = asymptotic_covariance(dist, tables)
+        for i, j in itertools.product(range(len(subsets)), repeat=2):
+            a, b = min(i, j), max(i, j)
+            want = float(
+                (dist.probs * (composite[a] - means[a]) * (composite[b] - means[b])).sum()
+            )
+            assert c[i, j] == want
+
+    @given(dist=small_distributions(max_n=2, max_q=2), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_predictor_has_centered_influence(self, dist, data):
+        values = data.draw(st.lists(
+            st.sampled_from((-1, 1)),
+            min_size=dist.space.num_points, max_size=dist.space.num_points,
+        ))
+        v = influence_table(dist, Predictor(dist.space, values))
+        assert abs(float((dist.probs * v).sum())) <= 1e-12

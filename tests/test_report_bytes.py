@@ -1,4 +1,4 @@
-"""Byte-level pins of two small CLI reports.
+"""Byte-level pins of three small CLI reports.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -26,6 +26,12 @@ SEARCH_ARGS = [
 ]
 SEARCH_SHA256 = "c5ada2b2e9b915707eba692ce59a67aed7ac20d6cb77ae6133fa9699fbc4c629"
 
+ORACLE_ARGS = [
+    "oracle", "--preset", "pair-epistasis", "--n", "6", "--q", "2",
+    "--subsets", "1,2;1,3",
+]
+ORACLE_SHA256 = "a6b240298197411f08f3a97361e3c74ba17ecb8d271bcb21c0f1bde6a2ee5c73"
+
 
 def report_digest(args, path):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -39,3 +45,7 @@ def test_clt_verify_report_bytes(tmp_path):
 
 def test_search_report_bytes(tmp_path):
     assert report_digest(SEARCH_ARGS, tmp_path / "search.json") == SEARCH_SHA256
+
+
+def test_oracle_report_bytes(tmp_path):
+    assert report_digest(ORACLE_ARGS, tmp_path / "oracle.json") == ORACLE_SHA256
