@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mdrcv.estimator import EpsilonSchedule, cv_prediction_error
 from mdrcv.model import FactorSubset, sample
-from mdrcv.oracle import balanced_penalty, optimal_predictor, prediction_error
+from mdrcv.oracle import subset_oracle
 from mdrcv.scenarios import generate_scenario
 
 
@@ -42,8 +42,7 @@ def main():
     )
     subset = FactorSubset(tuple(int(t) for t in args.subset.split(",")))
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
-    psi = balanced_penalty(dist)
-    target = prediction_error(dist, psi, optimal_predictor(dist, psi, subset))
+    (target,), _ = subset_oracle(dist, [subset])
     print(f"exact error of subset {subset.indices}: {target:.6f}")
     print(f"{'N':>8} {'median |dev|':>14} {'q90 |dev|':>12} {'sqrt(N)*median':>16}")
     for n_records in (int(s) for s in args.sizes.split(",")):

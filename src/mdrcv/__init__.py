@@ -6,7 +6,6 @@ from .errors import (
     DegenerateLabelsError,
     MdrError,
     NearSingularMatrixError,
-    NullEventError,
     ValidationError,
     ZeroScaleError,
 )
@@ -29,12 +28,10 @@ from .model import (
     JointDistribution,
     PenaltyFunction,
     UNIT_PENALTY,
-    cylinder_conditional,
     label_marginal,
     load_distribution,
     sample,
     save_distribution,
-    support,
 )
 from .oracle import (
     Predictor,
@@ -48,6 +45,7 @@ from .oracle import (
     label_advantage,
     optimal_predictor,
     prediction_error,
+    subset_oracle,
 )
 from .scenarios import PRESETS, generate_scenario, scenario_a
 from .search import SearchReport, enumerate_subsets, rank_subsets

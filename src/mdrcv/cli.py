@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .dataio import ingest_csv, write_dataset_csv
 from .errors import MdrError, ValidationError
 from .estimator import EpsilonSchedule
-from .mcverify import text_histogram, verify_clt
+from .mcverify import SELF_NORM_KS_LIMIT, text_histogram, verify_clt
 from .model import (
     FactorSubset,
     JointDistribution,
@@ -33,10 +33,8 @@ from .oracle import (
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,
-    influence_table,
     is_significant,
-    optimal_predictor,
-    prediction_error,
+    subset_oracle,
 )
 from .scenarios import PRESETS, generate_scenario
 from .search import rank_subsets
@@ -112,6 +110,8 @@ def _resolve_distribution(args) -> JointDistribution:
 def _parse_subsets(text: str) -> list[FactorSubset]:
     try:
         groups = [g for g in text.split(";") if g.strip()]
+        if not groups:
+            raise ValidationError("no subset given")
         return [
             FactorSubset(tuple(int(t) for t in g.split(","))) for g in groups
         ]
@@ -186,7 +186,7 @@ def _cmd_clt_verify(args) -> int:
             print(
                 f"subset {u.subset}: KS={u.ks_oracle:.4f} (limit {u.ks_limit:.4f}), "
                 f"self-normalized KS={u.ks_self_norm:.4f} "
-                f"(limit {u.self_norm_limit:.4f}), "
+                f"(limit {SELF_NORM_KS_LIMIT:.4f}), "
                 f"var ratio={u.var_ratio:.3f} [{tag}]"
             )
     if report.multivariate is not None:
@@ -225,18 +225,17 @@ def _cmd_oracle(args) -> int:
         "penalty": {"neg": psi.psi_neg, "pos": psi.psi_pos},
         "threshold": psi.threshold,
         "high_risk_set": sorted(list(x) for x in high_risk_set(dist, psi)),
-        "subsets": [],
     }
-    tables = []
-    for s in subsets:
-        f = optimal_predictor(dist, psi, s)
-        tables.append(influence_table(dist, f))
-        doc["subsets"].append({
+    errors, tables = subset_oracle(dist, subsets)
+    doc["subsets"] = [
+        {
             "indices": list(s.indices),
             "significant": is_significant(dist, s),
-            "error": prediction_error(dist, psi, f),
-            "asymptotic_variance": asymptotic_variance(dist, tables[-1]),
-        })
+            "error": err,
+            "asymptotic_variance": asymptotic_variance(dist, table),
+        }
+        for s, err, table in zip(subsets, errors, tables)
+    ]
     if len(subsets) > 1:
         doc["asymptotic_covariance"] = asymptotic_covariance(dist, tables).tolist()
     print(f"threshold: {doc['threshold']:.6f}   "

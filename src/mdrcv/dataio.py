@@ -24,49 +24,52 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def ingest_csv(path, q: int | None = None) -> Dataset:
     """Read a dataset CSV; the max level q is inferred from the data unless
     given.  Malformed rows are reported with their file line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        n = len(header) - 1
-        expected = [f"X{i}" for i in range(1, n + 1)] + ["Y"]
-        if n < 1 or header != expected:
-            raise ValidationError(
-                f"{path}: header must be X1,...,Xn,Y; got {','.join(header)}"
-            )
-        xs: list[list[int]] = []
-        ys: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 1:
-                raise ValidationError(
-                    f"{path}, row {line_no}: expected {n + 1} cells, got {len(row)}"
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                values = [int(c) for c in row]
-            except ValueError:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            n = len(header) - 1
+            expected = [f"X{i}" for i in range(1, n + 1)] + ["Y"]
+            if n < 1 or header != expected:
                 raise ValidationError(
-                    f"{path}, row {line_no}: non-integer cell in {row!r}"
-                ) from None
-            x, y = values[:n], values[n]
-            if y not in (-1, 1):
-                raise ValidationError(
-                    f"{path}, row {line_no}: label must be -1 or +1, got {y}"
+                    f"{path}: header must be X1,...,Xn,Y; got {','.join(header)}"
                 )
-            if any(v < 0 for v in x):
-                raise ValidationError(
-                    f"{path}, row {line_no}: negative factor value in {x}"
-                )
-            if q is not None and any(v > q for v in x):
-                raise ValidationError(
-                    f"{path}, row {line_no}: factor value exceeds q={q} in {x}"
-                )
-            xs.append(x)
-            ys.append(y)
+            xs: list[list[int]] = []
+            ys: list[int] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n + 1:
+                    raise ValidationError(
+                        f"{path}, row {line_no}: expected {n + 1} cells, got {len(row)}"
+                    )
+                try:
+                    values = [int(c) for c in row]
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}, row {line_no}: non-integer cell in {row!r}"
+                    ) from None
+                x, y = values[:n], values[n]
+                if y not in (-1, 1):
+                    raise ValidationError(
+                        f"{path}, row {line_no}: label must be -1 or +1, got {y}"
+                    )
+                if any(v < 0 for v in x):
+                    raise ValidationError(
+                        f"{path}, row {line_no}: negative factor value in {x}"
+                    )
+                if q is not None and any(v > q for v in x):
+                    raise ValidationError(
+                        f"{path}, row {line_no}: factor value exceeds q={q} in {x}"
+                    )
+                xs.append(x)
+                ys.append(y)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     if not xs:
         raise ValidationError(f"{path}: no data rows")
     inferred_q = max(1, max(max(row) for row in xs))

@@ -9,10 +9,6 @@ class ValidationError(MdrError, ValueError):
     """Inputs violate a documented contract (domain, shape, file format)."""
 
 
-class NullEventError(MdrError):
-    """Conditioning on an event of probability zero."""
-
-
 class DegenerateLabelsError(MdrError):
     """A label class is empty where a nondegenerate sample is required."""
 

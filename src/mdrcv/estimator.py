@@ -148,14 +148,11 @@ def cv_prediction_error(
     n_folds: int,
     subset: FactorSubset,
     schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-    unit_penalty: bool = False,
 ) -> ErrEstimate:
     """K-fold cross-validated prediction error of the regularized rule.
 
     Per fold, predictions are trained on the complement and penalties are
-    estimated on the fold itself.  ``unit_penalty=True`` is a diagnostic
-    mode forcing both penalty estimates to 1, which reduces the value to
-    twice the fold-averaged misclassification frequency.
+    estimated on the fold itself.
     """
     n = len(dataset)
     sizes = fold_partition(n, n_folds).sizes()
@@ -166,13 +163,10 @@ def cv_prediction_error(
     miss_neg = (counts[..., 0] * plus).sum(axis=1).tolist()
     miss_pos = (counts[..., 1] * ~plus).sum(axis=1).tolist()
     fold_misses = tuple(zip(miss_neg, miss_pos))
-    if unit_penalty:
-        fold_penalties = ((1.0, 1.0),) * n_folds
-    else:
-        fold_penalties = tuple(
-            tuple(size / c if c else 0.0 for c in labels)
-            for size, labels in zip(sizes, counts.sum(axis=1).tolist())
-        )
+    fold_penalties = tuple(
+        tuple(size / c if c else 0.0 for c in labels)
+        for size, labels in zip(sizes, counts.sum(axis=1).tolist())
+    )
 
     # Combine in the formula's order: outer sum over labels, inner over folds.
     value = 0.0

@@ -21,18 +21,16 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def inv_sqrt_symmetric(
-    a: np.ndarray, min_eigenvalue: float = MIN_EIGENVALUE
-) -> np.ndarray:
+def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive-definite matrix.
 
     Raises NearSingularMatrixError when an eigenvalue falls below
-    ``min_eigenvalue``: whitening with such a matrix is meaningless.
+    MIN_EIGENVALUE: whitening with such a matrix is meaningless.
     """
     vals, vecs = np.linalg.eigh(_check_symmetric(a))
-    if vals.min() < min_eigenvalue:
+    if vals.min() < MIN_EIGENVALUE:
         raise NearSingularMatrixError(
             f"near-singular matrix: smallest eigenvalue {vals.min():.3e} "
-            f"< {min_eigenvalue:.0e}"
+            f"< {MIN_EIGENVALUE:.0e}"
         )
     return vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T

@@ -27,14 +27,7 @@ from .estimator import (
 )
 from .linalg import inv_sqrt_symmetric
 from .model import FactorSubset, JointDistribution, sample
-from .oracle import (
-    asymptotic_covariance,
-    asymptotic_variance,
-    balanced_penalty,
-    influence_table,
-    optimal_predictor,
-    prediction_error,
-)
+from .oracle import asymptotic_covariance, asymptotic_variance, subset_oracle
 
 # Asymptotic Kolmogorov-Smirnov critical value at the 1% level is
 # 1.63 / sqrt(M); the self-normalized variants get a looser cap because
@@ -44,6 +37,8 @@ SELF_NORM_KS_LIMIT = 0.065
 VAR_RATIO_RTOL = 0.10
 DEGENERATE_LIMIT = 1e-9
 COV_ENTRY_LIMIT_FACTOR = 0.15
+HISTOGRAM_BINS = 15
+HISTOGRAM_WIDTH = 50
 
 
 def derive_seed(master_seed: int, replication: int) -> int:
@@ -111,6 +106,8 @@ def run_replications(
     if n_replications < 1:
         raise ValidationError("need at least one replication")
     subsets = list(subsets)
+    if not subsets:
+        raise ValidationError("need at least one subset")
     if len(oracle_errors) != len(subsets):
         raise ValidationError("need one oracle error per subset")
     arglist = [
@@ -159,12 +156,15 @@ class UnivariateCheck:
     ks_self_norm: float | None
     var_ratio: float | None
     ks_limit: float
-    self_norm_limit: float
-    var_rtol: float
     passed: bool
 
     def to_dict(self) -> dict:
-        return {**vars(self), "subset": list(self.subset)}
+        return {
+            **vars(self),
+            "subset": list(self.subset),
+            "self_norm_limit": SELF_NORM_KS_LIMIT,
+            "var_rtol": VAR_RATIO_RTOL,
+        }
 
 
 def clt_check(
@@ -172,10 +172,6 @@ def clt_check(
     oracle_sigma2: float,
     subset: FactorSubset,
     subset_index: int = 0,
-    ks_level_constant: float = KS_LEVEL_CONSTANT_1PCT,
-    self_norm_limit: float = SELF_NORM_KS_LIMIT,
-    var_rtol: float = VAR_RATIO_RTOL,
-    degenerate_limit: float = DEGENERATE_LIMIT,
 ) -> UnivariateCheck:
     """Compare one subset's scaled deviations against their limit law.
 
@@ -190,7 +186,7 @@ def clt_check(
     if oracle_sigma2 < 0:
         raise ValidationError("oracle variance cannot be negative")
     if oracle_sigma2 == 0.0:
-        ok = bool(np.max(np.abs(z)) < degenerate_limit) if m else True
+        ok = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT) if m else True
         return UnivariateCheck(
             subset=subset.indices,
             n_replications=m,
@@ -202,11 +198,9 @@ def clt_check(
             ks_self_norm=None,
             var_ratio=None,
             ks_limit=float("nan"),
-            self_norm_limit=self_norm_limit,
-            var_rtol=var_rtol,
             passed=ok,
         )
-    ks_limit = ks_level_constant / math.sqrt(m)
+    ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
     ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
     sds = np.array([res.sd_estimates[subset_index] for res in results])
     zero_scale = int(np.count_nonzero(sds == 0.0))
@@ -220,8 +214,8 @@ def clt_check(
     ratio = z_var / oracle_sigma2
     passed = (
         ks_oracle < ks_limit
-        and ks_self < self_norm_limit
-        and abs(ratio - 1.0) <= var_rtol
+        and ks_self < SELF_NORM_KS_LIMIT
+        and abs(ratio - 1.0) <= VAR_RATIO_RTOL
     )
     return UnivariateCheck(
         subset=subset.indices,
@@ -234,8 +228,6 @@ def clt_check(
         ks_self_norm=ks_self,
         var_ratio=ratio,
         ks_limit=ks_limit,
-        self_norm_limit=self_norm_limit,
-        var_rtol=var_rtol,
         passed=passed,
     )
 
@@ -253,12 +245,12 @@ class MultivariateCheck:
     entry_limit: float
     whitened_ks: tuple[float, ...] | None
     whitening_skipped: bool
-    ks_limit: float
     passed: bool
 
     def to_dict(self) -> dict:
         return {
             **vars(self),
+            "ks_limit": SELF_NORM_KS_LIMIT,
             "subsets": [list(s) for s in self.subsets],
             "sample_cov": self.sample_cov.tolist(),
             "oracle_cov": self.oracle_cov.tolist(),
@@ -270,13 +262,11 @@ def multivariate_check(
     results: Sequence[ReplicationResult],
     oracle_cov: np.ndarray,
     subsets: Sequence[FactorSubset],
-    entry_limit_factor: float = COV_ENTRY_LIMIT_FACTOR,
-    ks_limit: float = SELF_NORM_KS_LIMIT,
 ) -> MultivariateCheck:
     """Compare the joint law of the deviation vector against its limit.
 
     (a) every entry of the sample covariance must match the oracle matrix
-    within ``entry_limit_factor`` times the largest oracle variance;
+    within COV_ENTRY_LIMIT_FACTOR times the largest oracle variance;
     (b) each replication vector is whitened by its own plug-in covariance
     and every coordinate is KS-tested against the standard normal.  A
     near-singular plug-in matrix skips the whitening with a flag.
@@ -289,7 +279,7 @@ def multivariate_check(
     m = zmat.shape[0]
     sample_cov = np.cov(zmat.T, ddof=1)
     disc = np.abs(sample_cov - oracle_cov)
-    entry_limit = entry_limit_factor * float(oracle_cov.diagonal().max())
+    entry_limit = COV_ENTRY_LIMIT_FACTOR * float(oracle_cov.diagonal().max())
 
     whitened_ks: tuple[float, ...] | None = None
     skipped = False
@@ -307,7 +297,7 @@ def multivariate_check(
         skipped = True
 
     entries_ok = bool(disc.max() <= entry_limit)
-    whitening_ok = (not skipped) and all(k < ks_limit for k in whitened_ks)
+    whitening_ok = (not skipped) and all(k < SELF_NORM_KS_LIMIT for k in whitened_ks)
     return MultivariateCheck(
         subsets=tuple(sub.indices for sub in subsets),
         n_replications=m,
@@ -318,7 +308,6 @@ def multivariate_check(
         entry_limit=entry_limit,
         whitened_ks=whitened_ks,
         whitening_skipped=skipped,
-        ks_limit=ks_limit,
         passed=entries_ok and whitening_ok,
     )
 
@@ -371,10 +360,7 @@ def verify_clt(
     influence table per subset), replications, per-subset univariate
     checks, and the joint check when more than one subset is given."""
     subsets = list(subsets)
-    psi = balanced_penalty(dist)
-    predictors = [optimal_predictor(dist, psi, s) for s in subsets]
-    oracle_errors = tuple(prediction_error(dist, psi, f) for f in predictors)
-    tables = [influence_table(dist, f) for f in predictors]
+    oracle_errors, tables = subset_oracle(dist, subsets)
     oracle_vars = [asymptotic_variance(dist, v) for v in tables]
     oracle_cov = asymptotic_covariance(dist, tables) if len(subsets) > 1 else None
     results = run_replications(
@@ -404,15 +390,15 @@ def verify_clt(
     return report, results
 
 
-def text_histogram(values: Sequence[float], bins: int = 15, width: int = 50) -> str:
+def text_histogram(values: Sequence[float]) -> str:
     """Plain-text histogram for eyeballing a distribution of statistics."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return "(no values)"
-    counts, edges = np.histogram(arr, bins=bins)
+    counts, edges = np.histogram(arr, bins=HISTOGRAM_BINS)
     peak = max(int(counts.max()), 1)
     lines = []
     for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * c / peak))
+        bar = "#" * int(round(HISTOGRAM_WIDTH * c / peak))
         lines.append(f"[{lo:+8.3f}, {hi:+8.3f}) {c:5d} {bar}")
     return "\n".join(lines)

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NullEventError, ValidationError
+from .errors import ValidationError
 
 LABELS = (-1, 1)
 
@@ -32,21 +31,6 @@ LABELS = (-1, 1)
 MAX_POINTS = 2**24
 
 NORMALIZATION_TOL = 1e-12
-
-
-# Each cached table is (q+1)^n x n int16, several hundred MB near the
-# dense-table cap; keep only the two most recent alive.  Sampling, cell
-# coding and two presets read levels off ranks with ``point_levels``.
-@lru_cache(maxsize=2)
-def _points_array(n: int, q: int) -> np.ndarray:
-    """All points of {0,...,q}^n as an array, lexicographic row order."""
-    space = FactorSpace(n, q)
-    pts = np.empty(space.grid_shape + (n,), dtype=np.int16)
-    for i in range(1, n + 1):
-        pts[..., i - 1] = point_levels(space, i)
-    pts = pts.reshape(-1, n)
-    pts.flags.writeable = False
-    return pts
 
 
 @dataclass(frozen=True)
@@ -76,8 +60,18 @@ class FactorSpace:
         return (self.q + 1,) * self.n
 
     def points(self) -> np.ndarray:
-        """(num_points, n) read-only array of all points in enumeration order."""
-        return _points_array(self.n, self.q)
+        """(num_points, n) read-only array of all points in enumeration order.
+
+        Built anew on every call: (q+1)^n x n int16 is several hundred MB
+        near the dense-table cap.  Sampling, cell coding and two presets
+        read levels off ranks with ``point_levels`` instead.
+        """
+        pts = np.empty(self.grid_shape + (self.n,), dtype=np.int16)
+        for i in range(1, self.n + 1):
+            pts[..., i - 1] = point_levels(self, i)
+        pts = pts.reshape(-1, self.n)
+        pts.flags.writeable = False
+        return pts
 
     def contains(self, x: Sequence[int]) -> bool:
         return len(x) == self.n and all(0 <= v <= self.q for v in x)
@@ -90,11 +84,6 @@ class FactorSpace:
         for v in x:
             r = r * (self.q + 1) + int(v)
         return r
-
-    def point(self, rank: int) -> tuple[int, ...]:
-        if not 0 <= rank < self.num_points:
-            raise ValidationError(f"rank {rank} out of range")
-        return tuple(int(v) for v in self.points()[rank])
 
 
 @dataclass(frozen=True)
@@ -126,10 +115,6 @@ class FactorSubset:
             raise ValidationError(
                 f"subset {self.indices} references factor beyond n={space.n}"
             )
-
-    def project(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Sub-vector u with u_i = x_{m_i}."""
-        return tuple(int(x[i - 1]) for i in self.indices)
 
 
 def point_levels(
@@ -173,15 +158,6 @@ def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarr
     return codes
 
 
-def cylinder_code_of(u: Sequence[int], q: int) -> int:
-    code = 0
-    for v in u:
-        if not 0 <= int(v) <= q:
-            raise ValidationError(f"sub-vector value {v} outside 0..{q}")
-        code = code * (q + 1) + int(v)
-    return code
-
-
 @dataclass(frozen=True)
 class PenaltyFunction:
     """Nonnegative error weights (psi(-1), psi(+1)), not both zero.
@@ -201,13 +177,6 @@ class PenaltyFunction:
             raise ValidationError("penalty weights must not both be zero")
         object.__setattr__(self, "psi_neg", a)
         object.__setattr__(self, "psi_pos", b)
-
-    def weight(self, y: int) -> float:
-        if y == -1:
-            return self.psi_neg
-        if y == 1:
-            return self.psi_pos
-        raise ValidationError(f"label must be -1 or +1, got {y}")
 
     @property
     def threshold(self) -> float:
@@ -313,12 +282,6 @@ class JointDistribution:
         """P(X=x) for every point, enumeration order (read-only)."""
         return self._point_probs
 
-    def point_prob(self, x: Sequence[int]) -> float:
-        return float(self.point_probs()[self.space.rank(x)])
-
-    def atom_prob(self, x: Sequence[int], y: int) -> float:
-        return float(self.probs[self.space.rank(x), LABELS.index(y)])
-
     def support_mask(self) -> np.ndarray:
         return self._point_probs > 0.0
 
@@ -333,11 +296,6 @@ class JointDistribution:
 def points_where(space: FactorSpace, mask: np.ndarray) -> list[tuple[int, ...]]:
     """The points whose entry of a per-point mask is true, in enumeration order."""
     return [tuple(x) for x in space.points()[mask].tolist()]
-
-
-def support(dist: JointDistribution) -> set[tuple[int, ...]]:
-    """The set of points with P(X=x) > 0."""
-    return set(points_where(dist.space, dist.support_mask()))
 
 
 def label_marginal(dist: JointDistribution, y: int) -> float:
@@ -366,25 +324,6 @@ def cell_conditionals(tot: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """pos / tot per cell, from masses or counts, with 0/0 := 0 on cells
     that carry nothing."""
     return np.divide(pos, tot, out=np.zeros(np.shape(pos)), where=tot > 0)
-
-
-def cylinder_conditional(
-    dist: JointDistribution, subset: FactorSubset, u: Sequence[int]
-) -> float:
-    """P(Y=1 | X_{m_1}=u_1, ..., X_{m_r}=u_r).
-
-    Raises NullEventError when the cylinder carries no probability mass.
-    """
-    subset.validate_for(dist.space)
-    if len(u) != subset.r:
-        raise ValidationError(f"sub-vector length {len(u)} != subset size {subset.r}")
-    tot, pos, _ = cylinder_masses(dist, subset)
-    code = cylinder_code_of(u, dist.space.q)
-    if tot[code] <= 0.0:
-        raise NullEventError(
-            f"conditioning on null event: cylinder {subset.indices}={tuple(u)} has mass 0"
-        )
-    return float(pos[code] / tot[code])
 
 
 @dataclass(frozen=True)
@@ -419,15 +358,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def record(self, j: int) -> tuple[tuple[int, ...], int]:
-        """Record j, 1-based."""
-        if not 1 <= j <= len(self):
-            raise ValidationError(f"record index {j} outside 1..{len(self)}")
-        return tuple(int(v) for v in self.x[j - 1]), int(self.y[j - 1])
-
-    def records(self) -> list[tuple[tuple[int, ...], int]]:
-        return [self.record(j) for j in range(1, len(self) + 1)]
 
 
 def sample(dist: JointDistribution, n_records: int, seed: int) -> Dataset:
@@ -471,15 +401,21 @@ def load_distribution(path) -> JointDistribution:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     for key in ("n", "q", "atoms"):
         if key not in doc:
             raise ValidationError(f"{path}: missing field {key!r}")
+    try:
+        n, q, raw_atoms = int(doc["n"]), int(doc["q"]), list(doc["atoms"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: n and q must be integers, atoms a list") from exc
     atoms = []
-    for i, atom in enumerate(doc["atoms"]):
+    for i, atom in enumerate(raw_atoms):
         try:
-            atoms.append((list(atom["x"]), int(atom["y"]), float(atom["p"])))
+            atoms.append(([int(v) for v in atom["x"]], int(atom["y"]), float(atom["p"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed atom #{i}: {atom!r}") from exc
-    return JointDistribution.from_atoms(int(doc["n"]), int(doc["q"]), atoms)
+    return JointDistribution.from_atoms(n, q, atoms)

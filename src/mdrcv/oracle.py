@@ -141,30 +141,25 @@ def label_advantage(
     )
 
 
-def is_significant(
-    dist: JointDistribution, subset: FactorSubset, tol: float = EQUALITY_TOL
-) -> bool:
+def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     """Whether the conditional law of Y given X depends only on these factors.
 
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
-    support point, within ``tol``.
+    support point, within EQUALITY_TOL.
     """
     cell_cond = _conditional_at_points(dist, subset)
     point_cond = _conditional_at_points(dist, _full_subset(dist))
     mask = dist.support_mask()
-    return bool(np.all(np.abs(point_cond[mask] - cell_cond[mask]) <= tol))
+    return bool(np.all(np.abs(point_cond[mask] - cell_cond[mask]) <= EQUALITY_TOL))
 
 
 def decided_set(
-    dist: JointDistribution,
-    psi: PenaltyFunction,
-    subset: FactorSubset,
-    tol: float = EQUALITY_TOL,
+    dist: JointDistribution, psi: PenaltyFunction, subset: FactorSubset
 ) -> set[tuple[int, ...]]:
     """Support points whose cylinder conditional is separated from the
     threshold (no exact tie); on these the empirical rule converges."""
     cell_cond = _conditional_at_points(dist, subset)
-    mask = dist.support_mask() & (np.abs(cell_cond - psi.threshold) > tol)
+    mask = dist.support_mask() & (np.abs(cell_cond - psi.threshold) > EQUALITY_TOL)
     return set(points_where(dist.space, mask))
 
 
@@ -222,6 +217,21 @@ def influence_table(dist: JointDistribution, predictor: Predictor) -> np.ndarray
     v[:, 0] = (2.0 / p_neg) * ((f == 1).astype(float) - miss_neg)
     v[:, 1] = (2.0 / p_pos) * ((f == -1).astype(float) - miss_pos)
     return v
+
+
+def subset_oracle(
+    dist: JointDistribution, subsets: Sequence[FactorSubset]
+) -> tuple[tuple[float, ...], list[np.ndarray]]:
+    """Per subset, the exact error of its balanced-penalty optimal predictor
+    and that predictor's ``influence_table``: one predictor per subset.
+
+    ``run_replications`` takes the errors; ``asymptotic_variance`` and
+    ``asymptotic_covariance`` take the tables.
+    """
+    psi = balanced_penalty(dist)
+    predictors = [optimal_predictor(dist, psi, s) for s in subsets]
+    errors = tuple(prediction_error(dist, psi, f) for f in predictors)
+    return errors, [influence_table(dist, f) for f in predictors]
 
 
 def asymptotic_variance(dist: JointDistribution, table: np.ndarray) -> float:

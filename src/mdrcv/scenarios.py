@@ -13,8 +13,7 @@ only the conditional P(Y=1 | X=x):
 - ``independent``    every factor carries an additive main effect, so no
                      proper subset is significant.
 
-Presets are deterministic functions of their parameters; the ``seed``
-argument is accepted for interface stability and currently unused.
+Presets are deterministic functions of their parameters.
 """
 
 from __future__ import annotations
@@ -60,12 +59,15 @@ def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> JointDis
     )
 
 
-def _independent(space: FactorSpace, effect: float, intercept: float) -> JointDistribution:
-    if effect == 0.0:
-        raise ValidationError("independent preset needs a nonzero per-factor effect")
+def _independent(space: FactorSpace, effect: float) -> JointDistribution:
+    if not np.isfinite(effect) or effect == 0.0:
+        raise ValidationError(
+            f"independent preset needs a finite nonzero per-factor effect, got {effect}"
+        )
     centered = space.points().astype(np.float64) - space.q / 2.0
-    logit = intercept + effect * centered.sum(axis=1)
-    cond = 1.0 / (1.0 + np.exp(-logit))
+    logit = effect * centered.sum(axis=1)
+    with np.errstate(over="ignore"):  # exp overflows to inf: cond is then exactly 0
+        cond = 1.0 / (1.0 + np.exp(-logit))
     return JointDistribution.from_conditional(
         space.n, space.q, _uniform_marginal(space), cond
     )
@@ -82,15 +84,12 @@ def generate_scenario(
     preset: str,
     n: int,
     q: int,
-    seed: int | None = None,
     p_pos: float = 0.45,
     p_low: float = 0.2,
     p_high: float = 0.8,
     effect: float = 0.5,
-    intercept: float = 0.0,
 ) -> JointDistribution:
     """Build the distribution of a named preset on {0..q}^n."""
-    del seed
     space = FactorSpace(n, q)
     if preset == "null":
         return _null(space, p_pos)
@@ -99,7 +98,7 @@ def generate_scenario(
     if preset == "pair-epistasis":
         return _pair_epistasis(space, p_low, p_high)
     if preset == "independent":
-        return _independent(space, effect, intercept)
+        return _independent(space, effect)
     raise ValidationError(f"unknown preset {preset!r}; choose from {PRESETS}")
 
 

@@ -29,13 +29,12 @@ class SearchReport:
     n_folds: int
     entries: tuple[tuple[FactorSubset, float], ...]  # ascending by value
     selected: FactorSubset
-    tie_tolerance: float
 
     def to_dict(self) -> dict:
         return {
             "r": self.r,
             "n_folds": self.n_folds,
-            "tie_tolerance": self.tie_tolerance,
+            "tie_tolerance": 0.0,  # only exact ties are broken, lexicographically
             "ranking": [
                 {"indices": list(s.indices), "estimated_error": v}
                 for s, v in self.entries
@@ -49,15 +48,11 @@ def rank_subsets(
     r: int,
     n_folds: int,
     schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-    tie_tolerance: float = 0.0,
-    max_factors: int = MAX_FACTORS,
-    max_subset_size: int = MAX_SUBSET_SIZE,
 ) -> SearchReport:
     """Evaluate every r-subset on the same dataset and folds, ascending.
 
-    The selected subset attains the smallest estimated error; ties (exact,
-    or within ``tie_tolerance`` of the minimum when it is positive) go to
-    the lexicographically smallest index tuple.
+    The selected subset attains the smallest estimated error; exact ties
+    go to the lexicographically smallest index tuple.
 
     No multiplicity correction is applied: each subset's estimate converges
     to its exact error almost surely, so all candidates can be compared on
@@ -65,28 +60,19 @@ def rank_subsets(
     confidence adjustments.
     """
     n = dataset.space.n
-    if n > max_factors or r > max_subset_size:
+    if n > MAX_FACTORS or r > MAX_SUBSET_SIZE:
         raise ValidationError(
-            f"exhaustive search capped at n <= {max_factors}, r <= {max_subset_size}; "
-            f"raise the caps explicitly to override"
+            f"exhaustive search capped at n <= {MAX_FACTORS}, r <= {MAX_SUBSET_SIZE}"
         )
-    if tie_tolerance < 0:
-        raise ValidationError("tie_tolerance must be >= 0")
     candidates = enumerate_subsets(n, r)
     scored = [
         (s, cv_prediction_error(dataset, n_folds, s, schedule).value)
         for s in candidates
     ]
     scored.sort(key=lambda e: (e[1], e[0].indices))
-    best_value = scored[0][1]
-    selected = scored[0][0]
-    if tie_tolerance > 0.0:
-        near = [s for s, v in scored if v <= best_value + tie_tolerance]
-        selected = min(near, key=lambda s: s.indices)
     return SearchReport(
         r=r,
         n_folds=n_folds,
         entries=tuple(scored),
-        selected=selected,
-        tie_tolerance=tie_tolerance,
+        selected=scored[0][0],
     )

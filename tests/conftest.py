@@ -1,36 +1,10 @@
 """Shared fixtures: small hand-enumerable distributions and strategies."""
 
-from typing import NamedTuple
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from mdrcv.model import Dataset, FactorSpace, JointDistribution
-from mdrcv.oracle import (
-    balanced_penalty,
-    influence_table,
-    optimal_predictor,
-    prediction_error,
-)
-
-
-class SubsetOracle(NamedTuple):
-    errors: list
-    tables: list
-
-
-def subset_oracle(dist, subsets):
-    """What ``verify_clt`` builds once per subset: the exact error of the
-    balanced-penalty optimal predictor, and that predictor's influence
-    table.  ``run_replications`` takes the errors; ``asymptotic_variance``
-    and ``asymptotic_covariance`` take the tables."""
-    psi = balanced_penalty(dist)
-    predictors = [optimal_predictor(dist, psi, s) for s in subsets]
-    return SubsetOracle(
-        [prediction_error(dist, psi, f) for f in predictors],
-        [influence_table(dist, f) for f in predictors],
-    )
 
 
 @pytest.fixture

@@ -41,11 +41,11 @@ from mdrcv.oracle import (
     is_significant,
     optimal_predictor,
     prediction_error,
+    subset_oracle,
 )
 from mdrcv.scenarios import generate_scenario, scenario_a
 from mdrcv.search import enumerate_subsets, rank_subsets
 
-from conftest import subset_oracle
 from test_estimator import transcribed_cv_error
 
 
@@ -74,7 +74,7 @@ def scenario_a_run():
     subsets = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
     start = time.perf_counter()
     results = run_replications(
-        dist, subsets, subset_oracle(dist, subsets).errors, 2000, 5,
+        dist, subsets, subset_oracle(dist, subsets)[0], 2000, 5,
         DEFAULT_SCHEDULE, 1000, master_seed=23,
     )
     elapsed = time.perf_counter() - start
@@ -173,7 +173,7 @@ def test_criterion_4_limit_normality_known_scale(scenario_a_run):
     and their empirical variance matches it within 10 percent."""
     dist, subsets, results, run_elapsed = scenario_a_run
     start = time.perf_counter()
-    sigma2 = asymptotic_variance(dist, subset_oracle(dist, subsets).tables[0])
+    sigma2 = asymptotic_variance(dist, subset_oracle(dist, subsets)[1][0])
     z = np.array([r.z[0] for r in results])
     ks = ks_statistic(z, 0.0, math.sqrt(sigma2))
     ratio = float(z.var(ddof=1)) / sigma2
@@ -204,7 +204,7 @@ def test_criterion_6_joint_limit_law(scenario_a_run):
     per-replication whitening makes each coordinate standard normal."""
     dist, subsets, results, run_elapsed = scenario_a_run
     start = time.perf_counter()
-    oracle = asymptotic_covariance(dist, subset_oracle(dist, subsets).tables)
+    oracle = asymptotic_covariance(dist, subset_oracle(dist, subsets)[1])
     entry = multivariate_check(results, oracle, subsets)
     ok = (
         entry.max_abs_discrepancy <= entry.entry_limit

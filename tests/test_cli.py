@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from mdrcv.model import FactorSubset, sample, save_distribution
 from mdrcv.oracle import is_significant
 from mdrcv.scenarios import generate_scenario
 from mdrcv.search import enumerate_subsets
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -29,7 +32,7 @@ class TestIngestCsv:
         ds = ingest_csv(path)
         assert len(ds) == 2
         assert ds.space.n == 1
-        assert ds.records() == [((0,), 1), ((1,), -1)]
+        assert ds.x.tolist() == [[0], [1]] and ds.y.tolist() == [1, -1]
 
     def test_zero_label_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -189,6 +192,17 @@ class TestCliCommands:
         assert err.count("\n") == 1
         assert "subset (1,)" in err and "200 of 300 replications" in err
 
+    @pytest.mark.parametrize("command", ["clt-verify", "oracle"])
+    def test_empty_subset_list_exits_one(self, command, tmp_path, capsys):
+        args = [command, "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+                "--subsets", ";", "--out", str(tmp_path / "r.json")]
+        if command == "clt-verify":
+            args += ["--N", "100", "--M", "5", "--seed", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no subset given" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_module_entry_point(self, toy_dist_file):
         proc = subprocess.run(
             [sys.executable, "-m", "mdrcv.cli", "oracle", "--dist", str(toy_dist_file)],
@@ -198,3 +212,34 @@ class TestCliCommands:
         )
         assert proc.returncode == 0
         assert "threshold" in proc.stdout
+
+
+def _dist_json(tmp_path, content: bytes):
+    path = tmp_path / "dist.json"
+    path.write_bytes(content)
+    return ["oracle", "--dist", str(path)]
+
+
+def _csv_with_ff(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"X1,Y\n0,1\n\xff,-1\n")
+    return ["search", "--data", str(path), "--r", "1", "--K", "2"]
+
+
+@pytest.mark.parametrize("make_args", [
+    _csv_with_ff,
+    lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": []}\xff'),
+    lambda tmp: _dist_json(tmp, b'{"n": "x", "q": 1, "atoms": []}'),
+    lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": 5}'),
+    lambda tmp: ["oracle", "--preset", "independent", "--n", "2", "--q", "1",
+                 "--effect", "inf"],
+], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf"])
+def test_malformed_input_is_one_line_error(make_args, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -24,10 +24,16 @@ from mdrcv.model import (
     cylinder_count,
     sample,
 )
-from mdrcv.oracle import asymptotic_variance, balanced_penalty, optimal_predictor, prediction_error
+from mdrcv.oracle import (
+    asymptotic_variance,
+    balanced_penalty,
+    optimal_predictor,
+    prediction_error,
+    subset_oracle,
+)
 from mdrcv.scenarios import generate_scenario, scenario_a
 
-from conftest import small_datasets, subset_oracle
+from conftest import small_datasets
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +52,13 @@ def folds_by_formula(n_records, n_folds):
     return out
 
 
+def record(dataset, j):
+    """Record j, 1-based, as (factor tuple, label)."""
+    return tuple(int(v) for v in dataset.x[j - 1]), int(dataset.y[j - 1])
+
+
 def transcribed_penalty(dataset, fold, y):
-    labels = [dataset.record(j)[1] for j in fold]
+    labels = [record(dataset, j)[1] for j in fold]
     count = sum(lab == y for lab in labels)
     if count == 0:
         return 0.0
@@ -58,13 +69,13 @@ def transcribed_prediction(x, dataset, where, subset, eps):
     u = tuple(x[i - 1] for i in subset.indices)
     cell = [
         j for j in where
-        if tuple(dataset.record(j)[0][i - 1] for i in subset.indices) == u
+        if tuple(record(dataset, j)[0][i - 1] for i in subset.indices) == u
     ]
     if cell:
-        p_hat = sum(dataset.record(j)[1] == 1 for j in cell) / len(cell)
+        p_hat = sum(record(dataset, j)[1] == 1 for j in cell) / len(cell)
     else:
         p_hat = 0.0
-    g_hat = sum(dataset.record(j)[1] == 1 for j in where) / len(where)
+    g_hat = sum(record(dataset, j)[1] == 1 for j in where) / len(where)
     return 1 if p_hat > g_hat + eps else -1
 
 
@@ -79,7 +90,7 @@ def transcribed_cv_error(dataset, n_folds, subset, eps):
             psi_hat = transcribed_penalty(dataset, fold, y)
             inner = 0.0
             for j in fold:
-                xj, yj = dataset.record(j)
+                xj, yj = record(dataset, j)
                 pred = transcribed_prediction(xj, dataset, complement, subset, eps)
                 if yj == y and pred != y:
                     inner += psi_hat / len(fold)
@@ -344,19 +355,6 @@ class TestCvPredictionError:
             )
             assert est.value == pytest.approx(expected, abs=1e-12)
 
-    def test_unit_penalty_reduces_to_misclassification_frequency(self):
-        dist = scenario_a()
-        ds = sample(dist, 600, seed=21)
-        sub = FactorSubset.of(1, 2)
-        est = cv_prediction_error(ds, 3, sub, unit_penalty=True)
-        by_count = 2.0 * np.mean([
-            (m_neg + m_pos) / size
-            for (m_neg, m_pos), size in zip(
-                est.fold_miss_counts, fold_partition(600, 3).sizes()
-            )
-        ])
-        assert est.value == pytest.approx(by_count, abs=1e-14)
-
     def test_invariant_under_consistent_level_relabeling(self):
         dist = scenario_a()
         ds = sample(dist, 900, seed=33)
@@ -414,7 +412,7 @@ class TestSdEstimate:
     def test_consistent_for_oracle_scale(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        sigma = np.sqrt(asymptotic_variance(dist, subset_oracle(dist, [sub]).tables[0]))
+        sigma = np.sqrt(asymptotic_variance(dist, subset_oracle(dist, [sub])[1][0]))
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=n)
@@ -454,7 +452,7 @@ class TestCovarianceEstimate:
 
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        oracle = asymptotic_covariance(dist, subset_oracle(dist, subs).tables)
+        oracle = asymptotic_covariance(dist, subset_oracle(dist, subs)[1])
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=3 * n + 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mdrcv.errors import ValidationError, ZeroScaleError
 from mdrcv.estimator import DEFAULT_SCHEDULE
 from mdrcv.mcverify import (
+    HISTOGRAM_BINS,
     CltReport,
     ReplicationResult,
     clt_check,
@@ -21,10 +22,8 @@ from mdrcv.mcverify import (
     verify_clt,
 )
 from mdrcv.model import FactorSubset
-from mdrcv.oracle import asymptotic_covariance, asymptotic_variance
+from mdrcv.oracle import asymptotic_covariance, asymptotic_variance, subset_oracle
 from mdrcv.scenarios import generate_scenario, scenario_a
-
-from conftest import subset_oracle
 
 
 def series_normal_cdf(z, terms=120):
@@ -119,7 +118,7 @@ class TestRunReplications:
     def test_single_replication_reproducible(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2)]
-        errors = subset_oracle(dist, subs).errors
+        errors, _ = subset_oracle(dist, subs)
         a = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
         b = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
         assert a[0].z == b[0].z
@@ -129,7 +128,7 @@ class TestRunReplications:
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
         subs = [FactorSubset.of(1)]
         res = run_replications(
-            dist, subs, subset_oracle(dist, subs).errors, 500, 5, DEFAULT_SCHEDULE, 20,
+            dist, subs, subset_oracle(dist, subs)[0], 500, 5, DEFAULT_SCHEDULE, 20,
             master_seed=3,
         )
         assert max(abs(r.z[0]) for r in res) == 0.0
@@ -147,7 +146,7 @@ class TestRunReplications:
     def test_worker_pool_matches_serial(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        errors = subset_oracle(dist, subs).errors
+        errors, _ = subset_oracle(dist, subs)
         serial = run_replications(dist, subs, errors, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9)
         parallel = run_replications(
             dist, subs, errors, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9, workers=2
@@ -159,7 +158,7 @@ class TestRunReplications:
         # sample sizes once the rule has locked onto the target predictor
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)
-        errors = subset_oracle(dist, [sub]).errors
+        errors, _ = subset_oracle(dist, [sub])
         q99 = []
         for n in (2000, 8000):
             res = run_replications(
@@ -167,6 +166,10 @@ class TestRunReplications:
             )
             q99.append(float(np.quantile(np.abs([r.z[0] for r in res]), 0.99)))
         assert 0.6 < q99[1] / q99[0] < 1.6
+
+    def test_empty_subset_list_rejected(self):
+        with pytest.raises(ValidationError, match="at least one subset"):
+            run_replications(scenario_a(), [], [], 100, 2, DEFAULT_SCHEDULE, 1, master_seed=1)
 
     def test_error_count_must_match_subsets(self):
         dist = scenario_a()
@@ -181,7 +184,7 @@ class TestCltCheck:
     def test_degenerate_branch(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
         sub = FactorSubset.of(1)
-        errors = subset_oracle(dist, [sub]).errors
+        errors, _ = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 500, 5, DEFAULT_SCHEDULE, 50, master_seed=1)
         entry = clt_check(res, 0.0, sub)
         assert entry.degenerate and entry.passed
@@ -282,5 +285,5 @@ class TestVerifyClt:
 
     def test_histogram_renders(self):
         rng = np.random.default_rng(0)
-        text = text_histogram(rng.standard_normal(500), bins=11)
-        assert len(text.splitlines()) == 11
+        text = text_histogram(rng.standard_normal(500))
+        assert len(text.splitlines()) == HISTOGRAM_BINS

@@ -5,26 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrcv.errors import NullEventError, ValidationError
+from mdrcv.errors import ValidationError
 from mdrcv.model import (
     Dataset,
     FactorSpace,
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
-    _points_array,
     cell_conditionals,
     cylinder_codes,
-    cylinder_conditional,
     cylinder_masses,
     label_marginal,
     load_distribution,
     on_points,
     point_levels,
+    points_where,
     sample,
     save_distribution,
-    support,
 )
+from mdrcv.estimator import fold_cell_counts, fold_partition
 
 from mdrcv.scenarios import generate_scenario
 
@@ -41,8 +40,8 @@ class TestFactorSpace:
 
     def test_rank_roundtrip(self):
         space = FactorSpace(3, 2)
-        for r in range(space.num_points):
-            assert space.rank(space.point(r)) == r
+        for r, x in enumerate(space.points().tolist()):
+            assert space.rank(x) == r
 
     @pytest.mark.parametrize("n,q", [(0, 1), (1, 0), (-2, 3)])
     def test_rejects_bad_dimensions(self, n, q):
@@ -56,7 +55,9 @@ class TestFactorSpace:
 
 class TestFactorSubset:
     def test_projection(self):
-        assert FactorSubset.of(1, 3).project((5, 6, 7)) == (5, 7)
+        # a cell code reads only the subset's columns: u = (x1, x3) = (2, 1)
+        x = np.array([[2, 0, 1], [2, 1, 1]])
+        assert cylinder_codes(x, FactorSubset.of(1, 3), 2).tolist() == [7, 7]
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValidationError):
@@ -132,6 +133,15 @@ class TestJointDistribution:
             )
 
 
+def support(dist):
+    return set(points_where(dist.space, dist.support_mask()))
+
+
+def cylinder_conditionals(dist, subset):
+    """P(Y=1 | cell) per cylinder cell, indexed by cell code."""
+    return cell_conditionals(*cylinder_masses(dist, subset)[:2])
+
+
 class TestSupport:
     def test_uniform_support_is_everything(self):
         space = FactorSpace(2, 1)
@@ -150,29 +160,22 @@ class TestSupport:
 
 class TestCylinderConditional:
     def test_full_subset_is_pointwise(self, toy_balanced):
-        full = FactorSubset.of(1)
-        assert cylinder_conditional(toy_balanced, full, (0,)) == pytest.approx(0.8)
-        assert cylinder_conditional(toy_balanced, full, (1,)) == pytest.approx(0.2)
+        got = cylinder_conditionals(toy_balanced, FactorSubset.of(1))
+        assert got.tolist() == pytest.approx([0.8, 0.2])
 
     def test_independent_labels_constant(self, independent_labels):
         for sub in (FactorSubset.of(1), FactorSubset.of(2), FactorSubset.of(1, 2)):
-            for u in np.ndindex(*(2,) * sub.r):
-                assert cylinder_conditional(independent_labels, sub, u) == pytest.approx(0.4)
+            got = cylinder_conditionals(independent_labels, sub)
+            assert got.tolist() == pytest.approx([0.4] * 2**sub.r)
 
     def test_hand_summed_value(self, n2_partial_support):
         # atoms at (0,0) and (0,1): (0.3+0.1)/(0.3+0.1+0.1+0.5) = 0.4
-        got = cylinder_conditional(n2_partial_support, FactorSubset.of(1), (0,))
-        assert got == pytest.approx(0.4)
+        got = cylinder_conditionals(n2_partial_support, FactorSubset.of(1))
+        assert got[0] == pytest.approx(0.4)
 
     def test_full_subset_matches_pointwise_on_support(self, n2_partial_support):
-        full = FactorSubset.of(1, 2)
-        for x, pointwise in (((0, 0), 0.3 / 0.4), ((0, 1), 0.1 / 0.6)):
-            got = cylinder_conditional(n2_partial_support, full, x)
-            assert got == pytest.approx(pointwise)
-
-    def test_null_cylinder_raises(self, n2_partial_support):
-        with pytest.raises(NullEventError):
-            cylinder_conditional(n2_partial_support, FactorSubset.of(1), (1,))
+        got = cylinder_conditionals(n2_partial_support, FactorSubset.of(1, 2))
+        assert got[:2].tolist() == pytest.approx([0.3 / 0.4, 0.1 / 0.6])
 
 
 class TestCylinderMasses:
@@ -187,10 +190,6 @@ class TestCylinderMasses:
     def test_cell_conditionals_zero_on_empty_cells(self):
         got = cell_conditionals(np.array([4, 0, 2]), np.array([1, 0, 2]))
         assert got.tolist() == [0.25, 0.0, 1.0]
-
-
-def test_points_cache_is_bounded():
-    assert _points_array.cache_info().maxsize is not None
 
 
 class TestLabelMarginal:
@@ -212,7 +211,7 @@ class TestSample:
             1, 1, [((1,), 1, 0.75), ((1,), -1, 0.25)]
         )
         ds = sample(dist, 50, seed=3)
-        assert all(x == (1,) for x, _ in ds.records())
+        assert np.all(ds.x == 1)
 
     def test_same_seed_same_dataset(self, toy_balanced):
         a = sample(toy_balanced, 500, seed=99)
@@ -239,12 +238,14 @@ class TestSample:
 
 class TestDataset:
     def test_record_indexing_is_one_based(self, toy_balanced):
-        ds = sample(toy_balanced, 5, seed=0)
-        assert ds.record(1) == (tuple(ds.x[0]), int(ds.y[0]))
-        with pytest.raises(ValidationError):
-            ds.record(0)
-        with pytest.raises(ValidationError):
-            ds.record(6)
+        # record j of fold_partition's 1-based folds is row j-1 of x and y
+        ds = sample(toy_balanced, 7, seed=0)
+        counts = fold_cell_counts(ds.x[:, 0].astype(np.int64), ds.y == 1, 3, 2)
+        for k, fold in enumerate(fold_partition(7, 3).folds):
+            want = np.zeros((2, 2), dtype=np.int64)
+            for j in fold:
+                want[ds.x[j - 1, 0], int(ds.y[j - 1] == 1)] += 1
+            assert np.array_equal(counts[k], want)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValidationError):
@@ -270,8 +271,7 @@ class TestDistributionFiles:
             "atoms": [{"x": [0], "y": 1, "p": 0.5}, {"x": [1], "y": -1, "p": 0.5}],
         }))
         dist = load_distribution(path)
-        assert dist.atom_prob((0,), -1) == 0.0
-        assert dist.atom_prob((1,), 1) == 0.0
+        assert dist.probs.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
     def test_malformed_file_reports_problem(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -316,7 +316,7 @@ class TestGridFreePath:
     @settings(max_examples=40, deadline=None)
     def test_points_match_indices_reference(self, space):
         ref = np.indices(space.grid_shape).reshape(space.n, -1).T
-        pts = _points_array(space.n, space.q)
+        pts = space.points()
         assert pts.dtype == np.int16 and not pts.flags.writeable
         assert np.array_equal(pts, ref)
 

@@ -26,9 +26,10 @@ from mdrcv.oracle import (
     label_advantage,
     optimal_predictor,
     prediction_error,
+    subset_oracle,
 )
 
-from conftest import small_distributions, subset_oracle
+from conftest import small_distributions
 
 
 def all_predictors(space):
@@ -285,25 +286,25 @@ class TestConsistencyDefect:
 
 class TestAsymptoticVariance:
     def test_deterministic_labels_have_zero_variance(self, deterministic_labels):
-        (v,) = subset_oracle(deterministic_labels, [FactorSubset.of(1)]).tables
+        _, (v,) = subset_oracle(deterministic_labels, [FactorSubset.of(1)])
         assert asymptotic_variance(deterministic_labels, v) == pytest.approx(0.0, abs=1e-15)
 
     def test_toy_table_exact_value(self, toy_balanced):
         # misclassified mass 0.2, per-class miss rates 0.2, weights 2:
         # V is 3.2 on misses and -0.8 on hits, so Var V = 2.56
-        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        _, (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
         got = asymptotic_variance(toy_balanced, v)
         assert got == pytest.approx(2.56, abs=1e-12)
 
     def test_conditional_means_vanish_per_label(self, toy_balanced):
-        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        _, (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
         p = toy_balanced.probs
         for col in (0, 1):
             cond_mean = float((p[:, col] * v[:, col]).sum()) / float(p[:, col].sum())
             assert cond_mean == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_cross_check(self, toy_balanced):
-        (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        _, (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
         sigma2 = asymptotic_variance(toy_balanced, v)
         # exact fourth moment gives the standard error of the sample variance
         p = toy_balanced.probs
@@ -319,14 +320,14 @@ class TestAsymptoticVariance:
 
 class TestAsymptoticCovariance:
     def test_single_subset_reduces_to_variance(self, toy_balanced):
-        tables = subset_oracle(toy_balanced, [FactorSubset.of(1)]).tables
+        _, tables = subset_oracle(toy_balanced, [FactorSubset.of(1)])
         c = asymptotic_covariance(toy_balanced, tables)
         assert c.shape == (1, 1)
         assert c[0, 0] == pytest.approx(asymptotic_variance(toy_balanced, tables[0]))
 
     def test_duplicated_subset_is_rank_deficient(self, toy_balanced):
         sub = FactorSubset.of(1)
-        c = asymptotic_covariance(toy_balanced, subset_oracle(toy_balanced, [sub, sub]).tables)
+        c = asymptotic_covariance(toy_balanced, subset_oracle(toy_balanced, [sub, sub])[1])
         assert c[0, 0] == pytest.approx(c[0, 1])
         assert c[0, 1] == pytest.approx(c[1, 1])
         assert abs(np.linalg.det(c)) < 1e-12
@@ -336,14 +337,14 @@ class TestAsymptoticCovariance:
     ):
         dist = conditionally_independent_pair
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
-        c = asymptotic_covariance(dist, subset_oracle(dist, subs).tables)
+        c = asymptotic_covariance(dist, subset_oracle(dist, subs)[1])
         assert c[0, 0] > 0.1 and c[1, 1] > 0.1
         assert c[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_and_psd(self, single_factor_table):
         subs = subsets_of_size(2, 1) + subsets_of_size(2, 2)
         c = asymptotic_covariance(
-            single_factor_table, subset_oracle(single_factor_table, subs).tables
+            single_factor_table, subset_oracle(single_factor_table, subs)[1]
         )
         assert np.array_equal(c, c.T)
         assert np.linalg.eigvalsh(c).min() >= -1e-10
@@ -351,7 +352,7 @@ class TestAsymptoticCovariance:
     def test_monte_carlo_cross_check_two_subsets(self, conditionally_independent_pair):
         dist = conditionally_independent_pair
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
-        v1, v2 = subset_oracle(dist, subs).tables
+        _, (v1, v2) = subset_oracle(dist, subs)
         c = asymptotic_covariance(dist, [v1, v2])
         p = dist.probs
         var_prod = float((p * (v1 * v2) ** 2).sum()) - c[0, 1] ** 2

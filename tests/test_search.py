@@ -1,15 +1,16 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdrcv.errors import ValidationError
-from mdrcv.model import sample
+from mdrcv.model import Dataset, FactorSpace, sample
 from mdrcv.oracle import balanced_penalty, optimal_predictor, prediction_error
 from mdrcv.scenarios import generate_scenario, scenario_a
-from mdrcv.search import enumerate_subsets, rank_subsets
+from mdrcv.search import MAX_FACTORS, MAX_SUBSET_SIZE, enumerate_subsets, rank_subsets
 
 
 class TestEnumerateSubsets:
@@ -59,10 +60,13 @@ class TestRankSubsets:
         )
 
     def test_caps_guard_runtime(self):
-        dist = generate_scenario("null", n=2, q=1)
-        ds = sample(dist, 100, seed=1)
-        with pytest.raises(ValidationError):
-            rank_subsets(ds, 2, 4, max_factors=1)
+        def blank(n):
+            return Dataset(FactorSpace(n, 1), np.zeros((8, n)), [1, -1] * 4)
+
+        with pytest.raises(ValidationError, match="capped"):
+            rank_subsets(blank(MAX_FACTORS + 1), 2, 4)
+        with pytest.raises(ValidationError, match="capped"):
+            rank_subsets(blank(MAX_SUBSET_SIZE + 1), MAX_SUBSET_SIZE + 1, 4)
 
     def test_recovers_planted_pair(self):
         dist = scenario_a()
@@ -90,8 +94,13 @@ class TestRankSubsets:
         assert min(errs, key=errs.get) == (1, 2)
         assert all(errs[(1, 2)] <= v + 1e-12 for v in errs.values())
 
-    def test_tie_tolerance_prefers_lexicographic(self):
-        dist = generate_scenario("null", n=3, q=1, p_pos=0.4)
-        ds = sample(dist, 500, seed=9)
-        report = rank_subsets(ds, 2, 5, tie_tolerance=10.0)
+    def test_exact_tie_prefers_lexicographic(self):
+        # identical factor columns give every pair the same cell codes, so
+        # every pair gets the same estimate
+        ds0 = sample(generate_scenario("single-factor", n=1, q=2), 500, seed=9)
+        ds = Dataset(FactorSpace(4, 2), np.repeat(ds0.x, 4, axis=1), ds0.y)
+        report = rank_subsets(ds, 2, 5)
+        values = {v for _, v in report.entries}
+        assert len(report.entries) == 6 and len(values) == 1
         assert report.selected.indices == (1, 2)
+        assert report.to_dict()["tie_tolerance"] == 0.0
