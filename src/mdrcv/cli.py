@@ -300,6 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative ints
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ import warnings
 from .errors import ValidationError
 from .model import Dataset, FactorSpace
 
+MAX_LEVEL = 2**15 - 1  # Dataset.x holds factor levels as int16
+
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -58,9 +60,9 @@ def ingest_csv(path, q: int | None = None) -> Dataset:
                     raise ValidationError(
                         f"{path}, row {line_no}: label must be -1 or +1, got {y}"
                     )
-                if any(v < 0 for v in x):
+                if any(not 0 <= v <= MAX_LEVEL for v in x):
                     raise ValidationError(
-                        f"{path}, row {line_no}: negative factor value in {x}"
+                        f"{path}, row {line_no}: level outside 0..{MAX_LEVEL} in {x}"
                     )
                 if q is not None and any(v > q for v in x):
                     raise ValidationError(

@@ -36,6 +36,8 @@ from .model import (
 
 DEFAULT_EPS_C0 = 1.0
 DEFAULT_EPS_BETA = 0.25
+# Count-table label columns (y = -1, y = +1): a +1 call misses column 0.
+_POSITIVE = np.array([False, True])
 
 
 @dataclass(frozen=True)
@@ -110,27 +112,37 @@ class ErrEstimate:
 def fold_cell_counts(
     codes: np.ndarray, positive: np.ndarray, n_folds: int, cells: int
 ) -> np.ndarray:
-    """Record counts per (fold, cylinder cell, label), shape (K, cells, 2).
-
+    """Record counts per (fold, cylinder cell, label), shape (K, cells, 2),
+    or (B, K, cells, 2) from one ``bincount`` over a (B, N) stack of datasets.
     Label column 0 is y = -1 and column 1 is y = +1.  Folds are the
     contiguous blocks of ``fold_partition``; ``n_folds=1`` counts the whole
     sample as a single fold.
     """
-    n = len(codes)
+    n = codes.shape[-1]
     if not 1 <= n_folds <= n:
         raise ValidationError(f"cannot split {n} records into {n_folds} folds")
-    fold = np.minimum(np.arange(n) // (n // n_folds), n_folds - 1)
-    key = (fold * cells + codes) * 2 + positive
-    return np.bincount(key, minlength=n_folds * cells * 2).reshape(n_folds, cells, 2)
+    key = np.arange(n) // (n // n_folds)  # fold, then the bincount key in place
+    np.minimum(key, n_folds - 1, out=key)
+    if codes.ndim == 2:  # one block of folds per dataset of the stack
+        key = key + n_folds * np.arange(codes.shape[0])[:, None]
+    key *= cells
+    key += codes
+    key *= 2
+    key += positive
+    counts = np.bincount(key.ravel(), minlength=codes.size // n * n_folds * cells * 2)
+    return counts.reshape(codes.shape[:-1] + (n_folds, cells, 2))
 
 
-def _dataset_counts(
-    dataset: Dataset, subset: FactorSubset, n_folds: int
+def dataset_counts(
+    dataset: Dataset, subset: FactorSubset, n_folds: int, n_stack: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell codes, positive-label mask and ``fold_cell_counts`` of a dataset."""
+    """Cell codes, positive-label mask and ``fold_cell_counts`` of a dataset,
+    or with a leading axis over the ``n_stack`` equal blocks of records it
+    holds (the datasets ``sample`` draws from a list of seeds)."""
     subset.validate_for(dataset.space)
-    codes = cylinder_codes(dataset.x, subset, dataset.space.q)
-    positive = dataset.y == 1
+    shape = (-1,) if n_stack is None else (n_stack, -1)
+    codes = cylinder_codes(dataset.x, subset, dataset.space.q).reshape(shape)
+    positive = (dataset.y == 1).reshape(shape)
     cells = cylinder_count(subset, dataset.space.q)
     return codes, positive, fold_cell_counts(codes, positive, n_folds, cells)
 
@@ -143,46 +155,58 @@ def _trained_rule(train: np.ndarray, eps: float) -> np.ndarray:
     return cell_conditionals(tot, train[..., 1]) > (gamma + eps)[..., None]
 
 
+def cv_error_stack(counts: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+    """(values, penalties, misses) of the CV error of each dataset in a
+    (..., K, cells, 2) ``fold_cell_counts`` stack; per fold, the rule is
+    trained on the complement and penalties are estimated on the fold.
+    Terms combine in the formula's order (outer sum over labels, running
+    sum over folds), so stacking leaves every value bit for bit."""
+    labels = counts.sum(axis=-2)
+    sizes = labels.sum(axis=-1, keepdims=True)
+    # fold k's rule is trained on every count outside fold k
+    plus = _trained_rule(counts.sum(axis=-3, keepdims=True) - counts, eps)
+    misses = (counts * (plus[..., None] != _POSITIVE)).sum(axis=-2)
+    penalties = np.divide(sizes, labels, out=np.zeros(labels.shape), where=labels > 0)
+    acc = np.cumsum(penalties * misses / sizes, axis=-2)[..., -1, :]
+    return (acc / counts.shape[-3]).sum(axis=-1) * 2.0, penalties, misses
+
+
 def cv_prediction_error(
     dataset: Dataset,
     n_folds: int,
     subset: FactorSubset,
     schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
 ) -> ErrEstimate:
-    """K-fold cross-validated prediction error of the regularized rule.
-
-    Per fold, predictions are trained on the complement and penalties are
-    estimated on the fold itself.
-    """
-    n = len(dataset)
-    sizes = fold_partition(n, n_folds).sizes()
-    eps = schedule.value(n)
-    _, _, counts = _dataset_counts(dataset, subset, n_folds)
-    # fold k's rule is trained on every count outside fold k
-    plus = _trained_rule(counts.sum(axis=0) - counts, eps)
-    miss_neg = (counts[..., 0] * plus).sum(axis=1).tolist()
-    miss_pos = (counts[..., 1] * ~plus).sum(axis=1).tolist()
-    fold_misses = tuple(zip(miss_neg, miss_pos))
-    fold_penalties = tuple(
-        tuple(size / c if c else 0.0 for c in labels)
-        for size, labels in zip(sizes, counts.sum(axis=1).tolist())
-    )
-
-    # Combine in the formula's order: outer sum over labels, inner over folds.
-    value = 0.0
-    for col in (0, 1):
-        acc = 0.0
-        for k in range(n_folds):
-            acc += fold_penalties[k][col] * fold_misses[k][col] / sizes[k]
-        value += acc / n_folds
-    value *= 2.0
-
+    """K-fold cross-validated prediction error of the regularized rule:
+    ``cv_error_stack`` on the dataset's one count table."""
+    fold_partition(len(dataset), n_folds)
+    eps = schedule.value(len(dataset))
+    _, _, counts = dataset_counts(dataset, subset, n_folds)
+    value, penalties, misses = cv_error_stack(counts, eps)
     return ErrEstimate(
-        value=value,
+        value=float(value),
         eps=eps,
-        fold_penalties=fold_penalties,
-        fold_miss_counts=fold_misses,
+        fold_penalties=tuple(map(tuple, penalties.tolist())),
+        fold_miss_counts=tuple(map(tuple, misses.tolist())),
     )
+
+
+def influence_stack(
+    codes: np.ndarray, positive: np.ndarray, full: np.ndarray, eps: float
+) -> np.ndarray:
+    """``influence_values`` of each dataset in a stack of (..., N) codes
+    and labels with full-sample counts (..., cells, 2), read off one value
+    per (dataset, cell, label)."""
+    n_labels = full.sum(axis=-2)  # (..., 2): records with y = -1, y = +1
+    if np.any(n_labels == 0):
+        raise DegenerateLabelsError("influence values need both label classes")
+    plus = _trained_rule(full, eps)
+    miss = plus[..., None] != _POSITIVE
+    rate = (full * miss).sum(axis=-2) / n_labels
+    freq = n_labels / codes.shape[-1]
+    table = (2.0 / freq)[..., None, :] * (miss.astype(np.float64) - rate[..., None, :])
+    flat = table.reshape(table.shape[:-2] + (-1,))
+    return np.take_along_axis(flat, codes * 2 + positive, axis=-1)
 
 
 def influence_values(
@@ -197,33 +221,24 @@ def influence_values(
     counterparts.  The returned values sum to exactly zero whenever both
     label classes are present; a missing class raises.
     """
-    n = len(dataset)
-    codes, positive, counts = _dataset_counts(dataset, subset, 1)
-    n_neg, n_pos = counts[0].sum(axis=0).tolist()
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError("influence values need both label classes")
-    plus = _trained_rule(counts, schedule.value(n))[0]
-    rate_pos = int(counts[0, ~plus, 1].sum()) / n_pos
-    rate_neg = int(counts[0, plus, 0].sum()) / n_neg
-
-    miss = plus[codes] != positive
-    freq = np.where(positive, n_pos / n, n_neg / n)
-    rate = np.where(positive, rate_pos, rate_neg)
-    return (2.0 / freq) * (miss.astype(np.float64) - rate)
+    codes, positive, counts = dataset_counts(dataset, subset, 1)
+    return influence_stack(codes, positive, counts[0], schedule.value(len(dataset)))
 
 
-def asymptotic_sd_estimate(influence: np.ndarray) -> float:
+def asymptotic_sd_estimate(influence: np.ndarray) -> float | np.ndarray:
     """Plug-in estimate of the CLT scale: the empirical standard deviation
-    of one subset's ``influence_values``."""
-    return float(np.std(influence))
+    of one subset's ``influence_values``, or of each row of a stack."""
+    sd = np.std(influence, axis=-1)
+    return float(sd) if sd.ndim == 0 else sd
 
 
 def asymptotic_covariance_estimate(influences: Sequence[np.ndarray]) -> np.ndarray:
     """Plug-in estimate of the joint influence covariance across subsets,
-    from one row of ``influence_values`` per subset."""
-    if len(influences) < 1:
+    from one row of ``influence_values`` per subset; a (..., S, N) stack
+    gives one symmetrized (S, S) matrix per leading index."""
+    rows = np.asarray(influences)
+    if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ValidationError("need at least one subset")
-    rows = np.stack(influences)
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    c = centered @ centered.T / rows.shape[1]
-    return (c + c.T) / 2.0
+    centered = rows - rows.mean(axis=-1, keepdims=True)
+    c = centered @ centered.swapaxes(-1, -2) / rows.shape[-1]
+    return (c + c.swapaxes(-1, -2)) / 2.0

@@ -12,20 +12,22 @@ MIN_EIGENVALUE = 1e-8
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
     m = np.array(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains non-finite entries")
-    if not np.allclose(m, m.T, atol=1e-10, rtol=0.0):
+    t = m.swapaxes(-1, -2)
+    if not np.allclose(m, t, atol=1e-10, rtol=0.0):
         raise ValidationError("matrix is not symmetric")
-    return (m + m.T) / 2.0
+    return (m + t) / 2.0
 
 
 def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive-definite matrix.
+    """Inverse square root of a symmetric positive-definite matrix, or of
+    each matrix in a (..., S, S) stack.
 
-    Raises NearSingularMatrixError when an eigenvalue falls below
-    MIN_EIGENVALUE: whitening with such a matrix is meaningless.
+    Raises NearSingularMatrixError when an eigenvalue of any matrix falls
+    below MIN_EIGENVALUE: whitening with such a matrix is meaningless.
     """
     vals, vecs = np.linalg.eigh(_check_symmetric(a))
     if vals.min() < MIN_EIGENVALUE:
@@ -33,4 +35,5 @@ def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
             f"near-singular matrix: smallest eigenvalue {vals.min():.3e} "
             f"< {MIN_EIGENVALUE:.0e}"
         )
-    return vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+    diag = np.eye(vals.shape[-1]) * (1.0 / np.sqrt(vals))[..., None, :]
+    return vecs @ diag @ vecs.swapaxes(-1, -2)

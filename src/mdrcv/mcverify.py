@@ -22,8 +22,10 @@ from .estimator import (
     EpsilonSchedule,
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
-    cv_prediction_error,
-    influence_values,
+    cv_error_stack,
+    dataset_counts,
+    fold_partition,
+    influence_stack,
 )
 from .linalg import inv_sqrt_symmetric
 from .model import FactorSubset, JointDistribution, sample
@@ -39,6 +41,8 @@ DEGENERATE_LIMIT = 1e-9
 COV_ENTRY_LIMIT_FACTOR = 0.15
 HISTOGRAM_BINS = 15
 HISTOGRAM_WIDTH = 50
+# Records per batch of replications: bounds the batch buffers whatever M is.
+RECORDS_PER_BATCH = 2**14
 
 
 def derive_seed(master_seed: int, replication: int) -> int:
@@ -59,34 +63,37 @@ class ReplicationResult:
     covariance_estimate: np.ndarray | None = None
 
 
-def _replicate(
-    dist: JointDistribution,
-    subsets: Sequence[FactorSubset],
-    n_records: int,
-    n_folds: int,
-    schedule: EpsilonSchedule,
-    oracle_errors: Sequence[float],
-    master_seed: int,
-    replication: int,
-) -> ReplicationResult:
-    seed = derive_seed(master_seed, replication)
-    dataset = sample(dist, n_records, seed)
-    root_n = math.sqrt(n_records)
-    z = tuple(
-        root_n
-        * (cv_prediction_error(dataset, n_folds, s, schedule).value - err)
-        for s, err in zip(subsets, oracle_errors)
-    )
-    influences = [influence_values(dataset, s, schedule) for s in subsets]
-    sds = tuple(asymptotic_sd_estimate(v) for v in influences)
-    cov = None
-    if len(subsets) > 1:
-        cov = asymptotic_covariance_estimate(influences)
-    return ReplicationResult(replication, seed, z, sds, cov)
+# Set once per pool worker by ``_init_worker``, not pickled into every task.
+_WORKER_CONTEXT: tuple | None = None
 
 
-def _replicate_args(args) -> ReplicationResult:
-    return _replicate(*args)
+def _init_worker(context: tuple) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
+
+
+def _replicate_batch(replications: range, context=None) -> list[ReplicationResult]:
+    """Replications as one stack: one ``sample`` call, then per subset one
+    count table, CV and influence values and plug-in scales for all."""
+    context = context or _WORKER_CONTEXT
+    dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
+    seeds = [derive_seed(master_seed, m) for m in replications]
+    data = sample(dist, n_records, seeds)
+    eps = schedule.value(n_records)
+    z, influences = [], []
+    for s, err in zip(subsets, oracle_errors):
+        codes, positive, counts = dataset_counts(data, s, n_folds, len(seeds))
+        z.append(math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err))
+        influences.append(influence_stack(codes, positive, counts.sum(axis=1), eps))
+    rows = np.stack(influences, axis=1)  # (replications, subsets, records)
+    z_rows = np.stack(z, axis=1).tolist()
+    sd_rows = asymptotic_sd_estimate(rows).tolist()
+    joint = len(subsets) > 1
+    covs = asymptotic_covariance_estimate(rows) if joint else [None] * len(seeds)
+    return [
+        ReplicationResult(m, seed, tuple(zs), tuple(sds), cov)
+        for m, seed, zs, sds, cov in zip(replications, seeds, z_rows, sd_rows, covs)
+    ]
 
 
 def run_replications(
@@ -102,7 +109,9 @@ def run_replications(
 ) -> list[ReplicationResult]:
     """Replications 1..M, each on a fresh dataset; deterministic per-index
     seeds, results ordered by replication index.  Deviations are centred
-    at ``oracle_errors``, each subset's exact optimal error."""
+    at ``oracle_errors``, each subset's exact optimal error.  Batches hold
+    at most ``RECORDS_PER_BATCH`` records; ``workers > 1`` spreads them
+    over a process pool.  Neither changes any result."""
     if n_replications < 1:
         raise ValidationError("need at least one replication")
     subsets = list(subsets)
@@ -110,14 +119,19 @@ def run_replications(
         raise ValidationError("need at least one subset")
     if len(oracle_errors) != len(subsets):
         raise ValidationError("need one oracle error per subset")
-    arglist = [
-        (dist, subsets, n_records, n_folds, schedule, oracle_errors, master_seed, m)
-        for m in range(1, n_replications + 1)
-    ]
-    if workers <= 1:
-        return [_replicate_args(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_args, arglist, chunksize=32))
+    fold_partition(n_records, n_folds)
+    per_batch = max(1, RECORDS_PER_BATCH // n_records)
+    reps = range(1, n_replications + 1)
+    batches = [reps[i : i + per_batch] for i in range(0, n_replications, per_batch)]
+    context = (dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed)
+    if workers <= 1 or len(batches) == 1:
+        chunks = [_replicate_batch(b, context) for b in batches]
+    else:
+        with ProcessPoolExecutor(
+            min(workers, len(batches)), initializer=_init_worker, initargs=(context,)
+        ) as pool:
+            chunks = list(pool.map(_replicate_batch, batches))
+    return [res for chunk in chunks for res in chunk]
 
 
 def normal_cdf(z: float) -> float:
@@ -284,15 +298,9 @@ def multivariate_check(
     whitened_ks: tuple[float, ...] | None = None
     skipped = False
     try:
-        whitened = np.array(
-            [
-                inv_sqrt_symmetric(res.covariance_estimate) @ np.asarray(res.z)
-                for res in results
-            ]
-        )
-        whitened_ks = tuple(
-            ks_statistic(whitened[:, i], 0.0, 1.0) for i in range(s)
-        )
+        covs = np.array([res.covariance_estimate for res in results])
+        whitened = (inv_sqrt_symmetric(covs) @ zmat[..., None])[..., 0]
+        whitened_ks = tuple(ks_statistic(w, 0.0, 1.0) for w in whitened.T)
     except NearSingularMatrixError:
         skipped = True
 

@@ -45,9 +45,10 @@ class FactorSpace:
             raise ValidationError("n and q must be integers")
         if self.n < 1 or self.q < 1:
             raise ValidationError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
-        if (self.q + 1) ** self.n > MAX_POINTS:
+        # over the cap from n = 25 on for any q, so (q+1)^n is never a bigint
+        if self.n >= MAX_POINTS.bit_length() or (self.q + 1) ** self.n > MAX_POINTS:
             raise ValidationError(
-                f"(q+1)^n = {(self.q + 1) ** self.n} exceeds the dense-table cap {MAX_POINTS}"
+                f"n={self.n}, q={self.q}: (q+1)^n exceeds dense-table cap {MAX_POINTS}"
             )
 
     @property
@@ -153,8 +154,9 @@ def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarr
     """
     x = np.asarray(x_rows)
     codes = np.zeros(x.shape[0], dtype=np.int64)
-    for i in subset.indices:
-        codes = codes * (q + 1) + x[:, i - 1]
+    for i in subset.indices:  # in place: no record-sized temporaries
+        codes *= q + 1
+        codes += x[:, i - 1]
     return codes
 
 
@@ -349,7 +351,7 @@ class Dataset:
             raise ValidationError("a dataset must contain at least one record")
         if xs.min() < 0 or xs.max() > self.space.q:
             raise ValidationError(f"factor values must lie in 0..{self.space.q}")
-        if not np.all(np.isin(ys, LABELS)):
+        if not np.all((ys == -1) | (ys == 1)):
             raise ValidationError("labels must be -1 or +1")
         xs.flags.writeable = False
         ys.flags.writeable = False
@@ -360,23 +362,27 @@ class Dataset:
         return self.x.shape[0]
 
 
-def sample(dist: JointDistribution, n_records: int, seed: int) -> Dataset:
+def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -> Dataset:
     """Draw an i.i.d. sample of size n_records, reproducibly.
 
     Inverse-CDF sampling over the fixed atom enumeration (x lexicographic,
     y = -1 before +1), so identical (dist, n_records, seed) give the same
-    dataset bit for bit.
+    dataset bit for bit.  A sequence of B seeds gives one dataset of
+    B * n_records records whose block b is exactly
+    ``sample(dist, n_records, seeds[b])``.
     """
     if n_records < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_records)
-    atom_idx = np.searchsorted(dist._cdf, u, side="right")
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    u = np.empty((len(seeds), n_records))
+    for row, s in zip(u, seeds):
+        np.random.default_rng(s).random(out=row)
+    atom_idx = np.searchsorted(dist._cdf, u.ravel(), side="right")
     # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
     point_rank = (atom_idx >> 1).astype(np.int32)
     ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)
     space = dist.space
-    xs = np.empty((n_records, space.n), dtype=np.int16)
+    xs = np.empty((u.size, space.n), dtype=np.int16)
     for i in range(1, space.n + 1):
         xs[:, i - 1] = point_levels(space, i, point_rank)
     return Dataset(space, xs, ys)

@@ -52,6 +52,12 @@ class TestIngestCsv:
         with pytest.raises(ValidationError, match="row 3"):
             ingest_csv(path, q=2)
 
+    def test_level_beyond_int16_names_the_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("X1,Y\n0,1\n99999,-1\n")
+        with pytest.raises(ValidationError, match=r"row 3.*outside 0\.\.32767"):
+            ingest_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n0,1\n")
@@ -179,6 +185,30 @@ class TestCliCommands:
         ])
         assert code == 2
 
+    def test_one_class_replication_exits_two(self, capsys):
+        code = main([
+            "clt-verify", "--preset", "null", "--n", "1", "--q", "1",
+            "--p-pos", "0.02", "--subsets", "1", "--N", "20", "--K", "2",
+            "--M", "200", "--seed", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: influence values need both label classes\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "search", "clt-verify"])
+    def test_negative_seed_exits_one(self, command, tmp_path, capsys):
+        args = [command, "--preset", "null", "--n", "2", "--q", "1",
+                "--N", "10", "--seed", "-1"]
+        args += {
+            "simulate": ["--out", str(tmp_path / "x.csv")],
+            "search": ["--r", "1"],
+            "clt-verify": ["--subsets", "1", "--M", "2"],
+        }[command]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_plug_in_scale_exits_two(self, capsys):
         # near-deterministic labels on one binary factor: most replications
         # see no misclassified record, so their plug-in scale is exactly 0
@@ -226,6 +256,12 @@ def _csv_with_ff(tmp_path):
     return ["search", "--data", str(path), "--r", "1", "--K", "2"]
 
 
+def _csv_level_overflow(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("X1,Y\n99999,-1\n")
+    return ["search", "--data", str(path), "--r", "1", "--K", "2"]
+
+
 @pytest.mark.parametrize("make_args", [
     _csv_with_ff,
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": []}\xff'),
@@ -233,11 +269,15 @@ def _csv_with_ff(tmp_path):
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": 5}'),
     lambda tmp: ["oracle", "--preset", "independent", "--n", "2", "--q", "1",
                  "--effect", "inf"],
-], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf"])
+    lambda tmp: _dist_json(tmp, b'{"n": 100000000000000000000, "q": 1, "atoms": []}'),
+    lambda tmp: ["oracle", "--preset", "null", "--n", "100000000000000000000", "--q", "1"],
+    _csv_level_overflow,
+], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
+        "json-huge-n", "preset-huge-n", "csv-level-overflow"])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path,
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
     )
     assert proc.returncode == 1, proc.stderr

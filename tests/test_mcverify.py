@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdrcv.errors import ValidationError, ZeroScaleError
-from mdrcv.estimator import DEFAULT_SCHEDULE
+from mdrcv.errors import DegenerateLabelsError, ValidationError, ZeroScaleError
+from mdrcv.estimator import (
+    DEFAULT_SCHEDULE,
+    asymptotic_covariance_estimate,
+    asymptotic_sd_estimate,
+    cv_prediction_error,
+    influence_values,
+)
 from mdrcv.mcverify import (
     HISTOGRAM_BINS,
+    RECORDS_PER_BATCH,
     CltReport,
     ReplicationResult,
     clt_check,
@@ -21,7 +28,7 @@ from mdrcv.mcverify import (
     text_histogram,
     verify_clt,
 )
-from mdrcv.model import FactorSubset
+from mdrcv.model import FactorSubset, sample
 from mdrcv.oracle import asymptotic_covariance, asymptotic_variance, subset_oracle
 from mdrcv.scenarios import generate_scenario, scenario_a
 
@@ -178,6 +185,97 @@ class TestRunReplications:
                 dist, [FactorSubset.of(1, 2)], [0.1, 0.2], 100, 2, DEFAULT_SCHEDULE, 1,
                 master_seed=1,
             )
+
+
+def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed):
+    """Replications one dataset at a time, from the public primitives."""
+    out = []
+    for rep in range(1, m + 1):
+        rep_seed = derive_seed(seed, rep)
+        dataset = sample(dist, n_records, rep_seed)
+        z = tuple(
+            math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s).value - err)
+            for s, err in zip(subsets, errors)
+        )
+        infl = [influence_values(dataset, s) for s in subsets]
+        sds = tuple(asymptotic_sd_estimate(v) for v in infl)
+        cov = asymptotic_covariance_estimate(infl) if len(subsets) > 1 else None
+        out.append((rep, rep_seed, z, sds, cov))
+    return out
+
+
+def as_tuples(results):
+    return [
+        (r.replication, r.seed, r.z, r.sd_estimates, r.covariance_estimate)
+        for r in results
+    ]
+
+
+def same_results(got, want):
+    return len(got) == len(want) and all(
+        g[:4] == w[:4]
+        and (g[4] is None if w[4] is None else np.array_equal(g[4], w[4]))
+        for g, w in zip(got, want)
+    )
+
+
+@st.composite
+def replication_configs(draw):
+    preset = draw(st.sampled_from(["null", "single-factor", "pair-epistasis", "independent"]))
+    n = draw(st.integers(2 if preset == "pair-epistasis" else 1, 3))
+    q = draw(st.integers(1, 2))
+    subsets = draw(
+        st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True).map(
+                lambda idx: tuple(sorted(idx))
+            ),
+            min_size=1, max_size=3,
+        )
+    )
+    n_records = draw(st.integers(8, 3000))
+    n_folds = draw(st.integers(2, 6))
+    return preset, n, q, subsets, n_records, n_folds
+
+
+class TestBatchedEngine:
+    """Batched replications equal replications run one dataset at a time."""
+
+    @given(
+        config=replication_configs(),
+        m=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # three batches of 3, 3 and 1 replications
+        config=("pair-epistasis", 3, 2, [(1, 2), (1, 3)], 5000, 5), m=7, seed=4
+    )
+    @example(  # more records than a batch holds: one replication per batch
+        config=("null", 2, 1, [(1,), (1, 2)], RECORDS_PER_BATCH + 3, 3), m=2, seed=8
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_replication_reference(self, config, m, seed):
+        preset, n, q, subsets, n_records, n_folds = config
+        dist = generate_scenario(preset, n, q)
+        subs = [FactorSubset(s) for s in subsets]
+        errors, _ = subset_oracle(dist, subs)
+        args = (dist, subs, errors, n_records, n_folds)
+        try:
+            want = per_replication_reference(*args, m, seed)
+        except DegenerateLabelsError as exc:
+            with pytest.raises(DegenerateLabelsError, match=str(exc)):
+                run_replications(*args, DEFAULT_SCHEDULE, m, seed)
+            return
+        got = as_tuples(run_replications(*args, DEFAULT_SCHEDULE, m, seed))
+        assert same_results(got, want)
+
+    def test_worker_pool_over_several_batches_matches_serial(self):
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        errors, _ = subset_oracle(dist, subs)
+        n_records = RECORDS_PER_BATCH // 3  # three replications per batch
+        args = (dist, subs, errors, n_records, 4, DEFAULT_SCHEDULE, 8)
+        serial = as_tuples(run_replications(*args, master_seed=2))
+        parallel = as_tuples(run_replications(*args, master_seed=2, workers=2))
+        assert same_results(parallel, serial)
 
 
 class TestCltCheck:

@@ -52,6 +52,14 @@ class TestFactorSpace:
         with pytest.raises(ValidationError):
             FactorSpace(30, 2)
 
+    @pytest.mark.parametrize("n,q", [(25, 1), (10**20, 1), (1, 2**24), (2, 10**30)])
+    def test_oversized_space_rejected_without_the_power(self, n, q):
+        with pytest.raises(ValidationError, match="exceeds dense-table cap"):
+            FactorSpace(n, q)
+
+    def test_space_at_the_cap_accepted(self):
+        assert FactorSpace(24, 1).num_points == 2**24
+
 
 class TestFactorSubset:
     def test_projection(self):
@@ -234,6 +242,25 @@ class TestSample:
             count = int(np.sum((ds.x[:, 0] == x[0]) & (ds.y == y)))
             bound = 4.0 * np.sqrt(p * (1 - p) / n)
             assert abs(count / n - p) < bound, (x, y)
+
+
+@given(
+    dist=small_distributions(max_n=3, max_q=2),
+    n_records=st.integers(1, 50),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_seed_list_concatenates_single_seed_samples(dist, n_records, seeds):
+    ds = sample(dist, n_records, seeds)
+    parts = [sample(dist, n_records, s) for s in seeds]
+    assert len(ds) == n_records * len(seeds)
+    assert np.array_equal(ds.x, np.concatenate([p.x for p in parts]))
+    assert np.array_equal(ds.y, np.concatenate([p.y for p in parts]))
+
+
+def test_empty_seed_list_rejected(toy_balanced):
+    with pytest.raises(ValidationError, match="at least one record"):
+        sample(toy_balanced, 5, [])
 
 
 class TestDataset:
