@@ -71,6 +71,12 @@ def fold_partition(n_records: int, n_folds: int) -> FoldPartition:
     return FoldPartition(n_records, n_folds, tuple(folds))
 
 
+def fold_index(n_records: int, n_folds: int) -> np.ndarray:
+    """The 0-based fold of every record under ``fold_partition``: blocks of
+    [N/K] records, the last one running to N."""
+    return np.minimum(np.arange(n_records) // (n_records // n_folds), n_folds - 1)
+
+
 @dataclass(frozen=True)
 class EpsilonSchedule:
     """Threshold inflation eps_N = c0 * N^(-beta).
@@ -101,12 +107,10 @@ DEFAULT_SCHEDULE = EpsilonSchedule()
 
 @dataclass(frozen=True)
 class ErrEstimate:
-    """Cross-validated prediction error with its per-fold ingredients."""
+    """Cross-validated prediction error and the threshold inflation used."""
 
     value: float
     eps: float
-    fold_penalties: tuple[tuple[float, float], ...]  # (psihat(-1), psihat(+1))
-    fold_miss_counts: tuple[tuple[int, int], ...]    # misses for y=-1, y=+1
 
 
 def fold_cell_counts(
@@ -121,8 +125,7 @@ def fold_cell_counts(
     n = codes.shape[-1]
     if not 1 <= n_folds <= n:
         raise ValidationError(f"cannot split {n} records into {n_folds} folds")
-    key = np.arange(n) // (n // n_folds)  # fold, then the bincount key in place
-    np.minimum(key, n_folds - 1, out=key)
+    key = fold_index(n, n_folds)  # fold, then the bincount key in place
     if codes.ndim == 2:  # one block of folds per dataset of the stack
         key = key + n_folds * np.arange(codes.shape[0])[:, None]
     key *= cells
@@ -182,13 +185,7 @@ def cv_prediction_error(
     fold_partition(len(dataset), n_folds)
     eps = schedule.value(len(dataset))
     _, _, counts = dataset_counts(dataset, subset, n_folds)
-    value, penalties, misses = cv_error_stack(counts, eps)
-    return ErrEstimate(
-        value=float(value),
-        eps=eps,
-        fold_penalties=tuple(map(tuple, penalties.tolist())),
-        fold_miss_counts=tuple(map(tuple, misses.tolist())),
-    )
+    return ErrEstimate(value=float(cv_error_stack(counts, eps)[0]), eps=eps)
 
 
 def influence_stack(

@@ -30,6 +30,8 @@ LABELS = (-1, 1)
 # and cheap on a desk machine.
 MAX_POINTS = 2**24
 
+MAX_LEVEL = 2**15 - 1  # Dataset.x holds factor levels as int16
+
 NORMALIZATION_TOL = 1e-12
 
 
@@ -50,6 +52,8 @@ class FactorSpace:
             raise ValidationError(
                 f"n={self.n}, q={self.q}: (q+1)^n exceeds dense-table cap {MAX_POINTS}"
             )
+        if self.q > MAX_LEVEL:
+            raise ValidationError(f"q={self.q} exceeds the largest factor level {MAX_LEVEL}")
 
     @property
     def num_points(self) -> int:

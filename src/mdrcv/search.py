@@ -5,13 +5,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_prediction_error
+from .estimator import (
+    DEFAULT_SCHEDULE,
+    EpsilonSchedule,
+    cv_error_stack,
+    fold_index,
+    fold_partition,
+)
 from .model import Dataset, FactorSubset
 
 # Exhaustive enumeration only; these caps keep desk-scale runtimes.
 MAX_FACTORS = 20
 MAX_SUBSET_SIZE = 4
+# Count-table entries scored per ``cv_error_stack`` call.
+BLOCK_ENTRIES = 2**16
 
 
 def enumerate_subsets(n: int, r: int) -> list[FactorSubset]:
@@ -65,14 +75,56 @@ def rank_subsets(
             f"exhaustive search capped at n <= {MAX_FACTORS}, r <= {MAX_SUBSET_SIZE}"
         )
     candidates = enumerate_subsets(n, r)
-    scored = [
-        (s, cv_prediction_error(dataset, n_folds, s, schedule).value)
-        for s in candidates
-    ]
-    scored.sort(key=lambda e: (e[1], e[0].indices))
+    fold_partition(len(dataset), n_folds)
+    values = _cv_errors(dataset, candidates, n_folds, schedule.value(len(dataset)))
+    scored = sorted(zip(candidates, values.tolist()), key=lambda e: (e[1], e[0].indices))
     return SearchReport(
         r=r,
         n_folds=n_folds,
         entries=tuple(scored),
         selected=scored[0][0],
     )
+
+
+def _cv_errors(
+    dataset: Dataset, subsets: list[FactorSubset], n_folds: int, eps: float
+) -> np.ndarray:
+    """``cv_prediction_error`` values of r-subsets in lexicographic order,
+    all on one dataset's folds, bit for bit.
+
+    A record's count key, label-major inside its fold, is
+    ``(2 * fold + [y = +1]) * cells + code`` with the cell code
+    ``sum_j (q+1)^(r-1-j) * x[m_j]``.  Keys are kept as partial sums over
+    the leading positions, so a subset recomputes only the positions after
+    its common prefix with the previous one: one add at the last position,
+    whose weight is 1.  Each key is bincounted into a row of a count block,
+    and each block is scored by one ``cv_error_stack`` call.
+    """
+    q, r = dataset.space.q, subsets[0].r
+    cells = (q + 1) ** r
+    width = n_folds * 2 * cells
+    dtype = np.int32 if width < 2**31 else np.int64
+    columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
+    base = ((2 * fold_index(len(dataset), n_folds) + (dataset.y == 1)) * cells).astype(dtype)
+    weights = [dtype((q + 1) ** (r - 1 - j)) for j in range(r)]
+    partial = np.empty((r, len(dataset)), dtype)  # partial[j]: key over positions 0..j
+    block = np.empty((min(len(subsets), max(1, BLOCK_ENTRIES // width)), width), np.int64)
+    values = np.empty(len(subsets))
+    prev: tuple[int, ...] = ()
+    for i, subset in enumerate(subsets):
+        m = subset.indices
+        start = next((j for j, (a, b) in enumerate(zip(m, prev)) if a != b), 0)
+        for j in range(start, r):
+            column = columns[m[j] - 1]
+            np.add(
+                base if j == 0 else partial[j - 1],
+                column if j == r - 1 else column * weights[j],
+                out=partial[j],
+            )
+        prev = m
+        row = i % len(block)
+        block[row] = np.bincount(partial[-1], minlength=width)
+        if row == len(block) - 1 or i == len(subsets) - 1:
+            counts = block[: row + 1].reshape(-1, n_folds, 2, cells).swapaxes(-1, -2)
+            values[i - row : i + 1] = cv_error_stack(counts, eps)[0]
+    return values

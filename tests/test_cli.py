@@ -2,11 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdrcv import dataio
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
@@ -78,6 +83,61 @@ class TestIngestCsv:
         with pytest.warns(UserWarning, match="q=3"):
             ds = ingest_csv(path, q=3)
         assert ds.space.q == 3
+
+
+def _padded(cell):
+    return st.tuples(st.sampled_from(["", " ", "  ", "\t"]),
+                     st.sampled_from(["", " ", "\t "])).map(lambda p: p[0] + cell + p[1])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text mixing valid rows with the cases the row loop treats
+    specially: ``#`` rows, blank and blank-looking lines, padded cells, the
+    spellings ``+1``, ``1.0``, ``"1"`` and ``1_0``, short and long rows, and
+    out-of-range levels and labels."""
+    n = draw(st.integers(1, 3))
+    level = st.integers(0, 4).map(str)
+    label = st.sampled_from(["-1", "1", "+1"])
+    if draw(st.booleans()):  # spellings the row loop reads and loadtxt does not
+        level = st.one_of(level, st.sampled_from(['"1"', "1_0"]))
+        label = st.one_of(label, st.just('"-1"'))
+    odd = st.sampled_from(["+1", "1.0", '"1"', "1_0", "-1", "0", "2", "5", "-3",
+                           "32768", "99999", "#1", "", "x"])
+    valid = st.tuples(st.lists(level.flatmap(_padded), min_size=n, max_size=n),
+                      label.flatmap(_padded)).map(lambda t: ",".join(t[0] + [t[1]]))
+    wild = st.lists(st.one_of(level, odd).flatmap(_padded),
+                    min_size=1, max_size=n + 2).map(",".join)
+    blank = st.sampled_from(["", "   ", "# comment", "#"])
+    lines = draw(st.lists(valid, max_size=12))
+    for extra in draw(st.lists(st.one_of(wild, blank), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ",".join([f"X{i}" for i in range(1, n + 1)] + ["Y"])
+    return newline.join([header] + lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(path, q):
+    """What ``ingest_csv`` returns or raises, and the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = ingest_csv(path, q=q)
+            got = ("ok", ds.space, ds.x.dtype, ds.x.tolist(), ds.y.dtype, ds.y.tolist())
+        except ValidationError as exc:
+            got = ("error", str(exc))
+    return got, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+@given(text=csv_texts(), q=st.one_of(st.none(), st.integers(1, 5)))
+@settings(max_examples=300, deadline=None)
+def test_csv_fast_path_agrees_with_row_loop(tmp_path_factory, text, q):
+    path = tmp_path_factory.getbasetemp() / "fast-path.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _outcome(path, q)
+    with mock.patch.object(dataio, "_loadtxt_rows", return_value=None):
+        rows = _outcome(path, q)
+    assert fast == rows
 
 
 class TestGenerateScenario:
@@ -262,6 +322,12 @@ def _csv_level_overflow(tmp_path):
     return ["search", "--data", str(path), "--r", "1", "--K", "2"]
 
 
+def _csv_field_past_limit(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('X1,Y\n"' + "1" * 200_000 + '",1\n')
+    return ["search", "--data", str(path), "--r", "1", "--K", "2"]
+
+
 @pytest.mark.parametrize("make_args", [
     _csv_with_ff,
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": []}\xff'),
@@ -272,8 +338,12 @@ def _csv_level_overflow(tmp_path):
     lambda tmp: _dist_json(tmp, b'{"n": 100000000000000000000, "q": 1, "atoms": []}'),
     lambda tmp: ["oracle", "--preset", "null", "--n", "100000000000000000000", "--q", "1"],
     _csv_level_overflow,
+    lambda tmp: ["simulate", "--preset", "null", "--n", "1", "--q", "40000",
+                 "--N", "10", "--seed", "1", "--out", str(tmp / "q.csv")],
+    _csv_field_past_limit,
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
-        "json-huge-n", "preset-huge-n", "csv-level-overflow"])
+        "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
+        "csv-field-past-limit"])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],

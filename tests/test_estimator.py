@@ -3,14 +3,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mdrcv import estimator
 from mdrcv.errors import DegenerateLabelsError, ValidationError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
+    cv_error_stack,
     cv_prediction_error,
     fold_cell_counts,
+    fold_index,
     fold_partition,
     influence_values,
 )
@@ -127,6 +130,8 @@ class TestFoldPartition:
         assert part.sizes() == tuple([base] * (k - 1) + [n - (k - 1) * base])
         seen = sorted(j for fold in part.folds for j in fold)
         assert seen == list(range(1, n + 1))
+        want = [i for i, fold in enumerate(part.folds) for _ in fold]
+        assert fold_index(n, k).tolist() == want
 
 
 class TestEpsilonSchedule:
@@ -165,6 +170,14 @@ def label_frequency(ds):
     """Empirical P(Y=1) from the count table's label totals."""
     neg, pos = dataset_counts(ds, FactorSubset.of(1), 1).sum(axis=(0, 1))
     return pos / (neg + pos)
+
+
+def fold_stats(ds, n_folds, subset, schedule=DEFAULT_SCHEDULE):
+    """Per-fold (psihat(-1), psihat(+1)) and misses for (y=-1, y=+1) of the
+    CV error, as nested tuples."""
+    counts = estimator.dataset_counts(ds, subset, n_folds)[2]
+    _, penalties, misses = cv_error_stack(counts, schedule.value(len(ds)))
+    return tuple(map(tuple, penalties.tolist())), tuple(map(tuple, misses.tolist()))
 
 
 def schedule_for(eps, n_records, beta=0.25):
@@ -220,7 +233,7 @@ class TestEstimateConditional:
         ds = Dataset(FactorSpace(1, 1), [[1], [0], [0], [0]], [1, 1, -1, 1])
         sched = schedule_for(0.05, 4)
         est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
-        assert est.fold_miss_counts[0] == (0, 2)
+        assert fold_stats(ds, 2, FactorSubset.of(1), sched)[1][0] == (0, 2)
         assert est.value == transcribed_cv_error(ds, 2, FactorSubset.of(1), sched.value(4))
 
     def test_counted_fixture(self):
@@ -236,14 +249,13 @@ class TestEstimateConditional:
 class TestFoldPenaltyEstimate:
     def test_two_to_one_labels(self):
         ds = Dataset(FactorSpace(1, 1), [[0]] * 6, [1, 1, -1] * 2)
-        est = cv_prediction_error(ds, 2, FactorSubset.of(1))
-        assert est.fold_penalties == ((3.0, 1.5), (3.0, 1.5))
+        assert fold_stats(ds, 2, FactorSubset.of(1))[0] == ((3.0, 1.5), (3.0, 1.5))
 
     def test_absent_label_gives_zero(self):
         ds = Dataset(FactorSpace(1, 1), [[0], [1], [0], [1]], [-1, -1, 1, -1])
         sched = EpsilonSchedule(0.5, 0.25)
         est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
-        assert est.fold_penalties == ((1.0, 0.0), (2.0, 2.0))
+        assert fold_stats(ds, 2, FactorSubset.of(1), sched)[0] == ((1.0, 0.0), (2.0, 2.0))
         assert est.value == transcribed_cv_error(ds, 2, FactorSubset.of(1), sched.value(4))
 
     def test_converges_to_balanced_weights(self, toy_balanced):
@@ -251,7 +263,7 @@ class TestFoldPenaltyEstimate:
         errors = []
         for n in (100, 1000, 10000):
             ds = sample(toy_balanced, n, seed=5)
-            penalties = cv_prediction_error(ds, 2, FactorSubset.of(1)).fold_penalties
+            penalties = fold_stats(ds, 2, FactorSubset.of(1))[0]
             got = np.mean([pos for _, pos in penalties])
             errors.append(abs(got - psi.psi_pos))
         assert errors[-1] < errors[0]
@@ -289,7 +301,7 @@ class TestPredictRegularized:
 
     def _check(self, ds, sched, misses):
         est = cv_prediction_error(ds, 2, FactorSubset.of(1), sched)
-        assert est.fold_miss_counts == misses
+        assert fold_stats(ds, 2, FactorSubset.of(1), sched)[1] == misses
         assert est.value == transcribed_cv_error(
             ds, 2, FactorSubset.of(1), sched.value(len(ds))
         )
@@ -319,8 +331,8 @@ class TestPredictRegularized:
         # a larger inflation only turns +1 predictions into -1
         lo, hi = sorted((eps1, eps2))
         n, sub = len(ds), FactorSubset.of(1)
-        at_lo = cv_prediction_error(ds, 2, sub, schedule_for(lo, n)).fold_miss_counts
-        at_hi = cv_prediction_error(ds, 2, sub, schedule_for(hi, n)).fold_miss_counts
+        at_lo = fold_stats(ds, 2, sub, schedule_for(lo, n))[1]
+        at_hi = fold_stats(ds, 2, sub, schedule_for(hi, n))[1]
         for (neg_lo, pos_lo), (neg_hi, pos_hi) in zip(at_lo, at_hi):
             assert neg_hi <= neg_lo and pos_hi >= pos_lo
 
@@ -341,8 +353,9 @@ class TestCvPredictionError:
         expected = transcribed_cv_error(ds, 2, FactorSubset.of(1), sched.value(4))
         assert est.value == expected  # bit-for-bit
         assert expected == 4.0  # every prediction is wrong on this fixture
-        assert est.fold_penalties == ((2.0, 2.0), (2.0, 2.0))
-        assert est.fold_miss_counts == ((1, 1), (1, 1))
+        assert fold_stats(ds, 2, FactorSubset.of(1), sched) == (
+            ((2.0, 2.0), (2.0, 2.0)), ((1, 1), (1, 1))
+        )
 
     @given(ds=small_datasets(min_records=6, max_records=30))
     @settings(max_examples=30, deadline=None)

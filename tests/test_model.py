@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mdrcv.errors import ValidationError
 from mdrcv.model import (
+    MAX_LEVEL,
     Dataset,
     FactorSpace,
     FactorSubset,
@@ -59,6 +60,11 @@ class TestFactorSpace:
 
     def test_space_at_the_cap_accepted(self):
         assert FactorSpace(24, 1).num_points == 2**24
+
+    def test_levels_past_int16_rejected_naming_q(self):
+        assert FactorSpace(1, MAX_LEVEL).q == MAX_LEVEL
+        with pytest.raises(ValidationError, match=f"q=40000 exceeds .* {MAX_LEVEL}$"):
+            FactorSpace(1, 40000)
 
 
 class TestFactorSubset:

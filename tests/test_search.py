@@ -1,12 +1,15 @@
 import json
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdrcv import search
 from mdrcv.errors import ValidationError
+from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_prediction_error
 from mdrcv.model import Dataset, FactorSpace, sample
 from mdrcv.oracle import balanced_penalty, optimal_predictor, prediction_error
 from mdrcv.scenarios import generate_scenario, scenario_a
@@ -104,3 +107,57 @@ class TestRankSubsets:
         assert len(report.entries) == 6 and len(values) == 1
         assert report.selected.indices == (1, 2)
         assert report.to_dict()["tie_tolerance"] == 0.0
+
+
+@st.composite
+def search_inputs(draw):
+    """(dataset, r, K, schedule, subsets per count block) for ``rank_subsets``.
+
+    Levels up to q = 3 and up to 60 records, so N is often below the cell
+    count; fold 1 is sometimes made one-class.
+    """
+    q = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    top = min(n, MAX_SUBSET_SIZE)
+    r = draw(st.one_of(st.just(1), st.just(top), st.integers(1, top)))
+    n_rec = draw(st.integers(2, 60))
+    k = draw(st.integers(2, min(7, n_rec)))
+    xs = draw(st.lists(st.lists(st.integers(0, q), min_size=n, max_size=n),
+                       min_size=n_rec, max_size=n_rec))
+    ys = draw(st.lists(st.sampled_from((-1, 1)), min_size=n_rec, max_size=n_rec))
+    if draw(st.booleans()):
+        ys[: n_rec // k] = [draw(st.sampled_from((-1, 1)))] * (n_rec // k)
+    schedule = draw(st.one_of(
+        st.just(DEFAULT_SCHEDULE),
+        st.builds(EpsilonSchedule, st.floats(0.01, 4.0), st.floats(0.01, 0.49)),
+    ))
+    per_block = draw(st.integers(1, 4))
+    return Dataset(FactorSpace(n, q), xs, ys), r, k, schedule, per_block
+
+
+@given(case=search_inputs())
+@example(case=(  # 6 pairs in blocks of 4; 13 records in 3 folds; 16 cells; fold 1 all +1
+    Dataset(FactorSpace(4, 3),
+            [[i % 4, i // 4 % 4, (i * 3) % 4, 3 - i % 4] for i in range(13)],
+            [1] * 4 + [-1, 1, -1, -1, 1, 1, -1, 1, -1]),
+    2, 3, EpsilonSchedule(0.3, 0.4), 4,
+))
+@example(case=(  # r = n = 4 at q = 2: one subset, 81 cells, 10 records in 4 folds
+    Dataset(FactorSpace(4, 2),
+            [[i % 3, i // 3 % 3, (i * 2) % 3, 2 - i % 3] for i in range(10)],
+            [1, -1] * 5),
+    4, 4, DEFAULT_SCHEDULE, 1,
+))
+@settings(max_examples=80, deadline=None)
+def test_search_kernel_matches_single_subset_estimator(case):
+    ds, r, k, schedule, per_block = case
+    width = k * 2 * (ds.space.q + 1) ** r
+    with mock.patch.object(search, "BLOCK_ENTRIES", per_block * width):
+        report = rank_subsets(ds, r, k, schedule)
+    want = [
+        (s, cv_prediction_error(ds, k, s, schedule).value)
+        for s in enumerate_subsets(ds.space.n, r)
+    ]
+    want.sort(key=lambda e: (e[1], e[0].indices))
+    assert list(report.entries) == want
+    assert report.selected == want[0][0]
