@@ -38,11 +38,8 @@ from .oracle import (
     asymptotic_covariance,
     asymptotic_variance,
     balanced_penalty,
-    consistency_defect,
-    decided_set,
     high_risk_set,
     is_significant,
-    label_advantage,
     optimal_predictor,
     prediction_error,
     subset_oracle,

@@ -6,8 +6,8 @@ Subcommands:
   clt-verify  Monte Carlo check of the limit law of the error estimate
   oracle      print exact quantities for a known distribution
 
-Exit codes: 0 success, 1 usage/input error, 2 numerical or degeneracy
-failure.
+Exit codes: 0 success, 1 usage/input error or out of memory, 2 numerical
+or degeneracy failure.
 """
 
 from __future__ import annotations
@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except MdrError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

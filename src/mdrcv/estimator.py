@@ -107,10 +107,9 @@ DEFAULT_SCHEDULE = EpsilonSchedule()
 
 @dataclass(frozen=True)
 class ErrEstimate:
-    """Cross-validated prediction error and the threshold inflation used."""
+    """Cross-validated prediction error."""
 
     value: float
-    eps: float
 
 
 def fold_cell_counts(
@@ -185,7 +184,7 @@ def cv_prediction_error(
     fold_partition(len(dataset), n_folds)
     eps = schedule.value(len(dataset))
     _, _, counts = dataset_counts(dataset, subset, n_folds)
-    return ErrEstimate(value=float(cv_error_stack(counts, eps)[0]), eps=eps)
+    return ErrEstimate(value=float(cv_error_stack(counts, eps)[0]))
 
 
 def influence_stack(

@@ -64,18 +64,17 @@ class FactorSpace:
         """One axis per factor; its C-order ravel is the point enumeration."""
         return (self.q + 1,) * self.n
 
-    def points(self) -> np.ndarray:
-        """(num_points, n) read-only array of all points in enumeration order.
+    def points(self, ranks: np.ndarray) -> np.ndarray:
+        """(len(ranks), n) int16 levels of the points with the given
+        lexicographic ranks, one ``point_levels`` column per factor.
 
-        Built anew on every call: (q+1)^n x n int16 is several hundred MB
-        near the dense-table cap.  Sampling, cell coding and two presets
-        read levels off ranks with ``point_levels`` instead.
+        No call builds the whole grid: (q+1)^n x n int16 is several
+        hundred MB near the dense-table cap.
         """
-        pts = np.empty(self.grid_shape + (self.n,), dtype=np.int16)
+        ranks = np.asarray(ranks)
+        pts = np.empty((len(ranks), self.n), dtype=np.int16)
         for i in range(1, self.n + 1):
-            pts[..., i - 1] = point_levels(self, i)
-        pts = pts.reshape(-1, self.n)
-        pts.flags.writeable = False
+            pts[:, i - 1] = point_levels(self, i, ranks)
         return pts
 
     def contains(self, x: Sequence[int]) -> bool:
@@ -294,14 +293,9 @@ class JointDistribution:
     def atoms(self) -> list[tuple[tuple[int, ...], int, float]]:
         """Nonzero atoms (x, y, p) in enumeration order."""
         ranks, cols = np.nonzero(self.probs > 0.0)
-        xs = self.space.points()[ranks].tolist()
+        xs = self.space.points(ranks).tolist()
         ps = self.probs[ranks, cols].tolist()
         return [(tuple(x), LABELS[c], p) for x, c, p in zip(xs, cols.tolist(), ps)]
-
-
-def points_where(space: FactorSpace, mask: np.ndarray) -> list[tuple[int, ...]]:
-    """The points whose entry of a per-point mask is true, in enumeration order."""
-    return [tuple(x) for x in space.points()[mask].tolist()]
 
 
 def label_marginal(dist: JointDistribution, y: int) -> float:
@@ -385,11 +379,7 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
     point_rank = (atom_idx >> 1).astype(np.int32)
     ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)
-    space = dist.space
-    xs = np.empty((u.size, space.n), dtype=np.int16)
-    for i in range(1, space.n + 1):
-        xs[:, i - 1] = point_levels(space, i, point_rank)
-    return Dataset(space, xs, ys)
+    return Dataset(dist.space, dist.space.points(point_rank), ys)
 
 
 def save_distribution(dist: JointDistribution, path) -> None:

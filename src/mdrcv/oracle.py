@@ -21,7 +21,6 @@ from .model import (
     cell_conditionals,
     cylinder_masses,
     label_marginal,
-    points_where,
 )
 
 # Separates authored exact ties from double-precision rounding noise in
@@ -50,18 +49,9 @@ class Predictor:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def value_at(self, x: Sequence[int]) -> int:
-        return int(self.values[self.space.rank(x)])
-
     def plus_set(self) -> set[tuple[int, ...]]:
-        return set(points_where(self.space, self.values == 1))
-
-    @classmethod
-    def from_plus_set(cls, space: FactorSpace, plus: set) -> "Predictor":
-        values = np.full(space.num_points, -1, dtype=np.int8)
-        for x in plus:
-            values[space.rank(x)] = 1
-        return cls(space, values)
+        ranks = np.flatnonzero(self.values == 1)
+        return set(map(tuple, self.space.points(ranks).tolist()))
 
 
 def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
@@ -75,13 +65,14 @@ def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
     return PenaltyFunction(1.0 / (1.0 - p_pos), 1.0 / p_pos)
 
 
-def _full_subset(dist: JointDistribution) -> FactorSubset:
-    return FactorSubset(tuple(range(1, dist.space.n + 1)))
-
-
-def _conditional_at_points(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
+def _conditional_at_points(
+    dist: JointDistribution, subset: FactorSubset | None
+) -> np.ndarray:
     """Per point of the table: the cylinder conditional of its cell, 0 on
-    cells without mass.  The full subset gives the pointwise conditional."""
+    cells without mass.  ``subset=None`` reads the pointwise conditional
+    straight off the table."""
+    if subset is None:
+        return cell_conditionals(dist.point_probs(), dist.probs[:, 1])
     tot, pos, codes = cylinder_masses(dist, subset)
     return cell_conditionals(tot, pos)[codes]
 
@@ -107,7 +98,7 @@ def optimal_predictor(
     exceeds the threshold; -1 elsewhere, including off the support.
     ``subset=None`` means all factors, i.e. pointwise conditionals.
     """
-    cond = _conditional_at_points(dist, subset or _full_subset(dist))
+    cond = _conditional_at_points(dist, subset)
     # ties at the threshold resolve to -1: strict inequality, with the
     # tolerance shielding authored exact ties from rounding noise
     plus = dist.support_mask() & (cond > psi.threshold + EQUALITY_TOL)
@@ -127,20 +118,6 @@ def prediction_error(
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
-def label_advantage(
-    dist: JointDistribution, psi: PenaltyFunction, x: Sequence[int]
-) -> float:
-    """Signed gain psi(+1) P(X=x, Y=1) - psi(-1) P(X=x, Y=-1).
-
-    Positive means predicting +1 at x lowers the error; zero off the
-    support and at exact threshold ties.
-    """
-    rank = dist.space.rank(x)
-    return float(
-        psi.psi_pos * dist.probs[rank, 1] - psi.psi_neg * dist.probs[rank, 0]
-    )
-
-
 def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     """Whether the conditional law of Y given X depends only on these factors.
 
@@ -148,53 +125,9 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     support point, within EQUALITY_TOL.
     """
     cell_cond = _conditional_at_points(dist, subset)
-    point_cond = _conditional_at_points(dist, _full_subset(dist))
+    point_cond = _conditional_at_points(dist, None)
     mask = dist.support_mask()
     return bool(np.all(np.abs(point_cond[mask] - cell_cond[mask]) <= EQUALITY_TOL))
-
-
-def decided_set(
-    dist: JointDistribution, psi: PenaltyFunction, subset: FactorSubset
-) -> set[tuple[int, ...]]:
-    """Support points whose cylinder conditional is separated from the
-    threshold (no exact tie); on these the empirical rule converges."""
-    cell_cond = _conditional_at_points(dist, subset)
-    mask = dist.support_mask() & (np.abs(cell_cond - psi.threshold) > EQUALITY_TOL)
-    return set(points_where(dist.space, mask))
-
-
-def consistency_defect(
-    dist: JointDistribution,
-    psi: PenaltyFunction,
-    subset: FactorSubset,
-    fold_decisions: Sequence[Predictor],
-    target: Predictor | None = None,
-) -> float:
-    """Diagnostic sum whose vanishing characterizes consistency of the
-    cross-validated error estimate.
-
-    ``fold_decisions`` holds, per fold, the predictor the algorithm trained
-    on that fold's complement.  Disagreements with ``target`` outside the
-    decided set are weighted by the signed label advantage.  Requires oracle
-    access; never used on the estimation path.
-    """
-    if target is None:
-        target = optimal_predictor(dist, psi, subset)
-    decided = decided_set(dist, psi, subset)
-    sup_pts = [
-        x for x in points_where(dist.space, dist.support_mask()) if x not in decided
-    ]
-    x_plus = [x for x in sup_pts if target.value_at(x) == 1]
-    x_minus = [x for x in sup_pts if target.value_at(x) == -1]
-    total = 0.0
-    for decision in fold_decisions:
-        for x in x_plus:
-            if decision.value_at(x) == -1:
-                total += label_advantage(dist, psi, x)
-        for x in x_minus:
-            if decision.value_at(x) == 1:
-                total -= label_advantage(dist, psi, x)
-    return total
 
 
 def influence_table(dist: JointDistribution, predictor: Predictor) -> np.ndarray:

@@ -64,8 +64,9 @@ def _independent(space: FactorSpace, effect: float) -> JointDistribution:
         raise ValidationError(
             f"independent preset needs a finite nonzero per-factor effect, got {effect}"
         )
-    centered = space.points().astype(np.float64) - space.q / 2.0
-    logit = effect * centered.sum(axis=1)
+    # centered levels are half-integers, so this sum is exact in any order
+    centered = sum(point_levels(space, i) - space.q / 2.0 for i in range(1, space.n + 1))
+    logit = effect * on_points(space, centered)
     with np.errstate(over="ignore"):  # exp overflows to inf: cond is then exactly 0
         cond = 1.0 / (1.0 + np.exp(-logit))
     return JointDistribution.from_conditional(

@@ -45,7 +45,7 @@ def independent_labels():
 def single_factor_table():
     """n=2, q=1: conditional depends on the first factor only."""
     space = FactorSpace(2, 1)
-    pts = space.points()
+    pts = space.points(np.arange(space.num_points))
     cond = np.where(pts[:, 0] == 1, 0.75, 0.25)
     return JointDistribution.from_conditional(
         2, 1, np.full(space.num_points, 0.25), cond

@@ -166,6 +166,26 @@ class TestGenerateScenario:
         assert not is_significant(dist, FactorSubset.of(2))
         assert is_significant(dist, FactorSubset.of(1, 2))
 
+    @given(
+        nq=st.tuples(st.integers(1, 12), st.integers(1, 15)).filter(
+            lambda nq: (nq[1] + 1) ** nq[0] <= 4096
+        ),
+        effect=st.sampled_from((0.5, -0.5, 1 / 3, 700.0, -700.0))
+        | st.floats(-1000, 1000).filter(lambda e: e != 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_independent_matches_grid_formula(self, nq, effect):
+        # the formula the preset used over the materialized point grid
+        n, q = nq
+        grid = np.indices((q + 1,) * n).reshape(n, -1).T
+        logit = effect * (grid.astype(np.float64) - q / 2.0).sum(axis=1)
+        with np.errstate(over="ignore"):
+            cond = 1.0 / (1.0 + np.exp(-logit))
+        m = np.full(len(cond), 1.0 / len(cond))
+        want = np.stack([m * (1.0 - cond), m * cond], axis=1)
+        got = generate_scenario("independent", n, q, effect=effect).probs
+        assert got.tobytes() == want.tobytes()
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValidationError):
             generate_scenario("mystery", n=2, q=1)
@@ -352,4 +372,35 @@ def test_malformed_input_is_one_line_error(make_args, tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_memory_is_one_line_error(tmp_path):
+    # 64^4 cells x 5 folds x 2 labels of int64 counts need 1.25 GiB; only
+    # the child's address space is capped below that
+    import resource
+
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 64, size=(200, 4))
+    x[0] = 63
+    path = tmp_path / "q63.csv"
+    lines = ["X1,X2,X3,X4,Y"]
+    lines += [",".join(map(str, row)) + f",{1 - 2 * (i % 2)}" for i, row in enumerate(x)]
+    path.write_text("\n".join(lines) + "\n")
+    limit = 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    args = ["search", "--data", str(path), "--r", "4", "--K", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdrcv", *args],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        preexec_fn=cap_address_space,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", ""),
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr

@@ -20,7 +20,6 @@ from mdrcv.model import (
     load_distribution,
     on_points,
     point_levels,
-    points_where,
     sample,
     save_distribution,
 )
@@ -36,12 +35,12 @@ class TestFactorSpace:
         assert FactorSpace(3, 2).num_points == 27
 
     def test_enumeration_is_lexicographic(self):
-        pts = FactorSpace(2, 1).points()
+        pts = FactorSpace(2, 1).points(np.arange(4))
         assert [tuple(p) for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_rank_roundtrip(self):
         space = FactorSpace(3, 2)
-        for r, x in enumerate(space.points().tolist()):
+        for r, x in enumerate(space.points(np.arange(space.num_points)).tolist()):
             assert space.rank(x) == r
 
     @pytest.mark.parametrize("n,q", [(0, 1), (1, 0), (-2, 3)])
@@ -148,7 +147,8 @@ class TestJointDistribution:
 
 
 def support(dist):
-    return set(points_where(dist.space, dist.support_mask()))
+    ranks = np.flatnonzero(dist.support_mask())
+    return set(map(tuple, dist.space.points(ranks).tolist()))
 
 
 def cylinder_conditionals(dist, subset):
@@ -197,7 +197,7 @@ class TestCylinderMasses:
         tot, pos, codes = cylinder_masses(n2_partial_support, FactorSubset.of(2))
         assert tot.tolist() == pytest.approx([0.4, 0.6])
         assert pos.tolist() == pytest.approx([0.3, 0.1])
-        pts = n2_partial_support.space.points()
+        pts = n2_partial_support.space.points(np.arange(4))
         assert codes.tolist() == cylinder_codes(pts, FactorSubset.of(2), 1).tolist()
         assert codes.tolist() == [0, 1, 0, 1]
 
@@ -341,22 +341,35 @@ def subsets_of(draw, n):
     return FactorSubset(tuple(sorted(idx)))
 
 
+def grid_reference(space):
+    """Every point in enumeration order, from ``np.indices``."""
+    return np.indices(space.grid_shape).reshape(space.n, -1).T
+
+
 class TestGridFreePath:
     """Factor levels read off point ranks agree bit for bit with the
     materialized point grid they replace."""
 
-    @given(space=spaces())
+    @given(space=spaces(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_points_match_indices_reference(self, space):
-        ref = np.indices(space.grid_shape).reshape(space.n, -1).T
-        pts = space.points()
-        assert pts.dtype == np.int16 and not pts.flags.writeable
+    def test_points_match_indices_reference(self, space, data):
+        ref = grid_reference(space)
+        pts = space.points(np.arange(space.num_points))
+        assert pts.dtype == np.int16 and pts.shape == (space.num_points, space.n)
         assert np.array_equal(pts, ref)
+        ranks = np.array(
+            data.draw(st.lists(st.integers(0, space.num_points - 1), max_size=20)),
+            dtype=np.int64,
+        )
+        got = space.points(ranks)
+        assert got.dtype == np.int16 and got.shape == (ranks.size, space.n)
+        assert np.array_equal(got, ref[ranks])
+        assert space.points(np.array([], dtype=np.int64)).shape == (0, space.n)
 
     @given(space=spaces(), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_point_levels_read_the_grid(self, space, data):
-        pts = space.points()
+        pts = grid_reference(space)
         factor = data.draw(st.integers(1, space.n))
         ranks = np.array(
             data.draw(st.lists(st.integers(0, space.num_points - 1), max_size=20)),
@@ -369,7 +382,7 @@ class TestGridFreePath:
     @settings(max_examples=60, deadline=None)
     def test_table_cell_codes_match_point_coding(self, dist, data):
         subset = data.draw(subsets_of(dist.space.n))
-        pts = dist.space.points()
+        pts = grid_reference(dist.space)
         tot, pos, codes = cylinder_masses(dist, subset)
         want = cylinder_codes(pts, subset, dist.space.q)
         assert codes.dtype == want.dtype and np.array_equal(codes, want)
@@ -387,5 +400,5 @@ class TestGridFreePath:
         u = np.random.default_rng(seed).random(n_records)
         atom = np.searchsorted(dist._cdf, u, side="right")
         ds = sample(dist, n_records, seed)
-        assert np.array_equal(ds.x, dist.space.points()[atom >> 1])
+        assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
         assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))

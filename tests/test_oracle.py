@@ -10,20 +10,20 @@ from mdrcv.model import (
     JointDistribution,
     PenaltyFunction,
     UNIT_PENALTY,
+    cell_conditionals,
+    cylinder_masses,
     label_marginal,
     sample,
 )
 from mdrcv.oracle import (
+    EQUALITY_TOL,
     Predictor,
     asymptotic_covariance,
     asymptotic_variance,
     balanced_penalty,
-    consistency_defect,
-    decided_set,
     high_risk_set,
     influence_table,
     is_significant,
-    label_advantage,
     optimal_predictor,
     prediction_error,
     subset_oracle,
@@ -88,8 +88,9 @@ class TestOptimalPredictor:
 
     def test_off_support_predicts_minus(self, n2_partial_support):
         f = optimal_predictor(n2_partial_support, UNIT_PENALTY)
-        assert f.value_at((1, 0)) == -1
-        assert f.value_at((1, 1)) == -1
+        space = n2_partial_support.space
+        assert f.values[space.rank((1, 0))] == -1
+        assert f.values[space.rank((1, 1))] == -1
 
     def test_exact_tie_resolves_to_minus(self, n2_partial_support):
         # cylinder conditional at u=(0) is 0.4; with threshold 0.4 the
@@ -98,6 +99,19 @@ class TestOptimalPredictor:
         assert psi.threshold == pytest.approx(0.4)
         f = optimal_predictor(n2_partial_support, psi, FactorSubset.of(1))
         assert f.plus_set() == set()
+
+    @given(
+        dist=small_distributions(max_n=3, max_q=2),
+        weights=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pointwise_path_matches_full_subset(self, dist, weights):
+        # the pointwise conditional is read off the table; coding every
+        # factor as a cylinder must give the same predictor
+        full = FactorSubset(tuple(range(1, dist.space.n + 1)))
+        for psi in (PenaltyFunction(*map(float, weights)), balanced_penalty(dist)):
+            f = optimal_predictor(dist, psi)
+            assert np.array_equal(f.values, optimal_predictor(dist, psi, full).values)
 
 
 class TestPredictionError:
@@ -125,34 +139,6 @@ class TestPredictionError:
         )
         f = optimal_predictor(dist, psi)
         assert prediction_error(dist, psi, f) <= best + 1e-12
-
-
-class TestLabelAdvantage:
-    def test_zero_off_support(self, n2_partial_support):
-        assert label_advantage(n2_partial_support, UNIT_PENALTY, (1, 1)) == 0.0
-
-    def test_zero_at_symmetric_atom(self):
-        dist = JointDistribution.from_atoms(
-            1, 1, [((0,), 1, 0.25), ((0,), -1, 0.25), ((1,), 1, 0.25), ((1,), -1, 0.25)]
-        )
-        assert label_advantage(dist, UNIT_PENALTY, (0,)) == 0.0
-
-    def test_zero_at_threshold_under_balanced_weights(self):
-        # P(Y=1|X=x) equals the prevalence at x=(0,): the advantage vanishes
-        dist = JointDistribution.from_atoms(
-            1, 1,
-            [((0,), 1, 0.2), ((0,), -1, 0.3), ((1,), 1, 0.2), ((1,), -1, 0.3)],
-        )
-        psi = balanced_penalty(dist)
-        assert label_advantage(dist, psi, (0,)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_sign_matches_optimal_decision(self, toy_balanced):
-        psi = balanced_penalty(toy_balanced)
-        f = optimal_predictor(toy_balanced, psi)
-        assert label_advantage(toy_balanced, psi, (0,)) > 0
-        assert f.value_at((0,)) == 1
-        assert label_advantage(toy_balanced, psi, (1,)) < 0
-        assert f.value_at((1,)) == -1
 
 
 class TestSignificance:
@@ -186,102 +172,23 @@ class TestSignificance:
                     if set(s.indices) <= set(t.indices):
                         assert flags[t.indices], (s.indices, t.indices)
 
+    @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cylinder_path_reference(self, dist, data):
+        # reference: the pointwise conditional coded through the full subset
+        n = dist.space.n
+        subset = FactorSubset(tuple(sorted(data.draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        ))))
 
-class TestDecidedSet:
-    def test_everything_decided_without_ties(self, toy_balanced):
-        psi = balanced_penalty(toy_balanced)
-        assert decided_set(toy_balanced, psi, FactorSubset.of(1)) == {(0,), (1,)}
+        def at_points(s):
+            tot, pos, codes = cylinder_masses(dist, s)
+            return cell_conditionals(tot, pos)[codes]
 
-    def test_independent_labels_leave_nothing_decided(self, independent_labels):
-        psi = balanced_penalty(independent_labels)
-        for sub in subsets_of_size(2, 1) + subsets_of_size(2, 2):
-            assert decided_set(independent_labels, psi, sub) == set()
-
-    def test_tuned_tie_excluded(self, n2_partial_support):
-        psi = PenaltyFunction(0.4, 0.6)  # threshold 0.4 ties the u=(0) cylinder
-        assert decided_set(n2_partial_support, psi, FactorSubset.of(1)) == set()
-
-
-class TestConsistencyDefect:
-    def test_zero_when_decisions_agree(self, single_factor_table):
-        psi = balanced_penalty(single_factor_table)
-        sub = FactorSubset.of(2)  # not significant: decided set has content
-        f = optimal_predictor(single_factor_table, psi, sub)
-        assert consistency_defect(single_factor_table, psi, sub, [f, f, f]) == 0.0
-
-    def test_zero_when_everything_is_decided(self, toy_balanced):
-        # both support points are strictly separated from the threshold, so
-        # the sums range over no points at all, whatever the decisions do
-        psi = balanced_penalty(toy_balanced)
-        sub = FactorSubset.of(1)
-        space = toy_balanced.space
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            decisions = [
-                Predictor(
-                    space, rng.choice((-1, 1), size=space.num_points).astype(np.int8)
-                )
-                for _ in range(3)
-            ]
-            assert consistency_defect(toy_balanced, psi, sub, decisions) == 0.0
-
-    def test_zero_when_undecided_points_carry_no_advantage(self, independent_labels):
-        # labels independent of the factors under balanced weights: nothing
-        # is decided, but the label advantage vanishes on the whole support
-        psi = balanced_penalty(independent_labels)
-        sub = FactorSubset.of(1)
-        space = independent_labels.space
-        rng = np.random.default_rng(0)
-        decisions = [
-            Predictor(space, rng.choice((-1, 1), size=space.num_points).astype(np.int8))
-            for _ in range(4)
-        ]
-        got = consistency_defect(independent_labels, psi, sub, decisions)
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_for_significant_subset_regardless_of_decisions(
-        self, single_factor_table
-    ):
-        # balanced weights + significant subset: every undecided support
-        # point has zero label advantage, so any decisions sum to zero
-        psi = balanced_penalty(single_factor_table)
-        sub = FactorSubset.of(1)
-        space = single_factor_table.space
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            decisions = [
-                Predictor(
-                    space, rng.choice((-1, 1), size=space.num_points).astype(np.int8)
-                )
-                for _ in range(3)
-            ]
-            got = consistency_defect(single_factor_table, psi, sub, decisions)
-            assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_detects_systematic_disagreement_on_ties(self, n2_partial_support):
-        # threshold 0.4 ties the u=(0) cylinder, so both support points are
-        # undecided; the optimal predictor is all-minus there.  A decision
-        # rule stuck at +1 on (0,0) contributes -L((0,0)) per fold, with
-        # L((0,0)) = 0.6*0.3 - 0.4*0.1 = 0.14.
-        psi = PenaltyFunction(0.4, 0.6)
-        sub = FactorSubset.of(1)
-        space = n2_partial_support.space
-        plus_at_00 = Predictor.from_plus_set(space, {(0, 0)})
-        got = consistency_defect(n2_partial_support, psi, sub, [plus_at_00] * 2)
-        assert got == pytest.approx(-0.28)
-
-    def test_custom_target_exercises_plus_side(self, n2_partial_support):
-        # with an arbitrary target that is +1 at (0,1), all-minus decisions
-        # add L((0,1)) = 0.6*0.1 - 0.4*0.5 = -0.14 per fold
-        psi = PenaltyFunction(0.4, 0.6)
-        sub = FactorSubset.of(1)
-        space = n2_partial_support.space
-        target = Predictor.from_plus_set(space, {(0, 1)})
-        all_minus = Predictor(space, np.full(space.num_points, -1, dtype=np.int8))
-        got = consistency_defect(
-            n2_partial_support, psi, sub, [all_minus] * 3, target=target
-        )
-        assert got == pytest.approx(-0.42)
+        mask = dist.support_mask()
+        gap = at_points(FactorSubset(tuple(range(1, n + 1)))) - at_points(subset)
+        want = bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
+        assert is_significant(dist, subset) == want
 
 
 class TestAsymptoticVariance:

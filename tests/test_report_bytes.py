@@ -1,4 +1,4 @@
-"""Byte-level pins of three small CLI reports.
+"""Byte-level pins of four small CLI reports.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -32,6 +32,13 @@ ORACLE_ARGS = [
 ]
 ORACLE_SHA256 = "a6b240298197411f08f3a97361e3c74ba17ecb8d271bcb21c0f1bde6a2ee5c73"
 
+# Additive main effects: its table is summed from per-factor level grids.
+INDEPENDENT_ORACLE_ARGS = [
+    "oracle", "--preset", "independent", "--n", "4", "--q", "2",
+    "--subsets", "1;1,2",
+]
+INDEPENDENT_ORACLE_SHA256 = "7a67cca8c8af21532cab2e81fc8bff2a3449c3cf8308f4e0aa138798d48aa576"
+
 
 def report_digest(args, path):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -49,3 +56,8 @@ def test_search_report_bytes(tmp_path):
 
 def test_oracle_report_bytes(tmp_path):
     assert report_digest(ORACLE_ARGS, tmp_path / "oracle.json") == ORACLE_SHA256
+
+
+def test_independent_oracle_report_bytes(tmp_path):
+    got = report_digest(INDEPENDENT_ORACLE_ARGS, tmp_path / "independent.json")
+    assert got == INDEPENDENT_ORACLE_SHA256
