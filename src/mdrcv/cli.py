@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -170,8 +171,6 @@ def _cmd_clt_verify(args) -> int:
                             n_replications=args.M, workers=args.workers)
     dist = _resolve_distribution(args)
     subsets = _parse_subsets(args.subsets)
-    for s in subsets:
-        s.validate_for(dist.space)
     scenario = args.preset or args.dist or ""
     report, results = verify_clt(
         dist, subsets, config.n_records, config.n_folds,
@@ -216,8 +215,6 @@ def _cmd_oracle(args) -> int:
     psi = balanced_penalty(dist)
     full = FactorSubset(tuple(range(1, dist.space.n + 1)))
     subsets = _parse_subsets(args.subsets) if args.subsets else [full]
-    for s in subsets:
-        s.validate_for(dist.space)
     doc = {
         "n": dist.space.n,
         "q": dist.space.q,
@@ -302,7 +299,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from nonnegative ints
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -315,6 +314,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,9 +210,10 @@ class JointDistribution:
 
     space: FactorSpace
     probs: np.ndarray
+    copy: InitVar[bool] = True  # False: take over a float64 table built for it
 
-    def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=np.float64)
+    def __post_init__(self, copy: bool) -> None:
+        p = (np.array if copy else np.asarray)(self.probs, dtype=np.float64)
         if p.shape != (self.space.num_points, 2):
             raise ValidationError(
                 f"probs must have shape ({self.space.num_points}, 2), got {p.shape}"
@@ -229,7 +230,7 @@ class JointDistribution:
             raise ValidationError(
                 f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
             )
-        marginal = p.sum(axis=1)
+        marginal = p[:, 0] + p[:, 1]  # bit for bit p.sum(axis=1), about 5x faster
         cdf = np.cumsum(p.ravel())  # atom order: (x0,-1), (x0,+1), (x1,-1), ...
         cdf[-1] = 1.0
         for name, arr in (("probs", p), ("_point_probs", marginal), ("_cdf", cdf)):
@@ -259,7 +260,7 @@ class JointDistribution:
                 raise ValidationError(f"duplicate atom for x={tuple(x)}, y={y}")
             seen.add(key)
             p[key] = prob
-        return cls(space, p)
+        return cls(space, p, copy=False)
 
     @classmethod
     def from_conditional(
@@ -280,8 +281,10 @@ class JointDistribution:
             raise ValidationError("point_probs and cond_pos must cover every point")
         if np.any((c < 0) | (c > 1)):
             raise ValidationError("conditional probabilities must lie in [0, 1]")
-        p = np.stack([m * (1.0 - c), m * c], axis=1)
-        return cls(space, p)
+        p = np.empty((space.num_points, 2))
+        np.multiply(m, 1.0 - c, out=p[:, 0])
+        np.multiply(m, c, out=p[:, 1])
+        return cls(space, p, copy=False)
 
     def point_probs(self) -> np.ndarray:
         """P(X=x) for every point, enumeration order (read-only)."""
@@ -304,20 +307,17 @@ def label_marginal(dist: JointDistribution, y: int) -> float:
 
 
 def cylinder_masses(
-    dist: JointDistribution, subset: FactorSubset
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cylinder cell: (P(X in C), P(Y=1, X in C)), indexed by cell code,
-    and the cell code of every point of the table."""
+    dist: JointDistribution, subset: FactorSubset, within: np.ndarray | None = None
+) -> np.ndarray:
+    """P(X in C, Y=y) per cylinder cell C of the subset, shaped ``grid_shape
+    + (2,)`` with length 1 on the axes of other factors.  ``within``: this
+    array for a superset, to marginalize instead of the whole table."""
     space = dist.space
     subset.validate_for(space)
-    grid = 0
-    for i in subset.indices:
-        grid = grid * (space.q + 1) + point_levels(space, i)
-    codes = on_points(space, grid)
-    cells = cylinder_count(subset, space.q)
-    tot = np.bincount(codes, weights=dist.point_probs(), minlength=cells)
-    pos = np.bincount(codes, weights=dist.probs[:, 1], minlength=cells)
-    return tot, pos, codes
+    table = dist.probs.reshape(space.grid_shape + (2,)) if within is None else within
+    kept = [i - 1 for i in subset.indices] + [space.n]
+    shape = [space.q + 1 if i + 1 in subset.indices else 1 for i in range(space.n)]
+    return np.einsum(table, list(range(space.n + 1)), kept).reshape(shape + [2])
 
 
 def cell_conditionals(tot: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -21,37 +21,59 @@ from .model import (
     cell_conditionals,
     cylinder_masses,
     label_marginal,
+    on_points,
 )
 
 # Separates authored exact ties from double-precision rounding noise in
 # comparisons against the threshold.
 EQUALITY_TOL = 1e-10
 
+BLOCK_POINTS = 2**14  # points per block of an influence reduction: 256 KiB
+
 
 @dataclass(frozen=True)
 class Predictor:
-    """A total function {0..q}^n -> {-1,+1}, stored as a table.
-
-    ``values`` follows the lexicographic point enumeration.
-    """
+    """A total function {0..q}^n -> {-1,+1}, stored as the boolean mask of
+    the points it sends to +1, in the lexicographic point enumeration."""
 
     space: FactorSpace
-    values: np.ndarray
+    plus: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.int8)
-        if v.shape != (self.space.num_points,):
-            raise ValidationError(
-                f"predictor table must cover all {self.space.num_points} points"
-            )
-        if not np.all(np.isin(v, (-1, 1))):
-            raise ValidationError("predictor values must be -1 or +1")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        plus = np.array(self.plus)
+        if plus.dtype != np.bool_ or plus.shape != (self.space.num_points,):
+            raise ValidationError("a predictor needs one bool per point of its space")
+        plus.flags.writeable = False
+        object.__setattr__(self, "plus", plus)
 
     def plus_set(self) -> set[tuple[int, ...]]:
-        ranks = np.flatnonzero(self.values == 1)
+        ranks = np.flatnonzero(self.plus)
         return set(map(tuple, self.space.points(ranks).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class InfluenceTable:
+    """An influence variable v(x, y) = lut[plus[x], y], dense as ``np.asarray``,
+    with its mean E v and two (num_points, 2) work arrays that the tables of
+    one ``subset_oracle`` call share: use those tables from one thread."""
+
+    plus: np.ndarray
+    lut: np.ndarray
+    mean: float
+    buffers: list
+
+    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype
+        return np.take(self.lut, self.plus.view(np.int8), axis=0)
+
+
+def _weighted(weights: np.ndarray, plus: np.ndarray, lut: np.ndarray, out: np.ndarray):
+    """``weights * table`` for the dense table v(x, y) = lut[plus[x], y], bit for
+    bit, into ``out`` a cache-sized block at a time; "clip" keeps take unbuffered."""
+    idx, b = plus.view(np.int8), BLOCK_POINTS
+    for a in range(0, idx.size, b):
+        np.take(lut, idx[a : a + b], axis=0, out=out[a : a + b], mode="clip")
+        np.multiply(weights[a : a + b], out[a : a + b], out=out[a : a + b])
+    return out
 
 
 def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
@@ -65,16 +87,12 @@ def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
     return PenaltyFunction(1.0 / (1.0 - p_pos), 1.0 / p_pos)
 
 
-def _conditional_at_points(
-    dist: JointDistribution, subset: FactorSubset | None
-) -> np.ndarray:
-    """Per point of the table: the cylinder conditional of its cell, 0 on
-    cells without mass.  ``subset=None`` reads the pointwise conditional
-    straight off the table."""
-    if subset is None:
-        return cell_conditionals(dist.point_probs(), dist.probs[:, 1])
-    tot, pos, codes = cylinder_masses(dist, subset)
-    return cell_conditionals(tot, pos)[codes]
+def _conditionals(dist: JointDistribution, subset, within=None) -> np.ndarray:
+    """P(Y=1 | X in C) per cell of the subset (all factors for None), 0 on
+    cells without mass, as an array that broadcasts against the point grid."""
+    subset = subset or FactorSubset(tuple(range(1, dist.space.n + 1)))
+    m = cylinder_masses(dist, subset, within)
+    return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
 
 
 def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> set[tuple[int, ...]]:
@@ -91,30 +109,33 @@ def optimal_predictor(
     dist: JointDistribution,
     psi: PenaltyFunction,
     subset: FactorSubset | None = None,
+    within: np.ndarray | None = None,
 ) -> Predictor:
     """The error-minimizing predictor that looks only at the given factors.
 
     +1 exactly on support points whose cylinder conditional strictly
     exceeds the threshold; -1 elsewhere, including off the support.
-    ``subset=None`` means all factors, i.e. pointwise conditionals.
+    ``subset=None`` means all factors, i.e. pointwise conditionals.  Each cell
+    decides once; ``within``: ``cylinder_masses`` of a superset of the subset.
     """
-    cond = _conditional_at_points(dist, subset)
-    # ties at the threshold resolve to -1: strict inequality, with the
-    # tolerance shielding authored exact ties from rounding noise
-    plus = dist.support_mask() & (cond > psi.threshold + EQUALITY_TOL)
-    if psi.psi_pos == 0.0:
-        plus[:] = False
-    values = np.where(plus, 1, -1).astype(np.int8)
-    return Predictor(dist.space, values)
+    # ties resolve to -1: strict inequality, with the tolerance shielding
+    # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
+    above = _conditionals(dist, subset, within) > psi.threshold + EQUALITY_TOL
+    return Predictor(dist.space, on_points(dist.space, above) & dist.support_mask())
+
+
+def _misses(dist: JointDistribution, predictor: Predictor) -> tuple[float, float]:
+    """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1))."""
+    f = predictor.plus
+    return float(dist.probs[f, 0].sum()), float(dist.probs[~f, 1].sum())
 
 
 def prediction_error(
-    dist: JointDistribution, psi: PenaltyFunction, predictor: Predictor
+    dist: JointDistribution, psi: PenaltyFunction, predictor: Predictor, misses=None
 ) -> float:
-    """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y)."""
-    f = predictor.values
-    miss_neg = float(dist.probs[f == 1, 0].sum())   # true -1, predicted +1
-    miss_pos = float(dist.probs[f == -1, 1].sum())  # true +1, predicted -1
+    """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y); pass
+    ``misses`` when the two masses of ``_misses`` are at hand."""
+    miss_neg, miss_pos = misses or _misses(dist, predictor)
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
@@ -124,74 +145,76 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
     support point, within EQUALITY_TOL.
     """
-    cell_cond = _conditional_at_points(dist, subset)
-    point_cond = _conditional_at_points(dist, None)
-    mask = dist.support_mask()
-    return bool(np.all(np.abs(point_cond[mask] - cell_cond[mask]) <= EQUALITY_TOL))
+    gap = on_points(dist.space, _conditionals(dist, None) - _conditionals(dist, subset))
+    return bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
 
 
-def influence_table(dist: JointDistribution, predictor: Predictor) -> np.ndarray:
-    """Per-atom values of the influence variable behind the CLT.
-
-    Shape (num_points, 2), columns y = -1 and y = +1:
+def influence_table(
+    dist: JointDistribution, predictor: Predictor, misses=None, buffers=None
+) -> InfluenceTable:
+    """The influence variable behind the CLT, columns y = -1 and y = +1:
 
         v(x, y) = (2 / P(Y=y)) * (1{f(x) != y} - P(f(X) != y | Y=y))
 
     with f the given predictor; the CLT scale of a subset's cross-validated
     error uses its optimal predictor under balanced penalties.  The mean of
-    v under the distribution is exactly zero.
+    v under the distribution is exactly zero.  ``misses`` as for
+    ``prediction_error``; ``buffers``: another table's, to share them.
     """
-    f = predictor.values
     p_pos = label_marginal(dist, 1)
     p_neg = 1.0 - p_pos
-    miss_neg = float(dist.probs[f == 1, 0].sum()) / p_neg
-    miss_pos = float(dist.probs[f == -1, 1].sum()) / p_pos
-    v = np.empty((dist.space.num_points, 2))
-    v[:, 0] = (2.0 / p_neg) * ((f == 1).astype(float) - miss_neg)
-    v[:, 1] = (2.0 / p_pos) * ((f == -1).astype(float) - miss_pos)
-    return v
+    miss_neg, miss_pos = misses or _misses(dist, predictor)
+    lut = np.empty((2, 2))  # row 1 holds the points f sends to +1
+    lut[:, 0] = (2.0 / p_neg) * (np.array([0.0, 1.0]) - miss_neg / p_neg)
+    lut[:, 1] = (2.0 / p_pos) * (np.array([1.0, 0.0]) - miss_pos / p_pos)
+    buffers = buffers or [np.empty((dist.space.num_points, 2)) for _ in range(2)]
+    mean = float(_weighted(dist.probs, predictor.plus, lut, buffers[1]).sum())
+    return InfluenceTable(predictor.plus, lut, mean, buffers)
 
 
 def subset_oracle(
     dist: JointDistribution, subsets: Sequence[FactorSubset]
-) -> tuple[tuple[float, ...], list[np.ndarray]]:
+) -> tuple[tuple[float, ...], list[InfluenceTable]]:
     """Per subset, the exact error of its balanced-penalty optimal predictor
-    and that predictor's ``influence_table``: one predictor per subset.
-
-    ``run_replications`` takes the errors; ``asymptotic_variance`` and
-    ``asymptotic_covariance`` take the tables.
+    and that predictor's ``influence_table``: one predictor per subset, its
+    cells decided on the table's marginal over the union of the subsets.
+    ``run_replications`` takes the errors; ``asymptotic_*`` take the tables.
     """
+    for s in subsets:
+        s.validate_for(dist.space)
+    union = tuple(sorted({i for s in subsets for i in s.indices}))
+    within = cylinder_masses(dist, FactorSubset(union)) if union else None
     psi = balanced_penalty(dist)
-    predictors = [optimal_predictor(dist, psi, s) for s in subsets]
-    errors = tuple(prediction_error(dist, psi, f) for f in predictors)
-    return errors, [influence_table(dist, f) for f in predictors]
+    errors, tables = [], []
+    for s in subsets:
+        f = optimal_predictor(dist, psi, s, within)
+        misses = _misses(dist, f)
+        errors.append(prediction_error(dist, psi, f, misses))
+        tables.append(influence_table(dist, f, misses, tables and tables[0].buffers))
+    return tuple(errors), tables
 
 
-def asymptotic_variance(dist: JointDistribution, table: np.ndarray) -> float:
+def asymptotic_variance(dist: JointDistribution, table: InfluenceTable) -> float:
     """Exact variance of an influence variable given by its ``influence_table``;
     the CLT scale for the cross-validated error of that table's predictor."""
-    mean = float((dist.probs * table).sum())
+    mean = table.mean
     if abs(mean) > 1e-12:
         raise ValidationError(f"influence variable mean {mean} not zero; table corrupt?")
-    var = float((dist.probs * (table - mean) ** 2).sum())
-    return var
+    d2 = (table.lut - mean) ** 2
+    return float(_weighted(dist.probs, table.plus, d2, table.buffers[1]).sum())
 
 
 def asymptotic_covariance(
-    dist: JointDistribution, tables: Sequence[np.ndarray]
+    dist: JointDistribution, tables: Sequence[InfluenceTable]
 ) -> np.ndarray:
     """Exact covariance matrix of several influence variables, one
     ``influence_table`` per subset."""
     if len(tables) < 1:
         raise ValidationError("need at least one subset")
-    means = [float((dist.probs * v).sum()) for v in tables]
-    s = len(tables)
-    c = np.zeros((s, s))
-    for i in range(s):
-        for j in range(i, s):
-            cij = float(
-                (dist.probs * (tables[i] - means[i]) * (tables[j] - means[j])).sum()
-            )
-            c[i, j] = cij
-            c[j, i] = cij
+    w, x = tables[0].buffers
+    c = np.zeros((len(tables), len(tables)))
+    for i, ti in enumerate(tables):
+        _weighted(dist.probs, ti.plus, ti.lut - ti.mean, w)  # then (p * d_i) * d_j
+        for j, tj in enumerate(tables[i:], start=i):
+            c[i, j] = c[j, i] = float(_weighted(w, tj.plus, tj.lut - tj.mean, x).sum())
     return c

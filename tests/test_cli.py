@@ -404,3 +404,23 @@ def test_out_of_memory_is_one_line_error(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # the reader of stdout is gone before the ranking is written, as when
+    # the output goes through `| head`
+    args = ["simulate", "--preset", "pair-epistasis", "--n", "6", "--q", "1",
+            "--N", "2000", "--seed", "7", "--out", str(tmp_path / "d.csv")]
+    assert main(args) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdrcv", "search", "--data", "d.csv", "--r", "2", "--K", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, timeout=60,
+            env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -153,7 +153,8 @@ def support(dist):
 
 def cylinder_conditionals(dist, subset):
     """P(Y=1 | cell) per cylinder cell, indexed by cell code."""
-    return cell_conditionals(*cylinder_masses(dist, subset)[:2])
+    m = cylinder_masses(dist, subset).reshape(-1, 2)
+    return cell_conditionals(m[:, 0] + m[:, 1], m[:, 1])
 
 
 class TestSupport:
@@ -194,12 +195,16 @@ class TestCylinderConditional:
 
 class TestCylinderMasses:
     def test_masses_and_codes(self, n2_partial_support):
-        tot, pos, codes = cylinder_masses(n2_partial_support, FactorSubset.of(2))
-        assert tot.tolist() == pytest.approx([0.4, 0.6])
-        assert pos.tolist() == pytest.approx([0.3, 0.1])
+        m = cylinder_masses(n2_partial_support, FactorSubset.of(2))
+        assert m.shape == (1, 2, 2)
+        assert m[0, :, 0].tolist() == pytest.approx([0.1, 0.5])
+        assert m[0, :, 1].tolist() == pytest.approx([0.3, 0.1])
+        # cell codes enumerate the cells in the order of the kept axes
         pts = n2_partial_support.space.points(np.arange(4))
-        assert codes.tolist() == cylinder_codes(pts, FactorSubset.of(2), 1).tolist()
+        codes = cylinder_codes(pts, FactorSubset.of(2), 1)
         assert codes.tolist() == [0, 1, 0, 1]
+        want = np.bincount(codes, weights=n2_partial_support.probs[:, 1], minlength=2)
+        assert np.array_equal(m.reshape(-1, 2)[:, 1], want)
 
     def test_cell_conditionals_zero_on_empty_cells(self):
         got = cell_conditionals(np.array([4, 0, 2]), np.array([1, 0, 2]))
@@ -381,14 +386,23 @@ class TestGridFreePath:
     @given(dist=small_distributions(max_n=3, max_q=3), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_table_cell_codes_match_point_coding(self, dist, data):
+        # the table's marginal, in cell-code order, sums the same atoms as
+        # a bincount over every point's cell code; so does marginalizing
+        # the marginal of a superset
         subset = data.draw(subsets_of(dist.space.n))
-        pts = grid_reference(dist.space)
-        tot, pos, codes = cylinder_masses(dist, subset)
-        want = cylinder_codes(pts, subset, dist.space.q)
-        assert codes.dtype == want.dtype and np.array_equal(codes, want)
-        cells = tot.size
-        assert np.array_equal(tot, np.bincount(want, weights=dist.point_probs(), minlength=cells))
-        assert np.array_equal(pos, np.bincount(want, weights=dist.probs[:, 1], minlength=cells))
+        superset = FactorSubset(tuple(sorted(
+            set(subset.indices) | set(data.draw(subsets_of(dist.space.n)).indices)
+        )))
+        codes = cylinder_codes(grid_reference(dist.space), subset, dist.space.q)
+        cells = (dist.space.q + 1) ** subset.r
+        want = np.stack([
+            np.bincount(codes, weights=dist.probs[:, y], minlength=cells) for y in (0, 1)
+        ], axis=1)
+        shape = [dist.space.q + 1 if i in subset.indices else 1 for i in range(1, dist.space.n + 1)]
+        for within in (None, cylinder_masses(dist, superset)):
+            got = cylinder_masses(dist, subset, within)
+            assert got.shape == tuple(shape) + (2,)
+            np.testing.assert_allclose(got.reshape(-1, 2), want, rtol=1e-13, atol=1e-16)
 
     @given(
         dist=small_distributions(max_n=3, max_q=3),

@@ -1,8 +1,9 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdrcv.model import (
@@ -10,8 +11,6 @@ from mdrcv.model import (
     JointDistribution,
     PenaltyFunction,
     UNIT_PENALTY,
-    cell_conditionals,
-    cylinder_masses,
     label_marginal,
     sample,
 )
@@ -29,13 +28,16 @@ from mdrcv.oracle import (
     subset_oracle,
 )
 
+from mdrcv.scenarios import PRESETS, generate_scenario
+
+import dense_oracle
 from conftest import small_distributions
 
 
 def all_predictors(space):
     """Brute-force enumeration of every {-1,+1}-valued table."""
-    for values in itertools.product((-1, 1), repeat=space.num_points):
-        yield Predictor(space, np.array(values, dtype=np.int8))
+    for plus in itertools.product((False, True), repeat=space.num_points):
+        yield Predictor(space, np.array(plus))
 
 
 def subsets_of_size(n, r):
@@ -89,8 +91,8 @@ class TestOptimalPredictor:
     def test_off_support_predicts_minus(self, n2_partial_support):
         f = optimal_predictor(n2_partial_support, UNIT_PENALTY)
         space = n2_partial_support.space
-        assert f.values[space.rank((1, 0))] == -1
-        assert f.values[space.rank((1, 1))] == -1
+        assert not f.plus[space.rank((1, 0))]
+        assert not f.plus[space.rank((1, 1))]
 
     def test_exact_tie_resolves_to_minus(self, n2_partial_support):
         # cylinder conditional at u=(0) is 0.4; with threshold 0.4 the
@@ -111,7 +113,7 @@ class TestOptimalPredictor:
         full = FactorSubset(tuple(range(1, dist.space.n + 1)))
         for psi in (PenaltyFunction(*map(float, weights)), balanced_penalty(dist)):
             f = optimal_predictor(dist, psi)
-            assert np.array_equal(f.values, optimal_predictor(dist, psi, full).values)
+            assert np.array_equal(f.plus, optimal_predictor(dist, psi, full).plus)
 
 
 class TestPredictionError:
@@ -122,7 +124,7 @@ class TestPredictionError:
     def test_constant_plus_counts_negative_mass(self, n2_partial_support):
         # f == +1, unit weights: only the y=-1 mass contributes, 2 * 0.6
         space = n2_partial_support.space
-        f = Predictor(space, np.ones(space.num_points, dtype=np.int8))
+        f = Predictor(space, np.ones(space.num_points, dtype=bool))
         assert prediction_error(n2_partial_support, UNIT_PENALTY, f) == pytest.approx(1.2)
 
     def test_toy_table_optimal_error(self, toy_balanced):
@@ -181,10 +183,7 @@ class TestSignificance:
             st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
         ))))
 
-        def at_points(s):
-            tot, pos, codes = cylinder_masses(dist, s)
-            return cell_conditionals(tot, pos)[codes]
-
+        at_points = functools.partial(dense_oracle.conditional_at_points, dist)
         mask = dist.support_mask()
         gap = at_points(FactorSubset(tuple(range(1, n + 1)))) - at_points(subset)
         want = bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
@@ -204,15 +203,17 @@ class TestAsymptoticVariance:
         assert got == pytest.approx(2.56, abs=1e-12)
 
     def test_conditional_means_vanish_per_label(self, toy_balanced):
-        _, (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
+        _, (table,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
+        v = np.asarray(table)
         p = toy_balanced.probs
         for col in (0, 1):
             cond_mean = float((p[:, col] * v[:, col]).sum()) / float(p[:, col].sum())
             assert cond_mean == pytest.approx(0.0, abs=1e-12)
 
     def test_monte_carlo_cross_check(self, toy_balanced):
-        _, (v,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
-        sigma2 = asymptotic_variance(toy_balanced, v)
+        _, (table,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
+        sigma2 = asymptotic_variance(toy_balanced, table)
+        v = np.asarray(table)
         # exact fourth moment gives the standard error of the sample variance
         p = toy_balanced.probs
         fourth = float((p * v**4).sum())
@@ -259,8 +260,9 @@ class TestAsymptoticCovariance:
     def test_monte_carlo_cross_check_two_subsets(self, conditionally_independent_pair):
         dist = conditionally_independent_pair
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
-        _, (v1, v2) = subset_oracle(dist, subs)
-        c = asymptotic_covariance(dist, [v1, v2])
+        _, tables = subset_oracle(dist, subs)
+        c = asymptotic_covariance(dist, tables)
+        v1, v2 = map(np.asarray, tables)
         p = dist.probs
         var_prod = float((p * (v1 * v2) ** 2).sum()) - c[0, 1] ** 2
         n = 10**6
@@ -287,27 +289,34 @@ class TestPenaltyScaling:
         assert high_risk_set(dist, scaled) == high_risk_set(dist, psi)
         f = optimal_predictor(dist, psi)
         g = optimal_predictor(dist, scaled)
-        assert np.array_equal(f.values, g.values)
+        assert np.array_equal(f.plus, g.plus)
         assert prediction_error(dist, scaled, f) == c * prediction_error(dist, psi, f)
 
 
-def composite_influence_table(dist, subset):
-    """The influence table as one function of (dist, subset): the balanced
-    optimal predictor and its per-class miss rates, written out inline."""
-    f = optimal_predictor(dist, balanced_penalty(dist), subset).values
-    p_pos = label_marginal(dist, 1)
-    p_neg = 1.0 - p_pos
-    miss_neg = float(dist.probs[f == 1, 0].sum()) / p_neg
-    miss_pos = float(dist.probs[f == -1, 1].sum()) / p_pos
-    v = np.empty((dist.space.num_points, 2))
-    v[:, 0] = (2.0 / p_neg) * ((f == 1).astype(float) - miss_neg)
-    v[:, 1] = (2.0 / p_pos) * ((f == -1).astype(float) - miss_pos)
-    return v
+def spread_subsets(n):
+    """Subsets that skip leading factors, overlap, nest and repeat."""
+    picks = [(n,), (2, n), (1, 2), (2, 5), (1, n), (2, 3), tuple(range(1, n + 1)), (2, n)]
+    kept = [tuple(sorted({i for i in p if i <= n})) for p in picks]
+    return [FactorSubset(k) for k in kept if k]
 
 
 class TestOracleFromTables:
-    """The reductions over prebuilt predictors and influence tables equal
-    the composite per-subset expressions bit for bit."""
+    """Per-cell decisions and two-value influence lookups reproduce the
+    dense recipe of ``dense_oracle`` bit for bit."""
+
+    @staticmethod
+    def assert_matches_dense(dist, subsets):
+        errors, tables = subset_oracle(dist, subsets)
+        want_errors, want_vars, want_cov = dense_oracle.oracle(dist, subsets)
+        assert errors == want_errors
+        assert [asymptotic_variance(dist, t) for t in tables] == want_vars
+        assert np.array_equal(asymptotic_covariance(dist, tables), want_cov)
+        psi = balanced_penalty(dist)
+        for s, t in zip(subsets, tables):
+            plus = dense_oracle.plus_mask(dist, psi, s)
+            assert np.array_equal(optimal_predictor(dist, psi, s).plus, plus)
+            assert np.array_equal(np.asarray(t), dense_oracle.influence(dist, plus))
+            assert t.mean == float((dist.probs * dense_oracle.influence(dist, plus)).sum())
 
     @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -318,29 +327,43 @@ class TestOracleFromTables:
             .map(lambda idx: FactorSubset(tuple(sorted(idx)))),
             min_size=1, max_size=3,
         ))
-        errors, tables = subset_oracle(dist, subsets)
+        self.assert_matches_dense(dist, subsets)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1), (6, 2)])
+    def test_presets_match_dense_recipe(self, preset, n, q):
+        dist = generate_scenario(preset, n, q)
+        self.assert_matches_dense(dist, spread_subsets(n))
         psi = balanced_penalty(dist)
-        composite = [composite_influence_table(dist, s) for s in subsets]
-        for s, err, v, ref in zip(subsets, errors, tables, composite):
-            assert err == prediction_error(dist, psi, optimal_predictor(dist, psi, s))
-            assert np.array_equal(v, ref)
-            mean = float((dist.probs * ref).sum())
-            assert asymptotic_variance(dist, v) == float((dist.probs * (ref - mean) ** 2).sum())
-        means = [float((dist.probs * ref).sum()) for ref in composite]
-        c = asymptotic_covariance(dist, tables)
-        for i, j in itertools.product(range(len(subsets)), repeat=2):
-            a, b = min(i, j), max(i, j)
-            want = float(
-                (dist.probs * (composite[a] - means[a]) * (composite[b] - means[b])).sum()
-            )
-            assert c[i, j] == want
+        assert high_risk_set(dist, psi) == set(map(tuple, dist.space.points(
+            np.flatnonzero(dense_oracle.plus_mask(dist, psi))).tolist()))
+        point_cond = dense_oracle.conditional_at_points(dist)
+        mask = dist.support_mask()
+        for s in spread_subsets(n):
+            gap = point_cond - dense_oracle.conditional_at_points(dist, s)
+            assert is_significant(dist, s) == bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
+
+    @given(
+        dist=small_distributions(max_n=3, max_q=2),
+        zeros=st.lists(st.integers(0, 26), max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_mass_points_match_dense_recipe(self, dist, zeros, data):
+        # points without mass stay -1 even inside cells that are flagged
+        probs = dist.probs.copy()
+        probs[[z % dist.space.num_points for z in zeros]] = 0.0
+        assume(probs[:, 0].sum() > 0 and probs[:, 1].sum() > 0)
+        dist = JointDistribution(dist.space, probs / probs.sum())
+        subsets = spread_subsets(dist.space.n)[: data.draw(st.integers(1, 8))]
+        self.assert_matches_dense(dist, subsets)
 
     @given(dist=small_distributions(max_n=2, max_q=2), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_any_predictor_has_centered_influence(self, dist, data):
-        values = data.draw(st.lists(
-            st.sampled_from((-1, 1)),
-            min_size=dist.space.num_points, max_size=dist.space.num_points,
+        plus = data.draw(st.lists(
+            st.booleans(), min_size=dist.space.num_points, max_size=dist.space.num_points,
         ))
-        v = influence_table(dist, Predictor(dist.space, values))
-        assert abs(float((dist.probs * v).sum())) <= 1e-12
+        v = influence_table(dist, Predictor(dist.space, np.array(plus)))
+        assert abs(float((dist.probs * np.asarray(v)).sum())) <= 1e-12
+        assert v.mean == float((dist.probs * np.asarray(v)).sum())
