@@ -36,6 +36,7 @@ from .model import (
 from .oracle import (
     Predictor,
     asymptotic_covariance,
+    asymptotic_moments,
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,

@@ -30,8 +30,7 @@ from .model import (
     sample,
 )
 from .oracle import (
-    asymptotic_covariance,
-    asymptotic_variance,
+    asymptotic_moments,
     balanced_penalty,
     high_risk_set,
     is_significant,
@@ -224,17 +223,18 @@ def _cmd_oracle(args) -> int:
         "high_risk_set": sorted(list(x) for x in high_risk_set(dist, psi)),
     }
     errors, tables = subset_oracle(dist, subsets)
+    variances, cov = asymptotic_moments(dist, tables)
     doc["subsets"] = [
         {
             "indices": list(s.indices),
             "significant": is_significant(dist, s),
             "error": err,
-            "asymptotic_variance": asymptotic_variance(dist, table),
+            "asymptotic_variance": var,
         }
-        for s, err, table in zip(subsets, errors, tables)
+        for s, err, var in zip(subsets, errors, variances)
     ]
     if len(subsets) > 1:
-        doc["asymptotic_covariance"] = asymptotic_covariance(dist, tables).tolist()
+        doc["asymptotic_covariance"] = cov.tolist()
     print(f"threshold: {doc['threshold']:.6f}   "
           f"P(Y=1): {doc['label_marginal_pos']:.6f}")
     for entry in doc["subsets"]:

@@ -29,7 +29,7 @@ from .estimator import (
 )
 from .linalg import inv_sqrt_symmetric
 from .model import FactorSubset, JointDistribution, sample
-from .oracle import asymptotic_covariance, asymptotic_variance, subset_oracle
+from .oracle import asymptotic_moments, subset_oracle
 
 # Asymptotic Kolmogorov-Smirnov critical value at the 1% level is
 # 1.63 / sqrt(M); the self-normalized variants get a looser cap because
@@ -369,8 +369,8 @@ def verify_clt(
     checks, and the joint check when more than one subset is given."""
     subsets = list(subsets)
     oracle_errors, tables = subset_oracle(dist, subsets)
-    oracle_vars = [asymptotic_variance(dist, v) for v in tables]
-    oracle_cov = asymptotic_covariance(dist, tables) if len(subsets) > 1 else None
+    oracle_vars, oracle_cov = asymptotic_moments(dist, tables)
+    oracle_cov = oracle_cov if len(subsets) > 1 else None
     results = run_replications(
         dist, subsets, oracle_errors, n_records, n_folds, schedule,
         n_replications, master_seed, workers=workers,

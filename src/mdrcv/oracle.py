@@ -8,7 +8,7 @@ the data-driven counterparts live in ``estimator``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .model import (
 # comparisons against the threshold.
 EQUALITY_TOL = 1e-10
 
-BLOCK_POINTS = 2**14  # points per block of an influence reduction: 256 KiB
+# Most float64s one ``.sum()`` call of a replayed pairwise sum adds: 512 KiB.
+LEAF_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -54,26 +55,84 @@ class Predictor:
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
     """An influence variable v(x, y) = lut[plus[x], y], dense as ``np.asarray``,
-    with its mean E v and two (num_points, 2) work arrays that the tables of
-    one ``subset_oracle`` call share: use those tables from one thread."""
+    with its mean E v; an immutable value."""
 
     plus: np.ndarray
     lut: np.ndarray
     mean: float
-    buffers: list
+
+    def __post_init__(self) -> None:
+        for name in ("plus", "lut"):
+            arr = np.asarray(getattr(self, name))
+            if arr.flags.writeable:  # a predictor's mask is read-only already
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __array__(self, dtype=None, copy=None):  # numpy casts to dtype
-        return np.take(self.lut, self.plus.view(np.int8), axis=0)
+        return _expand(self.lut, self.plus)
 
 
-def _weighted(weights: np.ndarray, plus: np.ndarray, lut: np.ndarray, out: np.ndarray):
-    """``weights * table`` for the dense table v(x, y) = lut[plus[x], y], bit for
-    bit, into ``out`` a cache-sized block at a time; "clip" keeps take unbuffered."""
-    idx, b = plus.view(np.int8), BLOCK_POINTS
-    for a in range(0, idx.size, b):
-        np.take(lut, idx[a : a + b], axis=0, out=out[a : a + b], mode="clip")
-        np.multiply(weights[a : a + b], out[a : a + b], out=out[a : a + b])
-    return out
+def _expand(lut: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """The (len(plus), 2) rows lut[plus[x], :] of a two-valued table."""
+    return np.take(lut, plus.view(np.int8), axis=0)
+
+
+def _split(n: int) -> int:
+    """Where numpy's pairwise sum of n float64s splits them, or 0 for a leaf.
+
+    numpy splits at ``n2 = n // 2; n2 -= n2 % 8`` down to 128 elements, which
+    it adds in an unrolled loop; a replay stops at LEAF_ELEMENTS or there and
+    lets ``.sum()`` do the rest, which gives the same bits."""
+    if n <= max(LEAF_ELEMENTS, 128):
+        return 0
+    n2 = n // 2
+    return n2 - n2 % 8
+
+
+def _leaves(n: int) -> list[int]:
+    """The leaf lengths of the pairwise tree over n elements, left to right."""
+    n2 = _split(n)
+    return _leaves(n2) + _leaves(n - n2) if n2 else [n]
+
+
+def _combine(n: int, leaf_sums) -> float:
+    """Add leaf sums (an iterator, left to right) back up the tree over n."""
+    n2 = _split(n)
+    return _combine(n2, leaf_sums) + _combine(n - n2, leaf_sums) if n2 else next(leaf_sums)
+
+
+def _table_sums(
+    dist: JointDistribution,
+    plus_masks: Sequence[np.ndarray],
+    terms: Callable[[np.ndarray, list], Iterable[np.ndarray]],
+    lengths: Sequence[int],
+) -> list[float]:
+    """``.sum()`` of each term's values, bit for bit, in one pass over the
+    table and without a table-sized array.
+
+    ``terms(p, plus)`` yields, for the probs rows ``p`` and the masks' rows
+    ``plus`` of one block of points, each term's next values in order; term
+    t has ``lengths[t]`` values in all.  The blocks are the leaves of the
+    pairwise tree over the flattened (num_points, 2) table, so a term with
+    one value per entry sums each block whole; a shorter term carries its
+    values over into its own tree's leaves.  Leaf sums add up each tree.
+    """
+    todo = [_leaves(n)[::-1] for n in lengths]  # each term's leaves, next last
+    sums = [[] for _ in lengths]
+    carry = [np.empty(0)] * len(lengths)
+    a = 0
+    for size in _leaves(dist.probs.size):  # splits of an even length are even
+        b = a + size // 2
+        for t, v in enumerate(terms(dist.probs[a:b], [m[a:b] for m in plus_masks])):
+            v = np.concatenate((carry[t], v.ravel())) if carry[t].size else v.ravel()
+            i = 0
+            while todo[t] and v.size - i >= todo[t][-1]:
+                sums[t].append(v[i : i + todo[t][-1]].sum())
+                i += todo[t].pop()
+            carry[t] = v[i:] if i < v.size else np.empty(0)  # drop the block
+        a = b
+    return [float(_combine(n, iter(s))) for n, s in zip(lengths, sums)]
 
 
 def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
@@ -124,10 +183,19 @@ def optimal_predictor(
     return Predictor(dist.space, on_points(dist.space, above) & dist.support_mask())
 
 
-def _misses(dist: JointDistribution, predictor: Predictor) -> tuple[float, float]:
-    """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1))."""
-    f = predictor.plus
-    return float(dist.probs[f, 0].sum()), float(dist.probs[~f, 1].sum())
+def _misses(dist: JointDistribution, plus_masks) -> list[tuple[float, float]]:
+    """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1)) per predictor mask, bit for bit
+    ``probs[f, 0].sum()`` and ``probs[~f, 1].sum()``: one pass of block gathers."""
+    counts = [int(np.count_nonzero(f)) for f in plus_masks]
+    P = dist.space.num_points
+
+    def terms(p, plus):
+        for f in plus:
+            yield p[:, 0][f]
+            yield p[:, 1][~f]
+
+    sums = _table_sums(dist, plus_masks, terms, [n for k in counts for n in (k, P - k)])
+    return list(zip(sums[::2], sums[1::2]))
 
 
 def prediction_error(
@@ -135,7 +203,7 @@ def prediction_error(
 ) -> float:
     """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y); pass
     ``misses`` when the two masses of ``_misses`` are at hand."""
-    miss_neg, miss_pos = misses or _misses(dist, predictor)
+    miss_neg, miss_pos = misses or _misses(dist, [predictor.plus])[0]
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
@@ -150,7 +218,7 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
 
 
 def influence_table(
-    dist: JointDistribution, predictor: Predictor, misses=None, buffers=None
+    dist: JointDistribution, predictor: Predictor, misses=None
 ) -> InfluenceTable:
     """The influence variable behind the CLT, columns y = -1 and y = +1:
 
@@ -159,17 +227,28 @@ def influence_table(
     with f the given predictor; the CLT scale of a subset's cross-validated
     error uses its optimal predictor under balanced penalties.  The mean of
     v under the distribution is exactly zero.  ``misses`` as for
-    ``prediction_error``; ``buffers``: another table's, to share them.
+    ``prediction_error``.
     """
+    misses = misses or _misses(dist, [predictor.plus])[0]
+    return _influence_tables(dist, [predictor.plus], [misses])[0]
+
+
+def _influence_tables(dist: JointDistribution, plus_masks, misses) -> list[InfluenceTable]:
+    """``influence_table`` of each mask, given its misses: one pass for the means."""
     p_pos = label_marginal(dist, 1)
     p_neg = 1.0 - p_pos
-    miss_neg, miss_pos = misses or _misses(dist, predictor)
-    lut = np.empty((2, 2))  # row 1 holds the points f sends to +1
-    lut[:, 0] = (2.0 / p_neg) * (np.array([0.0, 1.0]) - miss_neg / p_neg)
-    lut[:, 1] = (2.0 / p_pos) * (np.array([1.0, 0.0]) - miss_pos / p_pos)
-    buffers = buffers or [np.empty((dist.space.num_points, 2)) for _ in range(2)]
-    mean = float(_weighted(dist.probs, predictor.plus, lut, buffers[1]).sum())
-    return InfluenceTable(predictor.plus, lut, mean, buffers)
+    luts = []
+    for miss_neg, miss_pos in misses:
+        lut = np.empty((2, 2))  # row 1 holds the points f sends to +1
+        lut[:, 0] = (2.0 / p_neg) * (np.array([0.0, 1.0]) - miss_neg / p_neg)
+        lut[:, 1] = (2.0 / p_pos) * (np.array([1.0, 0.0]) - miss_pos / p_pos)
+        luts.append(lut)
+
+    def terms(p, plus):
+        return (p * _expand(lut, f) for lut, f in zip(luts, plus))
+
+    means = _table_sums(dist, plus_masks, terms, [dist.probs.size] * len(luts))
+    return [InfluenceTable(f, lut, mean) for f, lut, mean in zip(plus_masks, luts, means)]
 
 
 def subset_oracle(
@@ -185,23 +264,47 @@ def subset_oracle(
     union = tuple(sorted({i for s in subsets for i in s.indices}))
     within = cylinder_masses(dist, FactorSubset(union)) if union else None
     psi = balanced_penalty(dist)
-    errors, tables = [], []
-    for s in subsets:
-        f = optimal_predictor(dist, psi, s, within)
-        misses = _misses(dist, f)
-        errors.append(prediction_error(dist, psi, f, misses))
-        tables.append(influence_table(dist, f, misses, tables and tables[0].buffers))
-    return tuple(errors), tables
+    predictors = [optimal_predictor(dist, psi, s, within) for s in subsets]
+    masks = [f.plus for f in predictors]
+    misses = _misses(dist, masks)
+    errors = tuple(prediction_error(dist, psi, f, m) for f, m in zip(predictors, misses))
+    return errors, _influence_tables(dist, masks, misses)
+
+
+def asymptotic_moments(
+    dist: JointDistribution, tables: Sequence[InfluenceTable]
+) -> tuple[list[float], np.ndarray]:
+    """Exact variances and covariance matrix of several influence variables,
+    one ``influence_table`` per subset, in one pass over the table: each
+    variance is ``sum(p * d**2)`` and each covariance entry, the diagonal
+    too, ``sum((p * d_i) * d_j)``, with d = v - E v."""
+    if len(tables) < 1:
+        raise ValidationError("need at least one subset")
+    for t in tables:
+        if abs(t.mean) > 1e-12:
+            raise ValidationError(f"influence variable mean {t.mean} not zero; table corrupt?")
+    devs = [t.lut - t.mean for t in tables]
+    pairs = [(i, j) for i in range(len(tables)) for j in range(i, len(tables))]
+
+    def terms(p, plus):
+        d = [_expand(dev, f) for dev, f in zip(devs, plus)]
+        pd = [p * di for di in d]
+        yield from (p * (di * di) for di in d)
+        yield from (pd[i] * d[j] for i, j in pairs)
+
+    sums = _table_sums(
+        dist, [t.plus for t in tables], terms, [dist.probs.size] * (len(tables) + len(pairs))
+    )
+    c = np.zeros((len(tables), len(tables)))
+    for (i, j), s in zip(pairs, sums[len(tables) :]):
+        c[i, j] = c[j, i] = s
+    return sums[: len(tables)], c
 
 
 def asymptotic_variance(dist: JointDistribution, table: InfluenceTable) -> float:
     """Exact variance of an influence variable given by its ``influence_table``;
     the CLT scale for the cross-validated error of that table's predictor."""
-    mean = table.mean
-    if abs(mean) > 1e-12:
-        raise ValidationError(f"influence variable mean {mean} not zero; table corrupt?")
-    d2 = (table.lut - mean) ** 2
-    return float(_weighted(dist.probs, table.plus, d2, table.buffers[1]).sum())
+    return asymptotic_moments(dist, [table])[0][0]
 
 
 def asymptotic_covariance(
@@ -209,12 +312,4 @@ def asymptotic_covariance(
 ) -> np.ndarray:
     """Exact covariance matrix of several influence variables, one
     ``influence_table`` per subset."""
-    if len(tables) < 1:
-        raise ValidationError("need at least one subset")
-    w, x = tables[0].buffers
-    c = np.zeros((len(tables), len(tables)))
-    for i, ti in enumerate(tables):
-        _weighted(dist.probs, ti.plus, ti.lut - ti.mean, w)  # then (p * d_i) * d_j
-        for j, tj in enumerate(tables[i:], start=i):
-            c[i, j] = c[j, i] = float(_weighted(w, tj.plus, tj.lut - tj.mean, x).sum())
-    return c
+    return asymptotic_moments(dist, tables)[1]

@@ -10,7 +10,7 @@ reported floats must equal this recipe's bit for bit.
 
 import numpy as np
 
-from mdrcv.model import cell_conditionals, cylinder_codes, label_marginal
+from mdrcv.model import cell_conditionals, cylinder_codes
 from mdrcv.oracle import EQUALITY_TOL, balanced_penalty
 
 
@@ -49,7 +49,7 @@ def error(dist, psi, plus):
 
 def influence(dist, plus):
     """The dense (num_points, 2) influence table of the predictor."""
-    p_pos = label_marginal(dist, 1)
+    p_pos = float(dist.probs[:, 1].sum())
     p_neg = 1.0 - p_pos
     miss_neg = float(dist.probs[plus, 0].sum()) / p_neg
     miss_pos = float(dist.probs[~plus, 1].sum()) / p_pos

@@ -219,6 +219,13 @@ class TestLabelMarginal:
     def test_hand_summed(self, n2_partial_support):
         assert label_marginal(n2_partial_support, 1) == pytest.approx(0.4)
 
+    @given(dist=small_distributions(max_n=3, max_q=2))
+    @settings(max_examples=40, deadline=None)
+    def test_reads_the_column_sums(self, dist):
+        # summed once when the table is built, with the same bits
+        for col, y in enumerate((-1, 1)):
+            assert label_marginal(dist, y) == float(dist.probs[:, col].sum())
+
 
 class TestSample:
     def test_zero_records_rejected(self, toy_balanced):

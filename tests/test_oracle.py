@@ -1,5 +1,7 @@
 import functools
 import itertools
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdrcv.model import (
+    FactorSpace,
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
@@ -14,10 +17,12 @@ from mdrcv.model import (
     label_marginal,
     sample,
 )
+from mdrcv import oracle
 from mdrcv.oracle import (
     EQUALITY_TOL,
     Predictor,
     asymptotic_covariance,
+    asymptotic_moments,
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,
@@ -318,9 +323,7 @@ class TestOracleFromTables:
             assert np.array_equal(np.asarray(t), dense_oracle.influence(dist, plus))
             assert t.mean == float((dist.probs * dense_oracle.influence(dist, plus)).sum())
 
-    @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_reductions_match_composite_expressions(self, dist, data):
+    def draw_subsets_and_match(self, dist, data):
         n = dist.space.n
         subsets = data.draw(st.lists(
             st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
@@ -328,6 +331,28 @@ class TestOracleFromTables:
             min_size=1, max_size=3,
         ))
         self.assert_matches_dense(dist, subsets)
+
+    @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reductions_match_composite_expressions(self, dist, data):
+        self.draw_subsets_and_match(dist, data)
+
+    # these tables fit in one leaf of LEAF_ELEMENTS; smaller leaves make the
+    # reductions cross leaves and add their sums back up the pairwise tree
+    @pytest.mark.parametrize("leaf", [8, 24, 136])
+    @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reductions_match_composite_expressions_across_leaves(self, leaf, dist, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "LEAF_ELEMENTS", leaf)
+            self.draw_subsets_and_match(dist, data)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1), (6, 2)])
+    @pytest.mark.parametrize("leaf", [8, 24, 136])
+    def test_presets_match_dense_recipe_across_leaves(self, monkeypatch, leaf, preset, n, q):
+        monkeypatch.setattr(oracle, "LEAF_ELEMENTS", leaf)
+        self.assert_matches_dense(generate_scenario(preset, n, q), spread_subsets(n))
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1), (6, 2)])
@@ -367,3 +392,111 @@ class TestOracleFromTables:
         v = influence_table(dist, Predictor(dist.space, np.array(plus)))
         assert abs(float((dist.probs * np.asarray(v)).sum())) <= 1e-12
         assert v.mean == float((dist.probs * np.asarray(v)).sum())
+
+
+def even_lengths(max_n):
+    """Even lengths in 2..max_n, half of them within 6 of a multiple of 8,
+    of 128 or of LEAF_ELEMENTS."""
+    near = st.builds(
+        lambda m, k, d: min(max(m * k + 2 * d, 2), max_n),
+        st.sampled_from((8, 128, oracle.LEAF_ELEMENTS)),
+        st.integers(1, max_n // 8),
+        st.integers(-3, 3),
+    )
+    return st.one_of(st.integers(1, max_n // 2).map(lambda h: 2 * h), near)
+
+
+def wide_values(seed, n):
+    """n signed float64s with magnitudes spread over 1e-300..1e300."""
+    rng = np.random.default_rng(seed)
+    return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+
+
+class TestPairwiseReplay:
+    """``_table_sums`` streams blocks through the leaves of numpy's pairwise
+    sum and adds the leaf sums back up its tree: the bits of ``np.sum``."""
+
+    @staticmethod
+    def assert_replays(x, mask):
+        table = SimpleNamespace(probs=x.reshape(-1, 2))
+        k = int(mask.sum())
+
+        def terms(p, plus):
+            yield p
+            yield p[:, 0][plus[0]]
+            yield p[:, 1][~plus[0]]
+
+        got = oracle._table_sums(table, [mask], terms, [x.size, k, mask.size - k])
+        assert got == [x.sum(), x[0::2][mask].sum(), x[1::2][~mask].sum()]
+
+    @given(n=even_lengths(2 * 10**6), seed=st.integers(0, 2**32 - 1), rate=st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_np_sum(self, n, seed, rate):
+        x = wide_values(seed, n)
+        self.assert_replays(x, np.random.default_rng(seed).random(n // 2) < rate)
+
+    @given(
+        n=even_lengths(20000),
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.floats(0, 1),
+        leaf=st.sampled_from((8, 24, 136, 1000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_np_sum_with_small_leaves(self, n, seed, rate, leaf):
+        x = wide_values(seed, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "LEAF_ELEMENTS", leaf)
+            self.assert_replays(x, np.random.default_rng(seed).random(n // 2) < rate)
+
+    def test_leaves_follow_numpys_split(self):
+        # 1000 -> 496 + 504; 496 -> 248 + 248; 504 -> 248 + 256; 248 -> 120 + 128
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "LEAF_ELEMENTS", 8)
+            assert oracle._leaves(1000) == [120, 128, 120, 128, 120, 128, 128, 128]
+            assert oracle._leaves(128) == [128]
+            assert oracle._leaves(0) == [0]
+
+
+class TestMissPass:
+    """Edge cases of the miss masses' gathers: empty and full masks, points
+    without mass inside plus cells, tables that end mid-block."""
+
+    @pytest.mark.parametrize("leaf", [8, 136, oracle.LEAF_ELEMENTS])
+    @pytest.mark.parametrize("n,q", [(5, 2), (6, 2), (7, 1), (4, 3)])
+    def test_masses_match_boolean_gathers(self, monkeypatch, leaf, n, q):
+        monkeypatch.setattr(oracle, "LEAF_ELEMENTS", leaf)
+        probs = generate_scenario("pair-epistasis", n, q).probs.copy()
+        probs[::7] = 0.0
+        dist = JointDistribution(FactorSpace(n, q), probs / probs.sum())
+        psi = balanced_penalty(dist)
+        P = dist.space.num_points
+        masks = [np.zeros(P, bool), np.ones(P, bool), np.arange(P) % 3 == 1]
+        masks += [optimal_predictor(dist, psi, s).plus for s in spread_subsets(n)]
+        want = [(float(dist.probs[f, 0].sum()), float(dist.probs[~f, 1].sum())) for f in masks]
+        assert oracle._misses(dist, masks) == want
+        assert want[0][0] == 0.0 and want[1][1] == 0.0
+        # zero-mass points sit inside the masks, and inside plus cells of
+        # an optimal predictor, which sends them to -1
+        zero = dist.point_probs() == 0.0
+        flagged = dense_oracle.conditional_at_points(dist, FactorSubset.of(1, 2)) > (
+            psi.threshold + EQUALITY_TOL)
+        assert (zero & masks[2]).any() and (zero & flagged).any()
+
+    def test_tables_of_two_calls_interleave(self):
+        dist = generate_scenario("pair-epistasis", 6, 2)
+        first = [FactorSubset.of(1, 2), FactorSubset.of(3)]
+        second = [FactorSubset.of(2, 5), FactorSubset.of(1, 6), FactorSubset.of(1, 2)]
+        _, t1 = subset_oracle(dist, first)
+        _, t2 = subset_oracle(dist, second)
+        mixed = [t2[0], t1[0], t2[1], t1[1], t2[2]]
+        subsets = [second[0], first[0], second[1], first[1], second[2]]
+        # two threads at once, the second in reverse order: (p * d_i) * d_j
+        # takes i before j, so its covariance has the reversed subsets' bits
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(lambda ts: asymptotic_moments(dist, ts), [mixed, mixed[::-1]]))
+        for (variances, cov), order in zip(runs, [subsets, subsets[::-1]]):
+            _, want_vars, want_cov = dense_oracle.oracle(dist, order)
+            assert variances == want_vars
+            assert np.array_equal(cov, want_cov)
+        assert [asymptotic_variance(dist, t) for t in mixed] == runs[0][0]
+        assert not t1[0].lut.flags.writeable and not t1[0].plus.flags.writeable
