@@ -204,7 +204,8 @@ class JointDistribution:
     ``probs`` has shape (num_points, 2); column 0 is y = -1, column 1 is
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
-    must be strictly positive (degenerate labels are rejected).
+    must be strictly positive (degenerate labels are rejected).  Beside the
+    table it keeps only the atom CDF, both label sums and a support mask.
     Equal spaces and tables make equal distributions, which are unhashable.
     """
 
@@ -218,9 +219,10 @@ class JointDistribution:
             raise ValidationError(
                 f"probs must have shape ({self.space.num_points}, 2), got {p.shape}"
             )
-        if not np.all(np.isfinite(p)):
+        lo, hi = p.min(), p.max()  # NaN and +-inf propagate: no table-sized masks
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("probability table contains non-finite entries")
-        if np.any(p < 0):
+        if lo < 0:
             raise ValidationError("probability table contains negative entries")
         total = float(p.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -231,10 +233,11 @@ class JointDistribution:
                 f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
             )
         object.__setattr__(self, "_label_sums", (float(p[:, 0].sum()), marg_pos))
-        marginal = p[:, 0] + p[:, 1]  # bit for bit p.sum(axis=1), about 5x faster
+        support = p[:, 0] > 0.0  # = p.sum(axis=1) > 0 on a nonnegative table
+        support |= p[:, 1] > 0.0
         cdf = np.cumsum(p.ravel())  # atom order: (x0,-1), (x0,+1), (x1,-1), ...
         cdf[-1] = 1.0
-        for name, arr in (("probs", p), ("_point_probs", marginal), ("_cdf", cdf)):
+        for name, arr in (("probs", p), ("_support", support), ("_cdf", cdf)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -273,26 +276,38 @@ class JointDistribution:
     ) -> "JointDistribution":
         """Build from a marginal P(X=x) and a conditional P(Y=1 | X=x).
 
-        Both arrays are indexed by the lexicographic point enumeration.
+        Each array is either flat over the lexicographic point enumeration
+        or broadcasts against ``space.grid_shape``, scalars included (the
+        ``point_levels`` convention).  The two label columns are written
+        straight from the broadcast, so small grids stay small.
         """
         space = FactorSpace(n, q)
-        m = np.asarray(point_probs, dtype=np.float64)
-        c = np.asarray(cond_pos, dtype=np.float64)
-        if m.shape != (space.num_points,) or c.shape != (space.num_points,):
+        grid = space.grid_shape
+        m, c = (np.asarray(a, dtype=np.float64) for a in (point_probs, cond_pos))
+        m, c = (a.reshape(grid) if a.shape == (space.num_points,) else a for a in (m, c))
+        try:
+            covers = np.broadcast_shapes(m.shape, c.shape, grid) == grid
+        except ValueError:
+            covers = False
+        if not covers:
             raise ValidationError("point_probs and cond_pos must cover every point")
-        if np.any((c < 0) | (c > 1)):
+        if c.min() < 0 or c.max() > 1:
             raise ValidationError("conditional probabilities must lie in [0, 1]")
-        p = np.empty((space.num_points, 2))
-        np.multiply(m, 1.0 - c, out=p[:, 0])
-        np.multiply(m, c, out=p[:, 1])
-        return cls(space, p, copy=False)
+        p = np.empty(grid + (2,))
+        np.multiply(m, 1.0 - c, out=p[..., 0])
+        np.multiply(m, c, out=p[..., 1])
+        return cls(space, p.reshape(-1, 2), copy=False)
 
     def point_probs(self) -> np.ndarray:
-        """P(X=x) for every point, enumeration order (read-only)."""
-        return self._point_probs
+        """P(X=x) for every point, enumeration order (read-only), summed
+        on each call: bit for bit ``probs.sum(axis=1)``, about 5x faster."""
+        marginal = self.probs[:, 0] + self.probs[:, 1]
+        marginal.flags.writeable = False
+        return marginal
 
     def support_mask(self) -> np.ndarray:
-        return self._point_probs > 0.0
+        """Points with positive mass, enumeration order (read-only)."""
+        return self._support
 
     def atoms(self) -> list[tuple[tuple[int, ...], int, float]]:
         """Nonzero atoms (x, y, p) in enumeration order."""

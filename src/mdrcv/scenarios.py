@@ -21,31 +21,27 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .model import FactorSpace, JointDistribution, on_points, point_levels
+from .model import FactorSpace, JointDistribution, point_levels
 
 PRESETS = ("null", "independent", "single-factor", "pair-epistasis")
 
 
-def _uniform_marginal(space: FactorSpace) -> np.ndarray:
-    return np.full(space.num_points, 1.0 / space.num_points)
+def _uniform(space: FactorSpace, cond) -> JointDistribution:
+    """The uniform marginal with a conditional that broadcasts against
+    ``space.grid_shape``."""
+    return JointDistribution.from_conditional(space.n, space.q, 1.0 / space.num_points, cond)
 
 
 def _null(space: FactorSpace, p_pos: float) -> JointDistribution:
     if not 0.0 < p_pos < 1.0:
         raise ValidationError(f"p_pos must be in (0, 1), got {p_pos}")
-    cond = np.full(space.num_points, p_pos)
-    return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), cond
-    )
+    return _uniform(space, p_pos)
 
 
 def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> JointDistribution:
     _check_band(p_low, p_high)
     x1 = point_levels(space, 1).astype(np.float64)
-    cond = p_low + (p_high - p_low) * x1 / space.q
-    return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), on_points(space, cond)
-    )
+    return _uniform(space, p_low + (p_high - p_low) * x1 / space.q)
 
 
 def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> JointDistribution:
@@ -53,10 +49,7 @@ def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> JointDis
         raise ValidationError("pair-epistasis needs at least two factors")
     _check_band(p_low, p_high)
     joint_risk = point_levels(space, 1) + point_levels(space, 2) >= space.q + 1
-    cond = np.where(joint_risk, p_high, p_low)
-    return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), on_points(space, cond)
-    )
+    return _uniform(space, np.where(joint_risk, p_high, p_low))
 
 
 def _independent(space: FactorSpace, effect: float) -> JointDistribution:
@@ -66,12 +59,9 @@ def _independent(space: FactorSpace, effect: float) -> JointDistribution:
         )
     # centered levels are half-integers, so this sum is exact in any order
     centered = sum(point_levels(space, i) - space.q / 2.0 for i in range(1, space.n + 1))
-    logit = effect * on_points(space, centered)
     with np.errstate(over="ignore"):  # exp overflows to inf: cond is then exactly 0
-        cond = 1.0 / (1.0 + np.exp(-logit))
-    return JointDistribution.from_conditional(
-        space.n, space.q, _uniform_marginal(space), cond
-    )
+        cond = 1.0 / (1.0 + np.exp(-(effect * centered)))
+    return _uniform(space, cond)
 
 
 def _check_band(p_low: float, p_high: float) -> None:

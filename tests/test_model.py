@@ -1,8 +1,10 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdrcv.errors import ValidationError
@@ -25,7 +27,7 @@ from mdrcv.model import (
 )
 from mdrcv.estimator import fold_cell_counts, fold_partition
 
-from mdrcv.scenarios import generate_scenario
+from mdrcv.scenarios import PRESETS, generate_scenario
 
 from conftest import small_distributions
 
@@ -119,12 +121,27 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             toy_balanced.probs[0, 0] = 0.9
 
-    def test_derived_arrays_are_cached_and_frozen(self, n2_partial_support):
-        marginal = n2_partial_support.point_probs()
-        assert marginal is n2_partial_support.point_probs()
+    def test_derived_arrays_are_exact_and_frozen(self, n2_partial_support):
+        dist = n2_partial_support
+        marginal, mask = dist.point_probs(), dist.support_mask()
+        assert marginal.tobytes() == dist.probs.sum(axis=1).tobytes()
         assert marginal.tolist() == pytest.approx([0.4, 0.6, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            marginal[0] = 1.0
+        assert np.array_equal(mask, marginal > 0)
+        for arr in (marginal, mask):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("bad,message", [
+        ((np.nan, 0.5), "non-finite"),
+        ((np.inf, 0.5), "non-finite"),
+        ((-np.inf, 0.5), "non-finite"),
+        ((np.nan, -0.5), "non-finite"),
+        ((-0.1, 0.6), "negative"),
+    ])
+    def test_table_check_messages(self, bad, message):
+        probs = np.array([[0.25, 0.25], bad])
+        with pytest.raises(ValidationError, match=f"contains {message} entries"):
+            JointDistribution(FactorSpace(1, 1), probs)
 
     def test_value_equality(self):
         a = generate_scenario("pair-epistasis", n=3, q=2)
@@ -423,3 +440,113 @@ class TestGridFreePath:
         ds = sample(dist, n_records, seed)
         assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
         assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))
+
+
+def preset_inputs(preset, n, q):
+    """A preset's distribution with the marginal and conditional it hands
+    to ``from_conditional``."""
+    seen = []
+    build = JointDistribution.from_conditional.__func__
+
+    def record(cls, n, q, point_probs, cond_pos):
+        seen.append((point_probs, cond_pos))
+        return build(cls, n, q, point_probs, cond_pos)
+
+    with mock.patch.object(JointDistribution, "from_conditional", classmethod(record)):
+        dist = generate_scenario(preset, n, q)
+    ((m, c),) = seen
+    return dist, m, c
+
+
+def from_conditional_or_error(space, m, c):
+    try:
+        return JointDistribution.from_conditional(space.n, space.q, m, c)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def assert_same_distribution(a, b, n_records, seed):
+    for got, want in (
+        (a.probs, b.probs),
+        (a._cdf, b._cdf),
+        (a.support_mask(), b.support_mask()),
+        (np.array(a._label_sums), np.array(b._label_sums)),
+    ):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(a.support_mask(), a.probs.sum(axis=1) > 0)
+    sa, sb = sample(a, n_records, seed), sample(b, n_records, seed)
+    assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.y, sb.y)
+
+
+@st.composite
+def broadcast_grids(draw, space):
+    """A float array whose shape broadcasts against ``space.grid_shape``:
+    each axis full or 1, leading axes possibly dropped, a scalar at most."""
+    keep = draw(st.lists(st.booleans(), min_size=space.n, max_size=space.n))
+    shape = tuple(space.q + 1 if k else 1 for k in keep)[draw(st.integers(0, space.n)):]
+    values = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
+class TestFromConditional:
+    """Grid and scalar inputs build the same table, bit for bit, as the
+    same inputs spread over every point."""
+
+    @given(
+        preset_nq=st.sampled_from(PRESETS).flatmap(lambda preset: st.tuples(
+            st.just(preset),
+            st.integers(2 if preset == "pair-epistasis" else 1, 4),
+            st.integers(1, 3),
+        )),
+        n_records=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(preset_nq=("single-factor", 1, 3), n_records=7, seed=1)
+    @example(preset_nq=("pair-epistasis", 2, 1), n_records=7, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_presets_match_their_flattened_inputs(self, preset_nq, n_records, seed):
+        dist, m, c = preset_inputs(*preset_nq)
+        assert np.ndim(m) == 0  # the uniform marginal stays a scalar
+        flat = JointDistribution.from_conditional(
+            dist.space.n, dist.space.q, on_points(dist.space, m), on_points(dist.space, c)
+        )
+        assert_same_distribution(dist, flat, n_records, seed)
+
+    @given(space=spaces(max_n=4, max_q=3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_grids_match_flat_arrays(self, space, data, seed):
+        raw = data.draw(broadcast_grids(space))
+        total = on_points(space, raw).sum()
+        assume(total > 0)
+        m, c = raw / total, data.draw(broadcast_grids(space))
+        m_flat, c_flat = on_points(space, m), on_points(space, c)
+        got = from_conditional_or_error(space, m, c)
+        want = from_conditional_or_error(space, m_flat, c_flat)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            table = np.stack([m_flat * (1.0 - c_flat), m_flat * c_flat], axis=1)
+            assert want.probs.tobytes() == table.tobytes()
+            assert_same_distribution(got, want, 20, seed)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 3), (3, 3, 1), (9, 1), (10,), (3, 2)])
+    def test_shapes_that_do_not_broadcast_rejected(self, shape):
+        space = FactorSpace(2, 2)
+        for m, c in ((np.full(shape, 1 / 9), 0.5), (1 / 9, np.full(shape, 0.5))):
+            with pytest.raises(ValidationError, match="must cover every point"):
+                JointDistribution.from_conditional(space.n, space.q, m, c)
+
+    @pytest.mark.parametrize("preset", ["null", "single-factor", "pair-epistasis"])
+    def test_preset_build_keeps_to_table_cdf_and_mask(self, preset):
+        # the table and its CDF take 2 * probs.nbytes and the support mask
+        # one byte a point; nothing else table-sized is alive at the peak
+        # (independent is left out: its conditional depends on every factor)
+        generate_scenario(preset, 2, 2)  # first-call allocations off the books
+        tracemalloc.start()
+        try:
+            dist = generate_scenario(preset, 10, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dist.probs.nbytes + dist.space.num_points + 2**16
