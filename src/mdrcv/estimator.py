@@ -143,9 +143,9 @@ def dataset_counts(
     holds (the datasets ``sample`` draws from a list of seeds)."""
     subset.validate_for(dataset.space)
     shape = (-1,) if n_stack is None else (n_stack, -1)
+    cells = cylinder_count(subset, dataset.space.q)
     codes = cylinder_codes(dataset.x, subset, dataset.space.q).reshape(shape)
     positive = (dataset.y == 1).reshape(shape)
-    cells = cylinder_count(subset, dataset.space.q)
     return codes, positive, fold_cell_counts(codes, positive, n_folds, cells)
 
 

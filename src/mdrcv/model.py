@@ -26,8 +26,8 @@ from .errors import ValidationError
 
 LABELS = (-1, 1)
 
-# Dense tables only: caps the point count so atom enumeration stays exact
-# and cheap on a desk machine.
+# Caps every dense array, a distribution's table or a subset's cell table,
+# in its one check, ``FactorSpace.num_points``; data may have any n.
 MAX_POINTS = 2**24
 
 MAX_LEVEL = 2**15 - 1  # Dataset.x holds factor levels as int16
@@ -37,7 +37,8 @@ NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FactorSpace:
-    """The domain {0,...,q}^n: n factors, each with levels 0..q."""
+    """The domain {0,...,q}^n: n factors, each with levels 0..q.  Any n is
+    legal; ``num_points`` and ``grid_shape`` refuse more than MAX_POINTS."""
 
     n: int
     q: int
@@ -47,21 +48,23 @@ class FactorSpace:
             raise ValidationError("n and q must be integers")
         if self.n < 1 or self.q < 1:
             raise ValidationError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
-        # over the cap from n = 25 on for any q, so (q+1)^n is never a bigint
-        if self.n >= MAX_POINTS.bit_length() or (self.q + 1) ** self.n > MAX_POINTS:
-            raise ValidationError(
-                f"n={self.n}, q={self.q}: (q+1)^n exceeds dense-table cap {MAX_POINTS}"
-            )
         if self.q > MAX_LEVEL:
             raise ValidationError(f"q={self.q} exceeds the largest factor level {MAX_LEVEL}")
 
     @property
     def num_points(self) -> int:
+        """(q+1)^n, checked against the dense-table cap."""
+        # over the cap from n = 25 on for any q, so (q+1)^n is never a bigint
+        if self.n >= MAX_POINTS.bit_length() or (self.q + 1) ** self.n > MAX_POINTS:
+            raise ValidationError(
+                f"n={self.n}, q={self.q}: (q+1)^n exceeds dense-table cap {MAX_POINTS}"
+            )
         return (self.q + 1) ** self.n
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
         """One axis per factor; its C-order ravel is the point enumeration."""
+        self.num_points  # raises over the dense-table cap
         return (self.q + 1,) * self.n
 
     def points(self, ranks: np.ndarray) -> np.ndarray:
@@ -146,7 +149,8 @@ def on_points(space: FactorSpace, grid: np.ndarray) -> np.ndarray:
 
 
 def cylinder_count(subset: FactorSubset, q: int) -> int:
-    return (q + 1) ** subset.r
+    """(q+1)^r cells of the subset, checked against the dense-table cap."""
+    return FactorSpace(subset.r, q).num_points
 
 
 def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarray:

@@ -26,42 +26,38 @@ from .model import FactorSpace, JointDistribution, point_levels
 PRESETS = ("null", "independent", "single-factor", "pair-epistasis")
 
 
-def _uniform(space: FactorSpace, cond) -> JointDistribution:
-    """The uniform marginal with a conditional that broadcasts against
-    ``space.grid_shape``."""
-    return JointDistribution.from_conditional(space.n, space.q, 1.0 / space.num_points, cond)
-
-
-def _null(space: FactorSpace, p_pos: float) -> JointDistribution:
+def _null(p_pos: float) -> float:
     if not 0.0 < p_pos < 1.0:
         raise ValidationError(f"p_pos must be in (0, 1), got {p_pos}")
-    return _uniform(space, p_pos)
+    return p_pos
 
 
-def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> JointDistribution:
+def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> np.ndarray:
     _check_band(p_low, p_high)
     x1 = point_levels(space, 1).astype(np.float64)
-    return _uniform(space, p_low + (p_high - p_low) * x1 / space.q)
+    return p_low + (p_high - p_low) * x1 / space.q
 
 
-def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> JointDistribution:
+def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> np.ndarray:
     if space.n < 2:
         raise ValidationError("pair-epistasis needs at least two factors")
     _check_band(p_low, p_high)
     joint_risk = point_levels(space, 1) + point_levels(space, 2) >= space.q + 1
-    return _uniform(space, np.where(joint_risk, p_high, p_low))
+    return np.where(joint_risk, p_high, p_low)
 
 
-def _independent(space: FactorSpace, effect: float) -> JointDistribution:
+def _independent(space: FactorSpace, effect: float) -> np.ndarray:
     if not np.isfinite(effect) or effect == 0.0:
         raise ValidationError(
             f"independent preset needs a finite nonzero per-factor effect, got {effect}"
         )
     # centered levels are half-integers, so this sum is exact in any order
-    centered = sum(point_levels(space, i) - space.q / 2.0 for i in range(1, space.n + 1))
+    cond = sum(point_levels(space, i) - space.q / 2.0 for i in range(1, space.n + 1))
+    cond *= -effect  # the logistic, in place on the one table-sized buffer
     with np.errstate(over="ignore"):  # exp overflows to inf: cond is then exactly 0
-        cond = 1.0 / (1.0 + np.exp(-(effect * centered)))
-    return _uniform(space, cond)
+        np.exp(cond, out=cond)
+    cond += 1.0
+    return np.divide(1.0, cond, out=cond)
 
 
 def _check_band(p_low: float, p_high: float) -> None:
@@ -82,15 +78,18 @@ def generate_scenario(
 ) -> JointDistribution:
     """Build the distribution of a named preset on {0..q}^n."""
     space = FactorSpace(n, q)
+    uniform = 1.0 / space.num_points  # the dense-table cap, before any grid
     if preset == "null":
-        return _null(space, p_pos)
-    if preset == "single-factor":
-        return _single_factor(space, p_low, p_high)
-    if preset == "pair-epistasis":
-        return _pair_epistasis(space, p_low, p_high)
-    if preset == "independent":
-        return _independent(space, effect)
-    raise ValidationError(f"unknown preset {preset!r}; choose from {PRESETS}")
+        cond = _null(p_pos)
+    elif preset == "single-factor":
+        cond = _single_factor(space, p_low, p_high)
+    elif preset == "pair-epistasis":
+        cond = _pair_epistasis(space, p_low, p_high)
+    elif preset == "independent":
+        cond = _independent(space, effect)
+    else:
+        raise ValidationError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    return JointDistribution.from_conditional(n, q, uniform, cond)
 
 
 def scenario_a() -> JointDistribution:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,11 +16,10 @@ from .estimator import (
     fold_index,
     fold_partition,
 )
-from .model import Dataset, FactorSubset
+from .model import Dataset, FactorSubset, cylinder_count
 
-# Exhaustive enumeration only; these caps keep desk-scale runtimes.
-MAX_FACTORS = 20
-MAX_SUBSET_SIZE = 4
+# Exhaustive enumeration only: caps C(n, r), the subsets one search scores.
+MAX_SEARCH_SUBSETS = 2**18
 # Count-table entries scored per ``cv_error_stack`` call.
 BLOCK_ENTRIES = 2**16
 
@@ -28,6 +28,11 @@ def enumerate_subsets(n: int, r: int) -> list[FactorSubset]:
     """All r-element subsets of {1..n}, lexicographic."""
     if r < 1 or r > n:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
+    count = math.comb(n, r)
+    if count > MAX_SEARCH_SUBSETS:
+        raise ValidationError(
+            f"C({n}, {r}) = {count} subsets exceed the search budget {MAX_SEARCH_SUBSETS}"
+        )
     return [FactorSubset(c) for c in itertools.combinations(range(1, n + 1), r)]
 
 
@@ -69,12 +74,7 @@ def rank_subsets(
     a single common event of probability one rather than through per-subset
     confidence adjustments.
     """
-    n = dataset.space.n
-    if n > MAX_FACTORS or r > MAX_SUBSET_SIZE:
-        raise ValidationError(
-            f"exhaustive search capped at n <= {MAX_FACTORS}, r <= {MAX_SUBSET_SIZE}"
-        )
-    candidates = enumerate_subsets(n, r)
+    candidates = enumerate_subsets(dataset.space.n, r)
     fold_partition(len(dataset), n_folds)
     values = _cv_errors(dataset, candidates, n_folds, schedule.value(len(dataset)))
     scored = sorted(zip(candidates, values.tolist()), key=lambda e: (e[1], e[0].indices))
@@ -101,7 +101,7 @@ def _cv_errors(
     and each block is scored by one ``cv_error_stack`` call.
     """
     q, r = dataset.space.q, subsets[0].r
-    cells = (q + 1) ** r
+    cells = cylinder_count(subsets[0], q)
     width = n_folds * 2 * cells
     dtype = np.int32 if width < 2**31 else np.int64
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower

@@ -116,3 +116,14 @@ def small_datasets(draw, min_records=4, max_records=40, max_n=2, max_q=1):
     )
     ys = draw(st.lists(st.sampled_from((-1, 1)), min_size=n_rec, max_size=n_rec))
     return Dataset(FactorSpace(n, q), xs, ys)
+
+
+def wide_csv(path, n, n_records, q=2, seed=0):
+    """Write a CSV of random records over n factors with levels 0..q."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, q + 1, size=(n_records, n))
+    y = np.where(rng.random(n_records) < 0.4, 1, -1)
+    header = ",".join([f"X{i}" for i in range(1, n + 1)] + ["Y"])
+    np.savetxt(path, np.column_stack([x, y]), fmt="%d", delimiter=",",
+               header=header, comments="")
+    return path

@@ -20,6 +20,8 @@ from mdrcv.oracle import is_significant
 from mdrcv.scenarios import generate_scenario
 from mdrcv.search import enumerate_subsets
 
+from conftest import wide_csv
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -213,6 +215,11 @@ class TestCliCommands:
         ds = ingest_csv(out, q=1)
         assert len(ds) == 50
 
+    def test_search_on_forty_factors(self, tmp_path, capsys):
+        path = wide_csv(tmp_path / "wide.csv", n=40, n_records=1500)
+        assert main(["search", "--data", str(path), "--r", "2", "--K", "5"]) == 0
+        assert capsys.readouterr().out.startswith("ranked 780 subsets of size 2")
+
     def test_search_reports_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -348,6 +355,19 @@ def _csv_field_past_limit(tmp_path):
     return ["search", "--data", str(path), "--r", "1", "--K", "2"]
 
 
+def _search_over_budget(tmp_path):
+    # C(1000, 3) subsets of 8 records
+    path = wide_csv(tmp_path / "data.csv", n=1000, n_records=8, q=1)
+    return ["search", "--data", str(path), "--r", "3", "--K", "2"]
+
+
+def _cell_table_over_cap(tmp_path):
+    # 64^5 cells per fold and label
+    path = tmp_path / "data.csv"
+    path.write_text("X1,X2,X3,X4,X5,Y\n" + "63,0,1,2,3,1\n0,63,1,2,3,-1\n" * 4)
+    return ["search", "--data", str(path), "--r", "5", "--K", "2"]
+
+
 @pytest.mark.parametrize("make_args", [
     _csv_with_ff,
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": []}\xff'),
@@ -361,9 +381,15 @@ def _csv_field_past_limit(tmp_path):
     lambda tmp: ["simulate", "--preset", "null", "--n", "1", "--q", "40000",
                  "--N", "10", "--seed", "1", "--out", str(tmp / "q.csv")],
     _csv_field_past_limit,
+    *[lambda tmp, preset=preset: ["oracle", "--preset", preset,
+                                  "--n", "100000000000000000000", "--q", "1"]
+      for preset in ("single-factor", "pair-epistasis", "independent")],
+    _search_over_budget,
+    _cell_table_over_cap,
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
-        "csv-field-past-limit"])
+        "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
+        "independent-huge-n", "search-over-budget", "cell-table-over-cap"])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],

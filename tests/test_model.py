@@ -51,13 +51,28 @@ class TestFactorSpace:
             FactorSpace(n, q)
 
     def test_rejects_oversized_space(self):
-        with pytest.raises(ValidationError):
-            FactorSpace(30, 2)
+        # a data space may be any size; only its dense sizes are refused
+        space = FactorSpace(30, 2)
+        with pytest.raises(ValidationError, match="exceeds dense-table cap"):
+            space.num_points
+        with pytest.raises(ValidationError, match="exceeds dense-table cap"):
+            space.grid_shape
 
     @pytest.mark.parametrize("n,q", [(25, 1), (10**20, 1), (1, 2**24), (2, 10**30)])
     def test_oversized_space_rejected_without_the_power(self, n, q):
-        with pytest.raises(ValidationError, match="exceeds dense-table cap"):
-            FactorSpace(n, q)
+        if q > MAX_LEVEL:  # the space itself refuses q before any size is taken
+            with pytest.raises(ValidationError, match="exceeds the largest factor level"):
+                FactorSpace(n, q)
+            return
+        builders = [
+            lambda: FactorSpace(n, q).num_points,
+            lambda: FactorSpace(n, q).grid_shape,
+            lambda: JointDistribution.from_atoms(n, q, []),
+            lambda: JointDistribution.from_conditional(n, q, 1.0, 0.5),
+        ] + [lambda preset=preset: generate_scenario(preset, n, q) for preset in PRESETS]
+        for build in builders:
+            with pytest.raises(ValidationError, match="exceeds dense-table cap"):
+                build()
 
     def test_space_at_the_cap_accepted(self):
         assert FactorSpace(24, 1).num_points == 2**24
@@ -550,3 +565,15 @@ class TestFromConditional:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * dist.probs.nbytes + dist.space.num_points + 2**16
+
+    def test_independent_build_keeps_one_conditional_buffer(self):
+        # beside the table, CDF and mask, only the conditional (half the
+        # table's bytes) is alive: no level sum or logistic temporary
+        generate_scenario("independent", 2, 2)
+        tracemalloc.start()
+        try:
+            dist = generate_scenario("independent", 10, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * dist.probs.nbytes

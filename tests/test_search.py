@@ -8,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdrcv import search
+from mdrcv.dataio import ingest_csv
 from mdrcv.errors import ValidationError
 from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_prediction_error
-from mdrcv.model import Dataset, FactorSpace, sample
+from mdrcv.model import Dataset, FactorSpace, FactorSubset, sample
 from mdrcv.oracle import balanced_penalty, optimal_predictor, prediction_error
 from mdrcv.scenarios import generate_scenario, scenario_a
-from mdrcv.search import MAX_FACTORS, MAX_SUBSET_SIZE, enumerate_subsets, rank_subsets
+from mdrcv.search import MAX_SEARCH_SUBSETS, enumerate_subsets, rank_subsets
+
+from conftest import wide_csv
 
 
 class TestEnumerateSubsets:
@@ -27,6 +30,12 @@ class TestEnumerateSubsets:
     def test_rejects_oversized(self):
         with pytest.raises(ValidationError):
             enumerate_subsets(3, 4)
+
+    def test_budget_bounds_the_subset_count(self):
+        with mock.patch.object(search, "MAX_SEARCH_SUBSETS", 10):
+            assert len(enumerate_subsets(5, 3)) == 10
+            with pytest.raises(ValidationError, match=r"C\(11, 1\) = 11 .* budget 10$"):
+                enumerate_subsets(11, 1)
 
     @given(n=st.integers(1, 8), r=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -63,13 +72,30 @@ class TestRankSubsets:
         )
 
     def test_caps_guard_runtime(self):
-        def blank(n):
-            return Dataset(FactorSpace(n, 1), np.zeros((8, n)), [1, -1] * 4)
+        # C(1000, 3) is over the budget: refused before any subset is built
+        assert comb(1000, 3) > MAX_SEARCH_SUBSETS
+        ds = Dataset(FactorSpace(1000, 1), np.zeros((8, 1000)), [1, -1] * 4)
+        with mock.patch.object(search, "FactorSubset", side_effect=AssertionError):
+            with pytest.raises(ValidationError, match="exceed the search budget"):
+                rank_subsets(ds, 3, 4)
 
-        with pytest.raises(ValidationError, match="capped"):
-            rank_subsets(blank(MAX_FACTORS + 1), 2, 4)
-        with pytest.raises(ValidationError, match="capped"):
-            rank_subsets(blank(MAX_SUBSET_SIZE + 1), MAX_SUBSET_SIZE + 1, 4)
+    def test_cell_table_over_the_dense_cap_rejected(self):
+        # 64^5 cells: the count table has the point tables' cap
+        ds = Dataset(FactorSpace(5, 63), np.full((8, 5), 63), [1, -1] * 4)
+        with pytest.raises(ValidationError, match="n=5, q=63: .* dense-table cap"):
+            rank_subsets(ds, 5, 4)
+        with pytest.raises(ValidationError, match="n=5, q=63: .* dense-table cap"):
+            cv_prediction_error(ds, 4, FactorSubset.of(1, 2, 3, 4, 5))
+
+    def test_wide_ternary_csv_matches_single_subset_estimator(self, tmp_path):
+        # 40 factors: past any dense size, but C(40, 2) = 780 pairs of 9 cells
+        path = wide_csv(tmp_path / "wide.csv", n=40, n_records=1500)
+        ds = ingest_csv(path)
+        assert ds.space == FactorSpace(40, 2)
+        report = rank_subsets(ds, 2, 5)
+        assert len(report.entries) == 780
+        for subset, value in report.entries:
+            assert value == cv_prediction_error(ds, 5, subset).value
 
     def test_recovers_planted_pair(self):
         dist = scenario_a()
@@ -118,7 +144,7 @@ def search_inputs(draw):
     """
     q = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
-    top = min(n, MAX_SUBSET_SIZE)
+    top = n
     r = draw(st.one_of(st.just(1), st.just(top), st.integers(1, top)))
     n_rec = draw(st.integers(2, 60))
     k = draw(st.integers(2, min(7, n_rec)))
