@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .dataio import ingest_csv, write_dataset_csv
 from .errors import MdrError, ValidationError
@@ -50,26 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated run parameters shared by the data-driven subcommands."""
-
-    n_records: int
-    n_folds: int
-    schedule: EpsilonSchedule
-    master_seed: int
-    n_replications: int = 1
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_records < 1:
-            raise ValidationError("--N must be >= 1")
-        if self.n_folds < 2:
-            raise ValidationError("--K must be >= 2")
-        if self.n_replications < 1:
-            raise ValidationError("--M must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("--workers must be >= 1")
+def _check_flags(args, **least: int) -> None:
+    """Refuse the first flag below its least value, e.g. ``K=2`` for --K."""
+    for flag, low in least.items():
+        if getattr(args, flag) < low:
+            raise ValidationError(f"--{flag} must be >= {low}")
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -150,7 +134,7 @@ def _load_dataset(args):
 def _cmd_search(args) -> int:
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
     dataset = _load_dataset(args)
-    ScenarioConfig(len(dataset), args.K, schedule, args.seed)
+    _check_flags(args, K=2)
     report = rank_subsets(dataset, args.r, args.K, schedule)
     print(f"ranked {len(report.entries)} subsets of size {report.r} "
           f"(N={len(dataset)}, K={args.K})")
@@ -166,43 +150,33 @@ def _cmd_search(args) -> int:
 
 def _cmd_clt_verify(args) -> int:
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
-    config = ScenarioConfig(args.N, args.K, schedule, args.seed,
-                            n_replications=args.M, workers=args.workers)
+    _check_flags(args, N=1, K=2, M=1, workers=1)
     dist = _resolve_distribution(args)
     subsets = _parse_subsets(args.subsets)
-    scenario = args.preset or args.dist or ""
-    report, results = verify_clt(
-        dist, subsets, config.n_records, config.n_folds,
-        config.n_replications, config.master_seed,
-        schedule=schedule, scenario=scenario, workers=config.workers,
+    report, reps = verify_clt(
+        dist, subsets, args.N, args.K, args.M, args.seed, schedule=schedule,
+        scenario=args.preset or args.dist or "", workers=args.workers,
     )
     for u in report.univariate:
         tag = "PASS" if u.passed else "FAIL"
         if u.degenerate:
             print(f"subset {u.subset}: degenerate (oracle variance 0) [{tag}]")
         else:
-            print(
-                f"subset {u.subset}: KS={u.ks_oracle:.4f} (limit {u.ks_limit:.4f}), "
-                f"self-normalized KS={u.ks_self_norm:.4f} "
-                f"(limit {SELF_NORM_KS_LIMIT:.4f}), "
-                f"var ratio={u.var_ratio:.3f} [{tag}]"
-            )
+            print(f"subset {u.subset}: KS={u.ks_oracle:.4f} (limit {u.ks_limit:.4f}), "
+                  f"self-normalized KS={u.ks_self_norm:.4f} (limit {SELF_NORM_KS_LIMIT:.4f}), "
+                  f"var ratio={u.var_ratio:.3f} [{tag}]")
     if report.multivariate is not None:
         mv = report.multivariate
         tag = "PASS" if mv.passed else "FAIL"
-        if mv.whitening_skipped:
-            whitened = "skipped (near-singular plug-in covariance)"
-        else:
-            whitened = ", ".join(f"{k:.4f}" for k in mv.whitened_ks)
+        whitened = ("skipped (near-singular plug-in covariance)" if mv.whitening_skipped
+                    else ", ".join(f"{k:.4f}" for k in mv.whitened_ks))
         print(f"joint: max covariance discrepancy {mv.max_abs_discrepancy:.4f} "
               f"(limit {mv.entry_limit:.4f}), whitened KS {whitened} [{tag}]")
     if args.histogram:
         for i, u in enumerate(report.univariate):
-            if u.degenerate or u.oracle_var <= 0:
-                continue
-            z = [res.z[i] / u.oracle_var**0.5 for res in results]
-            print(f"standardized deviations, subset {u.subset}:")
-            print(text_histogram(z))
+            if not u.degenerate:  # degenerate: oracle variance 0
+                print(f"standardized deviations, subset {u.subset}:")
+                print(text_histogram(reps.z[:, i] / u.oracle_var**0.5))
     if args.out:
         _write_json(report.to_dict(), args.out)
         print(f"report written to {args.out}")
@@ -302,10 +276,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
+    except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MdrError as exc:

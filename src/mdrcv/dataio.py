@@ -15,12 +15,17 @@ from .errors import ValidationError
 from .model import MAX_LEVEL, Dataset, FactorSpace
 
 
+# Rows per ``tolist()``: a whole-table call would hold every row as a list at once.
+CSV_BLOCK_ROWS = 1024
+
+
 def write_dataset_csv(dataset: Dataset, path) -> None:
+    table = np.column_stack([dataset.x, dataset.y])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"X{i}" for i in range(1, dataset.space.n + 1)] + ["Y"])
-        for row, label in zip(dataset.x, dataset.y):
-            writer.writerow([int(v) for v in row] + [int(label)])
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            writer.writerows(table[start : start + CSV_BLOCK_ROWS].tolist())
 
 
 def ingest_csv(path, q: int | None = None) -> Dataset:

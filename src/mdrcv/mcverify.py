@@ -53,14 +53,15 @@ def derive_seed(master_seed: int, replication: int) -> int:
 
 
 @dataclass(frozen=True)
-class ReplicationResult:
-    """One replication: scaled deviations and plug-in scales per subset."""
+class Replications:
+    """M replications as arrays; row m-1 is replication m: sampler seeds
+    (M,) uint64, scaled deviations and plug-in scales (M, S), and plug-in
+    covariances (M, S, S), one column per subset."""
 
-    replication: int
-    seed: int
-    z: tuple[float, ...]
-    sd_estimates: tuple[float, ...]
-    covariance_estimate: np.ndarray | None = None
+    seeds: np.ndarray
+    z: np.ndarray
+    sds: np.ndarray
+    covs: np.ndarray
 
 
 # Set once per pool worker by ``_init_worker``, not pickled into every task.
@@ -72,9 +73,10 @@ def _init_worker(context: tuple) -> None:
     _WORKER_CONTEXT = context
 
 
-def _replicate_batch(replications: range, context=None) -> list[ReplicationResult]:
+def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...]:
     """Replications as one stack: one ``sample`` call, then per subset one
-    count table, CV and influence values and plug-in scales for all."""
+    count table, CV and influence values and plug-in scales for all.
+    Returns the batch's ``Replications`` fields."""
     context = context or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
     seeds = [derive_seed(master_seed, m) for m in replications]
@@ -86,14 +88,8 @@ def _replicate_batch(replications: range, context=None) -> list[ReplicationResul
         z.append(math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err))
         influences.append(influence_stack(codes, positive, counts.sum(axis=1), eps))
     rows = np.stack(influences, axis=1)  # (replications, subsets, records)
-    z_rows = np.stack(z, axis=1).tolist()
-    sd_rows = asymptotic_sd_estimate(rows).tolist()
-    joint = len(subsets) > 1
-    covs = asymptotic_covariance_estimate(rows) if joint else [None] * len(seeds)
-    return [
-        ReplicationResult(m, seed, tuple(zs), tuple(sds), cov)
-        for m, seed, zs, sds, cov in zip(replications, seeds, z_rows, sd_rows, covs)
-    ]
+    sds, covs = asymptotic_sd_estimate(rows), asymptotic_covariance_estimate(rows)
+    return np.array(seeds, dtype=np.uint64), np.stack(z, axis=1), sds, covs
 
 
 def run_replications(
@@ -106,9 +102,9 @@ def run_replications(
     n_replications: int,
     master_seed: int,
     workers: int = 1,
-) -> list[ReplicationResult]:
+) -> Replications:
     """Replications 1..M, each on a fresh dataset; deterministic per-index
-    seeds, results ordered by replication index.  Deviations are centred
+    seeds, row m-1 of every array is replication m.  Deviations are centred
     at ``oracle_errors``, each subset's exact optimal error.  Batches hold
     at most ``RECORDS_PER_BATCH`` records; ``workers > 1`` spreads them
     over a process pool.  Neither changes any result."""
@@ -131,7 +127,7 @@ def run_replications(
             min(workers, len(batches)), initializer=_init_worker, initargs=(context,)
         ) as pool:
             chunks = list(pool.map(_replicate_batch, batches))
-    return [res for chunk in chunks for res in chunk]
+    return Replications(*(np.concatenate(field) for field in zip(*chunks)))
 
 
 def normal_cdf(z: float) -> float:
@@ -150,10 +146,8 @@ def ks_statistic(samples: Sequence[float], mean: float = 0.0, sd: float = 1.0) -
     if not np.all(np.isfinite(arr)):
         raise ValidationError("ks_statistic needs finite samples")
     cdf = np.array([normal_cdf(v) for v in arr])
-    n = arr.size
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    steps = np.arange(arr.size + 1) / arr.size  # the empirical CDF's levels
+    return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
 
 
 @dataclass(frozen=True)
@@ -182,12 +176,13 @@ class UnivariateCheck:
 
 
 def clt_check(
-    results: Sequence[ReplicationResult],
+    z: np.ndarray,
+    sds: np.ndarray,
     oracle_sigma2: float,
     subset: FactorSubset,
-    subset_index: int = 0,
 ) -> UnivariateCheck:
-    """Compare one subset's scaled deviations against their limit law.
+    """Compare one subset's scaled deviations ``z`` and plug-in scales
+    ``sds`` (one entry per replication) against their limit law.
 
     With a positive oracle variance: KS of z/sigma against the standard
     normal, KS of the per-replication self-normalized values, and the
@@ -195,49 +190,34 @@ def clt_check(
     the degenerate branch, which requires every deviation to vanish.
     A plug-in scale of zero raises ``ZeroScaleError``.
     """
-    m = len(results)
-    z = np.array([res.z[subset_index] for res in results])
+    m = len(z)
     if oracle_sigma2 < 0:
         raise ValidationError("oracle variance cannot be negative")
-    if oracle_sigma2 == 0.0:
-        ok = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT) if m else True
-        return UnivariateCheck(
-            subset=subset.indices,
-            n_replications=m,
-            z_mean=float(z.mean()),
-            z_var=float(z.var(ddof=1)) if m > 1 else 0.0,
-            oracle_var=0.0,
-            degenerate=True,
-            ks_oracle=None,
-            ks_self_norm=None,
-            var_ratio=None,
-            ks_limit=float("nan"),
-            passed=ok,
-        )
-    ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
-    ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
-    sds = np.array([res.sd_estimates[subset_index] for res in results])
-    zero_scale = int(np.count_nonzero(sds == 0.0))
-    if zero_scale:
-        raise ZeroScaleError(
-            f"subset {subset.indices}: {zero_scale} of {m} replications have "
-            f"plug-in scale 0, so their self-normalized deviations are undefined"
-        )
-    ks_self = ks_statistic(z / sds, 0.0, 1.0)
-    z_var = float(z.var(ddof=1)) if m > 1 else float("nan")
-    ratio = z_var / oracle_sigma2
-    passed = (
-        ks_oracle < ks_limit
-        and ks_self < SELF_NORM_KS_LIMIT
-        and abs(ratio - 1.0) <= VAR_RATIO_RTOL
-    )
+    degenerate = oracle_sigma2 == 0.0
+    z_var = float(z.var(ddof=1)) if m > 1 else 0.0 if degenerate else float("nan")
+    ks_oracle, ks_self, ratio, ks_limit = None, None, None, float("nan")
+    if degenerate:
+        passed = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT) if m else True
+    else:
+        ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
+        ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
+        zero_scale = int(np.count_nonzero(sds == 0.0))
+        if zero_scale:
+            raise ZeroScaleError(
+                f"subset {subset.indices}: {zero_scale} of {m} replications have "
+                f"plug-in scale 0, so their self-normalized deviations are undefined"
+            )
+        ks_self = ks_statistic(z / sds, 0.0, 1.0)
+        ratio = z_var / oracle_sigma2
+        passed = (ks_oracle < ks_limit and ks_self < SELF_NORM_KS_LIMIT
+                  and abs(ratio - 1.0) <= VAR_RATIO_RTOL)
     return UnivariateCheck(
         subset=subset.indices,
         n_replications=m,
         z_mean=float(z.mean()),
         z_var=z_var,
-        oracle_var=oracle_sigma2,
-        degenerate=False,
+        oracle_var=0.0 if degenerate else oracle_sigma2,
+        degenerate=degenerate,
         ks_oracle=ks_oracle,
         ks_self_norm=ks_self,
         var_ratio=ratio,
@@ -273,11 +253,13 @@ class MultivariateCheck:
 
 
 def multivariate_check(
-    results: Sequence[ReplicationResult],
+    z: np.ndarray,
+    covs: np.ndarray,
     oracle_cov: np.ndarray,
     subsets: Sequence[FactorSubset],
 ) -> MultivariateCheck:
-    """Compare the joint law of the deviation vector against its limit.
+    """Compare the joint law of the (M, S) deviations ``z`` against its
+    limit, with ``covs`` the (M, S, S) plug-in covariances.
 
     (a) every entry of the sample covariance must match the oracle matrix
     within COV_ENTRY_LIMIT_FACTOR times the largest oracle variance;
@@ -289,20 +271,19 @@ def multivariate_check(
     s = oracle_cov.shape[0]
     if s < 2:
         raise ValidationError("multivariate check needs at least two subsets")
-    zmat = np.array([res.z for res in results])  # (M, s)
-    m = zmat.shape[0]
-    sample_cov = np.cov(zmat.T, ddof=1)
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    m = z.shape[0]
+    # one replication has no sample covariance; np.cov would warn and divide by 0
+    sample_cov = np.cov(z.T, ddof=1) if m > 1 else np.full((s, s), np.nan)
     disc = np.abs(sample_cov - oracle_cov)
     entry_limit = COV_ENTRY_LIMIT_FACTOR * float(oracle_cov.diagonal().max())
 
-    whitened_ks: tuple[float, ...] | None = None
-    skipped = False
     try:
-        covs = np.array([res.covariance_estimate for res in results])
-        whitened = (inv_sqrt_symmetric(covs) @ zmat[..., None])[..., 0]
+        whitened = (inv_sqrt_symmetric(covs) @ z[..., None])[..., 0]
         whitened_ks = tuple(ks_statistic(w, 0.0, 1.0) for w in whitened.T)
     except NearSingularMatrixError:
-        skipped = True
+        whitened_ks = None
+    skipped = whitened_ks is None
 
     entries_ok = bool(disc.max() <= entry_limit)
     whitening_ok = (not skipped) and all(k < SELF_NORM_KS_LIMIT for k in whitened_ks)
@@ -347,10 +328,8 @@ class CltReport:
 
     @property
     def passed(self) -> bool:
-        ok = all(u.passed for u in self.univariate)
-        if self.multivariate is not None:
-            ok = ok and self.multivariate.passed
-        return ok
+        joint_ok = self.multivariate is None or self.multivariate.passed
+        return all(u.passed for u in self.univariate) and joint_ok
 
 
 def verify_clt(
@@ -363,25 +342,22 @@ def verify_clt(
     schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
     scenario: str = "",
     workers: int = 1,
-) -> tuple[CltReport, list[ReplicationResult]]:
+) -> tuple[CltReport, Replications]:
     """Run the full pipeline: the exact oracle (one optimal predictor and
     influence table per subset), replications, per-subset univariate
     checks, and the joint check when more than one subset is given."""
     subsets = list(subsets)
     oracle_errors, tables = subset_oracle(dist, subsets)
     oracle_vars, oracle_cov = asymptotic_moments(dist, tables)
-    oracle_cov = oracle_cov if len(subsets) > 1 else None
-    results = run_replications(
+    reps = run_replications(
         dist, subsets, oracle_errors, n_records, n_folds, schedule,
         n_replications, master_seed, workers=workers,
     )
     univariate = tuple(
-        clt_check(results, var, s, subset_index=i)
+        clt_check(reps.z[:, i], reps.sds[:, i], var, s)
         for i, (s, var) in enumerate(zip(subsets, oracle_vars))
     )
-    multivariate = None
-    if oracle_cov is not None:
-        multivariate = multivariate_check(results, oracle_cov, subsets)
+    joint = len(subsets) > 1
     report = CltReport(
         scenario=scenario,
         n_records=n_records,
@@ -393,9 +369,9 @@ def verify_clt(
         subsets=tuple(s.indices for s in subsets),
         oracle_errors=oracle_errors,
         univariate=univariate,
-        multivariate=multivariate,
+        multivariate=multivariate_check(reps.z, reps.covs, oracle_cov, subsets) if joint else None,
     )
-    return report, results
+    return report, reps
 
 
 def text_histogram(values: Sequence[float]) -> str:

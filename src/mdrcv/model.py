@@ -150,7 +150,13 @@ def on_points(space: FactorSpace, grid: np.ndarray) -> np.ndarray:
 
 def cylinder_count(subset: FactorSubset, q: int) -> int:
     """(q+1)^r cells of the subset, checked against the dense-table cap."""
-    return FactorSpace(subset.r, q).num_points
+    space = FactorSpace(subset.r, q)
+    try:
+        return space.num_points
+    except ValidationError:  # name the subset size r, not a factor count n
+        raise ValidationError(
+            f"r={subset.r}, q={q}: (q+1)^r cells exceed dense-table cap {MAX_POINTS}"
+        ) from None
 
 
 def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarray:

@@ -73,12 +73,12 @@ def scenario_a_run():
     dist = scenario_a()
     subsets = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
     start = time.perf_counter()
-    results = run_replications(
+    reps = run_replications(
         dist, subsets, subset_oracle(dist, subsets)[0], 2000, 5,
         DEFAULT_SCHEDULE, 1000, master_seed=23,
     )
     elapsed = time.perf_counter() - start
-    return dist, subsets, results, elapsed
+    return dist, subsets, reps, elapsed
 
 
 def test_criterion_1_exhaustive_optimality():
@@ -171,10 +171,10 @@ def test_criterion_4_limit_normality_known_scale(scenario_a_run):
     """Scaled deviations at N=2000 over 1000 replications are
     KS-indistinguishable from a centered normal with the exact variance,
     and their empirical variance matches it within 10 percent."""
-    dist, subsets, results, run_elapsed = scenario_a_run
+    dist, subsets, reps, run_elapsed = scenario_a_run
     start = time.perf_counter()
     sigma2 = asymptotic_variance(dist, subset_oracle(dist, subsets)[1][0])
-    z = np.array([r.z[0] for r in results])
+    z = reps.z[:, 0]
     ks = ks_statistic(z, 0.0, math.sqrt(sigma2))
     ratio = float(z.var(ddof=1)) / sigma2
     ok = ks < 0.0516 and 0.9 <= ratio <= 1.1
@@ -189,9 +189,9 @@ def test_criterion_4_limit_normality_known_scale(scenario_a_run):
 def test_criterion_5_limit_normality_estimated_scale(scenario_a_run):
     """Self-normalized deviations (per-replication plug-in scale) pass the
     looser KS bound 0.065."""
-    dist, subsets, results, run_elapsed = scenario_a_run
+    dist, subsets, reps, run_elapsed = scenario_a_run
     start = time.perf_counter()
-    self_norm = [r.z[0] / r.sd_estimates[0] for r in results]
+    self_norm = reps.z[:, 0] / reps.sds[:, 0]
     ks = ks_statistic(self_norm, 0.0, 1.0)
     ok = ks < 0.065
     elapsed = run_elapsed + (time.perf_counter() - start)
@@ -202,10 +202,10 @@ def test_criterion_6_joint_limit_law(scenario_a_run):
     """The deviation vector over the two subsets matches the exact
     covariance matrix entrywise within 0.15 of the largest variance, and
     per-replication whitening makes each coordinate standard normal."""
-    dist, subsets, results, run_elapsed = scenario_a_run
+    dist, subsets, reps, run_elapsed = scenario_a_run
     start = time.perf_counter()
     oracle = asymptotic_covariance(dist, subset_oracle(dist, subsets)[1])
-    entry = multivariate_check(results, oracle, subsets)
+    entry = multivariate_check(reps.z, reps.covs, oracle, subsets)
     ok = (
         entry.max_abs_discrepancy <= entry.entry_limit
         and not entry.whitening_skipped
@@ -230,11 +230,11 @@ def test_criterion_7_degenerate_scale():
     sub = FactorSubset.of(1)
     errors, tables = subset_oracle(dist, [sub])
     sigma2 = asymptotic_variance(dist, tables[0])
-    results = run_replications(
+    reps = run_replications(
         dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=41
     )
-    worst = max(abs(r.z[0]) for r in results)
-    entry = clt_check(results, sigma2, sub)
+    worst = float(np.max(np.abs(reps.z[:, 0])))
+    entry = clt_check(reps.z[:, 0], reps.sds[:, 0], sigma2, sub)
     ok = sigma2 == 0.0 and worst < 1e-9 and entry.degenerate and entry.passed
     elapsed = time.perf_counter() - start
     report(7, ok, f"exact variance 0, max |z| = {worst:.2e} < 1e-9", elapsed, 60.0)

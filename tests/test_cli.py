@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,14 @@ from mdrcv import dataio
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
-from mdrcv.model import FactorSubset, sample, save_distribution
+from mdrcv.model import (
+    MAX_LEVEL,
+    Dataset,
+    FactorSpace,
+    FactorSubset,
+    sample,
+    save_distribution,
+)
 from mdrcv.oracle import is_significant
 from mdrcv.scenarios import generate_scenario
 from mdrcv.search import enumerate_subsets
@@ -85,6 +94,21 @@ class TestIngestCsv:
         with pytest.warns(UserWarning, match="q=3"):
             ds = ingest_csv(path, q=3)
         assert ds.space.q == 3
+
+    @pytest.mark.parametrize("n_records", [1, 1023, 1024, 1025, 3000])
+    def test_block_writer_matches_row_writer(self, tmp_path, n_records):
+        rng = np.random.default_rng(n_records)
+        x = rng.integers(0, MAX_LEVEL + 1, size=(n_records, 3))
+        x[0, 0] = MAX_LEVEL
+        y = np.where(np.arange(n_records) % 2, 1, -1)
+        ds = Dataset(FactorSpace(3, MAX_LEVEL), x, y)
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["X1", "X2", "X3", "Y"])
+            for row, label in zip(ds.x, ds.y):
+                writer.writerow([int(v) for v in row] + [int(label)])
+        write_dataset_csv(ds, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def _padded(cell):
@@ -320,6 +344,28 @@ class TestCliCommands:
         assert err.count("\n") == 1 and "no subset given" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command, flag, least", [
+        ("clt-verify", "N", 1), ("clt-verify", "K", 2), ("clt-verify", "M", 1),
+        ("clt-verify", "workers", 1), ("search", "K", 2),
+    ])
+    def test_flag_below_its_least_value_exits_one(self, command, flag, least, capsys):
+        values = {"N": 50, "K": 2}
+        if command == "clt-verify":
+            values.update(M=2, workers=1)
+        values[flag] = least - 1
+        args = [command, "--preset", "null", "--n", "2", "--q", "1", "--seed", "1"]
+        args += ["--subsets", "1"] if command == "clt-verify" else ["--r", "1"]
+        for name, value in values.items():
+            args += [f"--{name}", str(value)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: --{flag} must be >= {least}\n"
+
+    def test_flags_are_checked_in_order(self, capsys):
+        args = ["clt-verify", "--preset", "null", "--n", "2", "--q", "1", "--seed", "1",
+                "--subsets", "1", "--N", "0", "--K", "1", "--M", "0", "--workers", "0"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --N must be >= 1\n"
+
     def test_module_entry_point(self, toy_dist_file):
         proc = subprocess.run(
             [sys.executable, "-m", "mdrcv.cli", "oracle", "--dist", str(toy_dist_file)],
@@ -399,6 +445,29 @@ def test_malformed_input_is_one_line_error(make_args, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_cell_table_over_cap_names_the_subset_size(tmp_path, capsys):
+    assert main(_cell_table_over_cap(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: r=5, q=63: (q+1)^r cells exceed dense-table cap 16777216\n"
+
+
+def test_joint_check_at_one_replication_warns_nothing(tmp_path):
+    args = ["clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+            "--p-low", "0.05", "--p-high", "0.95",
+            "--subsets", "1,2;1,3", "--N", "500", "--M", "1", "--seed", "77",
+            "--out", str(tmp_path / "r.json")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mdrcv", *args],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads((tmp_path / "r.json").read_text())
+    sample_cov = doc["multivariate"]["sample_cov"]
+    assert len(sample_cov) == 2 and all(math.isnan(v) for row in sample_cov for v in row)
 
 
 def test_out_of_memory_is_one_line_error(tmp_path):

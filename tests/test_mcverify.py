@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mdrcv.mcverify import (
     HISTOGRAM_BINS,
     RECORDS_PER_BATCH,
     CltReport,
-    ReplicationResult,
+    Replications,
     clt_check,
     derive_seed,
     ks_statistic,
@@ -128,8 +129,8 @@ class TestRunReplications:
         errors, _ = subset_oracle(dist, subs)
         a = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
         b = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
-        assert a[0].z == b[0].z
-        assert a[0].seed == b[0].seed
+        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a.seeds, b.seeds)
 
     def test_deterministic_scenario_yields_exact_zeros(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
@@ -138,7 +139,7 @@ class TestRunReplications:
             dist, subs, subset_oracle(dist, subs)[0], 500, 5, DEFAULT_SCHEDULE, 20,
             master_seed=3,
         )
-        assert max(abs(r.z[0]) for r in res) == 0.0
+        assert np.max(np.abs(res.z[:, 0])) == 0.0
 
     def test_centering_at_scale(self):
         dist = scenario_a()
@@ -147,7 +148,7 @@ class TestRunReplications:
         sigma = math.sqrt(asymptotic_variance(dist, tables[0]))
         m = 1000
         res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, m, master_seed=17)
-        z = np.array([r.z[0] for r in res])
+        z = res.z[:, 0]
         assert abs(z.mean()) < 4 * sigma / math.sqrt(m)
 
     def test_worker_pool_matches_serial(self):
@@ -158,7 +159,7 @@ class TestRunReplications:
         parallel = run_replications(
             dist, subs, errors, 300, 3, DEFAULT_SCHEDULE, 6, master_seed=9, workers=2
         )
-        assert [r.z for r in serial] == [r.z for r in parallel]
+        assert np.array_equal(serial.z, parallel.z)
 
     def test_deviation_scale_is_stable_in_n(self):
         # the scaled deviations should have a stable distribution across
@@ -171,7 +172,7 @@ class TestRunReplications:
             res = run_replications(
                 dist, [sub], errors, n, 5, DEFAULT_SCHEDULE, 400, master_seed=31
             )
-            q99.append(float(np.quantile(np.abs([r.z[0] for r in res]), 0.99)))
+            q99.append(float(np.quantile(np.abs(res.z[:, 0]), 0.99)))
         assert 0.6 < q99[1] / q99[0] < 1.6
 
     def test_empty_subset_list_rejected(self):
@@ -189,33 +190,29 @@ class TestRunReplications:
 
 def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed):
     """Replications one dataset at a time, from the public primitives."""
-    out = []
+    seeds, z, sds, covs = [], [], [], []
     for rep in range(1, m + 1):
         rep_seed = derive_seed(seed, rep)
         dataset = sample(dist, n_records, rep_seed)
-        z = tuple(
+        z.append([
             math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s).value - err)
             for s, err in zip(subsets, errors)
-        )
+        ])
         infl = [influence_values(dataset, s) for s in subsets]
-        sds = tuple(asymptotic_sd_estimate(v) for v in infl)
-        cov = asymptotic_covariance_estimate(infl) if len(subsets) > 1 else None
-        out.append((rep, rep_seed, z, sds, cov))
-    return out
+        sds.append([asymptotic_sd_estimate(v) for v in infl])
+        covs.append(asymptotic_covariance_estimate(infl))
+        seeds.append(rep_seed)
+    return Replications(np.array(seeds, dtype=np.uint64), np.array(z), np.array(sds),
+                        np.array(covs))
 
 
-def as_tuples(results):
-    return [
-        (r.replication, r.seed, r.z, r.sd_estimates, r.covariance_estimate)
-        for r in results
-    ]
-
-
-def same_results(got, want):
-    return len(got) == len(want) and all(
-        g[:4] == w[:4]
-        and (g[4] is None if w[4] is None else np.array_equal(g[4], w[4]))
-        for g, w in zip(got, want)
+def same_replications(got, want):
+    """Every field equal, with its shape and dtype."""
+    return all(
+        g.dtype == w.dtype and np.array_equal(g, w)
+        for g, w in zip(
+            (got.seeds, got.z, got.sds, got.covs), (want.seeds, want.z, want.sds, want.covs)
+        )
     )
 
 
@@ -264,8 +261,8 @@ class TestBatchedEngine:
             with pytest.raises(DegenerateLabelsError, match=str(exc)):
                 run_replications(*args, DEFAULT_SCHEDULE, m, seed)
             return
-        got = as_tuples(run_replications(*args, DEFAULT_SCHEDULE, m, seed))
-        assert same_results(got, want)
+        got = run_replications(*args, DEFAULT_SCHEDULE, m, seed)
+        assert same_replications(got, want)
 
     def test_worker_pool_over_several_batches_matches_serial(self):
         dist = scenario_a()
@@ -273,9 +270,9 @@ class TestBatchedEngine:
         errors, _ = subset_oracle(dist, subs)
         n_records = RECORDS_PER_BATCH // 3  # three replications per batch
         args = (dist, subs, errors, n_records, 4, DEFAULT_SCHEDULE, 8)
-        serial = as_tuples(run_replications(*args, master_seed=2))
-        parallel = as_tuples(run_replications(*args, master_seed=2, workers=2))
-        assert same_results(parallel, serial)
+        serial = run_replications(*args, master_seed=2)
+        parallel = run_replications(*args, master_seed=2, workers=2)
+        assert same_replications(parallel, serial)
 
 
 class TestCltCheck:
@@ -284,7 +281,7 @@ class TestCltCheck:
         sub = FactorSubset.of(1)
         errors, _ = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 500, 5, DEFAULT_SCHEDULE, 50, master_seed=1)
-        entry = clt_check(res, 0.0, sub)
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], 0.0, sub)
         assert entry.degenerate and entry.passed
         assert entry.ks_oracle is None
 
@@ -293,7 +290,7 @@ class TestCltCheck:
         sub = FactorSubset.of(1, 2)
         errors, tables = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
-        entry = clt_check(res, asymptotic_variance(dist, tables[0]), sub)
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], asymptotic_variance(dist, tables[0]), sub)
         assert not entry.degenerate
         assert entry.passed, entry
 
@@ -302,17 +299,16 @@ class TestCltCheck:
         sub = FactorSubset.of(1, 2)
         errors, tables = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=2)
-        entry = clt_check(res, 10.0 * asymptotic_variance(dist, tables[0]), sub)
+        sigma2 = 10.0 * asymptotic_variance(dist, tables[0])
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], sigma2, sub)
         assert not entry.passed
 
     def test_zero_plug_in_scale_names_subset_and_count(self):
         sub = FactorSubset.of(2)
-        results = [
-            ReplicationResult(m, m, (0.5 * m,), (0.0 if m % 3 else 1.0,))
-            for m in range(1, 10)
-        ]
+        m = np.arange(1, 10)
+        z, sds = 0.5 * m, np.where(m % 3, 0.0, 1.0)
         with pytest.raises(ZeroScaleError, match=r"subset \(2,\): 6 of 9 replications"):
-            clt_check(results, 1.0, sub)
+            clt_check(z, sds, 1.0, sub)
 
     @given(
         z=st.lists(st.floats(-50, 50), min_size=2, max_size=30),
@@ -320,10 +316,34 @@ class TestCltCheck:
     )
     @settings(max_examples=50, deadline=None)
     def test_self_normalized_ks_matches_scalar_division(self, z, sd):
-        results = [ReplicationResult(i, i, (zi,), (sd[i],)) for i, zi in enumerate(z)]
-        entry = clt_check(results, 1.0, FactorSubset.of(1))
+        entry = clt_check(np.array(z), np.array(sd[: len(z)]), 1.0, FactorSubset.of(1))
         scalar = ks_statistic([zi / sd[i] for i, zi in enumerate(z)], 0.0, 1.0)
         assert entry.ks_self_norm == scalar
+
+
+    def test_degenerate_fields_at_one_replication(self):
+        entry = clt_check(np.zeros(1), np.zeros(1), -0.0, FactorSubset.of(1))
+        assert entry.degenerate and entry.passed
+        assert entry.z_var == 0.0 and math.isnan(entry.ks_limit)
+        assert repr(entry.oracle_var) == "0.0"
+        assert entry.ks_oracle is None and entry.ks_self_norm is None
+        assert entry.var_ratio is None
+
+    def test_normal_branch_variance_is_nan_at_one_replication(self):
+        entry = clt_check(np.array([0.3]), np.array([1.0]), 1.0, FactorSubset.of(1))
+        assert not entry.degenerate and math.isnan(entry.z_var)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 1.3])
+    def test_strided_column_equals_contiguous_copy(self, sigma2):
+        # 20000 replications: past numpy's 8192-element iteration buffer
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((20000, 2)) * (sigma2 > 0)
+        sds = rng.uniform(0.5, 2.0, size=(20000, 2))
+        sub = FactorSubset.of(1)
+        strided = clt_check(z[:, 0], sds[:, 0], sigma2, sub)
+        contiguous = clt_check(z[:, 0].copy(), sds[:, 0].copy(), sigma2, sub)
+        assert not z[:, 0].flags.c_contiguous
+        assert repr(strided) == repr(contiguous)
 
 
 class TestMultivariateCheck:
@@ -335,11 +355,10 @@ class TestMultivariateCheck:
             dist, [sub, sub], errors, 1000, 5, DEFAULT_SCHEDULE, 100, master_seed=6
         )
         oracle = asymptotic_covariance(dist, tables)
-        entry = multivariate_check(res, oracle, [sub, sub])
+        entry = multivariate_check(res.z, res.covs, oracle, [sub, sub])
         assert entry.whitening_skipped
         assert not entry.passed
-        z = np.array([r.z for r in res])
-        corr = np.corrcoef(z.T)[0, 1]
+        corr = np.corrcoef(res.z.T)[0, 1]
         assert corr > 0.99
 
     def test_conditionally_independent_pair_has_zero_cross_term(
@@ -351,8 +370,7 @@ class TestMultivariateCheck:
         oracle = asymptotic_covariance(dist, tables)
         assert oracle[0, 1] == pytest.approx(0.0, abs=1e-12)
         res = run_replications(dist, subs, errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=11)
-        z = np.array([r.z for r in res])
-        cross = float(np.cov(z.T, ddof=1)[0, 1])
+        cross = float(np.cov(res.z.T, ddof=1)[0, 1])
         # noise scale of the sample covariance, from the exact oracle moments
         se = math.sqrt(oracle[0, 0] * oracle[1, 1] / 400)
         assert abs(cross) < 4 * se
@@ -362,24 +380,44 @@ class TestMultivariateCheck:
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
         errors, tables = subset_oracle(dist, subs)
         res = run_replications(dist, subs, errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
-        entry = multivariate_check(res, asymptotic_covariance(dist, tables), subs)
+        entry = multivariate_check(res.z, res.covs, asymptotic_covariance(dist, tables), subs)
         assert not entry.whitening_skipped
         assert entry.passed, entry
+
+
+    def test_one_replication_has_nan_sample_covariance(self):
+        sub = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        z, covs = np.array([[0.4, -0.2]]), np.array([np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = multivariate_check(z, covs, np.eye(2), sub)
+        assert entry.sample_cov.shape == (2, 2) and np.all(np.isnan(entry.sample_cov))
+        assert not entry.passed
 
 
 class TestVerifyClt:
     def test_end_to_end_report(self):
         dist = scenario_a()
         subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
-        report, results = verify_clt(
+        report, reps = verify_clt(
             dist, subs, 800, 4, 50, master_seed=12, scenario="pair-epistasis"
         )
         assert isinstance(report, CltReport)
-        assert report.n_replications == 50 and len(results) == 50
+        assert report.n_replications == 50
+        assert reps.seeds.shape == (50,) and reps.z.shape == reps.sds.shape == (50, 2)
+        assert reps.covs.shape == (50, 2, 2)
         doc = report.to_dict()
         assert doc["subsets"] == [[1, 2], [1, 3]]
         assert len(doc["univariate"]) == 2
         assert doc["multivariate"] is not None
+
+    def test_one_subset_has_one_by_one_covariances(self):
+        dist = scenario_a()
+        report, reps = verify_clt(dist, [FactorSubset.of(1, 2)], 400, 4, 7, master_seed=3)
+        assert report.multivariate is None
+        assert reps.covs.shape == (7, 1, 1)
+        assert reps.seeds.dtype == np.uint64
+        assert reps.seeds.tolist() == [derive_seed(3, m) for m in range(1, 8)]
 
     def test_histogram_renders(self):
         rng = np.random.default_rng(0)

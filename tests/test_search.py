@@ -82,9 +82,10 @@ class TestRankSubsets:
     def test_cell_table_over_the_dense_cap_rejected(self):
         # 64^5 cells: the count table has the point tables' cap
         ds = Dataset(FactorSpace(5, 63), np.full((8, 5), 63), [1, -1] * 4)
-        with pytest.raises(ValidationError, match="n=5, q=63: .* dense-table cap"):
+        message = r"r=5, q=63: \(q\+1\)\^r cells exceed dense-table cap"
+        with pytest.raises(ValidationError, match=message):
             rank_subsets(ds, 5, 4)
-        with pytest.raises(ValidationError, match="n=5, q=63: .* dense-table cap"):
+        with pytest.raises(ValidationError, match=message):
             cv_prediction_error(ds, 4, FactorSubset.of(1, 2, 3, 4, 5))
 
     def test_wide_ternary_csv_matches_single_subset_estimator(self, tmp_path):
