@@ -191,13 +191,15 @@ def clt_check(
     A plug-in scale of zero raises ``ZeroScaleError``.
     """
     m = len(z)
+    if m < 1:
+        raise ValidationError("need at least one replication")
     if oracle_sigma2 < 0:
         raise ValidationError("oracle variance cannot be negative")
     degenerate = oracle_sigma2 == 0.0
     z_var = float(z.var(ddof=1)) if m > 1 else 0.0 if degenerate else float("nan")
     ks_oracle, ks_self, ratio, ks_limit = None, None, None, float("nan")
     if degenerate:
-        passed = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT) if m else True
+        passed = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT)
     else:
         ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
         ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
@@ -273,6 +275,8 @@ def multivariate_check(
         raise ValidationError("multivariate check needs at least two subsets")
     z = np.ascontiguousarray(z, dtype=np.float64)
     m = z.shape[0]
+    if m < 1:
+        raise ValidationError("need at least one replication")
     # one replication has no sample covariance; np.cov would warn and divide by 0
     sample_cov = np.cov(z.T, ddof=1) if m > 1 else np.full((s, s), np.nan)
     disc = np.abs(sample_cov - oracle_cov)

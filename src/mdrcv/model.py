@@ -34,6 +34,12 @@ MAX_LEVEL = 2**15 - 1  # Dataset.x holds factor levels as int16
 
 NORMALIZATION_TOL = 1e-12
 
+# The atom CDF is kept only at the end of each block of CDF_BLOCK atoms;
+# ``sample`` re-sums the blocks its draws land in.  CDF_CHUNK atoms (a
+# multiple of CDF_BLOCK, 512 KiB of float64) are summed at a time.
+CDF_BLOCK = 16
+CDF_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class FactorSpace:
@@ -215,7 +221,8 @@ class JointDistribution:
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
     must be strictly positive (degenerate labels are rejected).  Beside the
-    table it keeps only the atom CDF, both label sums and a support mask.
+    table it keeps only the atom CDF at each block end, both label sums and
+    a support mask.
     Equal spaces and tables make equal distributions, which are unhashable.
     """
 
@@ -245,9 +252,8 @@ class JointDistribution:
         object.__setattr__(self, "_label_sums", (float(p[:, 0].sum()), marg_pos))
         support = p[:, 0] > 0.0  # = p.sum(axis=1) > 0 on a nonnegative table
         support |= p[:, 1] > 0.0
-        cdf = np.cumsum(p.ravel())  # atom order: (x0,-1), (x0,+1), (x1,-1), ...
-        cdf[-1] = 1.0
-        for name, arr in (("probs", p), ("_support", support), ("_cdf", cdf)):
+        ends = _block_ends(p.reshape(-1))
+        for name, arr in (("probs", p), ("_support", support), ("_cdf_ends", ends)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -327,6 +333,72 @@ class JointDistribution:
         return [(tuple(x), LABELS[c], p) for x, c, p in zip(xs, cols.tolist(), ps)]
 
 
+def _block_ends(atoms: np.ndarray) -> np.ndarray:
+    """``np.cumsum(atoms)`` at the last atom of each CDF_BLOCK block, the
+    final atom's value forced to 1.0.  The sum runs chunk by chunk, each
+    chunk's cumsum seeded with the previous chunk's last value, so every
+    value is the sequential one and no table-sized array is made."""
+    ends = np.empty(-(-atoms.size // CDF_BLOCK))
+    buf = np.empty(min(CDF_CHUNK, atoms.size) + 1)
+    carry = 0.0
+    for start in range(0, atoms.size, CDF_CHUNK):
+        chunk = atoms[start : start + CDF_CHUNK]
+        run = buf[: chunk.size + 1]
+        run[0] = carry
+        run[1:] = chunk
+        np.cumsum(run, out=run)
+        block_ends = run[CDF_BLOCK::CDF_BLOCK]
+        ends[start // CDF_BLOCK : start // CDF_BLOCK + block_ends.size] = block_ends
+        carry = run[-1]
+    ends[-1] = 1.0  # also the end of a partial last block
+    return ends
+
+
+def _block_cdf(dist: JointDistribution, blocks: np.ndarray) -> np.ndarray:
+    """The atom CDF over the given sorted blocks, one row of CDF_BLOCK
+    values each, equal bit for bit to ``np.cumsum`` over all atoms with
+    the final atom forced to 1.0.  A partial last block is padded with
+    +inf."""
+    atoms = dist.probs.reshape(-1)
+    ends = dist._cdf_ends
+    full = atoms.size // CDF_BLOCK
+    rows = np.empty((blocks.size, CDF_BLOCK))
+    inner = blocks.size - int(blocks.size > 0 and blocks[-1] == full)
+    np.take(atoms[: full * CDF_BLOCK].reshape(full, CDF_BLOCK), blocks[:inner], axis=0,
+            out=rows[:inner])
+    if inner < blocks.size:  # the partial last block
+        tail = atoms[full * CDF_BLOCK :]
+        rows[-1, : tail.size] = tail
+        rows[-1, tail.size :] = 0.0
+    carry = ends[blocks - 1]  # the sequential sum up to each block's start
+    if blocks.size and blocks[0] == 0:
+        carry[0] = 0.0
+    rows[:, 0] += carry
+    np.cumsum(rows, axis=1, out=rows)
+    if blocks.size and blocks[-1] == ends.size - 1:
+        last = (atoms.size - 1) % CDF_BLOCK
+        rows[-1, last] = 1.0
+        rows[-1, last + 1 :] = np.inf
+    return rows
+
+
+def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
+    """Each draw's atom: ``np.searchsorted(cdf, u, "right")`` on the
+    sequential CDF of all atoms, final value 1.0, bit for bit.  Only the
+    blocks the draws land in are re-summed, or every block when there are
+    at least as many draws as atoms (the rule reads only the sizes)."""
+    blocks = dist._cdf_ends.size
+    if blocks * CDF_BLOCK <= u.size:
+        return np.searchsorted(_block_cdf(dist, np.arange(blocks)).ravel(), u, "right")
+    hit = np.zeros(blocks, dtype=bool)
+    hit[np.searchsorted(dist._cdf_ends, u, "right")] = True
+    touched = np.flatnonzero(hit)
+    pos = np.searchsorted(_block_cdf(dist, touched).ravel(), u, "right")
+    if touched.size == blocks:
+        return pos
+    return touched[pos // CDF_BLOCK] * CDF_BLOCK + pos % CDF_BLOCK
+
+
 def label_marginal(dist: JointDistribution, y: int) -> float:
     """P(Y=y), the label column's sum, taken once when the table is built."""
     return dist._label_sums[LABELS.index(y)]
@@ -390,10 +462,10 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     """Draw an i.i.d. sample of size n_records, reproducibly.
 
     Inverse-CDF sampling over the fixed atom enumeration (x lexicographic,
-    y = -1 before +1), so identical (dist, n_records, seed) give the same
-    dataset bit for bit.  A sequence of B seeds gives one dataset of
-    B * n_records records whose block b is exactly
-    ``sample(dist, n_records, seeds[b])``.
+    y = -1 before +1; see ``_atom_index``), so identical
+    (dist, n_records, seed) give the same dataset bit for bit.  A sequence
+    of B seeds gives one dataset of B * n_records records whose block b is
+    exactly ``sample(dist, n_records, seeds[b])``.
     """
     if n_records < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
@@ -401,7 +473,7 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     u = np.empty((len(seeds), n_records))
     for row, s in zip(u, seeds):
         np.random.default_rng(s).random(out=row)
-    atom_idx = np.searchsorted(dist._cdf, u.ravel(), side="right")
+    atom_idx = _atom_index(dist, u.ravel())
     # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
     point_rank = (atom_idx >> 1).astype(np.int32)
     ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)

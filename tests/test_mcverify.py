@@ -276,6 +276,14 @@ class TestBatchedEngine:
 
 
 class TestCltCheck:
+    @pytest.mark.parametrize("oracle_sigma2", [0.0, 1.0])
+    def test_empty_column_rejected(self, oracle_sigma2):
+        # no mean of an empty slice, no KS limit divided by sqrt(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^need at least one replication$"):
+                clt_check(np.empty(0), np.empty(0), oracle_sigma2, FactorSubset.of(1))
+
     def test_degenerate_branch(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
         sub = FactorSubset.of(1)
@@ -347,6 +355,11 @@ class TestCltCheck:
 
 
 class TestMultivariateCheck:
+    def test_no_replications_rejected(self):
+        subsets = [FactorSubset.of(1), FactorSubset.of(2)]
+        with pytest.raises(ValidationError, match="^need at least one replication$"):
+            multivariate_check(np.empty((0, 2)), np.empty((0, 2, 2)), np.eye(2), subsets)
+
     def test_identical_subsets_whitening_is_flagged(self):
         dist = scenario_a()
         sub = FactorSubset.of(1, 2)

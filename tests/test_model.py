@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mdrcv.errors import ValidationError
 from mdrcv.model import (
+    CDF_BLOCK,
+    CDF_CHUNK,
     MAX_LEVEL,
     Dataset,
     FactorSpace,
@@ -24,6 +26,7 @@ from mdrcv.model import (
     point_levels,
     sample,
     save_distribution,
+    _atom_index,
 )
 from mdrcv.estimator import fold_cell_counts, fold_partition
 
@@ -385,6 +388,38 @@ def subsets_of(draw, n):
     return FactorSubset(tuple(sorted(idx)))
 
 
+@st.composite
+def block_edge_tables(draw):
+    """A distribution whose atom count is often not a multiple of
+    CDF_BLOCK, with zero-mass atoms on block edges and maybe a run of
+    trailing zero atoms."""
+    space = draw(spaces(max_n=4, max_q=3))
+    size = 2 * space.num_points
+    w = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=size, max_size=size
+    )))
+    edges = np.flatnonzero(np.isin(np.arange(size) % CDF_BLOCK, (0, CDF_BLOCK - 1)))
+    w[draw(st.lists(st.sampled_from(edges.tolist())))] = 0.0
+    w[size - draw(st.integers(0, size - 2)) :] = 0.0
+    p = (w / w.sum() if w.sum() > 0 else w).reshape(-1, 2)
+    assume(p[:, 0].sum() > 0 and p[:, 1].sum() > 0)
+    return JointDistribution(space, p)
+
+
+def reference_cdf(dist):
+    """The atom CDF that sampling inverts: one sequential cumsum over all
+    atoms, the final value forced to 1.0."""
+    c = np.cumsum(dist.probs.ravel())
+    c[-1] = 1.0
+    return c
+
+
+def reference_block_ends(dist):
+    """``reference_cdf`` at the last atom of each CDF_BLOCK block."""
+    c = reference_cdf(dist)
+    return c[np.arange(CDF_BLOCK - 1, c.size + CDF_BLOCK - 1, CDF_BLOCK).clip(max=c.size - 1)]
+
+
 def grid_reference(space):
     """Every point in enumeration order, from ``np.indices``."""
     return np.indices(space.grid_shape).reshape(space.n, -1).T
@@ -444,14 +479,14 @@ class TestGridFreePath:
             np.testing.assert_allclose(got.reshape(-1, 2), want, rtol=1e-13, atol=1e-16)
 
     @given(
-        dist=small_distributions(max_n=3, max_q=3),
-        n_records=st.integers(1, 60),
+        dist=st.one_of(small_distributions(max_n=3, max_q=3), block_edge_tables()),
+        n_records=st.integers(1, 600),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_sample_matches_point_gather(self, dist, n_records, seed):
         u = np.random.default_rng(seed).random(n_records)
-        atom = np.searchsorted(dist._cdf, u, side="right")
+        atom = np.searchsorted(reference_cdf(dist), u, side="right")
         ds = sample(dist, n_records, seed)
         assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
         assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))
@@ -483,12 +518,13 @@ def from_conditional_or_error(space, m, c):
 def assert_same_distribution(a, b, n_records, seed):
     for got, want in (
         (a.probs, b.probs),
-        (a._cdf, b._cdf),
+        (a._cdf_ends, b._cdf_ends),
         (a.support_mask(), b.support_mask()),
         (np.array(a._label_sums), np.array(b._label_sums)),
     ):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.array_equal(a.support_mask(), a.probs.sum(axis=1) > 0)
+    assert a._cdf_ends.tobytes() == reference_block_ends(a).tobytes()
     sa, sb = sample(a, n_records, seed), sample(b, n_records, seed)
     assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.y, sb.y)
 
@@ -553,9 +589,10 @@ class TestFromConditional:
                 JointDistribution.from_conditional(space.n, space.q, m, c)
 
     @pytest.mark.parametrize("preset", ["null", "single-factor", "pair-epistasis"])
-    def test_preset_build_keeps_to_table_cdf_and_mask(self, preset):
-        # the table and its CDF take 2 * probs.nbytes and the support mask
-        # one byte a point; nothing else table-sized is alive at the peak
+    def test_preset_build_keeps_to_table_ends_and_mask(self, preset):
+        # beside the table only the block ends (1/16 of its bytes), the
+        # support mask (one byte a point) and one CDF_CHUNK cumsum buffer
+        # are alive at the peak: no table-sized CDF
         # (independent is left out: its conditional depends on every factor)
         generate_scenario(preset, 2, 2)  # first-call allocations off the books
         tracemalloc.start()
@@ -564,11 +601,12 @@ class TestFromConditional:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * dist.probs.nbytes + dist.space.num_points + 2**16
+        assert peak <= build_floor(dist) + 2**13
 
     def test_independent_build_keeps_one_conditional_buffer(self):
-        # beside the table, CDF and mask, only the conditional (half the
-        # table's bytes) is alive: no level sum or logistic temporary
+        # beside the table, block ends, mask and cumsum buffer, only the
+        # conditional (half the table's bytes) is alive: no level sum or
+        # logistic temporary
         generate_scenario("independent", 2, 2)
         tracemalloc.start()
         try:
@@ -576,4 +614,56 @@ class TestFromConditional:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * dist.probs.nbytes
+        assert peak <= build_floor(dist) + dist.probs.nbytes // 2 + 2**13
+
+
+def build_floor(dist):
+    """Bytes a distribution keeps (table, block ends, support mask) plus the
+    one cumsum buffer its build needs."""
+    return (dist.probs.nbytes + dist._cdf_ends.nbytes + dist.support_mask().nbytes
+            + 8 * (CDF_CHUNK + 1))
+
+
+class TestBlockedCdf:
+    """Sampling re-sums only the blocks its draws land in, yet finds the
+    atom that the full sequential CDF gives, bit for bit."""
+
+    @given(dist=block_edge_tables(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_atom_index_matches_full_cdf_search(self, dist, data):
+        c = reference_cdf(dist)
+        atoms = c.size
+        blocks = -(-atoms // CDF_BLOCK)
+        # at least one draw per atom re-sums every block; fewer locate them
+        if data.draw(st.booleans()):
+            size = blocks * CDF_BLOCK + data.draw(st.integers(0, 8))
+        else:
+            size = data.draw(st.integers(1, blocks * CDF_BLOCK - 1))
+        exact = c[c < 1.0]
+        near = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0), [0.0]])
+        near = near[near < 1.0]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = np.where(rng.random(size) < 0.5, near[rng.integers(near.size, size=size)],
+                     rng.random(size))
+        got = _atom_index(dist, u)
+        want = np.searchsorted(c, u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("copies", [1, 6])  # 30 draws locate, 180 re-sum all 4 blocks
+    def test_draws_on_cdf_values_around_zero_edge_atoms(self, copies):
+        # 54 atoms: three full blocks and a partial one; mass mostly on block
+        # edges, none on atoms 45..53; the sequential sum stops one ulp below
+        # 1, so draws there must land on the final atom, forced to 1.0
+        p = np.zeros(54)
+        p[[0, 15, 16, 31, 32, 40, 41, 42, 43, 44]] = 0.1
+        dist = JointDistribution(FactorSpace(3, 2), p.reshape(-1, 2))
+        c = reference_cdf(dist)
+        exact = np.unique(c[c < 1.0])
+        u = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
+        u = np.tile(np.where(u < 1.0, u, 0.5), copies)  # draws lie in [0, 1)
+        assert np.array_equal(_atom_index(dist, u), np.searchsorted(c, u, side="right"))
+
+    def test_cdf_ends_carry_across_chunks(self):
+        dist = generate_scenario("pair-epistasis", 10, 2)  # 118098 atoms: two chunks
+        assert dist._cdf_ends.shape == (7382,)
+        assert dist._cdf_ends.tobytes() == reference_block_ends(dist).tobytes()

@@ -1,4 +1,4 @@
-"""Byte-level pins of four small CLI reports.
+"""Byte-level pins of four small CLI reports and two sampled CSVs.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -9,6 +9,8 @@ say why the new bytes are right.
 import contextlib
 import hashlib
 import io
+
+import pytest
 
 from mdrcv.cli import main
 
@@ -39,6 +41,13 @@ INDEPENDENT_ORACLE_ARGS = [
 ]
 INDEPENDENT_ORACLE_SHA256 = "7a67cca8c8af21532cab2e81fc8bff2a3449c3cf8308f4e0aa138798d48aa576"
 
+# Sampled datasets: 54 atoms and 500 draws re-sum every CDF block; 39366
+# atoms (a partial last block) and 3000 draws re-sum only the blocks hit.
+SIMULATE_SHA256 = {
+    ("--n", "3", "--N", "500"): "115904d10f512b013af206fce6d4b7d39caf7457fe6cc4ec77d3c6434218a2c4",
+    ("--n", "9", "--N", "3000"): "aff84262483dec83c6c852d947b0eda53c2762c4e258ec2b7ab766634b60ec7e",
+}
+
 
 def report_digest(args, path):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -61,3 +70,9 @@ def test_oracle_report_bytes(tmp_path):
 def test_independent_oracle_report_bytes(tmp_path):
     got = report_digest(INDEPENDENT_ORACLE_ARGS, tmp_path / "independent.json")
     assert got == INDEPENDENT_ORACLE_SHA256
+
+
+@pytest.mark.parametrize("size_args", list(SIMULATE_SHA256))
+def test_simulate_csv_bytes(tmp_path, size_args):
+    args = ["simulate", "--preset", "pair-epistasis", "--q", "2", *size_args, "--seed", "1"]
+    assert report_digest(args, tmp_path / "sample.csv") == SIMULATE_SHA256[size_args]
