@@ -50,7 +50,7 @@ def main():
         for s in range(args.seeds):
             ds = sample(dist, n_records, seed=args.base_seed + 17 * n_records + s)
             est = cv_prediction_error(ds, args.K, subset, schedule)
-            devs.append(abs(est.value - target))
+            devs.append(abs(est - target))
         devs = np.asarray(devs)
         print(
             f"{n_records:>8} {np.median(devs):>14.5f} "

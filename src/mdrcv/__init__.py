@@ -12,7 +12,6 @@ from .errors import (
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
-    ErrEstimate,
     FoldPartition,
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .dataio import ingest_csv, write_dataset_csv
 from .errors import MdrError, ValidationError
@@ -124,7 +125,16 @@ def _cmd_simulate(args) -> int:
 
 def _load_dataset(args):
     if args.data:
-        return ingest_csv(args.data, q=args.q)
+        for flag in ("dist", "preset", "N"):
+            if getattr(args, flag) is not None:
+                raise ValidationError(f"--data cannot be combined with --{flag}")
+        # one stderr line per warning, whatever the interpreter's filters
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dataset = ingest_csv(args.data, q=args.q)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        return dataset
     dist = _resolve_distribution(args)
     if args.N is None:
         raise ValidationError("--N is required when sampling from a distribution")
@@ -138,9 +148,9 @@ def _cmd_search(args) -> int:
     report = rank_subsets(dataset, args.r, args.K, schedule)
     print(f"ranked {len(report.entries)} subsets of size {report.r} "
           f"(N={len(dataset)}, K={args.K})")
-    for subset, value in report.entries:
-        marker = " <- selected" if subset == report.selected else ""
-        print(f"  {{{','.join(map(str, subset.indices))}}}  "
+    for i, (indices, value) in enumerate(report.entries):
+        marker = " <- selected" if i == 0 else ""
+        print(f"  {{{','.join(map(str, indices))}}}  "
               f"estimated error {value:.6f}{marker}")
     if args.out:
         _write_json(report.to_dict(), args.out)

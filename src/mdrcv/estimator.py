@@ -105,13 +105,6 @@ class EpsilonSchedule:
 DEFAULT_SCHEDULE = EpsilonSchedule()
 
 
-@dataclass(frozen=True)
-class ErrEstimate:
-    """Cross-validated prediction error."""
-
-    value: float
-
-
 def fold_cell_counts(
     codes: np.ndarray, positive: np.ndarray, n_folds: int, cells: int
 ) -> np.ndarray:
@@ -143,7 +136,7 @@ def dataset_counts(
     holds (the datasets ``sample`` draws from a list of seeds)."""
     subset.validate_for(dataset.space)
     shape = (-1,) if n_stack is None else (n_stack, -1)
-    cells = cylinder_count(subset, dataset.space.q)
+    cells = cylinder_count(subset.r, dataset.space.q)
     codes = cylinder_codes(dataset.x, subset, dataset.space.q).reshape(shape)
     positive = (dataset.y == 1).reshape(shape)
     return codes, positive, fold_cell_counts(codes, positive, n_folds, cells)
@@ -178,13 +171,13 @@ def cv_prediction_error(
     n_folds: int,
     subset: FactorSubset,
     schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-) -> ErrEstimate:
+) -> float:
     """K-fold cross-validated prediction error of the regularized rule:
     ``cv_error_stack`` on the dataset's one count table."""
     fold_partition(len(dataset), n_folds)
     eps = schedule.value(len(dataset))
     _, _, counts = dataset_counts(dataset, subset, n_folds)
-    return ErrEstimate(value=float(cv_error_stack(counts, eps)[0]))
+    return float(cv_error_stack(counts, eps)[0])
 
 
 def influence_stack(

@@ -154,14 +154,13 @@ def on_points(space: FactorSpace, grid: np.ndarray) -> np.ndarray:
     return np.broadcast_to(grid, space.grid_shape).reshape(-1)
 
 
-def cylinder_count(subset: FactorSubset, q: int) -> int:
-    """(q+1)^r cells of the subset, checked against the dense-table cap."""
-    space = FactorSpace(subset.r, q)
+def cylinder_count(r: int, q: int) -> int:
+    """(q+1)^r cells of an r-factor subset, checked against the dense-table cap."""
     try:
-        return space.num_points
+        return FactorSpace(r, q).num_points
     except ValidationError:  # name the subset size r, not a factor count n
         raise ValidationError(
-            f"r={subset.r}, q={q}: (q+1)^r cells exceed dense-table cap {MAX_POINTS}"
+            f"r={r}, q={q}: (q+1)^r cells exceed dense-table cap {MAX_POINTS}"
         ) from None
 
 

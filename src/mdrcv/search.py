@@ -24,8 +24,8 @@ MAX_SEARCH_SUBSETS = 2**18
 BLOCK_ENTRIES = 2**16
 
 
-def enumerate_subsets(n: int, r: int) -> list[FactorSubset]:
-    """All r-element subsets of {1..n}, lexicographic."""
+def enumerate_subsets(n: int, r: int) -> list[tuple[int, ...]]:
+    """All r-element index tuples of {1..n}, lexicographic."""
     if r < 1 or r > n:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
     count = math.comb(n, r)
@@ -33,7 +33,7 @@ def enumerate_subsets(n: int, r: int) -> list[FactorSubset]:
         raise ValidationError(
             f"C({n}, {r}) = {count} subsets exceed the search budget {MAX_SEARCH_SUBSETS}"
         )
-    return [FactorSubset(c) for c in itertools.combinations(range(1, n + 1), r)]
+    return list(itertools.combinations(range(1, n + 1), r))
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SearchReport:
 
     r: int
     n_folds: int
-    entries: tuple[tuple[FactorSubset, float], ...]  # ascending by value
+    entries: tuple[tuple[tuple[int, ...], float], ...]  # (indices, value), ascending
     selected: FactorSubset
 
     def to_dict(self) -> dict:
@@ -51,7 +51,7 @@ class SearchReport:
             "n_folds": self.n_folds,
             "tie_tolerance": 0.0,  # only exact ties are broken, lexicographically
             "ranking": [
-                {"indices": list(s.indices), "estimated_error": v}
+                {"indices": list(s), "estimated_error": v}
                 for s, v in self.entries
             ],
             "selected": list(self.selected.indices),
@@ -77,17 +77,14 @@ def rank_subsets(
     candidates = enumerate_subsets(dataset.space.n, r)
     fold_partition(len(dataset), n_folds)
     values = _cv_errors(dataset, candidates, n_folds, schedule.value(len(dataset)))
-    scored = sorted(zip(candidates, values.tolist()), key=lambda e: (e[1], e[0].indices))
-    return SearchReport(
-        r=r,
-        n_folds=n_folds,
-        entries=tuple(scored),
-        selected=scored[0][0],
-    )
+    # stable on lexicographic candidates: exact ties keep index order
+    floats = values.tolist()
+    entries = tuple((candidates[i], floats[i]) for i in np.argsort(values, kind="stable").tolist())
+    return SearchReport(r, n_folds, entries, selected=FactorSubset(entries[0][0]))
 
 
 def _cv_errors(
-    dataset: Dataset, subsets: list[FactorSubset], n_folds: int, eps: float
+    dataset: Dataset, subsets: list[tuple[int, ...]], n_folds: int, eps: float
 ) -> np.ndarray:
     """``cv_prediction_error`` values of r-subsets in lexicographic order,
     all on one dataset's folds, bit for bit.
@@ -100,8 +97,8 @@ def _cv_errors(
     whose weight is 1.  Each key is bincounted into a row of a count block,
     and each block is scored by one ``cv_error_stack`` call.
     """
-    q, r = dataset.space.q, subsets[0].r
-    cells = cylinder_count(subsets[0], q)
+    q, r = dataset.space.q, len(subsets[0])
+    cells = cylinder_count(r, q)
     width = n_folds * 2 * cells
     dtype = np.int32 if width < 2**31 else np.int64
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
@@ -111,8 +108,7 @@ def _cv_errors(
     block = np.empty((min(len(subsets), max(1, BLOCK_ENTRIES // width)), width), np.int64)
     values = np.empty(len(subsets))
     prev: tuple[int, ...] = ()
-    for i, subset in enumerate(subsets):
-        m = subset.indices
+    for i, m in enumerate(subsets):
         start = next((j for j, (a, b) in enumerate(zip(m, prev)) if a != b), 0)
         for j in range(start, r):
             column = columns[m[j] - 1]

@@ -123,14 +123,14 @@ def test_criterion_2_subset_dominance():
     dist = generate_scenario("pair-epistasis", n=3, q=1)
     psi = balanced_penalty(dist)
     errs = {
-        s.indices: prediction_error(dist, psi, optimal_predictor(dist, psi, s))
+        s: prediction_error(dist, psi, optimal_predictor(dist, psi, FactorSubset(s)))
         for s in enumerate_subsets(3, 2)
     }
     ok = all(errs[(1, 2)] <= v for v in errs.values())
     gaps = []
     for s in enumerate_subsets(3, 2):
-        if not is_significant(dist, s):
-            gaps.append(errs[s.indices] - errs[(1, 2)])
+        if not is_significant(dist, FactorSubset(s)):
+            gaps.append(errs[s] - errs[(1, 2)])
     ok = ok and all(g >= 0.01 for g in gaps)
     elapsed = time.perf_counter() - start
     report(
@@ -153,7 +153,7 @@ def test_criterion_3_estimator_consistency():
     medians = []
     for n in grid:
         devs = [
-            abs(cv_prediction_error(sample(dist, n, seed=4000012 + 17 * n + s), 5, sub).value - target)
+            abs(cv_prediction_error(sample(dist, n, seed=4000012 + 17 * n + s), 5, sub) - target)
             for s in range(20)
         ]
         medians.append(float(np.median(devs)))
@@ -265,7 +265,7 @@ def test_criterion_9_estimator_transcription_equivalence():
     sub = FactorSubset.of(1)
     est = cv_prediction_error(ds, 2, sub, sched)
     expected = transcribed_cv_error(ds, 2, sub, sched.value(4))
-    bitwise = est.value == expected
+    bitwise = est == expected
 
     folds_ok = True
     for n in range(2, 201):
@@ -277,7 +277,7 @@ def test_criterion_9_estimator_transcription_equivalence():
     elapsed = time.perf_counter() - start
     report(
         9, bitwise and folds_ok,
-        f"estimate {est.value!r} == transcription {expected!r}; "
+        f"estimate {est!r} == transcription {expected!r}; "
         "fold sizes exact for all N <= 200, K <= 10",
         elapsed, 60.0,
     )

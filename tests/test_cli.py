@@ -171,7 +171,7 @@ class TestGenerateScenario:
         dist = generate_scenario("null", n=3, q=1, p_pos=0.3)
         for r in (1, 2, 3):
             for sub in enumerate_subsets(3, r):
-                assert is_significant(dist, sub)
+                assert is_significant(dist, FactorSubset(sub))
 
     def test_single_factor_structure(self):
         dist = generate_scenario("single-factor", n=2, q=2)
@@ -414,6 +414,13 @@ def _cell_table_over_cap(tmp_path):
     return ["search", "--data", str(path), "--r", "5", "--K", "2"]
 
 
+def _data_with(tmp_path, *flags):
+    # --data with flags that only apply when sampling from a distribution
+    path = tmp_path / "data.csv"
+    path.write_text("X1,Y\n0,1\n1,-1\n2,1\n")
+    return ["search", "--data", str(path), *flags, "--r", "1", "--K", "2"]
+
+
 @pytest.mark.parametrize("make_args", [
     _csv_with_ff,
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": []}\xff'),
@@ -432,10 +439,15 @@ def _cell_table_over_cap(tmp_path):
       for preset in ("single-factor", "pair-epistasis", "independent")],
     _search_over_budget,
     _cell_table_over_cap,
+    lambda tmp: _data_with(tmp, "--preset", "single-factor", "--n", "5", "--q", "1",
+                           "--N", "10"),
+    lambda tmp: _data_with(tmp, "--dist", str(tmp / "missing.json")),
+    lambda tmp: _data_with(tmp, "--N", "10"),
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
         "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
-        "independent-huge-n", "search-over-budget", "cell-table-over-cap"])
+        "independent-huge-n", "search-over-budget", "cell-table-over-cap",
+        "data-with-preset", "data-with-dist", "data-with-N"])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
@@ -451,6 +463,29 @@ def test_cell_table_over_cap_names_the_subset_size(tmp_path, capsys):
     assert main(_cell_table_over_cap(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err == "error: r=5, q=63: (q+1)^r cells exceed dense-table cap 16777216\n"
+
+
+def test_data_with_a_sampling_flag_names_the_flag(tmp_path, capsys):
+    # the preset's --q 1 is not applied to the CSV, whose largest level is 2
+    args = _data_with(tmp_path, "--preset", "single-factor", "--n", "5", "--q", "1",
+                      "--N", "10")
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --data cannot be combined with --preset\n"
+
+
+@pytest.mark.parametrize("filters", [[], ["-W", "error"]])
+def test_q_mismatch_is_one_warning_line(filters, tmp_path):
+    # the largest level is 2; --q 5 still applies, with one stderr line
+    args = _data_with(tmp_path, "--q", "5")
+    proc = subprocess.run(
+        [sys.executable, *filters, "-m", "mdrcv", *args],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (f"warning: {args[2]}: configured q=5 differs from the "
+                           "largest observed level (2)\n")
+    assert proc.stdout.startswith("ranked 1 subsets of size 1")
 
 
 def test_joint_check_at_one_replication_warns_nothing(tmp_path):

@@ -195,7 +195,7 @@ def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed
         rep_seed = derive_seed(seed, rep)
         dataset = sample(dist, n_records, rep_seed)
         z.append([
-            math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s).value - err)
+            math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s) - err)
             for s, err in zip(subsets, errors)
         ])
         infl = [influence_values(dataset, s) for s in subsets]

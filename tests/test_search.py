@@ -21,11 +21,10 @@ from conftest import wide_csv
 
 class TestEnumerateSubsets:
     def test_pairs_of_three(self):
-        got = [s.indices for s in enumerate_subsets(3, 2)]
-        assert got == [(1, 2), (1, 3), (2, 3)]
+        assert enumerate_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]
 
     def test_full_subset_is_single(self):
-        assert [s.indices for s in enumerate_subsets(4, 4)] == [(1, 2, 3, 4)]
+        assert enumerate_subsets(4, 4) == [(1, 2, 3, 4)]
 
     def test_rejects_oversized(self):
         with pytest.raises(ValidationError):
@@ -79,6 +78,15 @@ class TestRankSubsets:
             with pytest.raises(ValidationError, match="exceed the search budget"):
                 rank_subsets(ds, 3, 4)
 
+    def test_builds_one_factor_subset_per_search(self):
+        # candidates stay index tuples; only the selected one is validated
+        ds = sample(generate_scenario("pair-epistasis", n=6, q=1), 400, seed=2)
+        with mock.patch.object(search, "FactorSubset", wraps=FactorSubset) as built:
+            report = rank_subsets(ds, 2, 4)
+        assert len(report.entries) == 15
+        assert built.call_count == 1
+        assert report.selected == FactorSubset(report.entries[0][0])
+
     def test_cell_table_over_the_dense_cap_rejected(self):
         # 64^5 cells: the count table has the point tables' cap
         ds = Dataset(FactorSpace(5, 63), np.full((8, 5), 63), [1, -1] * 4)
@@ -95,8 +103,8 @@ class TestRankSubsets:
         assert ds.space == FactorSpace(40, 2)
         report = rank_subsets(ds, 2, 5)
         assert len(report.entries) == 780
-        for subset, value in report.entries:
-            assert value == cv_prediction_error(ds, 5, subset).value
+        for indices, value in report.entries:
+            assert value == cv_prediction_error(ds, 5, FactorSubset(indices))
 
     def test_recovers_planted_pair(self):
         dist = scenario_a()
@@ -118,7 +126,7 @@ class TestRankSubsets:
         dist = scenario_a()
         psi = balanced_penalty(dist)
         errs = {
-            s.indices: prediction_error(dist, psi, optimal_predictor(dist, psi, s))
+            s: prediction_error(dist, psi, optimal_predictor(dist, psi, FactorSubset(s)))
             for s in enumerate_subsets(3, 2)
         }
         assert min(errs, key=errs.get) == (1, 2)
@@ -182,9 +190,9 @@ def test_search_kernel_matches_single_subset_estimator(case):
     with mock.patch.object(search, "BLOCK_ENTRIES", per_block * width):
         report = rank_subsets(ds, r, k, schedule)
     want = [
-        (s, cv_prediction_error(ds, k, s, schedule).value)
+        (s, cv_prediction_error(ds, k, FactorSubset(s), schedule))
         for s in enumerate_subsets(ds.space.n, r)
     ]
-    want.sort(key=lambda e: (e[1], e[0].indices))
+    want.sort(key=lambda e: (e[1], e[0]))
     assert list(report.entries) == want
-    assert report.selected == want[0][0]
+    assert report.selected == FactorSubset(want[0][0])
