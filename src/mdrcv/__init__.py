@@ -33,7 +33,6 @@ from .model import (
     save_distribution,
 )
 from .oracle import (
-    Predictor,
     asymptotic_covariance,
     asymptotic_moments,
     asymptotic_variance,

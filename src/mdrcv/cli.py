@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate    sample a dataset from a distribution and write it as CSV
-  search      rank all r-element factor subsets by cross-validated error
+  search      rank all r-element factor subsets of a CSV by cross-validated error
   clt-verify  Monte Carlo check of the limit law of the error estimate
   oracle      print exact quantities for a known distribution
 
@@ -20,7 +20,7 @@ import warnings
 
 from .dataio import ingest_csv, write_dataset_csv
 from .errors import MdrError, ValidationError
-from .estimator import EpsilonSchedule
+from .estimator import DEFAULT_EPS_BETA, DEFAULT_EPS_C0, EpsilonSchedule
 from .mcverify import SELF_NORM_KS_LIMIT, text_histogram, verify_clt
 from .model import (
     FactorSubset,
@@ -62,33 +62,34 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESETS, help="named scenario generator")
     p.add_argument("--n", type=int, help="factor count (with --preset)")
     p.add_argument("--q", type=int, help="max factor level (with --preset)")
-    p.add_argument("--p-pos", type=float, default=0.45, help="null preset P(Y=1)")
-    p.add_argument("--p-low", type=float, default=0.2, help="low penetrance")
-    p.add_argument("--p-high", type=float, default=0.8, help="high penetrance")
-    p.add_argument("--effect", type=float, default=0.5,
-                   help="independent preset per-factor effect")
+    p.add_argument("--p-pos", type=float, help="null preset P(Y=1)")
+    p.add_argument("--p-low", type=float, help="low penetrance")
+    p.add_argument("--p-high", type=float, help="high penetrance")
+    p.add_argument("--effect", type=float, help="independent preset per-factor effect")
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-c0", type=float, default=1.0,
+    p.add_argument("--eps-c0", type=float, default=DEFAULT_EPS_C0,
                    help="threshold inflation scale c0 (eps = c0 * N^-beta)")
-    p.add_argument("--eps-beta", type=float, default=0.25,
+    p.add_argument("--eps-beta", type=float, default=DEFAULT_EPS_BETA,
                    help="threshold inflation exponent beta, in (0, 1/2)")
 
 
 def _resolve_distribution(args) -> JointDistribution:
     if args.dist and args.preset:
         raise ValidationError("give either --dist or --preset, not both")
+    # the preset flags given; generate_scenario holds the defaults
+    given = {k: v for k in ("n", "q", "p_pos", "p_low", "p_high", "effect")
+             if (v := getattr(args, k)) is not None}
     if args.dist:
+        if given:
+            flag = next(iter(given)).replace("_", "-")
+            raise ValidationError(f"--dist cannot be combined with --{flag}")
         return load_distribution(args.dist)
     if args.preset:
         if args.n is None or args.q is None:
             raise ValidationError("--preset requires --n and --q")
-        return generate_scenario(
-            args.preset, n=args.n, q=args.q,
-            p_pos=args.p_pos, p_low=args.p_low, p_high=args.p_high,
-            effect=args.effect,
-        )
+        return generate_scenario(args.preset, **given)
     raise ValidationError("provide a distribution via --dist FILE or --preset NAME")
 
 
@@ -123,27 +124,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_dataset(args):
-    if args.data:
-        for flag in ("dist", "preset", "N"):
-            if getattr(args, flag) is not None:
-                raise ValidationError(f"--data cannot be combined with --{flag}")
-        # one stderr line per warning, whatever the interpreter's filters
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dataset = ingest_csv(args.data, q=args.q)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return dataset
-    dist = _resolve_distribution(args)
-    if args.N is None:
-        raise ValidationError("--N is required when sampling from a distribution")
-    return sample(dist, args.N, args.seed)
-
-
 def _cmd_search(args) -> int:
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
-    dataset = _load_dataset(args)
+    # one stderr line per warning, whatever the interpreter's filters
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataset = ingest_csv(args.data, q=args.q)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     _check_flags(args, K=2)
     report = rank_subsets(dataset, args.r, args.K, schedule)
     print(f"ranked {len(report.entries)} subsets of size {report.r} "
@@ -242,12 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("search", help="rank factor subsets by estimated error")
-    _add_source_flags(p)
+    p = sub.add_parser("search", help="rank factor subsets of a CSV by estimated error")
+    p.add_argument("--data", required=True, help="dataset CSV, as simulate writes it")
+    p.add_argument("--q", type=int, help="max factor level (default: the largest in the CSV)")
     _add_schedule_flags(p)
-    p.add_argument("--data", help="dataset CSV (alternative to sampling)")
-    p.add_argument("--N", type=int, help="sample size when sampling")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
     p.add_argument("--r", type=int, required=True, help="subset size")
     p.add_argument("--K", type=int, default=5, help="fold count")
     p.add_argument("--out", help="write the report as JSON")

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    FactorSpace,
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
@@ -30,26 +29,6 @@ EQUALITY_TOL = 1e-10
 
 # Most float64s one ``.sum()`` call of a replayed pairwise sum adds: 512 KiB.
 LEAF_ELEMENTS = 2**16
-
-
-@dataclass(frozen=True)
-class Predictor:
-    """A total function {0..q}^n -> {-1,+1}, stored as the boolean mask of
-    the points it sends to +1, in the lexicographic point enumeration."""
-
-    space: FactorSpace
-    plus: np.ndarray
-
-    def __post_init__(self) -> None:
-        plus = np.array(self.plus)
-        if plus.dtype != np.bool_ or plus.shape != (self.space.num_points,):
-            raise ValidationError("a predictor needs one bool per point of its space")
-        plus.flags.writeable = False
-        object.__setattr__(self, "plus", plus)
-
-    def plus_set(self) -> set[tuple[int, ...]]:
-        ranks = np.flatnonzero(self.plus)
-        return set(map(tuple, self.space.points(ranks).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +88,8 @@ def _table_sums(
     lengths: Sequence[int],
 ) -> list[float]:
     """``.sum()`` of each term's values, bit for bit, in one pass over the
-    table and without a table-sized array.
+    table and without a table-sized array.  ``plus_masks`` are predictors:
+    each the bool mask of the points it sends to +1, in rank order.
 
     ``terms(p, plus)`` yields, for the probs rows ``p`` and the masks' rows
     ``plus`` of one block of points, each term's next values in order; term
@@ -118,6 +98,9 @@ def _table_sums(
     one value per entry sums each block whole; a shorter term carries its
     values over into its own tree's leaves.  Leaf sums add up each tree.
     """
+    for f in plus_masks:
+        if f.dtype != np.bool_ or f.shape != dist.probs.shape[:1]:
+            raise ValidationError("a predictor needs one bool per point of its space")
     todo = [_leaves(n)[::-1] for n in lengths]  # each term's leaves, next last
     sums = [[] for _ in lengths]
     carry = [np.empty(0)] * len(lengths)
@@ -161,7 +144,8 @@ def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> set[tuple[in
     Strict inequality is resolved with the EQUALITY_TOL tolerance so that
     authored exact ties stay out of the set regardless of rounding.
     """
-    return optimal_predictor(dist, psi).plus_set()
+    ranks = np.flatnonzero(optimal_predictor(dist, psi))
+    return set(map(tuple, dist.space.points(ranks).tolist()))
 
 
 def optimal_predictor(
@@ -169,8 +153,9 @@ def optimal_predictor(
     psi: PenaltyFunction,
     subset: FactorSubset | None = None,
     within: np.ndarray | None = None,
-) -> Predictor:
-    """The error-minimizing predictor that looks only at the given factors.
+) -> np.ndarray:
+    """The error-minimizing predictor that looks only at the given factors,
+    as the read-only bool mask of the points it sends to +1, in rank order.
 
     +1 exactly on support points whose cylinder conditional strictly
     exceeds the threshold; -1 elsewhere, including off the support.
@@ -180,7 +165,9 @@ def optimal_predictor(
     # ties resolve to -1: strict inequality, with the tolerance shielding
     # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
     above = _conditionals(dist, subset, within) > psi.threshold + EQUALITY_TOL
-    return Predictor(dist.space, on_points(dist.space, above) & dist.support_mask())
+    plus = on_points(dist.space, above) & dist.support_mask()
+    plus.flags.writeable = False
+    return plus
 
 
 def _misses(dist: JointDistribution, plus_masks) -> list[tuple[float, float]]:
@@ -199,11 +186,12 @@ def _misses(dist: JointDistribution, plus_masks) -> list[tuple[float, float]]:
 
 
 def prediction_error(
-    dist: JointDistribution, psi: PenaltyFunction, predictor: Predictor, misses=None
+    dist: JointDistribution, psi: PenaltyFunction, plus: np.ndarray, misses=None
 ) -> float:
-    """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y); pass
-    ``misses`` when the two masses of ``_misses`` are at hand."""
-    miss_neg, miss_pos = misses or _misses(dist, [predictor.plus])[0]
+    """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y) of the
+    predictor f with mask ``plus``; pass ``misses`` when the two masses of
+    ``_misses`` are at hand."""
+    miss_neg, miss_pos = misses or _misses(dist, [plus])[0]
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
@@ -217,20 +205,16 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     return bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
 
 
-def influence_table(
-    dist: JointDistribution, predictor: Predictor, misses=None
-) -> InfluenceTable:
+def influence_table(dist: JointDistribution, plus: np.ndarray) -> InfluenceTable:
     """The influence variable behind the CLT, columns y = -1 and y = +1:
 
         v(x, y) = (2 / P(Y=y)) * (1{f(x) != y} - P(f(X) != y | Y=y))
 
-    with f the given predictor; the CLT scale of a subset's cross-validated
-    error uses its optimal predictor under balanced penalties.  The mean of
-    v under the distribution is exactly zero.  ``misses`` as for
-    ``prediction_error``.
+    with f the predictor with mask ``plus``; the CLT scale of a subset's
+    cross-validated error uses its optimal predictor under balanced
+    penalties.  The mean of v under the distribution is exactly zero.
     """
-    misses = misses or _misses(dist, [predictor.plus])[0]
-    return _influence_tables(dist, [predictor.plus], [misses])[0]
+    return _influence_tables(dist, [plus], _misses(dist, [plus]))[0]
 
 
 def _influence_tables(dist: JointDistribution, plus_masks, misses) -> list[InfluenceTable]:
@@ -264,10 +248,9 @@ def subset_oracle(
     union = tuple(sorted({i for s in subsets for i in s.indices}))
     within = cylinder_masses(dist, FactorSubset(union)) if union else None
     psi = balanced_penalty(dist)
-    predictors = [optimal_predictor(dist, psi, s, within) for s in subsets]
-    masks = [f.plus for f in predictors]
+    masks = [optimal_predictor(dist, psi, s, within) for s in subsets]
     misses = _misses(dist, masks)
-    errors = tuple(prediction_error(dist, psi, f, m) for f, m in zip(predictors, misses))
+    errors = tuple(prediction_error(dist, psi, f, m) for f, m in zip(masks, misses))
     return errors, _influence_tables(dist, masks, misses)
 
 

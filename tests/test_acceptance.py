@@ -33,7 +33,6 @@ from mdrcv.model import (
     sample,
 )
 from mdrcv.oracle import (
-    Predictor,
     asymptotic_covariance,
     asymptotic_variance,
     balanced_penalty,
@@ -106,7 +105,7 @@ def test_criterion_1_exhaustive_optimality():
         f_star = optimal_predictor(dist, psi)
         err_star = prediction_error(dist, psi, f_star)
         best = min(
-            prediction_error(dist, psi, Predictor(dist.space, np.array(plus)))
+            prediction_error(dist, psi, np.array(plus))
             for plus in itertools.product((False, True), repeat=dist.space.num_points)
         )
         assert err_star == best, f"fixture {checked}: {err_star} != {best}"
@@ -304,7 +303,7 @@ def test_criterion_10_penalty_scaling_invariance():
             scaled = psi.scaled(c)
             ok &= scaled.threshold == psi.threshold
             ok &= high_risk_set(dist, scaled) == high_risk_set(dist, psi)
-            ok &= np.array_equal(optimal_predictor(dist, scaled).plus, f.plus)
+            ok &= np.array_equal(optimal_predictor(dist, scaled), f)
             ok &= prediction_error(dist, scaled, f) == c * base_err
     elapsed = time.perf_counter() - start
     report(

@@ -245,14 +245,17 @@ class TestCliCommands:
         assert capsys.readouterr().out.startswith("ranked 780 subsets of size 2")
 
     def test_search_reports_are_byte_identical(self, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main([
+            "simulate", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+            "--p-low", "0.05", "--p-high", "0.95",
+            "--N", "2000", "--seed", "12", "--out", str(data),
+        ]) == 0
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = main([
-                "search", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
-                "--p-low", "0.05", "--p-high", "0.95",
-                "--N", "2000", "--seed", "12", "--r", "2", "--K", "5",
-                "--out", str(out),
+                "search", "--data", str(data), "--r", "2", "--K", "5", "--out", str(out),
             ])
             assert code == 0
             outs.append(out.read_bytes())
@@ -279,12 +282,12 @@ class TestCliCommands:
     def test_unknown_flag_exits_one(self):
         assert main(["simulate", "--no-such-flag"]) == 1
 
-    def test_invalid_schedule_rejected_before_compute(self):
-        code = main([
-            "search", "--preset", "null", "--n", "2", "--q", "1",
-            "--N", "100", "--seed", "1", "--r", "1", "--eps-beta", "0.7",
-        ])
-        assert code == 1
+    def test_invalid_schedule_rejected_before_compute(self, tmp_path, capsys):
+        # the schedule is refused before the CSV is opened
+        missing = tmp_path / "missing.csv"
+        assert main(["search", "--data", str(missing), "--r", "1", "--eps-beta", "0.7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: eps schedule needs beta in (0, 1/2), got 0.7\n")
 
     def test_degenerate_replication_exits_two(self):
         # tiny samples from a rare-positive null scenario eventually produce
@@ -306,13 +309,12 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err == "numerical failure: influence values need both label classes\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "search", "clt-verify"])
+    @pytest.mark.parametrize("command", ["simulate", "clt-verify"])
     def test_negative_seed_exits_one(self, command, tmp_path, capsys):
         args = [command, "--preset", "null", "--n", "2", "--q", "1",
                 "--N", "10", "--seed", "-1"]
         args += {
             "simulate": ["--out", str(tmp_path / "x.csv")],
-            "search": ["--r", "1"],
             "clt-verify": ["--subsets", "1", "--M", "2"],
         }[command]
         assert main(args) == 1
@@ -348,13 +350,17 @@ class TestCliCommands:
         ("clt-verify", "N", 1), ("clt-verify", "K", 2), ("clt-verify", "M", 1),
         ("clt-verify", "workers", 1), ("search", "K", 2),
     ])
-    def test_flag_below_its_least_value_exits_one(self, command, flag, least, capsys):
-        values = {"N": 50, "K": 2}
+    def test_flag_below_its_least_value_exits_one(
+        self, command, flag, least, tmp_path, capsys
+    ):
         if command == "clt-verify":
-            values.update(M=2, workers=1)
+            values = {"N": 50, "K": 2, "M": 2, "workers": 1}
+            args = [command, "--preset", "null", "--n", "2", "--q", "1", "--seed", "1",
+                    "--subsets", "1"]
+        else:
+            values = {"K": 2}
+            args = [command, "--data", str(_small_csv(tmp_path)), "--r", "1"]
         values[flag] = least - 1
-        args = [command, "--preset", "null", "--n", "2", "--q", "1", "--seed", "1"]
-        args += ["--subsets", "1"] if command == "clt-verify" else ["--r", "1"]
         for name, value in values.items():
             args += [f"--{name}", str(value)]
         assert main(args) == 1
@@ -414,11 +420,21 @@ def _cell_table_over_cap(tmp_path):
     return ["search", "--data", str(path), "--r", "5", "--K", "2"]
 
 
-def _data_with(tmp_path, *flags):
-    # --data with flags that only apply when sampling from a distribution
+def _small_csv(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("X1,Y\n0,1\n1,-1\n2,1\n")
-    return ["search", "--data", str(path), *flags, "--r", "1", "--K", "2"]
+    return path
+
+
+def _data_with(tmp_path, *flags):
+    return ["search", "--data", str(_small_csv(tmp_path)), *flags, "--r", "1", "--K", "2"]
+
+
+# The flags search had for sampling its own dataset; it reads a CSV only.
+DROPPED_SEARCH_FLAGS = {
+    "dist": "missing.json", "preset": "single-factor", "n": "5", "p-pos": "0.5",
+    "p-low": "0.2", "p-high": "0.8", "effect": "0.5", "N": "10", "seed": "1",
+}
 
 
 @pytest.mark.parametrize("make_args", [
@@ -439,15 +455,13 @@ def _data_with(tmp_path, *flags):
       for preset in ("single-factor", "pair-epistasis", "independent")],
     _search_over_budget,
     _cell_table_over_cap,
-    lambda tmp: _data_with(tmp, "--preset", "single-factor", "--n", "5", "--q", "1",
-                           "--N", "10"),
-    lambda tmp: _data_with(tmp, "--dist", str(tmp / "missing.json")),
-    lambda tmp: _data_with(tmp, "--N", "10"),
+    *[lambda tmp, flag=flag, value=value: _data_with(tmp, f"--{flag}", value)
+      for flag, value in DROPPED_SEARCH_FLAGS.items()],
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
         "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
         "independent-huge-n", "search-over-budget", "cell-table-over-cap",
-        "data-with-preset", "data-with-dist", "data-with-N"])
+        *[f"data-with-{flag}" for flag in DROPPED_SEARCH_FLAGS]])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
@@ -466,11 +480,20 @@ def test_cell_table_over_cap_names_the_subset_size(tmp_path, capsys):
 
 
 def test_data_with_a_sampling_flag_names_the_flag(tmp_path, capsys):
-    # the preset's --q 1 is not applied to the CSV, whose largest level is 2
-    args = _data_with(tmp_path, "--preset", "single-factor", "--n", "5", "--q", "1",
-                      "--N", "10")
+    # none of these flags has a meaning for a CSV, so none is ignored
+    args = _data_with(tmp_path, "--n", "50", "--p-high", "3", "--seed", "9")
     assert main(args) == 1
-    assert capsys.readouterr().err == "error: --data cannot be combined with --preset\n"
+    assert capsys.readouterr().err == (
+        "error: unrecognized arguments: --n 50 --p-high 3 --seed 9\n")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("n", "5"), ("q", "7"), ("p-pos", "0.5"), ("p-low", "0.2"), ("p-high", "3"),
+    ("effect", "0.5"),
+])
+def test_dist_with_a_preset_flag_names_the_flag(toy_dist_file, flag, value, capsys):
+    assert main(["oracle", "--dist", str(toy_dist_file), f"--{flag}", value]) == 1
+    assert capsys.readouterr().err == f"error: --dist cannot be combined with --{flag}\n"
 
 
 @pytest.mark.parametrize("filters", [[], ["-W", "error"]])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mdrcv.errors import ValidationError
 from mdrcv.model import (
     FactorSpace,
     FactorSubset,
@@ -20,7 +21,6 @@ from mdrcv.model import (
 from mdrcv import oracle
 from mdrcv.oracle import (
     EQUALITY_TOL,
-    Predictor,
     asymptotic_covariance,
     asymptotic_moments,
     asymptotic_variance,
@@ -40,9 +40,9 @@ from conftest import small_distributions
 
 
 def all_predictors(space):
-    """Brute-force enumeration of every {-1,+1}-valued table."""
+    """Brute-force enumeration of every {-1,+1}-valued table, as plus masks."""
     for plus in itertools.product((False, True), repeat=space.num_points):
-        yield Predictor(space, np.array(plus))
+        yield np.array(plus)
 
 
 def subsets_of_size(n, r):
@@ -91,13 +91,14 @@ class TestOptimalPredictor:
     def test_full_subset_matches_high_risk_set(self, n2_partial_support):
         psi = balanced_penalty(n2_partial_support)
         f = optimal_predictor(n2_partial_support, psi)
-        assert f.plus_set() == high_risk_set(n2_partial_support, psi)
+        points = n2_partial_support.space.points(np.flatnonzero(f))
+        assert set(map(tuple, points.tolist())) == high_risk_set(n2_partial_support, psi)
 
     def test_off_support_predicts_minus(self, n2_partial_support):
         f = optimal_predictor(n2_partial_support, UNIT_PENALTY)
         space = n2_partial_support.space
-        assert not f.plus[space.rank((1, 0))]
-        assert not f.plus[space.rank((1, 1))]
+        assert not f[space.rank((1, 0))]
+        assert not f[space.rank((1, 1))]
 
     def test_exact_tie_resolves_to_minus(self, n2_partial_support):
         # cylinder conditional at u=(0) is 0.4; with threshold 0.4 the
@@ -105,7 +106,7 @@ class TestOptimalPredictor:
         psi = PenaltyFunction(0.4, 0.6)
         assert psi.threshold == pytest.approx(0.4)
         f = optimal_predictor(n2_partial_support, psi, FactorSubset.of(1))
-        assert f.plus_set() == set()
+        assert not f.any()
 
     @given(
         dist=small_distributions(max_n=3, max_q=2),
@@ -118,7 +119,7 @@ class TestOptimalPredictor:
         full = FactorSubset(tuple(range(1, dist.space.n + 1)))
         for psi in (PenaltyFunction(*map(float, weights)), balanced_penalty(dist)):
             f = optimal_predictor(dist, psi)
-            assert np.array_equal(f.plus, optimal_predictor(dist, psi, full).plus)
+            assert np.array_equal(f, optimal_predictor(dist, psi, full))
 
 
 class TestPredictionError:
@@ -128,8 +129,7 @@ class TestPredictionError:
 
     def test_constant_plus_counts_negative_mass(self, n2_partial_support):
         # f == +1, unit weights: only the y=-1 mass contributes, 2 * 0.6
-        space = n2_partial_support.space
-        f = Predictor(space, np.ones(space.num_points, dtype=bool))
+        f = np.ones(n2_partial_support.space.num_points, dtype=bool)
         assert prediction_error(n2_partial_support, UNIT_PENALTY, f) == pytest.approx(1.2)
 
     def test_toy_table_optimal_error(self, toy_balanced):
@@ -146,6 +146,20 @@ class TestPredictionError:
         )
         f = optimal_predictor(dist, psi)
         assert prediction_error(dist, psi, f) <= best + 1e-12
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda P: np.ones(P, dtype=np.int8),
+    lambda P: np.ones(P - 1, dtype=bool),
+    lambda P: np.ones((P, 1), dtype=bool),
+], ids=["int8", "one-short", "column"])
+def test_predictor_needs_one_bool_per_point(n2_partial_support, make_mask):
+    plus = make_mask(n2_partial_support.space.num_points)
+    message = "a predictor needs one bool per point of its space"
+    with pytest.raises(ValidationError, match=message):
+        prediction_error(n2_partial_support, UNIT_PENALTY, plus)
+    with pytest.raises(ValidationError, match=message):
+        influence_table(n2_partial_support, plus)
 
 
 class TestSignificance:
@@ -294,7 +308,7 @@ class TestPenaltyScaling:
         assert high_risk_set(dist, scaled) == high_risk_set(dist, psi)
         f = optimal_predictor(dist, psi)
         g = optimal_predictor(dist, scaled)
-        assert np.array_equal(f.plus, g.plus)
+        assert np.array_equal(f, g)
         assert prediction_error(dist, scaled, f) == c * prediction_error(dist, psi, f)
 
 
@@ -319,7 +333,7 @@ class TestOracleFromTables:
         psi = balanced_penalty(dist)
         for s, t in zip(subsets, tables):
             plus = dense_oracle.plus_mask(dist, psi, s)
-            assert np.array_equal(optimal_predictor(dist, psi, s).plus, plus)
+            assert np.array_equal(optimal_predictor(dist, psi, s), plus)
             assert np.array_equal(np.asarray(t), dense_oracle.influence(dist, plus))
             assert t.mean == float((dist.probs * dense_oracle.influence(dist, plus)).sum())
 
@@ -389,7 +403,7 @@ class TestOracleFromTables:
         plus = data.draw(st.lists(
             st.booleans(), min_size=dist.space.num_points, max_size=dist.space.num_points,
         ))
-        v = influence_table(dist, Predictor(dist.space, np.array(plus)))
+        v = influence_table(dist, np.array(plus))
         assert abs(float((dist.probs * np.asarray(v)).sum())) <= 1e-12
         assert v.mean == float((dist.probs * np.asarray(v)).sum())
 
@@ -471,7 +485,7 @@ class TestMissPass:
         psi = balanced_penalty(dist)
         P = dist.space.num_points
         masks = [np.zeros(P, bool), np.ones(P, bool), np.arange(P) % 3 == 1]
-        masks += [optimal_predictor(dist, psi, s).plus for s in spread_subsets(n)]
+        masks += [optimal_predictor(dist, psi, s) for s in spread_subsets(n)]
         want = [(float(dist.probs[f, 0].sum()), float(dist.probs[~f, 1].sum())) for f in masks]
         assert oracle._misses(dist, masks) == want
         assert want[0][0] == 0.0 and want[1][1] == 0.0
@@ -500,3 +514,19 @@ class TestMissPass:
             assert np.array_equal(cov, want_cov)
         assert [asymptotic_variance(dist, t) for t in mixed] == runs[0][0]
         assert not t1[0].lut.flags.writeable and not t1[0].plus.flags.writeable
+
+
+def test_tables_hold_the_predictor_masks_uncopied(monkeypatch):
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(optimal_predictor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "optimal_predictor", spy)
+    dist = generate_scenario("pair-epistasis", 4, 2)
+    _, tables = subset_oracle(dist, [FactorSubset.of(1, 2), FactorSubset.of(3)])
+    assert len(made) == len(tables) == 2
+    for plus, t in zip(made, tables):
+        assert not plus.flags.writeable
+        assert np.shares_memory(t.plus, plus)

@@ -22,10 +22,12 @@ CLT_VERIFY_ARGS = [
 ]
 CLT_VERIFY_SHA256 = "a5ad13ccb299bf52dba06401cfb6bb3b8e3f8f44d022f5e768db2c685eaa4145"
 
-SEARCH_ARGS = [
-    "search", "--preset", "pair-epistasis", "--n", "6", "--q", "1",
-    "--N", "2000", "--seed", "7", "--r", "2", "--K", "5",
+# search reads a CSV, so the pin runs simulate first and searches its output.
+SEARCH_DATA_ARGS = [
+    "simulate", "--preset", "pair-epistasis", "--n", "6", "--q", "1",
+    "--N", "2000", "--seed", "7",
 ]
+SEARCH_ARGS = ["search", "--r", "2", "--K", "5"]
 SEARCH_SHA256 = "c5ada2b2e9b915707eba692ce59a67aed7ac20d6cb77ae6133fa9699fbc4c629"
 
 ORACLE_ARGS = [
@@ -60,7 +62,10 @@ def test_clt_verify_report_bytes(tmp_path):
 
 
 def test_search_report_bytes(tmp_path):
-    assert report_digest(SEARCH_ARGS, tmp_path / "search.json") == SEARCH_SHA256
+    data = tmp_path / "data.csv"
+    report_digest(SEARCH_DATA_ARGS, data)
+    got = report_digest(SEARCH_ARGS + ["--data", str(data)], tmp_path / "search.json")
+    assert got == SEARCH_SHA256
 
 
 def test_oracle_report_bytes(tmp_path):
