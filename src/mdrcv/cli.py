@@ -36,7 +36,7 @@ from .oracle import (
     is_significant,
     subset_oracle,
 )
-from .scenarios import PRESETS, generate_scenario
+from .scenarios import PRESET_PARAMS, PRESETS, generate_scenario
 from .search import rank_subsets
 
 
@@ -89,6 +89,11 @@ def _resolve_distribution(args) -> JointDistribution:
     if args.preset:
         if args.n is None or args.q is None:
             raise ValidationError("--preset requires --n and --q")
+        unread = [k for k in given if k not in ("n", "q", *PRESET_PARAMS[args.preset])]
+        if unread:
+            readers = [p for p, params in PRESET_PARAMS.items() if unread[0] in params]
+            raise ValidationError(f"--{unread[0].replace('_', '-')} applies only to "
+                                  f"--preset {' or '.join(readers)}")
         return generate_scenario(args.preset, **given)
     raise ValidationError("provide a distribution via --dist FILE or --preset NAME")
 

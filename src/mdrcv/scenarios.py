@@ -23,7 +23,14 @@ import numpy as np
 from .errors import ValidationError
 from .model import FactorSpace, JointDistribution, point_levels
 
-PRESETS = ("null", "independent", "single-factor", "pair-epistasis")
+# The ``generate_scenario`` parameters each preset reads besides n and q.
+PRESET_PARAMS = {
+    "null": ("p_pos",),
+    "independent": ("effect",),
+    "single-factor": ("p_low", "p_high"),
+    "pair-epistasis": ("p_low", "p_high"),
+}
+PRESETS = tuple(PRESET_PARAMS)
 
 
 def _null(p_pos: float) -> float:

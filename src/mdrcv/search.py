@@ -22,6 +22,10 @@ from .model import Dataset, FactorSubset, cylinder_count
 MAX_SEARCH_SUBSETS = 2**18
 # Count-table entries scored per ``cv_error_stack`` call.
 BLOCK_ENTRIES = 2**16
+# Table work per record that ``_group_size`` lets one bincount's group of
+# last factors take, so that the bincount's pass over the records stays
+# the larger cost.
+GROUP_BUDGET = 1
 
 
 def enumerate_subsets(n: int, r: int) -> list[tuple[int, ...]]:
@@ -83,6 +87,25 @@ def rank_subsets(
     return SearchReport(r, n_folds, entries, selected=FactorSubset(entries[0][0]))
 
 
+def _group_size(head: int, levels: int, n_records: int, most: int) -> int:
+    """Last factors counted per bincount: the largest g <= ``most`` with
+    ``head * levels^(g+1) * (g+1) <= GROUP_BUDGET * n_records``, at least 1.
+    The left side bounds the joint table's work: its head * levels^g bins
+    and the marginal matmul's head * levels^g * g * levels multiply-adds."""
+    g = 1
+    while g < most and head * levels ** (g + 2) * (g + 2) <= GROUP_BUDGET * n_records:
+        g += 1
+    return g
+
+
+def _marginal_indicator(levels: int, g: int) -> np.ndarray:
+    """0/1 float64 matrix (levels^g, g * levels): row c, a joint cell of g
+    last factors with base-``levels`` digits first-major, has a 1 in column
+    i * levels + l where digit i of c is l."""
+    digits = np.arange(levels**g)[:, None] // levels ** np.arange(g - 1, -1, -1) % levels
+    return (digits[..., None] == np.arange(levels)).reshape(levels**g, -1).astype(np.float64)
+
+
 def _cv_errors(
     dataset: Dataset, subsets: list[tuple[int, ...]], n_folds: int, eps: float
 ) -> np.ndarray:
@@ -91,36 +114,75 @@ def _cv_errors(
 
     A record's count key, label-major inside its fold, is
     ``(2 * fold + [y = +1]) * cells + code`` with the cell code
-    ``sum_j (q+1)^(r-1-j) * x[m_j]``.  Keys are kept as partial sums over
-    the leading positions, so a subset recomputes only the positions after
-    its common prefix with the previous one: one add at the last position,
-    whose weight is 1.  Each key is bincounted into a row of a count block,
-    and each block is scored by one ``cv_error_stack`` call.
+    ``sum_j (q+1)^(r-1-j) * x[m_j]``.  The first r-1 positions, a subset's
+    prefix, are kept as partial sums, so a prefix recomputes only the
+    positions after the ones it shares with the previous prefix.
+
+    Consecutive subsets with one prefix differ only in their last factor,
+    and are counted g at a time.  Last factors d_1 < ... < d_g share one
+    key per record, the mixed-radix ``(2 * fold + [y = +1], prefix cell,
+    x[d_1], ..., x[d_g])``: the prefix sum plus one Horner step
+    (``key *= q+1; key += x[d_i]``) per further last factor.  One
+    ``np.bincount`` of it fills the joint (head, (q+1)^g) table, with
+    head = 2K (q+1)^(r-1).  Subset d_i's count row is that table's marginal
+    over the other g-1 last factors, and all g marginals come from one
+    float64 matmul with ``_marginal_indicator``.  The matmul is exact: every
+    partial sum is an integer count <= N < 2^53.  A group takes 2g-1 vector
+    ops, so a subset costs about two of them plus 1/g of a bincount, whose
+    cost is mostly its pass over the N keys whatever the table width.  A
+    group of one is its own table: at g = 1 a subset costs one add and one
+    bincount.  ``_group_size`` picks g from the sizes alone.  This is not
+    one bincount over all of a prefix's last factors, which would bin N
+    keys per last factor: here g last factors share N keys.
+
+    Count rows fill a block, and each block is scored by one
+    ``cv_error_stack`` call.
     """
     q, r = dataset.space.q, len(subsets[0])
+    levels = q + 1
     cells = cylinder_count(r, q)
-    width = n_folds * 2 * cells
-    dtype = np.int32 if width < 2**31 else np.int64
+    head = 2 * n_folds * cells // levels
+    width = head * levels
+    g = _group_size(head, levels, len(dataset), dataset.space.n - r + 1)
+    # A group's 2g-1 adds run about 3x faster on keys of the columns' int16
+    # than on int32 keys, which mix dtypes; a lone add (g = 1) gains less
+    # than bincount's cast of int16 keys to intp costs.
+    least = dataset.x.dtype if g > 1 else np.int32
+    dtype = np.promote_types(least, np.min_scalar_type(-head * levels**g)).type
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
     base = ((2 * fold_index(len(dataset), n_folds) + (dataset.y == 1)) * cells).astype(dtype)
-    weights = [dtype((q + 1) ** (r - 1 - j)) for j in range(r)]
-    partial = np.empty((r, len(dataset)), dtype)  # partial[j]: key over positions 0..j
+    weights = [dtype(levels ** (r - 1 - j)) for j in range(r - 1)]
+    partial = np.empty((r - 1, len(dataset)), dtype)  # partial[j]: key over positions 0..j
+    key = np.empty(len(dataset), dtype)
+    indicators = {k: _marginal_indicator(levels, k) for k in range(2, g + 1)}
     block = np.empty((min(len(subsets), max(1, BLOCK_ENTRIES // width)), width), np.int64)
     values = np.empty(len(subsets))
+    done = row = 0
     prev: tuple[int, ...] = ()
-    for i, m in enumerate(subsets):
-        start = next((j for j, (a, b) in enumerate(zip(m, prev)) if a != b), 0)
-        for j in range(start, r):
-            column = columns[m[j] - 1]
-            np.add(
-                base if j == 0 else partial[j - 1],
-                column if j == r - 1 else column * weights[j],
-                out=partial[j],
-            )
-        prev = m
-        row = i % len(block)
-        block[row] = np.bincount(partial[-1], minlength=width)
-        if row == len(block) - 1 or i == len(subsets) - 1:
-            counts = block[: row + 1].reshape(-1, n_folds, 2, cells).swapaxes(-1, -2)
-            values[i - row : i + 1] = cv_error_stack(counts, eps)[0]
+    for prefix, group in itertools.groupby(subsets, key=lambda m: m[:-1]):
+        start = next((j for j, (a, b) in enumerate(zip(prefix, prev)) if a != b), 0)
+        for j in range(start, r - 1):
+            column = columns[prefix[j] - 1]
+            np.add(base if j == 0 else partial[j - 1], column * weights[j], out=partial[j])
+        prev = prefix
+        lasts = [m[-1] for m in group]
+        for first in range(0, len(lasts), g):
+            chunk = lasts[first : first + g]
+            k = len(chunk)
+            np.add(partial[-1] if r > 1 else base, columns[chunk[0] - 1], out=key)
+            for d in chunk[1:]:
+                key *= levels
+                key += columns[d - 1]
+            # a tuple: iterating a 2-D array would cost a lone subset about 1 us more
+            rows = (np.bincount(key, minlength=head * levels**k),)
+            if k > 1:
+                marginals = rows[0].reshape(head, -1).astype(np.float64) @ indicators[k]
+                rows = marginals.reshape(head, k, levels).swapaxes(0, 1).reshape(k, width)
+            for counts in rows:
+                block[row] = counts
+                row += 1
+                if row == len(block) or done + row == len(subsets):
+                    stack = block[:row].reshape(-1, n_folds, 2, cells).swapaxes(-1, -2)
+                    values[done : done + row] = cv_error_stack(stack, eps)[0]
+                    done, row = done + row, 0
     return values

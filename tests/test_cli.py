@@ -430,6 +430,13 @@ def _data_with(tmp_path, *flags):
     return ["search", "--data", str(_small_csv(tmp_path)), *flags, "--r", "1", "--K", "2"]
 
 
+# (preset, a flag it does not read, value): each is refused, not ignored.
+UNREAD_PRESET_FLAGS = [
+    ("pair-epistasis", "effect", "5"), ("null", "p-low", "0.1"),
+    ("single-factor", "p-pos", "0.5"), ("independent", "p-high", "0.9"),
+]
+
+
 # The flags search had for sampling its own dataset; it reads a CSV only.
 DROPPED_SEARCH_FLAGS = {
     "dist": "missing.json", "preset": "single-factor", "n": "5", "p-pos": "0.5",
@@ -457,11 +464,15 @@ DROPPED_SEARCH_FLAGS = {
     _cell_table_over_cap,
     *[lambda tmp, flag=flag, value=value: _data_with(tmp, f"--{flag}", value)
       for flag, value in DROPPED_SEARCH_FLAGS.items()],
+    *[lambda tmp, preset=preset, flag=flag, value=value: [
+        "oracle", "--preset", preset, "--n", "3", "--q", "2", f"--{flag}", value]
+      for preset, flag, value in UNREAD_PRESET_FLAGS],
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
         "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
         "independent-huge-n", "search-over-budget", "cell-table-over-cap",
-        *[f"data-with-{flag}" for flag in DROPPED_SEARCH_FLAGS]])
+        *[f"data-with-{flag}" for flag in DROPPED_SEARCH_FLAGS],
+        *[f"{preset}-with-{flag}" for preset, flag, _ in UNREAD_PRESET_FLAGS]])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
@@ -494,6 +505,27 @@ def test_data_with_a_sampling_flag_names_the_flag(tmp_path, capsys):
 def test_dist_with_a_preset_flag_names_the_flag(toy_dist_file, flag, value, capsys):
     assert main(["oracle", "--dist", str(toy_dist_file), f"--{flag}", value]) == 1
     assert capsys.readouterr().err == f"error: --dist cannot be combined with --{flag}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "clt-verify", "oracle"])
+@pytest.mark.parametrize("preset, flag, readers", [
+    ("null", "effect", "independent"),
+    ("null", "p-high", "single-factor or pair-epistasis"),
+    ("independent", "p-low", "single-factor or pair-epistasis"),
+    ("single-factor", "effect", "independent"),
+    ("pair-epistasis", "p-pos", "null"),
+])
+def test_preset_refuses_a_flag_it_does_not_read(command, preset, flag, readers, tmp_path,
+                                                capsys):
+    args = [command, "--preset", preset, "--n", "2", "--q", "1", f"--{flag}", "0.5"]
+    args += {
+        "simulate": ["--N", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")],
+        "clt-verify": ["--subsets", "1", "--N", "10", "--M", "2", "--seed", "1"],
+        "oracle": [],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: --{flag} applies only to --preset {readers}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("filters", [[], ["-W", "error"]])

@@ -146,10 +146,13 @@ class TestRankSubsets:
 
 @st.composite
 def search_inputs(draw):
-    """(dataset, r, K, schedule, subsets per count block) for ``rank_subsets``.
+    """(dataset, r, K, schedule, subsets per count block, group budget) for
+    ``rank_subsets``.
 
     Levels up to q = 3 and up to 60 records, so N is often below the cell
-    count; fold 1 is sometimes made one-class.
+    count; fold 1 is sometimes made one-class.  The search's own budget
+    groups few last factors at N <= 60, so larger ones are drawn too, up
+    to one that groups every last factor of a prefix.
     """
     q = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
@@ -167,7 +170,8 @@ def search_inputs(draw):
         st.builds(EpsilonSchedule, st.floats(0.01, 4.0), st.floats(0.01, 0.49)),
     ))
     per_block = draw(st.integers(1, 4))
-    return Dataset(FactorSpace(n, q), xs, ys), r, k, schedule, per_block
+    budget = draw(st.one_of(st.just(search.GROUP_BUDGET), st.integers(1, 2**12), st.just(2**40)))
+    return Dataset(FactorSpace(n, q), xs, ys), r, k, schedule, per_block, budget
 
 
 @given(case=search_inputs())
@@ -175,19 +179,40 @@ def search_inputs(draw):
     Dataset(FactorSpace(4, 3),
             [[i % 4, i // 4 % 4, (i * 3) % 4, 3 - i % 4] for i in range(13)],
             [1] * 4 + [-1, 1, -1, -1, 1, 1, -1, 1, -1]),
-    2, 3, EpsilonSchedule(0.3, 0.4), 4,
+    2, 3, EpsilonSchedule(0.3, 0.4), 4, search.GROUP_BUDGET,
 ))
 @example(case=(  # r = n = 4 at q = 2: one subset, 81 cells, 10 records in 4 folds
     Dataset(FactorSpace(4, 2),
             [[i % 3, i // 3 % 3, (i * 2) % 3, 2 - i % 3] for i in range(10)],
             [1, -1] * 5),
-    4, 4, DEFAULT_SCHEDULE, 1,
+    4, 4, DEFAULT_SCHEDULE, 1, search.GROUP_BUDGET,
+))
+@example(case=(  # r = 1: the prefix is (fold, label) alone; g = n = 5, one bincount
+    Dataset(FactorSpace(5, 1), [[(i >> j) % 2 for j in range(5)] for i in range(9)],
+            [1, -1, -1, 1, 1, -1, 1, -1, -1]),
+    1, 3, DEFAULT_SCHEDULE, 8, 2**40,
+))
+@example(case=(  # g = 2 at q = 2: prefix (1,) groups last factors (2, 3), then (4,)
+    Dataset(FactorSpace(4, 2), [[i % 3, i // 3 % 3, (i * 2) % 3, (i + 1) % 3] for i in range(12)],
+            [1, 1, -1, 1, -1, -1, 1, -1, 1, -1, -1, 1]),
+    2, 2, EpsilonSchedule(0.5, 0.3), 8, 100,
+))
+@example(case=(  # g = 4 in blocks of 3 rows: groups of 4, 3 and 2 split at a flush
+    Dataset(FactorSpace(5, 1), [[(i * (j + 2)) // 3 % 2 for j in range(5)] for i in range(11)],
+            [1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1]),
+    2, 2, DEFAULT_SCHEDULE, 3, 2**40,
+))
+@example(case=(  # r = 3, g = 2: prefix (1, 3) groups (4, 5), then a short final (6,)
+    Dataset(FactorSpace(6, 1), [[(i + j * i // 2) % 2 for j in range(6)] for i in range(20)],
+            [1, -1, -1, 1] * 5),
+    3, 2, DEFAULT_SCHEDULE, 4, 20,
 ))
 @settings(max_examples=80, deadline=None)
 def test_search_kernel_matches_single_subset_estimator(case):
-    ds, r, k, schedule, per_block = case
+    ds, r, k, schedule, per_block, budget = case
     width = k * 2 * (ds.space.q + 1) ** r
-    with mock.patch.object(search, "BLOCK_ENTRIES", per_block * width):
+    with mock.patch.object(search, "BLOCK_ENTRIES", per_block * width), \
+            mock.patch.object(search, "GROUP_BUDGET", budget):
         report = rank_subsets(ds, r, k, schedule)
     want = [
         (s, cv_prediction_error(ds, k, FactorSubset(s), schedule))
