@@ -77,8 +77,8 @@ class FactorSpace:
         """(len(ranks), n) int16 levels of the points with the given
         lexicographic ranks, one ``point_levels`` column per factor.
 
-        No call builds the whole grid: (q+1)^n x n int16 is several
-        hundred MB near the dense-table cap.
+        Only ``sample`` asks for the whole grid, when it is no larger than
+        its draws: (q+1)^n x n int16 is hundreds of MB near the cap.
         """
         ranks = np.asarray(ranks)
         pts = np.empty((len(ranks), self.n), dtype=np.int16)
@@ -383,12 +383,13 @@ def _block_cdf(dist: JointDistribution, blocks: np.ndarray) -> np.ndarray:
 
 def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
     """Each draw's atom: ``np.searchsorted(cdf, u, "right")`` on the
-    sequential CDF of all atoms, final value 1.0, bit for bit.  Only the
-    blocks the draws land in are re-summed, or every block when there are
-    at least as many draws as atoms (the rule reads only the sizes)."""
-    blocks = dist._cdf_ends.size
-    if blocks * CDF_BLOCK <= u.size:
-        return np.searchsorted(_block_cdf(dist, np.arange(blocks)).ravel(), u, "right")
+    sequential CDF of all atoms, final value 1.0, bit for bit.  With at
+    least as many draws as atoms every block is re-summed and the draws go
+    through ``_guide_index``; with fewer, only the blocks they land in are
+    re-summed and searched (the rule reads only the sizes)."""
+    atoms, blocks = dist.probs.size, dist._cdf_ends.size
+    if atoms <= u.size:
+        return _guide_index(_block_cdf(dist, np.arange(blocks)).ravel()[:atoms], u)
     hit = np.zeros(blocks, dtype=bool)
     hit[np.searchsorted(dist._cdf_ends, u, "right")] = True
     touched = np.flatnonzero(hit)
@@ -396,6 +397,27 @@ def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
     if touched.size == blocks:
         return pos
     return touched[pos // CDF_BLOCK] * CDF_BLOCK + pos % CDF_BLOCK
+
+
+def _guide_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, "right")`` for draws u in [0, 1) by a guide
+    table (Chen & Asau 1974): a draw in bucket b = floor(u * G) has its atom
+    in lo[b]..lo[b+1], lo[b] counting the CDF values below b/G; a branchless
+    binary search over the fullest bucket's values finishes it.  G is a
+    power of two >= 2 * atoms, so u * G is exact and every step compares the
+    same float64 values as ``searchsorted``."""
+    guide = 1 << (2 * cdf.size - 1).bit_length()
+    lo = np.searchsorted(cdf, np.arange(guide + 1) / guide, "left")
+    rounds = int(np.diff(lo).max()).bit_length()
+    pad = np.full(cdf.size + (1 << rounds) - 1, np.inf)  # past the bucket: > u
+    pad[: cdf.size] = cdf
+    idx = lo[(u * guide).astype(np.intp)]
+    # masked adds write only the draws that move, so the rounds a crowded
+    # bucket sets for every draw stay cheap; the last round adds 0 or 1
+    for step in (1 << r for r in reversed(range(1, rounds))):
+        np.add(idx, step, out=idx, where=pad[step - 1 :][idx] <= u)
+    idx += pad[idx] <= u
+    return idx
 
 
 def label_marginal(dist: JointDistribution, y: int) -> float:
@@ -464,7 +486,9 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     y = -1 before +1; see ``_atom_index``), so identical
     (dist, n_records, seed) give the same dataset bit for bit.  A sequence
     of B seeds gives one dataset of B * n_records records whose block b is
-    exactly ``sample(dist, n_records, seeds[b])``.
+    exactly ``sample(dist, n_records, seeds[b])``.  With at least as many
+    draws as atoms, x is gathered from the levels of every point, a grid
+    no larger than the draws; with fewer, levels are read off each rank.
     """
     if n_records < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
@@ -473,10 +497,14 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     for row, s in zip(u, seeds):
         np.random.default_rng(s).random(out=row)
     atom_idx = _atom_index(dist, u.ravel())
-    # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
-    point_rank = (atom_idx >> 1).astype(np.int32)
-    ys = np.where(atom_idx & 1, 1, -1).astype(np.int8)
-    return Dataset(dist.space, dist.space.points(point_rank), ys)
+    point_rank = atom_idx >> 1
+    ys = (atom_idx & 1).astype(np.int8) * 2 - 1
+    space = dist.space
+    if dist.probs.size <= u.size:  # the grid is no larger than the draws
+        xs = np.take(space.points(np.arange(space.num_points)), point_rank, axis=0)
+    else:  # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
+        xs = space.points(point_rank.astype(np.int32))
+    return Dataset(space, xs, ys)
 
 
 def save_distribution(dist: JointDistribution, path) -> None:

@@ -127,3 +127,16 @@ def wide_csv(path, n, n_records, q=2, seed=0):
     np.savetxt(path, np.column_stack([x, y]), fmt="%d", delimiter=",",
                header=header, comments="")
     return path
+
+
+def reference_cdf(dist):
+    """The atom CDF that sampling inverts: one sequential cumsum over all
+    atoms, the final value forced to 1.0."""
+    c = np.cumsum(dist.probs.ravel())
+    c[-1] = 1.0
+    return c
+
+
+def grid_reference(space):
+    """Every point in enumeration order, from ``np.indices``."""
+    return np.indices(space.grid_shape).reshape(space.n, -1).T

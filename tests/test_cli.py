@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -26,10 +28,10 @@ from mdrcv.model import (
     save_distribution,
 )
 from mdrcv.oracle import is_significant
-from mdrcv.scenarios import generate_scenario
+from mdrcv.scenarios import PRESETS, generate_scenario
 from mdrcv.search import enumerate_subsets
 
-from conftest import wide_csv
+from conftest import grid_reference, reference_cdf, wide_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -609,3 +611,35 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@given(
+    preset=st.sampled_from(PRESETS),
+    n=st.integers(0, 4),
+    q=st.integers(0, 3),
+    n_records=st.integers(1, 5000),  # crosses the number of atoms, 4 to 512
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), -1),
+                   st.integers(2**64, 2**80)),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulate_fuzz_exits_cleanly_with_reference_records(
+    tmp_path_factory, preset, n, q, n_records, seed
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    args = ["simulate", "--preset", preset, "--n", str(n), "--q", str(q),
+            "--N", str(n_records), "--seed", str(seed), "--out", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    # the inverse-CDF sampler the CLI must match: searchsorted on the full CDF
+    dist = generate_scenario(preset, n, q)
+    u = np.random.default_rng(seed).random(n_records)
+    atom = np.searchsorted(reference_cdf(dist), u, side="right")
+    table = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, :n], grid_reference(dist.space)[atom >> 1])
+    assert np.array_equal(table[:, n], np.where(atom & 1, 1, -1))

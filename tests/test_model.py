@@ -32,7 +32,7 @@ from mdrcv.estimator import fold_cell_counts, fold_partition
 
 from mdrcv.scenarios import PRESETS, generate_scenario
 
-from conftest import small_distributions
+from conftest import grid_reference, reference_cdf, small_distributions
 
 
 class TestFactorSpace:
@@ -406,23 +406,10 @@ def block_edge_tables(draw):
     return JointDistribution(space, p)
 
 
-def reference_cdf(dist):
-    """The atom CDF that sampling inverts: one sequential cumsum over all
-    atoms, the final value forced to 1.0."""
-    c = np.cumsum(dist.probs.ravel())
-    c[-1] = 1.0
-    return c
-
-
 def reference_block_ends(dist):
     """``reference_cdf`` at the last atom of each CDF_BLOCK block."""
     c = reference_cdf(dist)
     return c[np.arange(CDF_BLOCK - 1, c.size + CDF_BLOCK - 1, CDF_BLOCK).clip(max=c.size - 1)]
-
-
-def grid_reference(space):
-    """Every point in enumeration order, from ``np.indices``."""
-    return np.indices(space.grid_shape).reshape(space.n, -1).T
 
 
 class TestGridFreePath:
@@ -662,6 +649,80 @@ class TestBlockedCdf:
         u = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
         u = np.tile(np.where(u < 1.0, u, 0.5), copies)  # draws lie in [0, 1)
         assert np.array_equal(_atom_index(dist, u), np.searchsorted(c, u, side="right"))
+
+    @given(dist=block_edge_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_guide_bucket_edges_match_full_cdf_search(self, dist):
+        # at least as many draws as atoms: the guide table is searched.  Draws
+        # sit on every bucket edge b/G and one ulp either side, G the smallest
+        # power of two >= 2 * atoms
+        c = reference_cdf(dist)
+        guide = 2 ** int(np.ceil(np.log2(2 * c.size)))
+        edges = np.arange(guide) / guide
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        assert u.size >= c.size
+        got = _atom_index(dist, u)
+        want = np.searchsorted(c, u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("heavy", [0, 60, 127])
+    def test_clustered_bucket_needs_many_search_rounds(self, heavy):
+        # one heavy atom and 127 atoms of mass 1e-9 (a few zero): with the
+        # heavy atom last, every light CDF value shares the first bucket;
+        # otherwise one bucket holds them on either side of it
+        p = np.full(128, 1e-9)
+        p[[5, 16, 31, 32]] = 0.0  # zero-mass atoms, three on block edges
+        p[heavy] = 1.0 - p.sum() + p[heavy]
+        dist = JointDistribution(FactorSpace(6, 1), p.reshape(-1, 2))
+        c = reference_cdf(dist)
+        guide = 256
+        bucket = np.diff(np.searchsorted(c, np.arange(guide + 1) / guide, side="left"))
+        assert bucket.max() >= 64  # seven rounds or more
+        exact = c[c < 1.0]
+        edges = np.arange(guide) / guide
+        u = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0), edges,
+                            np.random.default_rng(heavy).random(500)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = _atom_index(dist, u)
+        want = np.searchsorted(c, u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("heavy", [(0,), (0, 4)])
+    def test_cdf_past_one_before_the_final_atom(self, heavy):
+        # within the normalization tolerance the running sum may pass 1.0
+        # before the final atom, forced to 1.0; with all mass on atom 0 no
+        # CDF value lies below 1.0, so no bucket holds one
+        p = np.zeros(8)
+        p[list(heavy)] = 1.0 / len(heavy)
+        p[3] = 5e-13
+        dist = JointDistribution(FactorSpace(2, 1), p.reshape(-1, 2))
+        c = reference_cdf(dist)
+        assert c.max() > 1.0
+        u = np.concatenate([np.random.default_rng(1).random(40), [0.0, 0.5, np.nextafter(0.5, 0.0),
+                                                                  np.nextafter(1.0, 0.0)]])
+        got = _atom_index(dist, u)
+        want = np.searchsorted(c, u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dist", [
+        generate_scenario("pair-epistasis", 3, 2),  # 54 atoms, a partial block
+        generate_scenario("independent", 4, 2),  # 162 atoms
+        JointDistribution.from_atoms(1, 2, [((0,), -1, 0.5), ((2,), 1, 0.5)]),  # 6
+    ], ids=["atoms54", "atoms162", "atoms6"])
+    @pytest.mark.parametrize("seeds", [7, [3, 2**64 - 1, 0]], ids=["one-seed", "seed-list"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sample_around_as_many_draws_as_atoms(self, dist, seeds, offset):
+        # a single seed crosses from located blocks and per-draw level digits
+        # to the guide table and the point-grid gather; a seed list gathers
+        n_records = dist.probs.size + offset
+        seed_list = [seeds] if np.ndim(seeds) == 0 else seeds
+        u = np.concatenate([np.random.default_rng(s).random(n_records) for s in seed_list])
+        atom = np.searchsorted(reference_cdf(dist), u, side="right")
+        ds = sample(dist, n_records, seeds)
+        assert ds.x.dtype == np.int16 and ds.y.dtype == np.int8
+        assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
+        assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))
 
     def test_cdf_ends_carry_across_chunks(self):
         dist = generate_scenario("pair-epistasis", 10, 2)  # 118098 atoms: two chunks
