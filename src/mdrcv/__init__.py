@@ -12,12 +12,9 @@ from .errors import (
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
-    FoldPartition,
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
-    fold_cell_counts,
-    fold_partition,
     influence_values,
 )
 from .model import (
@@ -26,7 +23,6 @@ from .model import (
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
-    UNIT_PENALTY,
     label_marginal,
     load_distribution,
     sample,

@@ -131,13 +131,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_search(args) -> int:
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
+    _check_flags(args, K=2)
     # one stderr line per warning, whatever the interpreter's filters
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dataset = ingest_csv(args.data, q=args.q)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    _check_flags(args, K=2)
     report = rank_subsets(dataset, args.r, args.K, schedule)
     print(f"ranked {len(report.entries)} subsets of size {report.r} "
           f"(N={len(dataset)}, K={args.K})")

@@ -36,44 +36,17 @@ from .model import (
 
 DEFAULT_EPS_C0 = 1.0
 DEFAULT_EPS_BETA = 0.25
-# Count-table label columns (y = -1, y = +1): a +1 call misses column 0.
-_POSITIVE = np.array([False, True])
-
-
-@dataclass(frozen=True)
-class FoldPartition:
-    """Deterministic contiguous split of record indices 1..N into K folds.
-
-    Folds 1..K-1 have size [N/K]; the last fold absorbs the remainder.
-    """
-
-    n_records: int
-    n_folds: int
-    folds: tuple[range, ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.folds)
-
-
-def fold_partition(n_records: int, n_folds: int) -> FoldPartition:
-    if n_folds < 2:
-        raise ValidationError(f"need at least 2 folds, got {n_folds}")
-    if n_folds > n_records:
-        raise ValidationError(
-            f"cannot split {n_records} records into {n_folds} folds"
-        )
-    base = n_records // n_folds
-    folds = []
-    for k in range(1, n_folds + 1):
-        start = (k - 1) * base + 1
-        stop = k * base + 1 if k < n_folds else n_records + 1
-        folds.append(range(start, stop))
-    return FoldPartition(n_records, n_folds, tuple(folds))
+# Count-table label rows (y = -1, y = +1): a +1 call misses row 0.
+_POSITIVE = np.array([[False], [True]])
 
 
 def fold_index(n_records: int, n_folds: int) -> np.ndarray:
-    """The 0-based fold of every record under ``fold_partition``: blocks of
-    [N/K] records, the last one running to N."""
+    """The 0-based fold of every record: folds 1..K-1 are contiguous blocks
+    of [N/K] records, and the last one runs to N.  Needs 2 <= K <= N."""
+    if n_folds < 2:
+        raise ValidationError(f"need at least 2 folds, got {n_folds}")
+    if n_folds > n_records:
+        raise ValidationError(f"cannot split {n_records} records into {n_folds} folds")
     return np.minimum(np.arange(n_records) // (n_records // n_folds), n_folds - 1)
 
 
@@ -105,62 +78,55 @@ class EpsilonSchedule:
 DEFAULT_SCHEDULE = EpsilonSchedule()
 
 
-def fold_cell_counts(
-    codes: np.ndarray, positive: np.ndarray, n_folds: int, cells: int
-) -> np.ndarray:
-    """Record counts per (fold, cylinder cell, label), shape (K, cells, 2),
-    or (B, K, cells, 2) from one ``bincount`` over a (B, N) stack of datasets.
-    Label column 0 is y = -1 and column 1 is y = +1.  Folds are the
-    contiguous blocks of ``fold_partition``; ``n_folds=1`` counts the whole
-    sample as a single fold.
-    """
-    n = codes.shape[-1]
-    if not 1 <= n_folds <= n:
-        raise ValidationError(f"cannot split {n} records into {n_folds} folds")
-    key = fold_index(n, n_folds)  # fold, then the bincount key in place
-    if codes.ndim == 2:  # one block of folds per dataset of the stack
-        key = key + n_folds * np.arange(codes.shape[0])[:, None]
-    key *= cells
-    key += codes
-    key *= 2
-    key += positive
-    counts = np.bincount(key.ravel(), minlength=codes.size // n * n_folds * cells * 2)
-    return counts.reshape(codes.shape[:-1] + (n_folds, cells, 2))
+def row_keys(y: np.ndarray, n_folds: int, n_stack: int = 1) -> np.ndarray:
+    """Each record's count-table row ``2 * fold + [y = +1]``, offset by
+    ``2K * b`` in dataset b of the ``n_stack`` equal blocks of records in
+    ``y``; shape (n_stack, N)."""
+    y = y.reshape(n_stack, -1)
+    rows = fold_index(y.shape[1], n_folds) + n_folds * np.arange(n_stack)[:, None]
+    rows *= 2
+    rows += y == 1
+    return rows
 
 
 def dataset_counts(
     dataset: Dataset, subset: FactorSubset, n_folds: int, n_stack: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell codes, positive-label mask and ``fold_cell_counts`` of a dataset,
-    or with a leading axis over the ``n_stack`` equal blocks of records it
-    holds (the datasets ``sample`` draws from a list of seeds)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of a dataset: each record's key ``row * cells + code``
+    with its ``row_keys`` row and cylinder code, and one ``bincount`` of the
+    keys as a (K, 2, cells) table of (fold, label, cell) counts, label row 0
+    being y = -1.  With ``n_stack``, both get a leading axis over the equal
+    blocks of records the dataset holds (the datasets ``sample`` draws from
+    a list of seeds)."""
     subset.validate_for(dataset.space)
-    shape = (-1,) if n_stack is None else (n_stack, -1)
     cells = cylinder_count(subset.r, dataset.space.q)
-    codes = cylinder_codes(dataset.x, subset, dataset.space.q).reshape(shape)
-    positive = (dataset.y == 1).reshape(shape)
-    return codes, positive, fold_cell_counts(codes, positive, n_folds, cells)
+    keys = row_keys(dataset.y, n_folds, n_stack or 1)
+    keys *= cells
+    keys += cylinder_codes(dataset.x, subset, dataset.space.q).reshape(keys.shape)
+    counts = np.bincount(keys.ravel(), minlength=keys.shape[0] * n_folds * 2 * cells)
+    counts = counts.reshape(-1, n_folds, 2, cells)
+    return (keys[0], counts[0]) if n_stack is None else (keys, counts)
 
 
 def _trained_rule(train: np.ndarray, eps: float) -> np.ndarray:
     """Cells the regularized rule predicts +1 after training on the
-    (..., cells, 2) label counts ``train``."""
-    tot = train.sum(axis=-1)
-    gamma = train[..., 1].sum(axis=-1) / tot.sum(axis=-1)
-    return cell_conditionals(tot, train[..., 1]) > (gamma + eps)[..., None]
+    (..., 2, cells) label counts ``train``."""
+    tot = train.sum(axis=-2)
+    gamma = train[..., 1, :].sum(axis=-1) / tot.sum(axis=-1)
+    return cell_conditionals(tot, train[..., 1, :]) > (gamma + eps)[..., None]
 
 
 def cv_error_stack(counts: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     """(values, penalties, misses) of the CV error of each dataset in a
-    (..., K, cells, 2) ``fold_cell_counts`` stack; per fold, the rule is
+    (..., K, 2, cells) ``dataset_counts`` stack; per fold, the rule is
     trained on the complement and penalties are estimated on the fold.
     Terms combine in the formula's order (outer sum over labels, running
     sum over folds), so stacking leaves every value bit for bit."""
-    labels = counts.sum(axis=-2)
+    labels = counts.sum(axis=-1)
     sizes = labels.sum(axis=-1, keepdims=True)
     # fold k's rule is trained on every count outside fold k
     plus = _trained_rule(counts.sum(axis=-3, keepdims=True) - counts, eps)
-    misses = (counts * (plus[..., None] != _POSITIVE)).sum(axis=-2)
+    misses = (counts * (plus[..., None, :] != _POSITIVE)).sum(axis=-1)
     penalties = np.divide(sizes, labels, out=np.zeros(labels.shape), where=labels > 0)
     acc = np.cumsum(penalties * misses / sizes, axis=-2)[..., -1, :]
     return (acc / counts.shape[-3]).sum(axis=-1) * 2.0, penalties, misses
@@ -174,28 +140,23 @@ def cv_prediction_error(
 ) -> float:
     """K-fold cross-validated prediction error of the regularized rule:
     ``cv_error_stack`` on the dataset's one count table."""
-    fold_partition(len(dataset), n_folds)
     eps = schedule.value(len(dataset))
-    _, _, counts = dataset_counts(dataset, subset, n_folds)
-    return float(cv_error_stack(counts, eps)[0])
+    return float(cv_error_stack(dataset_counts(dataset, subset, n_folds)[1], eps)[0])
 
 
-def influence_stack(
-    codes: np.ndarray, positive: np.ndarray, full: np.ndarray, eps: float
-) -> np.ndarray:
-    """``influence_values`` of each dataset in a stack of (..., N) codes
-    and labels with full-sample counts (..., cells, 2), read off one value
-    per (dataset, cell, label)."""
-    n_labels = full.sum(axis=-2)  # (..., 2): records with y = -1, y = +1
+def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndarray:
+    """``influence_values`` of each dataset in a ``dataset_counts`` stack:
+    the influence table of the full-sample counts, broadcast over folds and
+    read at the records' keys."""
+    full = counts.sum(axis=-3)
+    n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
     if np.any(n_labels == 0):
         raise DegenerateLabelsError("influence values need both label classes")
-    plus = _trained_rule(full, eps)
-    miss = plus[..., None] != _POSITIVE
-    rate = (full * miss).sum(axis=-2) / n_labels
-    freq = n_labels / codes.shape[-1]
-    table = (2.0 / freq)[..., None, :] * (miss.astype(np.float64) - rate[..., None, :])
-    flat = table.reshape(table.shape[:-2] + (-1,))
-    return np.take_along_axis(flat, codes * 2 + positive, axis=-1)
+    miss = _trained_rule(full, eps)[..., None, :] != _POSITIVE
+    rate = (full * miss).sum(axis=-1) / n_labels
+    freq = n_labels / keys.shape[-1]
+    table = (2.0 / freq)[..., None] * (miss.astype(np.float64) - rate[..., None])
+    return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys)
 
 
 def influence_values(
@@ -208,10 +169,11 @@ def influence_values(
     Trains the regularized rule on the full sample, then substitutes the
     empirical label frequencies and miss rates for their population
     counterparts.  The returned values sum to exactly zero whenever both
-    label classes are present; a missing class raises.
+    label classes are present; a missing class raises.  The values do not
+    depend on the fold count, which only keys the records.
     """
-    codes, positive, counts = dataset_counts(dataset, subset, 1)
-    return influence_stack(codes, positive, counts[0], schedule.value(len(dataset)))
+    keys, counts = dataset_counts(dataset, subset, 2)
+    return influence_stack(keys, counts, schedule.value(len(dataset)))
 
 
 def asymptotic_sd_estimate(influence: np.ndarray) -> float | np.ndarray:

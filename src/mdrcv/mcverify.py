@@ -10,6 +10,7 @@ execution order and any single replication can be reproduced in isolation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +25,6 @@ from .estimator import (
     asymptotic_sd_estimate,
     cv_error_stack,
     dataset_counts,
-    fold_partition,
     influence_stack,
 )
 from .linalg import inv_sqrt_symmetric
@@ -84,9 +84,9 @@ def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...
     eps = schedule.value(n_records)
     z, influences = [], []
     for s, err in zip(subsets, oracle_errors):
-        codes, positive, counts = dataset_counts(data, s, n_folds, len(seeds))
+        keys, counts = dataset_counts(data, s, n_folds, len(seeds))
         z.append(math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err))
-        influences.append(influence_stack(codes, positive, counts.sum(axis=1), eps))
+        influences.append(influence_stack(keys, counts, eps))
     rows = np.stack(influences, axis=1)  # (replications, subsets, records)
     sds, covs = asymptotic_sd_estimate(rows), asymptotic_covariance_estimate(rows)
     return np.array(seeds, dtype=np.uint64), np.stack(z, axis=1), sds, covs
@@ -107,7 +107,8 @@ def run_replications(
     seeds, row m-1 of every array is replication m.  Deviations are centred
     at ``oracle_errors``, each subset's exact optimal error.  Batches hold
     at most ``RECORDS_PER_BATCH`` records; ``workers > 1`` spreads them
-    over a process pool.  Neither changes any result."""
+    over a process pool of at most one process per CPU.  Neither changes
+    any result."""
     if n_replications < 1:
         raise ValidationError("need at least one replication")
     subsets = list(subsets)
@@ -115,17 +116,15 @@ def run_replications(
         raise ValidationError("need at least one subset")
     if len(oracle_errors) != len(subsets):
         raise ValidationError("need one oracle error per subset")
-    fold_partition(n_records, n_folds)
     per_batch = max(1, RECORDS_PER_BATCH // n_records)
     reps = range(1, n_replications + 1)
     batches = [reps[i : i + per_batch] for i in range(0, n_replications, per_batch)]
     context = (dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed)
-    if workers <= 1 or len(batches) == 1:
+    pool_size = min(workers, len(batches), os.cpu_count() or 1)
+    if pool_size <= 1:
         chunks = [_replicate_batch(b, context) for b in batches]
     else:
-        with ProcessPoolExecutor(
-            min(workers, len(batches)), initializer=_init_worker, initargs=(context,)
-        ) as pool:
+        with ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(context,)) as pool:
             chunks = list(pool.map(_replicate_batch, batches))
     return Replications(*(np.concatenate(field) for field in zip(*chunks)))
 

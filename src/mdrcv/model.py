@@ -203,14 +203,6 @@ class PenaltyFunction:
         """psi(-1) / (psi(-1) + psi(+1)), in [0, 1]."""
         return self.psi_neg / (self.psi_neg + self.psi_pos)
 
-    def scaled(self, c: float) -> "PenaltyFunction":
-        if c <= 0:
-            raise ValidationError("scale factor must be positive")
-        return PenaltyFunction(c * self.psi_neg, c * self.psi_pos)
-
-
-UNIT_PENALTY = PenaltyFunction(1.0, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:

@@ -33,8 +33,8 @@ LEAF_ELEMENTS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
-    """An influence variable v(x, y) = lut[plus[x], y], dense as ``np.asarray``,
-    with its mean E v; an immutable value."""
+    """An influence variable v(x, y) = lut[plus[x], y] with its mean E v;
+    an immutable value."""
 
     plus: np.ndarray
     lut: np.ndarray
@@ -47,9 +47,6 @@ class InfluenceTable:
                 arr = arr.copy()
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def __array__(self, dtype=None, copy=None):  # numpy casts to dtype
-        return _expand(self.lut, self.plus)
 
 
 def _expand(lut: np.ndarray, plus: np.ndarray) -> np.ndarray:

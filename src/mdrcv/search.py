@@ -13,8 +13,7 @@ from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     cv_error_stack,
-    fold_index,
-    fold_partition,
+    row_keys,
 )
 from .model import Dataset, FactorSubset, cylinder_count
 
@@ -79,7 +78,6 @@ def rank_subsets(
     confidence adjustments.
     """
     candidates = enumerate_subsets(dataset.space.n, r)
-    fold_partition(len(dataset), n_folds)
     values = _cv_errors(dataset, candidates, n_folds, schedule.value(len(dataset)))
     # stable on lexicographic candidates: exact ties keep index order
     floats = values.tolist()
@@ -99,11 +97,11 @@ def _group_size(head: int, levels: int, n_records: int, most: int) -> int:
 
 
 def _marginal_indicator(levels: int, g: int) -> np.ndarray:
-    """0/1 float64 matrix (levels^g, g * levels): row c, a joint cell of g
-    last factors with base-``levels`` digits first-major, has a 1 in column
-    i * levels + l where digit i of c is l."""
-    digits = np.arange(levels**g)[:, None] // levels ** np.arange(g - 1, -1, -1) % levels
-    return (digits[..., None] == np.arange(levels)).reshape(levels**g, -1).astype(np.float64)
+    """g 0/1 float64 matrices (levels^g, levels): in matrix i, row c, a joint
+    cell of g last factors with base-``levels`` digits first-major, has a 1
+    in column l where digit i of c is l."""
+    digits = np.arange(levels**g) // levels ** np.arange(g - 1, -1, -1)[:, None] % levels
+    return (digits[..., None] == np.arange(levels)).astype(np.float64)
 
 
 def _cv_errors(
@@ -112,8 +110,8 @@ def _cv_errors(
     """``cv_prediction_error`` values of r-subsets in lexicographic order,
     all on one dataset's folds, bit for bit.
 
-    A record's count key, label-major inside its fold, is
-    ``(2 * fold + [y = +1]) * cells + code`` with the cell code
+    A record's count key is ``dataset_counts``'s ``row * cells + code``,
+    with the ``row_keys`` row ``2 * fold + [y = +1]`` and the cell code
     ``sum_j (q+1)^(r-1-j) * x[m_j]``.  The first r-1 positions, a subset's
     prefix, are kept as partial sums, so a prefix recomputes only the
     positions after the ones it shares with the previous prefix.
@@ -126,7 +124,8 @@ def _cv_errors(
     ``np.bincount`` of it fills the joint (head, (q+1)^g) table, with
     head = 2K (q+1)^(r-1).  Subset d_i's count row is that table's marginal
     over the other g-1 last factors, and all g marginals come from one
-    float64 matmul with ``_marginal_indicator``.  The matmul is exact: every
+    float64 matmul with the g stacked ``_marginal_indicator`` matrices, in
+    count-row layout.  The matmul is exact: every
     partial sum is an integer count <= N < 2^53.  A group takes 2g-1 vector
     ops, so a subset costs about two of them plus 1/g of a bincount, whose
     cost is mostly its pass over the N keys whatever the table width.  A
@@ -149,8 +148,8 @@ def _cv_errors(
     # than bincount's cast of int16 keys to intp costs.
     least = dataset.x.dtype if g > 1 else np.int32
     dtype = np.promote_types(least, np.min_scalar_type(-head * levels**g)).type
+    base = (row_keys(dataset.y, n_folds)[0] * cells).astype(dtype)
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
-    base = ((2 * fold_index(len(dataset), n_folds) + (dataset.y == 1)) * cells).astype(dtype)
     weights = [dtype(levels ** (r - 1 - j)) for j in range(r - 1)]
     partial = np.empty((r - 1, len(dataset)), dtype)  # partial[j]: key over positions 0..j
     key = np.empty(len(dataset), dtype)
@@ -177,12 +176,12 @@ def _cv_errors(
             rows = (np.bincount(key, minlength=head * levels**k),)
             if k > 1:
                 marginals = rows[0].reshape(head, -1).astype(np.float64) @ indicators[k]
-                rows = marginals.reshape(head, k, levels).swapaxes(0, 1).reshape(k, width)
+                rows = marginals.reshape(k, width)
             for counts in rows:
                 block[row] = counts
                 row += 1
                 if row == len(block) or done + row == len(subsets):
-                    stack = block[:row].reshape(-1, n_folds, 2, cells).swapaxes(-1, -2)
+                    stack = block[:row].reshape(-1, n_folds, 2, cells)
                     values[done : done + row] = cv_error_stack(stack, eps)[0]
                     done, row = done + row, 0
     return values

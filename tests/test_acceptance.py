@@ -15,7 +15,7 @@ from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     cv_prediction_error,
-    fold_partition,
+    fold_index,
 )
 from mdrcv.mcverify import (
     clt_check,
@@ -29,7 +29,6 @@ from mdrcv.model import (
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
-    UNIT_PENALTY,
     sample,
 )
 from mdrcv.oracle import (
@@ -85,15 +84,16 @@ def test_criterion_1_exhaustive_optimality():
     support, the closed-form predictor attains the exact minimum error over
     all 16 predictor tables."""
     start = time.perf_counter()
+    unit = PenaltyFunction(1.0, 1.0)
     fixtures = [
-        (weighted_table(2, 1, (3, 1, 3, 1), (1, 3, 1, 3)), UNIT_PENALTY),
+        (weighted_table(2, 1, (3, 1, 3, 1), (1, 3, 1, 3)), unit),
         # conditionals 0.5 at two cells tie the unit threshold exactly
-        (weighted_table(2, 1, (2, 1, 3, 2), (2, 3, 1, 2)), UNIT_PENALTY),
+        (weighted_table(2, 1, (2, 1, 3, 2), (2, 3, 1, 2)), unit),
         # (0,0) carries no mass at all
-        (weighted_table(2, 1, (0, 2, 4, 2), (0, 6, 2, 2)), UNIT_PENALTY),
+        (weighted_table(2, 1, (0, 2, 4, 2), (0, 6, 2, 2)), unit),
         (weighted_table(2, 1, (6, 2, 1, 1), (1, 1, 2, 2)), None),  # balanced
         # deterministic labels
-        (weighted_table(2, 1, (4, 0, 0, 4), (0, 4, 4, 0)), UNIT_PENALTY),
+        (weighted_table(2, 1, (4, 0, 0, 4), (0, 4, 4, 0)), unit),
         # labels independent of the factors: every conditional ties the
         # balanced threshold
         (weighted_table(2, 1, (2, 2, 2, 2), (3, 3, 3, 3)), None),
@@ -269,10 +269,10 @@ def test_criterion_9_estimator_transcription_equivalence():
     folds_ok = True
     for n in range(2, 201):
         for k in range(2, min(10, n) + 1):
-            part = fold_partition(n, k)
+            folds = fold_index(n, k)
             base = n // k
-            folds_ok &= part.sizes() == tuple([base] * (k - 1) + [n - (k - 1) * base])
-            folds_ok &= sorted(j for f in part.folds for j in f) == list(range(1, n + 1))
+            folds_ok &= np.bincount(folds).tolist() == [base] * (k - 1) + [n - (k - 1) * base]
+            folds_ok &= bool(np.all(np.diff(folds) >= 0))  # contiguous, in record order
     elapsed = time.perf_counter() - start
     report(
         9, bitwise and folds_ok,
@@ -300,7 +300,7 @@ def test_criterion_10_penalty_scaling_invariance():
         f = optimal_predictor(dist, psi)
         base_err = prediction_error(dist, psi, f)
         for c in (0.5, 2.0, 10.0):
-            scaled = psi.scaled(c)
+            scaled = PenaltyFunction(c * psi.psi_neg, c * psi.psi_pos)
             ok &= scaled.threshold == psi.threshold
             ok &= high_risk_set(dist, scaled) == high_risk_set(dist, psi)
             ok &= np.array_equal(optimal_predictor(dist, scaled), f)

@@ -29,11 +29,22 @@ from mdrcv.model import (
 )
 from mdrcv.oracle import is_significant
 from mdrcv.scenarios import PRESETS, generate_scenario
-from mdrcv.search import enumerate_subsets
+from mdrcv.search import enumerate_subsets, rank_subsets
 
 from conftest import grid_reference, reference_cdf, wide_csv
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env(**extra):
+    """Environment of a CLI child process: this checkout's ``src`` first on
+    the path, and ``PATH`` and ``PYTHONDONTWRITEBYTECODE`` passed through, so
+    a run that writes no bytecode into the checkout keeps its children from
+    writing any."""
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return {**env, **extra}
 
 
 @pytest.fixture
@@ -291,6 +302,11 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "error: eps schedule needs beta in (0, 1/2), got 0.7\n")
 
+    def test_fold_count_rejected_before_the_csv_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["search", "--data", str(missing), "--r", "1", "--K", "1"]) == 1
+        assert capsys.readouterr().err == "error: --K must be >= 2\n"
+
     def test_degenerate_replication_exits_two(self):
         # tiny samples from a rare-positive null scenario eventually produce
         # a single-label dataset, which the scale estimate refuses
@@ -378,8 +394,7 @@ class TestCliCommands:
         proc = subprocess.run(
             [sys.executable, "-m", "mdrcv.cli", "oracle", "--dist", str(toy_dist_file)],
             capture_output=True, text=True,
-            cwd=Path(__file__).resolve().parent.parent,
-            env={"PYTHONPATH": "src", "PATH": "/usr/local/bin:/usr/bin:/bin"},
+            cwd=ROOT, env=child_env(),
         )
         assert proc.returncode == 0
         assert "threshold" in proc.stdout
@@ -479,7 +494,7 @@ def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
         capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+        env=child_env(),
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
@@ -537,7 +552,7 @@ def test_q_mismatch_is_one_warning_line(filters, tmp_path):
     proc = subprocess.run(
         [sys.executable, *filters, "-m", "mdrcv", *args],
         capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == (f"warning: {args[2]}: configured q=5 differs from the "
@@ -553,7 +568,7 @@ def test_joint_check_at_one_replication_warns_nothing(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "mdrcv", *args],
         capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -584,8 +599,7 @@ def test_out_of_memory_is_one_line_error(tmp_path):
         [sys.executable, "-m", "mdrcv", *args],
         capture_output=True, text=True, cwd=tmp_path, timeout=60,
         preexec_fn=cap_address_space,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", ""),
-             "OPENBLAS_NUM_THREADS": "1"},
+        env=child_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1
@@ -605,7 +619,7 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "mdrcv", "search", "--data", "d.csv", "--r", "2", "--K", "5"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, timeout=60,
-            env={"PYTHONPATH": str(ROOT / "src"), "PATH": os.environ.get("PATH", "")},
+            env=child_env(),
         )
     finally:
         os.close(write_end)
@@ -643,3 +657,63 @@ def test_simulate_fuzz_exits_cleanly_with_reference_records(
     table = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(table[:, :n], grid_reference(dist.space)[atom >> 1])
     assert np.array_equal(table[:, n], np.where(atom & 1, 1, -1))
+
+
+# Ways a search CSV can be off: each maps the file's lines to its bytes.
+CSV_MUTATIONS = {
+    "none": lambda lines, at: "\n".join(lines).encode() + b"\n",
+    "crlf": lambda lines, at: "\r\n".join(lines).encode() + b"\r\n",
+    "bom": lambda lines, at: "\ufeff".encode() + "\n".join(lines).encode() + b"\n",
+    "truncated-last-row": lambda lines, at: "\n".join(lines).encode()[:-at],
+    "blank-lines": lambda lines, at: "\n".join(lines[:at] + ["", ""] + lines[at:]).encode(),
+    "quoted-cells": lambda lines, at: "\n".join(
+        lines[:at] + [",".join(f'"{c}"' for c in line.split(",")) for line in lines[at:]]
+    ).encode(),
+    "huge-integer": lambda lines, at: "\n".join(
+        lines[:at] + ["9" * 30 + line[line.index(","):] for line in lines[at:at + 1]]
+        + lines[at + 1:]
+    ).encode(),
+    "max-level": lambda lines, at: "\n".join(
+        lines[:at] + [f"{MAX_LEVEL}" + line[line.index(","):] for line in lines[at:at + 1]]
+        + lines[at + 1:]
+    ).encode(),
+    "empty-file": lambda lines, at: b"",
+    "header-only": lambda lines, at: lines[0].encode() + b"\n",
+    "non-utf8": lambda lines, at: "\n".join(lines[:at]).encode() + b"\n\xff" + "\n".join(
+        lines[at:]).encode(),
+}
+
+
+@st.composite
+def search_csvs(draw):
+    """Bytes of a small search CSV, with one ``CSV_MUTATIONS`` entry applied."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                    st.sampled_from(("-1", "1")))
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    lines = [",".join([f"X{i}" for i in range(1, n + 1)] + ["Y"])]
+    lines += [",".join(map(str, x)) + "," + y for x, y in rows]
+    at = draw(st.integers(1, len(lines)))
+    return CSV_MUTATIONS[draw(st.sampled_from(sorted(CSV_MUTATIONS)))](lines, at)
+
+
+# K = 1 last: draws lean to the first entries, and a valid K reaches the search
+@given(data=search_csvs(), r=st.sampled_from((1, 2)), k=st.sampled_from((2, 3, 1)))
+@settings(max_examples=120, deadline=None)
+def test_search_fuzz_exits_cleanly_with_the_library_ranking(tmp_path_factory, data, r, k):
+    path = tmp_path_factory.getbasetemp() / "search-fuzz.csv"
+    out = tmp_path_factory.getbasetemp() / "search-fuzz.json"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["search", "--data", str(path), "--r", str(r), "--K", str(k),
+                     "--out", str(out)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    want = rank_subsets(ingest_csv(path), r, k).to_dict()
+    got = json.loads(out.read_text())
+    assert got["ranking"] == want["ranking"] and got["selected"] == want["selected"]

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mdrcv import estimator
 from mdrcv.errors import DegenerateLabelsError, ValidationError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
@@ -12,9 +11,8 @@ from mdrcv.estimator import (
     asymptotic_sd_estimate,
     cv_error_stack,
     cv_prediction_error,
-    fold_cell_counts,
+    dataset_counts,
     fold_index,
-    fold_partition,
     influence_values,
 )
 from mdrcv.linalg import NearSingularMatrixError, inv_sqrt_symmetric
@@ -104,34 +102,30 @@ def transcribed_cv_error(dataset, n_folds, subset, eps):
 
 class TestFoldPartition:
     def test_ten_records_three_folds(self):
-        part = fold_partition(10, 3)
-        assert [list(f) for f in part.folds] == [[1, 2, 3], [4, 5, 6], [7, 8, 9, 10]]
+        assert fold_index(10, 3).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
 
     def test_even_split(self):
-        part = fold_partition(8, 2)
-        assert [list(f) for f in part.folds] == [[1, 2, 3, 4], [5, 6, 7, 8]]
+        assert fold_index(8, 2).tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_all_singletons(self):
-        part = fold_partition(7, 7)
-        assert part.sizes() == (1,) * 7
+        assert fold_index(7, 7).tolist() == list(range(7))
 
     def test_rejects_bad_fold_counts(self):
         with pytest.raises(ValidationError):
-            fold_partition(10, 1)
+            fold_index(10, 1)
         with pytest.raises(ValidationError):
-            fold_partition(3, 4)
+            fold_index(3, 4)
 
     @given(n=st.integers(2, 300), k=st.integers(2, 12))
     @settings(max_examples=120, deadline=None)
     def test_disjoint_cover_with_closed_form_sizes(self, n, k):
         assume(k <= n)
-        part = fold_partition(n, k)
+        folds = fold_index(n, k)
         base = n // k
-        assert part.sizes() == tuple([base] * (k - 1) + [n - (k - 1) * base])
-        seen = sorted(j for fold in part.folds for j in fold)
-        assert seen == list(range(1, n + 1))
-        want = [i for i, fold in enumerate(part.folds) for _ in fold]
-        assert fold_index(n, k).tolist() == want
+        assert np.bincount(folds).tolist() == [base] * (k - 1) + [n - (k - 1) * base]
+        assert [list(f) for f in folds_by_formula(n, k)] == [
+            (np.flatnonzero(folds == i) + 1).tolist() for i in range(k)
+        ]
 
 
 class TestEpsilonSchedule:
@@ -154,28 +148,27 @@ class TestEpsilonSchedule:
         assert scaled == sorted(scaled)
 
 
-def dataset_counts(ds, subset, n_folds):
-    codes = cylinder_codes(ds.x, subset, ds.space.q)
-    cells = cylinder_count(subset.r, ds.space.q)
-    return fold_cell_counts(codes, ds.y == 1, n_folds, cells)
+def whole_sample_counts(ds, subset):
+    """(2, cells) label counts over every record: the fold table's sum."""
+    return dataset_counts(ds, subset, 2)[1].sum(axis=0)
 
 
 def whole_sample_conditionals(ds, subset):
     """Empirical P(Y=1 | cell) over every record, 0 on empty cells."""
-    counts = dataset_counts(ds, subset, 1)[0]
-    return cell_conditionals(counts.sum(axis=1), counts[:, 1])
+    counts = whole_sample_counts(ds, subset)
+    return cell_conditionals(counts.sum(axis=0), counts[1])
 
 
 def label_frequency(ds):
     """Empirical P(Y=1) from the count table's label totals."""
-    neg, pos = dataset_counts(ds, FactorSubset.of(1), 1).sum(axis=(0, 1))
+    neg, pos = whole_sample_counts(ds, FactorSubset.of(1)).sum(axis=1)
     return pos / (neg + pos)
 
 
 def fold_stats(ds, n_folds, subset, schedule=DEFAULT_SCHEDULE):
     """Per-fold (psihat(-1), psihat(+1)) and misses for (y=-1, y=+1) of the
     CV error, as nested tuples."""
-    counts = estimator.dataset_counts(ds, subset, n_folds)[2]
+    counts = dataset_counts(ds, subset, n_folds)[1]
     _, penalties, misses = cv_error_stack(counts, schedule.value(len(ds)))
     return tuple(map(tuple, penalties.tolist())), tuple(map(tuple, misses.tolist()))
 
@@ -191,33 +184,36 @@ class TestFoldCellCounts:
         xs = [[0], [1], [1], [0], [0], [1], [1], [1], [0], [1]]
         ys = [1, -1, 1, -1, -1, 1, 1, -1, 1, 1]
         ds = Dataset(FactorSpace(1, 1), xs, ys)
-        counts = dataset_counts(ds, FactorSubset.of(1), 3)
+        keys, counts = dataset_counts(ds, FactorSubset.of(1), 3)
         assert counts.shape == (3, 2, 2)
         assert counts.tolist() == [
             [[0, 1], [1, 1]],
             [[2, 0], [0, 1]],
             [[0, 1], [1, 2]],
         ]
+        # key = (2 * fold + [y = +1]) * cells + code
+        assert keys.tolist() == [2, 1, 3, 4, 4, 7, 11, 9, 10, 11]
 
-    @given(ds=small_datasets(), k=st.integers(1, 4))
+    @given(ds=small_datasets(), k=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_per_fold_bincounts(self, ds, k):
         sub = FactorSubset(tuple(range(1, ds.space.n + 1)))
-        counts = dataset_counts(ds, sub, k)
+        keys, counts = dataset_counts(ds, sub, k)
+        assert np.array_equal(np.bincount(keys, minlength=counts.size), counts.ravel())
         codes = cylinder_codes(ds.x, sub, ds.space.q)
         cells = cylinder_count(sub.r, ds.space.q)
-        blocks = fold_partition(len(ds), k).folds if k > 1 else [range(1, len(ds) + 1)]
-        for fold, got in zip(blocks, counts):
-            rows = np.arange(fold.start - 1, fold.stop - 1)
-            for col, label in enumerate((-1, 1)):
-                keep = rows[ds.y[rows] == label]
-                assert got[:, col].tolist() == np.bincount(
+        folds = fold_index(len(ds), k)
+        for fold, got in enumerate(counts):
+            for row, label in enumerate((-1, 1)):
+                keep = (folds == fold) & (ds.y == label)
+                assert got[row].tolist() == np.bincount(
                     codes[keep], minlength=cells
                 ).tolist()
 
     def test_rejects_more_folds_than_records(self):
+        ds = Dataset(FactorSpace(1, 1), [[0], [0], [0]], [1, 1, 1])
         with pytest.raises(ValidationError):
-            fold_cell_counts(np.zeros(3, dtype=np.int64), np.ones(3, bool), 4, 1)
+            dataset_counts(ds, FactorSubset.of(1), 4)
 
 
 class TestEstimateConditional:
@@ -241,7 +237,7 @@ class TestEstimateConditional:
         xs = [[0], [0], [0], [0], [0], [1], [1]]
         ys = [1, 1, -1, -1, -1, 1, 1]
         ds = Dataset(FactorSpace(1, 1), xs, ys)
-        assert dataset_counts(ds, FactorSubset.of(1), 1)[0].tolist() == [[3, 2], [0, 2]]
+        assert whole_sample_counts(ds, FactorSubset.of(1)).tolist() == [[3, 0], [2, 2]]
         got = whole_sample_conditionals(ds, FactorSubset.of(1))
         assert got[0] == pytest.approx(0.4)
 

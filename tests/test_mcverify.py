@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mdrcv import mcverify
 from mdrcv.errors import DegenerateLabelsError, ValidationError, ZeroScaleError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
@@ -273,6 +274,38 @@ class TestBatchedEngine:
         serial = run_replications(*args, master_seed=2)
         parallel = run_replications(*args, master_seed=2, workers=2)
         assert same_replications(parallel, serial)
+
+    @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (1, []), (None, [])])
+    def test_worker_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_sizes):
+        # a recording pool runs the batches in this process: no process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mcverify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mcverify, "_WORKER_CONTEXT", None)
+        monkeypatch.setattr(mcverify.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(mcverify, "RECORDS_PER_BATCH", 100)  # one replication per batch
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2)]
+        errors, _ = subset_oracle(dist, subs)
+        args = (dist, subs, errors, 100, 2, DEFAULT_SCHEDULE, 6)
+        serial = run_replications(*args, master_seed=5)
+        pooled = run_replications(*args, master_seed=5, workers=5000)
+        assert sizes == pool_sizes
+        assert same_replications(pooled, serial)
 
 
 class TestCltCheck:

@@ -28,7 +28,7 @@ from mdrcv.model import (
     save_distribution,
     _atom_index,
 )
-from mdrcv.estimator import fold_cell_counts, fold_partition
+from mdrcv.estimator import dataset_counts
 
 from mdrcv.scenarios import PRESETS, generate_scenario
 
@@ -318,13 +318,13 @@ def test_empty_seed_list_rejected(toy_balanced):
 
 class TestDataset:
     def test_record_indexing_is_one_based(self, toy_balanced):
-        # record j of fold_partition's 1-based folds is row j-1 of x and y
+        # record j of the 1-based folds (blocks of [N/K]) is row j-1 of x and y
         ds = sample(toy_balanced, 7, seed=0)
-        counts = fold_cell_counts(ds.x[:, 0].astype(np.int64), ds.y == 1, 3, 2)
-        for k, fold in enumerate(fold_partition(7, 3).folds):
+        counts = dataset_counts(ds, FactorSubset.of(1), 3)[1]
+        for k, fold in enumerate([[1, 2], [3, 4], [5, 6, 7]]):
             want = np.zeros((2, 2), dtype=np.int64)
             for j in fold:
-                want[ds.x[j - 1, 0], int(ds.y[j - 1] == 1)] += 1
+                want[int(ds.y[j - 1] == 1), ds.x[j - 1, 0]] += 1
             assert np.array_equal(counts[k], want)
 
     def test_rejects_bad_labels(self):

@@ -14,7 +14,6 @@ from mdrcv.model import (
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
-    UNIT_PENALTY,
     label_marginal,
     sample,
 )
@@ -37,6 +36,13 @@ from mdrcv.scenarios import PRESETS, generate_scenario
 
 import dense_oracle
 from conftest import small_distributions
+
+UNIT_PENALTY = PenaltyFunction(1.0, 1.0)
+
+
+def dense(table):
+    """An influence table's dense (points, 2) values lut[plus[x], y]."""
+    return table.lut[table.plus.astype(np.intp)]
 
 
 def all_predictors(space):
@@ -223,7 +229,7 @@ class TestAsymptoticVariance:
 
     def test_conditional_means_vanish_per_label(self, toy_balanced):
         _, (table,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
-        v = np.asarray(table)
+        v = dense(table)
         p = toy_balanced.probs
         for col in (0, 1):
             cond_mean = float((p[:, col] * v[:, col]).sum()) / float(p[:, col].sum())
@@ -232,7 +238,7 @@ class TestAsymptoticVariance:
     def test_monte_carlo_cross_check(self, toy_balanced):
         _, (table,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])
         sigma2 = asymptotic_variance(toy_balanced, table)
-        v = np.asarray(table)
+        v = dense(table)
         # exact fourth moment gives the standard error of the sample variance
         p = toy_balanced.probs
         fourth = float((p * v**4).sum())
@@ -281,7 +287,7 @@ class TestAsymptoticCovariance:
         subs = [FactorSubset.of(1), FactorSubset.of(2)]
         _, tables = subset_oracle(dist, subs)
         c = asymptotic_covariance(dist, tables)
-        v1, v2 = map(np.asarray, tables)
+        v1, v2 = map(dense, tables)
         p = dist.probs
         var_prod = float((p * (v1 * v2) ** 2).sum()) - c[0, 1] ** 2
         n = 10**6
@@ -303,7 +309,7 @@ class TestPenaltyScaling:
     @settings(max_examples=40, deadline=None)
     def test_power_of_two_scaling_is_exact(self, dist, c, a, b):
         psi = PenaltyFunction(float(a), float(b))
-        scaled = psi.scaled(c)
+        scaled = PenaltyFunction(c * psi.psi_neg, c * psi.psi_pos)
         assert scaled.threshold == psi.threshold
         assert high_risk_set(dist, scaled) == high_risk_set(dist, psi)
         f = optimal_predictor(dist, psi)
@@ -334,7 +340,7 @@ class TestOracleFromTables:
         for s, t in zip(subsets, tables):
             plus = dense_oracle.plus_mask(dist, psi, s)
             assert np.array_equal(optimal_predictor(dist, psi, s), plus)
-            assert np.array_equal(np.asarray(t), dense_oracle.influence(dist, plus))
+            assert np.array_equal(dense(t), dense_oracle.influence(dist, plus))
             assert t.mean == float((dist.probs * dense_oracle.influence(dist, plus)).sum())
 
     def draw_subsets_and_match(self, dist, data):
@@ -404,8 +410,8 @@ class TestOracleFromTables:
             st.booleans(), min_size=dist.space.num_points, max_size=dist.space.num_points,
         ))
         v = influence_table(dist, np.array(plus))
-        assert abs(float((dist.probs * np.asarray(v)).sum())) <= 1e-12
-        assert v.mean == float((dist.probs * np.asarray(v)).sum())
+        assert abs(float((dist.probs * dense(v)).sum())) <= 1e-12
+        assert v.mean == float((dist.probs * dense(v)).sum())
 
 
 def even_lengths(max_n):
