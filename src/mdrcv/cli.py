@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from .dataio import ingest_csv, write_dataset_csv
 from .errors import MdrError, ValidationError
@@ -132,12 +131,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_search(args) -> int:
     schedule = EpsilonSchedule(args.eps_c0, args.eps_beta)
     _check_flags(args, K=2)
-    # one stderr line per warning, whatever the interpreter's filters
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dataset = ingest_csv(args.data, q=args.q)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    dataset = ingest_csv(args.data)
     report = rank_subsets(dataset, args.r, args.K, schedule)
     print(f"ranked {len(report.entries)} subsets of size {report.r} "
           f"(N={len(dataset)}, K={args.K})")
@@ -237,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="rank factor subsets of a CSV by estimated error")
     p.add_argument("--data", required=True, help="dataset CSV, as simulate writes it")
-    p.add_argument("--q", type=int, help="max factor level (default: the largest in the CSV)")
     _add_schedule_flags(p)
     p.add_argument("--r", type=int, required=True, help="subset size")
     p.add_argument("--K", type=int, default=5, help="fold count")

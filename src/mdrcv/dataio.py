@@ -28,16 +28,14 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerows(table[start : start + CSV_BLOCK_ROWS].tolist())
 
 
-def ingest_csv(path, q: int | None = None) -> Dataset:
-    """Read a dataset CSV; the max level q is inferred from the data unless
-    given.  Malformed rows are reported with their file line number.
-
-    The rows of a seekable file are first read by one ``np.loadtxt`` call
-    and checked column by column.  If that read or a check fails, the row
-    loop reads them again and names the first bad row.
+def ingest_csv(path) -> Dataset:
+    """Read a dataset CSV, a UTF-8 BOM skipped; q is its largest level, at
+    least 1.  One ``np.loadtxt`` call parses a seekable file's rows and
+    ``Dataset`` judges them; if either fails, the row loop reads the rows
+    again and names the first bad one by its line number.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -50,53 +48,59 @@ def ingest_csv(path, q: int | None = None) -> Dataset:
                 raise ValidationError(
                     f"{path}: header must be X1,...,Xn,Y; got {','.join(header)}"
                 )
-            table = _loadtxt_rows(fh, n, q) if fh.seekable() else None
-            if table is None:
-                if fh.seekable():  # the failed read consumed the rows
-                    fh.seek(0)
-                    reader = csv.reader(fh)
-                    next(reader)
-                table = _read_rows(path, reader, n, q)
+            if fh.seekable():
+                table = _loadtxt_rows(fh, n)
+                if table is not None:
+                    try:
+                        return _dataset(table)
+                    except ValidationError:
+                        pass  # the row loop names the bad row
+                fh.seek(0)  # the parse consumed the rows
+                reader = csv.reader(fh)
+                next(reader)
+            line_nos, rows = _read_rows(path, reader, n)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:  # e.g. a field past csv's size limit
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
-    xs, ys = table
-    inferred_q = max(1, int(np.max(xs)))
-    if q is not None and q != inferred_q:
-        warnings.warn(
-            f"{path}: configured q={q} differs from the largest observed "
-            f"level ({inferred_q})",
-            stacklevel=2,
-        )
-    final_q = q if q is not None else inferred_q
-    return Dataset(FactorSpace(n, final_q), xs, ys)
+    try:
+        return _dataset(np.array(rows))  # object dtype when a cell is past int64
+    except ValidationError:
+        # q is the file's largest level, so only a level past MAX_LEVEL exceeds
+        # it: each record is judged at q = MAX_LEVEL alike
+        space = FactorSpace(n, MAX_LEVEL)
+        for line_no, row in zip(line_nos, rows):
+            try:
+                Dataset(space, [row[:n]], row[n:])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}, row {line_no}: {exc} in {row}") from None
+        raise
 
 
-def _loadtxt_rows(fh, n: int, q: int | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """(x, y) int64 arrays of the rest of the file when ``np.loadtxt`` reads
-    it as plain integers and every row passes the row loop's checks, else
-    None.  ``comments=None``: the row loop rejects ``#`` rows."""
+def _dataset(table: np.ndarray) -> Dataset:
+    """``Dataset`` of a (records, n + 1) table, q its largest level (>= 1)."""
+    xs, ys = table[:, :-1], table[:, -1]
+    return Dataset(FactorSpace(xs.shape[1], max(1, int(xs.max()))), xs, ys)
+
+
+def _loadtxt_rows(fh, n: int) -> np.ndarray | None:
+    """The rest of the file as one int64 (records, n + 1) table when
+    ``np.loadtxt`` reads it as plain integers, else None.
+    ``comments=None``: the row loop rejects ``#`` rows."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, OverflowError, Warning):
         return None
-    if table.shape[0] == 0 or table.shape[1] != n + 1:
-        return None
-    xs, ys = table[:, :n], table[:, n]
-    top = MAX_LEVEL if q is None else min(q, MAX_LEVEL)
-    if not np.all((ys == -1) | (ys == 1)) or xs.min() < 0 or xs.max() > top:
-        return None
-    return xs, ys
+    return table if table.shape[0] and table.shape[1] == n + 1 else None
 
 
-def _read_rows(path, reader, n: int, q: int | None) -> tuple[list, list]:
-    """(x rows, labels) read row by row; the first malformed row raises
-    with its file line number."""
-    xs: list[list[int]] = []
-    ys: list[int] = []
+def _read_rows(path, reader, n: int) -> tuple[list[int], list[list[int]]]:
+    """(file line numbers, integer rows) read row by row; the first row
+    that is not n + 1 integers raises with its line number."""
+    line_nos: list[int] = []
+    rows: list[list[int]] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -105,26 +109,12 @@ def _read_rows(path, reader, n: int, q: int | None) -> tuple[list, list]:
                 f"{path}, row {line_no}: expected {n + 1} cells, got {len(row)}"
             )
         try:
-            values = [int(c) for c in row]
+            rows.append([int(c) for c in row])
         except ValueError:
             raise ValidationError(
                 f"{path}, row {line_no}: non-integer cell in {row!r}"
             ) from None
-        x, y = values[:n], values[n]
-        if y not in (-1, 1):
-            raise ValidationError(
-                f"{path}, row {line_no}: label must be -1 or +1, got {y}"
-            )
-        if any(not 0 <= v <= MAX_LEVEL for v in x):
-            raise ValidationError(
-                f"{path}, row {line_no}: level outside 0..{MAX_LEVEL} in {x}"
-            )
-        if q is not None and any(v > q for v in x):
-            raise ValidationError(
-                f"{path}, row {line_no}: factor value exceeds q={q} in {x}"
-            )
-        xs.append(x)
-        ys.append(y)
-    if not xs:
+        line_nos.append(line_no)
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return xs, ys
+    return line_nos, rows

@@ -443,6 +443,8 @@ class Dataset:
 
     Records keep sampling order; record j (1-based) is ``x[j-1], y[j-1]``.
     Fold partitions depend on this order, so it is part of the contract.
+    The one judge of levels (integers in 0..q) and labels (-1 or +1): it
+    checks the given values before the int16 and int8 cast can change one.
     """
 
     space: FactorSpace
@@ -450,18 +452,21 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        xs = np.array(self.x, dtype=np.int16)
-        ys = np.array(self.y, dtype=np.int8)
-        if xs.ndim != 2 or xs.shape[1] != self.space.n:
-            raise ValidationError(f"x must be (N, {self.space.n}), got {xs.shape}")
-        if ys.shape != (xs.shape[0],):
+        raw_x, raw_y = np.asarray(self.x), np.asarray(self.y)
+        if raw_x.ndim != 2 or raw_x.shape[1] != self.space.n:
+            raise ValidationError(f"x must be (N, {self.space.n}), got {raw_x.shape}")
+        if raw_y.shape != (raw_x.shape[0],):
             raise ValidationError("y must be one label per record")
-        if xs.shape[0] < 1:
+        if raw_x.shape[0] < 1:
             raise ValidationError("a dataset must contain at least one record")
-        if xs.min() < 0 or xs.max() > self.space.q:
-            raise ValidationError(f"factor values must lie in 0..{self.space.q}")
-        if not np.all((ys == -1) | (ys == 1)):
-            raise ValidationError("labels must be -1 or +1")
+        if not (raw_x.min() >= 0 and raw_x.max() <= self.space.q):  # NaN fails too
+            raise ValidationError(f"factor level outside 0..{self.space.q}")
+        if not np.all((raw_y == -1) | (raw_y == 1)):
+            raise ValidationError("label must be -1 or +1")
+        xs, ys = raw_x.astype(np.int16), raw_y.astype(np.int8)
+        # in range, only a non-integer dtype can still lose a fraction
+        if raw_x.dtype.kind not in "biu" and not np.array_equal(xs, raw_x):
+            raise ValidationError("factor levels must be integers")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "x", xs)
@@ -514,25 +519,31 @@ def save_distribution(dist: JointDistribution, path) -> None:
 
 
 def load_distribution(path) -> JointDistribution:
-    """Read a distribution JSON file written by ``save_distribution``."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a distribution JSON file written by ``save_distribution``, a
+    UTF-8 BOM skipped; n, q and each atom's x and y must be JSON integers."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
             raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     for key in ("n", "q", "atoms"):
         if key not in doc:
             raise ValidationError(f"{path}: missing field {key!r}")
-    try:
-        n, q, raw_atoms = int(doc["n"]), int(doc["q"]), list(doc["atoms"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: n and q must be integers, atoms a list") from exc
+    for key in ("n", "q"):
+        if type(doc[key]) is not int:  # nor bool, which json gives for true
+            raise ValidationError(f"{path}: {key} must be an integer, got {doc[key]!r}")
+    if not isinstance(doc["atoms"], list):
+        raise ValidationError(f"{path}: atoms must be a list")
     atoms = []
-    for i, atom in enumerate(raw_atoms):
+    for i, atom in enumerate(doc["atoms"]):
         try:
-            atoms.append(([int(v) for v in atom["x"]], int(atom["y"]), float(atom["p"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed atom #{i}: {atom!r}") from exc
-    return JointDistribution.from_atoms(n, q, atoms)
+            x, y, p = atom["x"], atom["y"], float(atom["p"])
+        except (KeyError, TypeError, ValueError, OverflowError):  # or an int p past float
+            x = y = None
+        if not (isinstance(x, list) and all(type(v) is int for v in [*x, y])):
+            raise ValidationError(f"{path}: malformed atom #{i}: {atom!r}")
+        atoms.append((x, y, p))
+    return JointDistribution.from_atoms(doc["n"], doc["q"], atoms)
+

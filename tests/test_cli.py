@@ -75,16 +75,20 @@ class TestIngestCsv:
         with pytest.raises(ValidationError, match="row 3"):
             ingest_csv(path)
 
-    def test_out_of_range_level_rejected_when_q_given(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("X1,Y\n0,1\n3,-1\n")
-        with pytest.raises(ValidationError, match="row 3"):
-            ingest_csv(path, q=2)
-
     def test_level_beyond_int16_names_the_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("X1,Y\n0,1\n99999,-1\n")
         with pytest.raises(ValidationError, match=r"row 3.*outside 0\.\.32767"):
+            ingest_csv(path)
+
+    def test_utf8_bom_is_skipped_on_either_path(self, tmp_path):
+        # the bad label sends the file back to the row loop, from the top
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfX1,Y\n0,1\n4,-1\n")
+        ds = ingest_csv(path)
+        assert ds.space.q == 4 and ds.x.tolist() == [[0], [4]]
+        path.write_bytes(b"\xef\xbb\xbfX1,Y\n0,1\n1,0\n")
+        with pytest.raises(ValidationError, match=r"row 3: label must be -1 or \+1"):
             ingest_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -97,16 +101,9 @@ class TestIngestCsv:
         ds = sample(toy_balanced, 300, seed=6)
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
-        back = ingest_csv(path, q=toy_balanced.space.q)
+        back = ingest_csv(path)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
-
-    def test_configured_q_mismatch_warns(self, tmp_path):
-        path = tmp_path / "ds.csv"
-        path.write_text("X1,Y\n0,1\n1,-1\n")
-        with pytest.warns(UserWarning, match="q=3"):
-            ds = ingest_csv(path, q=3)
-        assert ds.space.q == 3
 
     @pytest.mark.parametrize("n_records", [1, 1023, 1024, 1025, 3000])
     def test_block_writer_matches_row_writer(self, tmp_path, n_records):
@@ -156,26 +153,26 @@ def csv_texts(draw):
     return newline.join([header] + lines) + draw(st.sampled_from(["", newline]))
 
 
-def _outcome(path, q):
+def _outcome(path):
     """What ``ingest_csv`` returns or raises, and the warnings it emits."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            ds = ingest_csv(path, q=q)
+            ds = ingest_csv(path)
             got = ("ok", ds.space, ds.x.dtype, ds.x.tolist(), ds.y.dtype, ds.y.tolist())
         except ValidationError as exc:
             got = ("error", str(exc))
     return got, [(w.category, str(w.message), w.filename) for w in caught]
 
 
-@given(text=csv_texts(), q=st.one_of(st.none(), st.integers(1, 5)))
+@given(text=csv_texts())
 @settings(max_examples=300, deadline=None)
-def test_csv_fast_path_agrees_with_row_loop(tmp_path_factory, text, q):
+def test_csv_fast_path_agrees_with_row_loop(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fast-path.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = _outcome(path, q)
+    fast = _outcome(path)
     with mock.patch.object(dataio, "_loadtxt_rows", return_value=None):
-        rows = _outcome(path, q)
+        rows = _outcome(path)
     assert fast == rows
 
 
@@ -249,7 +246,7 @@ class TestCliCommands:
             "--N", "50", "--seed", "4", "--out", str(out),
         ])
         assert code == 0
-        ds = ingest_csv(out, q=1)
+        ds = ingest_csv(out)
         assert len(ds) == 50
 
     def test_search_on_forty_factors(self, tmp_path, capsys):
@@ -515,6 +512,26 @@ def test_data_with_a_sampling_flag_names_the_flag(tmp_path, capsys):
         "error: unrecognized arguments: --n 50 --p-high 3 --seed 9\n")
 
 
+def test_search_refuses_q(tmp_path, capsys):
+    # a search's levels are its data's; a top level past them changes nothing
+    assert main(_data_with(tmp_path, "--q", "2")) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --q 2\n"
+
+
+def test_search_reads_a_csv_with_a_utf8_bom(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfX1,Y\n0,1\n1,-1\n0,-1\n1,1\n")
+    assert main(["search", "--data", str(path), "--r", "1", "--K", "2"]) == 0
+    assert capsys.readouterr().out.startswith("ranked 1 subsets of size 1 (N=4, K=2)")
+
+
+def test_oracle_reads_a_dist_with_a_utf8_bom(toy_dist_file, capsys):
+    plain = main(["oracle", "--dist", str(toy_dist_file)]), capsys.readouterr()
+    toy_dist_file.write_bytes(b"\xef\xbb\xbf" + toy_dist_file.read_bytes())
+    assert (main(["oracle", "--dist", str(toy_dist_file)]), capsys.readouterr()) == plain
+    assert plain[0] == 0
+
+
 @pytest.mark.parametrize("flag, value", [
     ("n", "5"), ("q", "7"), ("p-pos", "0.5"), ("p-low", "0.2"), ("p-high", "3"),
     ("effect", "0.5"),
@@ -543,21 +560,6 @@ def test_preset_refuses_a_flag_it_does_not_read(command, preset, flag, readers, 
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: --{flag} applies only to --preset {readers}\n"
     assert not (tmp_path / "x.csv").exists()
-
-
-@pytest.mark.parametrize("filters", [[], ["-W", "error"]])
-def test_q_mismatch_is_one_warning_line(filters, tmp_path):
-    # the largest level is 2; --q 5 still applies, with one stderr line
-    args = _data_with(tmp_path, "--q", "5")
-    proc = subprocess.run(
-        [sys.executable, *filters, "-m", "mdrcv", *args],
-        capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == (f"warning: {args[2]}: configured q=5 differs from the "
-                           "largest observed level (2)\n")
-    assert proc.stdout.startswith("ranked 1 subsets of size 1")
 
 
 def test_joint_check_at_one_replication_warns_nothing(tmp_path):
@@ -717,3 +719,66 @@ def test_search_fuzz_exits_cleanly_with_the_library_ranking(tmp_path_factory, da
     want = rank_subsets(ingest_csv(path), r, k).to_dict()
     got = json.loads(out.read_text())
     assert got["ranking"] == want["ranking"] and got["selected"] == want["selected"]
+
+
+
+def _uniform_dist_doc():
+    """The JSON object of the uniform law on {0,1}^2 x {-1,+1}."""
+    atoms = [{"x": [a, b], "y": y, "p": 0.125} for a in (0, 1) for b in (0, 1) for y in (-1, 1)]
+    return {"n": 2, "q": 1, "atoms": atoms}
+
+
+def _set(key, text):
+    """A ``DIST_MUTATIONS`` entry that writes ``text`` as the JSON value of
+    n or q, or of one atom's first level (``x0``), y or p."""
+    def mutate(doc, at):
+        atom = doc["atoms"][at % len(doc["atoms"])]
+        if key in ("n", "q"):
+            doc[key] = "@"
+        elif key == "x0":
+            atom["x"][0] = "@"
+        else:
+            atom[key] = "@"
+        return json.dumps(doc).replace('"@"', text).encode()
+    return mutate
+
+
+def _drop_field(doc, at):
+    key = ("n", "q", "atoms", "x", "y", "p")[at % 6]
+    del (doc if key in ("n", "q", "atoms") else doc["atoms"][at % len(doc["atoms"])])[key]
+    return json.dumps(doc).encode()
+
+
+# Ways a distribution JSON can be off: each maps the document to the file's bytes.
+DIST_MUTATIONS = {
+    "none": lambda doc, at: json.dumps(doc).encode(),
+    "truncated": lambda doc, at: json.dumps(doc).encode()[: at % len(json.dumps(doc))],
+    "bom": lambda doc, at: b"\xef\xbb\xbf" + json.dumps(doc).encode(),
+    "non-utf8": lambda doc, at: (lambda t: t[:at] + b"\xff" + t[at:])(json.dumps(doc).encode()),
+    "float-level": _set("x0", "0.5"),
+    "bool-level": _set("x0", "true"),
+    "string-level": _set("x0", '"0"'),
+    "huge-n": _set("n", "9" * 30),
+    "huge-q": _set("q", "9" * 30),
+    "huge-level": _set("x0", "9" * 30),
+    "huge-label": _set("y", "9" * 30),
+    "past-int-digit-limit": _set("q", "9" * 5000),
+    "missing-field": _drop_field,
+    "duplicate-atom": lambda doc, at: json.dumps(
+        {**doc, "atoms": doc["atoms"] + [doc["atoms"][at % len(doc["atoms"])]]}).encode(),
+    "negative-p": _set("p", "-0.125"),
+    "sum-not-one": _set("p", "0.5"),
+}
+
+
+@given(mutation=st.sampled_from(sorted(DIST_MUTATIONS)), at=st.integers(0, 200))
+@settings(max_examples=100, deadline=None)
+def test_oracle_dist_fuzz_exits_cleanly(tmp_path_factory, mutation, at):
+    path = tmp_path_factory.getbasetemp() / "oracle-fuzz.json"
+    path.write_bytes(DIST_MUTATIONS[mutation](_uniform_dist_doc(), at))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["oracle", "--dist", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == code and err.getvalue().endswith("\n" * code)

@@ -335,6 +335,62 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(FactorSpace(1, 1), [[0], [2]], [1, -1])
 
+    @pytest.mark.parametrize("q, x, y, message", [
+        (MAX_LEVEL, [[70000], [1]], [1, -1], "level outside"),  # int16 makes it 4464
+        (3, [[65537], [1]], [1, -1], "level outside"),  # int16 makes it 1
+        (3, [[0], [1]], [257, -1], "label"),  # int8 makes it 1
+        (3, [[1.7], [1]], [1, -1], "must be integers"),  # int16 makes it 1
+    ])
+    def test_refuses_values_its_cast_would_change(self, q, x, y, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(FactorSpace(1, q), np.array(x), np.array(y))
+
+
+def _near_wraps():
+    """int64 values within 2 of 0, +-2^8, +-2^15 and +-2^16: where int8 and
+    int16 casts wrap."""
+    centres = [0, 2**8, -(2**8), 2**15, -(2**15), 2**16, -(2**16)]
+    return st.sampled_from(centres).flatmap(lambda c: st.integers(c - 2, c + 2))
+
+
+# float64 values: whole and fractional ones, infinities and NaN
+FRACTIONS = st.one_of(st.floats(-3, 2**16 + 3), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+def _lossless(v, dtype) -> bool:
+    info = np.iinfo(dtype)
+    return float(v).is_integer() and info.min <= v <= info.max
+
+
+@given(
+    n=st.integers(1, 2),
+    q=st.sampled_from([1, 2, 2**8, 2**15 - 2, MAX_LEVEL]),
+    records=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_dataset_keeps_every_value_it_accepts(n, q, records, data):
+    level = st.one_of(_near_wraps(), st.integers(0, 3), st.integers(q - 2, q + 2))
+    label = st.one_of(_near_wraps(), st.integers(-3, 3))
+    if data.draw(st.booleans()):  # float64 arrays: fractions, infinities, NaN
+        level, label = (st.one_of(s.map(float), FRACTIONS) for s in (level, label))
+    x = np.array(data.draw(st.lists(level, min_size=n * records, max_size=n * records)))
+    x = x.reshape(records, n)
+    y = np.array(data.draw(st.lists(label, min_size=records, max_size=records)))
+    lossless = (all(_lossless(v, np.int16) for v in x.flat)
+                and all(_lossless(v, np.int8) for v in y))
+    legal = (all(float(v).is_integer() and 0 <= v <= q for v in x.flat)
+             and all(v in (-1, 1) for v in y))
+    try:
+        ds = Dataset(FactorSpace(n, q), x, y)
+    except ValidationError:
+        assert not legal
+        return
+    # accepted only when legal, so never a value its cast would change
+    assert legal and lossless
+    assert ds.x.dtype == np.int16 and ds.y.dtype == np.int8
+    assert np.array_equal(ds.x, x) and np.array_equal(ds.y, y)
+
 
 class TestDistributionFiles:
     def test_roundtrip(self, tmp_path, n2_partial_support):
@@ -358,6 +414,31 @@ class TestDistributionFiles:
         path.write_text('{"n": 1, "q": 1}')
         with pytest.raises(ValidationError):
             load_distribution(path)
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"n": 2, "q": 1, "atoms": [{"x": "00", "y": 1, "p": 0.5},'
+         ' {"x": [1, 1], "y": -1, "p": 0.5}]}', "atom #0"),
+        ('{"n": 1, "q": 1, "atoms": [{"x": [0.7], "y": 1, "p": 0.5},'
+         ' {"x": [1], "y": -1, "p": 0.5}]}', "atom #0"),
+        ('{"n": 1, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 0.5},'
+         ' {"x": [1], "y": -1.9, "p": 0.5}]}', "atom #1"),
+        ('{"n": 1.9, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 0.5},'
+         ' {"x": [1], "y": -1, "p": 0.5}]}', "n must be an integer, got 1.9"),
+        ('{"n": true, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 0.5},'
+         ' {"x": [1], "y": -1, "p": 0.5}]}', "n must be an integer, got True"),
+    ], ids=["x-string", "x-float", "y-float", "n-float", "n-bool"])
+    def test_refuses_what_int_would_coerce(self, tmp_path, text, names):
+        # int() would truncate each float and read "00" as [0, 0]
+        path = tmp_path / "coerced.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=names):
+            load_distribution(path)
+
+    def test_utf8_bom_is_skipped(self, tmp_path, n2_partial_support):
+        path = tmp_path / "dist.json"
+        save_distribution(n2_partial_support, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_distribution(path) == n2_partial_support
 
 
 @given(dist=small_distributions())
