@@ -50,8 +50,9 @@ class FactorSpace:
     q: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
-            raise ValidationError("n and q must be integers")
+        for name, value in (("n", self.n), ("q", self.q)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.q < 1:
             raise ValidationError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
         if self.q > MAX_LEVEL:
@@ -86,12 +87,9 @@ class FactorSpace:
             pts[:, i - 1] = point_levels(self, i, ranks)
         return pts
 
-    def contains(self, x: Sequence[int]) -> bool:
-        return len(x) == self.n and all(0 <= v <= self.q for v in x)
-
     def rank(self, x: Sequence[int]) -> int:
         """Position of x in the fixed lexicographic enumeration."""
-        if not self.contains(x):
+        if len(x) != self.n or not all(0 <= v <= self.q for v in x):
             raise ValidationError(f"point {tuple(x)} outside {{0..{self.q}}}^{self.n}")
         r = 0
         for v in x:
@@ -259,16 +257,24 @@ class JointDistribution:
     def from_atoms(
         cls, n: int, q: int, atoms: Iterable[tuple[Sequence[int], int, float]]
     ) -> "JointDistribution":
-        """Build a table from (x, y, prob) atoms; unlisted atoms are 0."""
+        """Build a table from (x, y, prob) atoms; unlisted atoms are 0.  The
+        one judge of an atom: levels are integers (numpy ones too, never bools
+        or floats), y is such an integer, -1 or +1, and prob a number in [0, 1]."""
         space = FactorSpace(n, q)
         p = np.zeros((space.num_points, 2))
         seen = set()
-        for x, y, prob in atoms:
-            if y not in LABELS:
-                raise ValidationError(f"label must be -1 or +1, got {y}")
+        for i, (x, y, prob) in enumerate(atoms):
+            if y not in LABELS or not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in [*x, y]
+            ):
+                raise ValidationError(f"atom #{i}: need integer levels and a label of -1 or +1,"
+                                      f" got x={x!r}, y={y!r}")
+            real = isinstance(prob, (int, float, np.integer, np.floating))
+            if isinstance(prob, bool) or not (real and 0 <= prob <= 1):
+                raise ValidationError(f"atom #{i}: p must be a number in [0, 1], got {prob!r}")
             key = (space.rank(x), LABELS.index(y))
             if key in seen:
-                raise ValidationError(f"duplicate atom for x={tuple(x)}, y={y}")
+                raise ValidationError(f"atom #{i}: duplicate atom for x={tuple(x)}, y={y}")
             seen.add(key)
             p[key] = prob
         return cls(space, p, copy=False)
@@ -520,30 +526,22 @@ def save_distribution(dist: JointDistribution, path) -> None:
 
 def load_distribution(path) -> JointDistribution:
     """Read a distribution JSON file written by ``save_distribution``, a
-    UTF-8 BOM skipped; n, q and each atom's x and y must be JSON integers."""
+    UTF-8 BOM skipped.  Only the JSON structure is checked here;
+    ``from_atoms`` judges n, q and every atom, and its refusal names the path."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bad UTF-8 or JSON, or an int past the digit limit
             raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    for key in ("n", "q", "atoms"):
-        if key not in doc:
-            raise ValidationError(f"{path}: missing field {key!r}")
-    for key in ("n", "q"):
-        if type(doc[key]) is not int:  # nor bool, which json gives for true
-            raise ValidationError(f"{path}: {key} must be an integer, got {doc[key]!r}")
-    if not isinstance(doc["atoms"], list):
-        raise ValidationError(f"{path}: atoms must be a list")
-    atoms = []
+    if not (isinstance(doc, dict) and {"n", "q", "atoms"} <= doc.keys()
+            and isinstance(doc["atoms"], list)):
+        raise ValidationError(f"{path}: expected an object with n, q and a list atoms")
     for i, atom in enumerate(doc["atoms"]):
-        try:
-            x, y, p = atom["x"], atom["y"], float(atom["p"])
-        except (KeyError, TypeError, ValueError, OverflowError):  # or an int p past float
-            x = y = None
-        if not (isinstance(x, list) and all(type(v) is int for v in [*x, y])):
+        if not (isinstance(atom, dict) and {"x", "y", "p"} <= atom.keys()
+                and isinstance(atom["x"], list)):
             raise ValidationError(f"{path}: malformed atom #{i}: {atom!r}")
-        atoms.append((x, y, p))
-    return JointDistribution.from_atoms(doc["n"], doc["q"], atoms)
-
+    atoms = [(a["x"], a["y"], a["p"]) for a in doc["atoms"]]
+    try:
+        return JointDistribution.from_atoms(doc["n"], doc["q"], atoms)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

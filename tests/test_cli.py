@@ -6,16 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrcv import dataio
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
@@ -82,7 +81,7 @@ class TestIngestCsv:
             ingest_csv(path)
 
     def test_utf8_bom_is_skipped_on_either_path(self, tmp_path):
-        # the bad label sends the file back to the row loop, from the top
+        # the bad label sends the row walk back to the top of the file
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbfX1,Y\n0,1\n4,-1\n")
         ds = ingest_csv(path)
@@ -90,6 +89,26 @@ class TestIngestCsv:
         path.write_bytes(b"\xef\xbb\xbfX1,Y\n0,1\n1,0\n")
         with pytest.raises(ValidationError, match=r"row 3: label must be -1 or \+1"):
             ingest_csv(path)
+
+    def test_first_bad_row_named_in_file_order(self, tmp_path):
+        # rows judged a block at a time: a bad label just before a block's
+        # end, or a record before a later unreadable cell, is still the first
+        rows = [f"{i % 3},{1 if i % 2 else -1}" for i in range(3000)]
+        for bad_at, later in ((1023, None), (1024, None), (2000, 2100), (5, 7)):
+            lines = list(rows)
+            lines[bad_at] = "1,0"
+            if later is not None:
+                lines[later] = "1,x"
+            path = tmp_path / "bad.csv"
+            path.write_text("X1,Y\n" + "\n".join(lines) + "\n")
+            with pytest.raises(ValidationError, match=rf"row {bad_at + 2}: label must be"):
+                ingest_csv(path)
+
+    def test_every_cell_quoted(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"X1","X2","Y"\n"0","2","1"\n"1","0","-1"\n')
+        ds = ingest_csv(path)
+        assert ds.space == FactorSpace(2, 2) and ds.x.tolist() == [[0, 2], [1, 0]]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -128,14 +147,14 @@ def _padded(cell):
 
 @st.composite
 def csv_texts(draw):
-    """CSV text mixing valid rows with the cases the row loop treats
+    """CSV text mixing valid rows with the cases the row walk treats
     specially: ``#`` rows, blank and blank-looking lines, padded cells, the
     spellings ``+1``, ``1.0``, ``"1"`` and ``1_0``, short and long rows, and
     out-of-range levels and labels."""
     n = draw(st.integers(1, 3))
     level = st.integers(0, 4).map(str)
     label = st.sampled_from(["-1", "1", "+1"])
-    if draw(st.booleans()):  # spellings the row loop reads and loadtxt does not
+    if draw(st.booleans()):  # spellings only a quote-aware parser or int() reads
         level = st.one_of(level, st.sampled_from(['"1"', "1_0"]))
         label = st.one_of(label, st.just('"-1"'))
     odd = st.sampled_from(["+1", "1.0", '"1"', "1_0", "-1", "0", "2", "5", "-3",
@@ -153,27 +172,101 @@ def csv_texts(draw):
     return newline.join([header] + lines) + draw(st.sampled_from(["", newline]))
 
 
-def _outcome(path):
-    """What ``ingest_csv`` returns or raises, and the warnings it emits."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def _loadtxt_table(body):
+    """The one parse ``ingest_csv`` makes of the rows after the header: an
+    int64 table, empty where ``np.loadtxt`` refuses or warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.StringIO(body, newline=""), delimiter=",", dtype=np.int64,
+                              ndmin=2, comments=None, quotechar='"')
+    except (ValueError, Warning):
+        return np.zeros((0, 0), dtype=np.int64)  # what no Dataset accepts
+
+
+def _first_bad_row(text, n):
+    """Line number of the first row with the wrong cell count, a cell
+    ``int()`` cannot read, or a record ``Dataset`` refuses; else None."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            ds = ingest_csv(path)
-            got = ("ok", ds.space, ds.x.dtype, ds.x.tolist(), ds.y.dtype, ds.y.tolist())
-        except ValidationError as exc:
-            got = ("error", str(exc))
-    return got, [(w.category, str(w.message), w.filename) for w in caught]
+            cells = [int(c) for c in row]
+            Dataset(FactorSpace(n, MAX_LEVEL), [cells[:n]], cells[n:])
+        except (ValueError, ValidationError):
+            return line_no
+    return None
 
 
 @given(text=csv_texts())
 @settings(max_examples=300, deadline=None)
-def test_csv_fast_path_agrees_with_row_loop(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "fast-path.csv"
+def test_csv_is_read_by_one_loadtxt_parse(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "one-parse.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast = _outcome(path)
-    with mock.patch.object(dataio, "_loadtxt_rows", return_value=None):
-        rows = _outcome(path)
-    assert fast == rows
+    n = text.splitlines()[0].count(",")  # the header X1,...,Xn,Y
+    table = _loadtxt_table(text.partition("\n")[2])
+    try:
+        want = Dataset(FactorSpace(n, max(1, int(table[:, :-1].max()))),
+                       table[:, :-1], table[:, -1])
+    except (ValueError, ValidationError):  # a table with no level, or one Dataset refuses
+        want = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ingest_csv(path)
+        except ValidationError as exc:
+            got = exc
+    assert caught == []
+    if want is not None:
+        assert isinstance(got, Dataset) and got.space == want.space
+        assert got.x.dtype == np.int16 and got.y.dtype == np.int8
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        return
+    assert isinstance(got, ValidationError) and "\n" not in str(got)
+    bad = _first_bad_row(text, n)
+    if bad is not None:
+        assert f"row {bad}:" in str(got)
+
+
+@pytest.mark.parametrize("cell,shown", [
+    ("1_0", "'1_0'"), ("\u0661", "'\u0661'"), ("\uff11", "'\uff11'"), ('"1_0\n"', "'1_0\\n'"),
+], ids=["underscore", "arabic-indic", "fullwidth", "quoted-newline"])
+def test_csv_refuses_cells_only_int_reads(tmp_path, cell, shown):
+    # int() reads each cell as 10 or 1; loadtxt, the one parser, does not, and
+    # its message is one line, a newline inside a quoted cell escaped
+    assert int(cell.strip('"')) in (10, 1)
+    path = tmp_path / "int-only.csv"
+    path.write_text(f"X1,Y\n0,1\n{cell},-1\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        ingest_csv(path)
+    assert "\n" not in str(info.value) and shown in str(info.value)
+
+
+def _ingest_or_message(path):
+    try:
+        ds = ingest_csv(path)
+    except ValidationError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return ds.space, ds.x.tolist(), ds.y.tolist()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("text", [
+    'X1,X2,Y\n0,2,1\n"1",0,-1\n2,1,1\n',
+    "X1,X2,Y\n0,2,1\n1,0,0\n2,1,1\n",  # refused: the walk re-reads the rows
+], ids=["accepted", "bad-label"])
+def test_csv_from_a_fifo_equals_the_file(tmp_path, text):
+    (tmp_path / "d.csv").write_text(text)
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    got = _ingest_or_message(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _ingest_or_message(tmp_path / "d.csv")
 
 
 class TestGenerateScenario:
@@ -782,3 +875,62 @@ def test_oracle_dist_fuzz_exits_cleanly(tmp_path_factory, mutation, at):
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == code and err.getvalue().endswith("\n" * code)
+
+
+def test_dist_p_must_be_a_json_number(tmp_path):
+    for i, p in enumerate(('"0.5"', "true")):
+        atoms = ['{"x": [0], "y": 1, "p": 0.5}', '{"x": [1], "y": -1, "p": 0.5}']
+        atoms[i] = atoms[i].replace("0.5", p)
+        path = tmp_path / f"p{i}.json"
+        path.write_text('{"n": 1, "q": 1, "atoms": [' + ", ".join(atoms) + "]}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["oracle", "--dist", str(path)]) == 1
+        assert err.getvalue().count("\n") == 1 and f"atom #{i}: p must be" in err.getvalue()
+
+
+# Odd values of the clt-verify flags: --subsets strings that are duplicated,
+# out of range, empty or malformed, and schedules at 0, 0.5, nan and inf.
+CLT_ODD = {
+    "--subsets": ("2;2", "1,1", "4", "0", "1;-1", "", ";", " ", "a", "1,,2", "2,1"),
+    "--eps-c0": ("0", "nan", "inf", "-1"),
+    "--eps-beta": ("0", "0.5", "nan", "inf"),
+    "--K": ("1", "0", "-3"),
+}
+
+
+@st.composite
+def clt_verify_args(draw):
+    """clt-verify arguments on a preset with n <= 3 and q <= 2, N in 1..60,
+    K and M in 1..4; at most one ``CLT_ODD`` flag, drawn in 4 of 7 examples,
+    takes an odd value."""
+    n = draw(st.integers(1, 3))
+    subsets = [s for s in ("1", "1,2", "1;2", "2,3", "1,2;1,3", "1;2;3")
+               if max(map(int, s.replace(";", ",").split(","))) <= n]
+    flags = {
+        "--subsets": draw(st.sampled_from(subsets)),
+        "--eps-c0": draw(st.sampled_from(("1.0", "0.5", "3"))),
+        "--eps-beta": draw(st.sampled_from(("0.25", "0.1", "0.45"))),
+        "--K": str(draw(st.integers(2, 4))),
+    }
+    odd = draw(st.sampled_from((None, None, None, *CLT_ODD)))
+    if odd is not None:
+        flags[odd] = draw(st.sampled_from(CLT_ODD[odd]))
+    args = ["clt-verify", "--preset", draw(st.sampled_from(PRESETS)), "--n", str(n),
+            "--q", str(draw(st.integers(1, 2))), "--N", str(draw(st.integers(1, 60))),
+            "--M", str(draw(st.integers(1, 4))), "--seed", str(draw(st.integers(0, 2**32)))]
+    return args + [t for flag_value in flags.items() for t in flag_value]
+
+
+@given(args=clt_verify_args())
+@settings(max_examples=80, deadline=None)
+def test_clt_verify_fuzz_exits_cleanly(args):
+    # exit 2 is expected for the two known degenerate events: one label class
+    # in a replication, or a plug-in scale of 0
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

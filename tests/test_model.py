@@ -53,6 +53,15 @@ class TestFactorSpace:
         with pytest.raises(ValidationError):
             FactorSpace(n, q)
 
+    @pytest.mark.parametrize("n,q,message", [
+        (True, 1, "n must be an integer, got True"),
+        (2, True, "q must be an integer, got True"),
+        (2.0, 1, "n must be an integer, got 2.0"),
+    ])
+    def test_rejects_non_integer_n_and_q(self, n, q, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FactorSpace(n, q)
+
     def test_rejects_oversized_space(self):
         # a data space may be any size; only its dense sizes are refused
         space = FactorSpace(30, 2)
@@ -179,6 +188,28 @@ class TestJointDistribution:
             JointDistribution.from_atoms(
                 1, 1, [((0,), 1, 0.5), ((0,), 1, 0.1), ((1,), -1, 0.4)]
             )
+
+    @pytest.mark.parametrize("atom", [
+        ((0.7,), 1, 0.5),
+        ((True,), 1, 0.5),
+        ((0,), True, 0.5),
+        ((0,), 0, 0.5),
+        ((0,), 1.0, 0.5),
+        ((0,), 1, "0.5"),
+        ((0,), 1, True),
+        ((0,), 1, None),
+        ((0,), 1, 10**400),
+    ], ids=["level-float", "level-bool", "label-bool", "label-zero", "label-float",
+            "p-string", "p-bool", "p-none", "p-past-float"])
+    def test_from_atoms_judges_each_atom(self, atom):
+        # the bad atom comes second, so the message must carry its index
+        with pytest.raises(ValidationError, match="^atom #1: "):
+            JointDistribution.from_atoms(1, 1, [((1,), -1, 0.5), atom])
+
+    def test_from_atoms_takes_numpy_integers(self):
+        atoms = [((np.int64(0),), np.int8(1), np.float64(0.5)), ((np.int16(1),), -1, 0.5)]
+        dist = JointDistribution.from_atoms(1, 1, atoms)
+        assert dist.probs.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
 
 def support(dist):
@@ -426,9 +457,14 @@ class TestDistributionFiles:
          ' {"x": [1], "y": -1, "p": 0.5}]}', "n must be an integer, got 1.9"),
         ('{"n": true, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 0.5},'
          ' {"x": [1], "y": -1, "p": 0.5}]}', "n must be an integer, got True"),
-    ], ids=["x-string", "x-float", "y-float", "n-float", "n-bool"])
+        ('{"n": 1, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 0.5},'
+         ' {"x": [1], "y": -1, "p": "0.5"}]}', "atom #1"),
+        ('{"n": 1, "q": 1, "atoms": [{"x": [0], "y": 1, "p": true},'
+         ' {"x": [1], "y": -1, "p": 0.5}]}', "atom #0"),
+    ], ids=["x-string", "x-float", "y-float", "n-float", "n-bool", "p-string", "p-bool"])
     def test_refuses_what_int_would_coerce(self, tmp_path, text, names):
-        # int() would truncate each float and read "00" as [0, 0]
+        # int() would truncate each float and read "00" as [0, 0]; float()
+        # would read "0.5" as 0.5 and true as 1.0
         path = tmp_path / "coerced.json"
         path.write_text(text)
         with pytest.raises(ValidationError, match=names):
