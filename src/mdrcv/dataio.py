@@ -50,7 +50,7 @@ def ingest_csv(path) -> Dataset:
                     table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
                                        comments=None, quotechar='"')
                 xs = table[:, :-1]
-                return Dataset(FactorSpace(n, max(1, int(xs.max()))), xs, table[:, -1])
+                return Dataset(FactorSpace(n, max(1, xs.max())), xs, table[:, -1])
             except UserWarning:  # loadtxt's "input contained no data"
                 raise ValidationError(f"{path}: no data rows") from None
             except (ValueError, OverflowError, Warning, ValidationError) as exc:

@@ -29,6 +29,8 @@ from .errors import DegenerateLabelsError, ValidationError
 from .model import (
     Dataset,
     FactorSubset,
+    _integer,
+    _real,
     cell_conditionals,
     cylinder_codes,
     cylinder_count,
@@ -43,7 +45,7 @@ _POSITIVE = np.array([[False], [True]])
 def fold_index(n_records: int, n_folds: int) -> np.ndarray:
     """The 0-based fold of every record: folds 1..K-1 are contiguous blocks
     of [N/K] records, and the last one runs to N.  Needs 2 <= K <= N."""
-    if n_folds < 2:
+    if (n_folds := _integer("n_folds", n_folds)) < 2:
         raise ValidationError(f"need at least 2 folds, got {n_folds}")
     if n_folds > n_records:
         raise ValidationError(f"cannot split {n_records} records into {n_folds} folds")
@@ -62,17 +64,17 @@ class EpsilonSchedule:
     beta: float = DEFAULT_EPS_BETA
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.c0) or self.c0 <= 0:
+        for name in ("c0", "beta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.c0 <= 0:
             raise ValidationError(f"eps schedule needs c0 > 0, got {self.c0}")
         if not 0.0 < self.beta < 0.5:
-            raise ValidationError(
-                f"eps schedule needs beta in (0, 1/2), got {self.beta}"
-            )
+            raise ValidationError(f"eps schedule needs beta in (0, 1/2), got {self.beta}")
 
     def value(self, n_records: int) -> float:
-        if n_records < 1:
+        if (n_records := _integer("n_records", n_records)) < 1:
             raise ValidationError("sample size must be positive")
-        return self.c0 * float(n_records) ** (-self.beta)
+        return self.c0 * n_records ** (-self.beta)
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule()

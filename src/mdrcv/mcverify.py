@@ -28,7 +28,7 @@ from .estimator import (
     influence_stack,
 )
 from .linalg import inv_sqrt_symmetric
-from .model import FactorSubset, JointDistribution, sample
+from .model import FactorSubset, JointDistribution, _integer, sample
 from .oracle import asymptotic_moments, subset_oracle
 
 # Asymptotic Kolmogorov-Smirnov critical value at the 1% level is
@@ -48,17 +48,16 @@ RECORDS_PER_BATCH = 2**14
 def derive_seed(master_seed: int, replication: int) -> int:
     """Counter-mode mix of (master seed, replication index) into a sampler
     seed; no state is shared between replications."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(replication),))
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
 class Replications:
-    """M replications as arrays; row m-1 is replication m: sampler seeds
-    (M,) uint64, scaled deviations and plug-in scales (M, S), and plug-in
-    covariances (M, S, S), one column per subset."""
+    """M replications as arrays; row m-1 is replication m, sampled with
+    seed ``derive_seed(master_seed, m)``: scaled deviations and plug-in
+    scales (M, S), and plug-in covariances (M, S, S), one column per subset."""
 
-    seeds: np.ndarray
     z: np.ndarray
     sds: np.ndarray
     covs: np.ndarray
@@ -89,7 +88,7 @@ def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...
         influences.append(influence_stack(keys, counts, eps))
     rows = np.stack(influences, axis=1)  # (replications, subsets, records)
     sds, covs = asymptotic_sd_estimate(rows), asymptotic_covariance_estimate(rows)
-    return np.array(seeds, dtype=np.uint64), np.stack(z, axis=1), sds, covs
+    return np.stack(z, axis=1), sds, covs
 
 
 def run_replications(
@@ -109,8 +108,12 @@ def run_replications(
     at most ``RECORDS_PER_BATCH`` records; ``workers > 1`` spreads them
     over a process pool of at most one process per CPU.  Neither changes
     any result."""
-    if n_replications < 1:
+    if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
+    if (master_seed := _integer("master_seed", master_seed)) < 0:
+        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
+    if (n_records := _integer("n_records", n_records)) < 1:  # it divides the batch size
+        raise ValidationError(f"sample size must be >= 1, got {n_records}")
     subsets = list(subsets)
     if not subsets:
         raise ValidationError("need at least one subset")

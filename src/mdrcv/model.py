@@ -17,6 +17,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
@@ -41,6 +42,23 @@ CDF_BLOCK = 16
 CDF_CHUNK = 2**16
 
 
+def _integer(name: str, value) -> int:
+    """The one judge of an integer argument, never a bool: a Python int."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """The one judge of a real argument, finite and never a bool: a Python
+    float.  An int past the float range stays an int, and is refused."""
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not (isinstance(value, (float, np.integer, np.floating)) and np.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FactorSpace:
     """The domain {0,...,q}^n: n factors, each with levels 0..q.  Any n is
@@ -50,9 +68,8 @@ class FactorSpace:
     q: int
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("q", self.q)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "q", _integer("q", self.q))
         if self.n < 1 or self.q < 1:
             raise ValidationError(f"need n >= 1 and q >= 1, got n={self.n}, q={self.q}")
         if self.q > MAX_LEVEL:
@@ -89,11 +106,12 @@ class FactorSpace:
 
     def rank(self, x: Sequence[int]) -> int:
         """Position of x in the fixed lexicographic enumeration."""
-        if len(x) != self.n or not all(0 <= v <= self.q for v in x):
+        levels = [_integer("level", v) for v in x]
+        if len(levels) != self.n or not all(0 <= v <= self.q for v in levels):
             raise ValidationError(f"point {tuple(x)} outside {{0..{self.q}}}^{self.n}")
         r = 0
-        for v in x:
-            r = r * (self.q + 1) + int(v)
+        for v in levels:
+            r = r * (self.q + 1) + v
         return r
 
 
@@ -104,7 +122,7 @@ class FactorSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_integer("factor index", i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if len(idx) < 1:
             raise ValidationError("a factor subset must contain at least one index")
@@ -188,9 +206,9 @@ class PenaltyFunction:
     psi_pos: float
 
     def __post_init__(self) -> None:
-        a, b = float(self.psi_neg), float(self.psi_pos)
-        if not (np.isfinite(a) and np.isfinite(b)) or a < 0 or b < 0:
-            raise ValidationError(f"penalty weights must be finite and >= 0, got ({a}, {b})")
+        a, b = _real("psi_neg", self.psi_neg), _real("psi_pos", self.psi_pos)
+        if a < 0 or b < 0:
+            raise ValidationError(f"penalty weights psi_neg, psi_pos must be >= 0, got ({a}, {b})")
         if a + b == 0:
             raise ValidationError("penalty weights must not both be zero")
         object.__setattr__(self, "psi_neg", a)
@@ -258,21 +276,19 @@ class JointDistribution:
         cls, n: int, q: int, atoms: Iterable[tuple[Sequence[int], int, float]]
     ) -> "JointDistribution":
         """Build a table from (x, y, prob) atoms; unlisted atoms are 0.  The
-        one judge of an atom: levels are integers (numpy ones too, never bools
-        or floats), y is such an integer, -1 or +1, and prob a number in [0, 1]."""
+        one judge of an atom, naming its index: x is a point (``rank``), y an
+        integer, -1 or +1, and prob a real number in [0, 1]."""
         space = FactorSpace(n, q)
         p = np.zeros((space.num_points, 2))
         seen = set()
         for i, (x, y, prob) in enumerate(atoms):
-            if y not in LABELS or not all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in [*x, y]
-            ):
-                raise ValidationError(f"atom #{i}: need integer levels and a label of -1 or +1,"
-                                      f" got x={x!r}, y={y!r}")
-            real = isinstance(prob, (int, float, np.integer, np.floating))
-            if isinstance(prob, bool) or not (real and 0 <= prob <= 1):
-                raise ValidationError(f"atom #{i}: p must be a number in [0, 1], got {prob!r}")
-            key = (space.rank(x), LABELS.index(y))
+            try:
+                y, prob = _integer("y", y), _real("p", prob)
+                if y not in LABELS or not 0 <= prob <= 1:
+                    raise ValidationError(f"need y of -1 or +1, p in [0, 1]; got y={y}, p={prob}")
+                key = (space.rank(x), LABELS.index(y))
+            except ValidationError as exc:
+                raise ValidationError(f"atom #{i}: {exc}") from None
             if key in seen:
                 raise ValidationError(f"atom #{i}: duplicate atom for x={tuple(x)}, y={y}")
             seen.add(key)
@@ -392,8 +408,6 @@ def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
     hit[np.searchsorted(dist._cdf_ends, u, "right")] = True
     touched = np.flatnonzero(hit)
     pos = np.searchsorted(_block_cdf(dist, touched).ravel(), u, "right")
-    if touched.size == blocks:
-        return pos
     return touched[pos // CDF_BLOCK] * CDF_BLOCK + pos % CDF_BLOCK
 
 
@@ -493,7 +507,7 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     draws as atoms, x is gathered from the levels of every point, a grid
     no larger than the draws; with fewer, levels are read off each rank.
     """
-    if n_records < 1:
+    if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
     seeds = [seed] if np.ndim(seed) == 0 else seed
     u = np.empty((len(seeds), n_records))

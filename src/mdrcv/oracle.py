@@ -33,20 +33,12 @@ LEAF_ELEMENTS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
-    """An influence variable v(x, y) = lut[plus[x], y] with its mean E v;
-    an immutable value."""
+    """An influence variable v(x, y) = lut[plus[x], y] with its mean E v.
+    The lut is read-only, and so is an ``optimal_predictor`` mask."""
 
     plus: np.ndarray
     lut: np.ndarray
     mean: float
-
-    def __post_init__(self) -> None:
-        for name in ("plus", "lut"):
-            arr = np.asarray(getattr(self, name))
-            if arr.flags.writeable:  # a predictor's mask is read-only already
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def _expand(lut: np.ndarray, plus: np.ndarray) -> np.ndarray:
@@ -223,6 +215,7 @@ def _influence_tables(dist: JointDistribution, plus_masks, misses) -> list[Influ
         lut = np.empty((2, 2))  # row 1 holds the points f sends to +1
         lut[:, 0] = (2.0 / p_neg) * (np.array([0.0, 1.0]) - miss_neg / p_neg)
         lut[:, 1] = (2.0 / p_pos) * (np.array([1.0, 0.0]) - miss_pos / p_pos)
+        lut.flags.writeable = False
         luts.append(lut)
 
     def terms(p, plus):

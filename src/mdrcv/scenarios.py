@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .model import FactorSpace, JointDistribution, point_levels
+from .model import FactorSpace, JointDistribution, _real, point_levels
 
 # The ``generate_scenario`` parameters each preset reads besides n and q.
 PRESET_PARAMS = {
@@ -34,13 +34,13 @@ PRESETS = tuple(PRESET_PARAMS)
 
 
 def _null(p_pos: float) -> float:
-    if not 0.0 < p_pos < 1.0:
+    if not 0.0 < (p_pos := _real("p_pos", p_pos)) < 1.0:
         raise ValidationError(f"p_pos must be in (0, 1), got {p_pos}")
     return p_pos
 
 
 def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> np.ndarray:
-    _check_band(p_low, p_high)
+    p_low, p_high = _check_band(p_low, p_high)
     x1 = point_levels(space, 1).astype(np.float64)
     return p_low + (p_high - p_low) * x1 / space.q
 
@@ -48,16 +48,14 @@ def _single_factor(space: FactorSpace, p_low: float, p_high: float) -> np.ndarra
 def _pair_epistasis(space: FactorSpace, p_low: float, p_high: float) -> np.ndarray:
     if space.n < 2:
         raise ValidationError("pair-epistasis needs at least two factors")
-    _check_band(p_low, p_high)
+    p_low, p_high = _check_band(p_low, p_high)
     joint_risk = point_levels(space, 1) + point_levels(space, 2) >= space.q + 1
     return np.where(joint_risk, p_high, p_low)
 
 
 def _independent(space: FactorSpace, effect: float) -> np.ndarray:
-    if not np.isfinite(effect) or effect == 0.0:
-        raise ValidationError(
-            f"independent preset needs a finite nonzero per-factor effect, got {effect}"
-        )
+    if (effect := _real("effect", effect)) == 0.0:
+        raise ValidationError(f"independent preset needs a nonzero effect, got {effect}")
     # centered levels are half-integers, so this sum is exact in any order
     cond = sum(point_levels(space, i) - space.q / 2.0 for i in range(1, space.n + 1))
     cond *= -effect  # the logistic, in place on the one table-sized buffer
@@ -67,11 +65,11 @@ def _independent(space: FactorSpace, effect: float) -> np.ndarray:
     return np.divide(1.0, cond, out=cond)
 
 
-def _check_band(p_low: float, p_high: float) -> None:
+def _check_band(p_low: float, p_high: float) -> tuple[float, float]:
+    p_low, p_high = _real("p_low", p_low), _real("p_high", p_high)
     if not (0.0 <= p_low < p_high <= 1.0):
-        raise ValidationError(
-            f"need 0 <= p_low < p_high <= 1, got p_low={p_low}, p_high={p_high}"
-        )
+        raise ValidationError(f"need 0 <= p_low < p_high <= 1, got p_low={p_low}, p_high={p_high}")
+    return p_low, p_high
 
 
 def generate_scenario(

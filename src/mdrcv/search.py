@@ -15,7 +15,7 @@ from .estimator import (
     cv_error_stack,
     row_keys,
 )
-from .model import Dataset, FactorSubset, cylinder_count
+from .model import Dataset, FactorSubset, _integer, cylinder_count
 
 # Exhaustive enumeration only: caps C(n, r), the subsets one search scores.
 MAX_SEARCH_SUBSETS = 2**18
@@ -29,7 +29,7 @@ GROUP_BUDGET = 1
 
 def enumerate_subsets(n: int, r: int) -> list[tuple[int, ...]]:
     """All r-element index tuples of {1..n}, lexicographic."""
-    if r < 1 or r > n:
+    if (r := _integer("r", r)) < 1 or r > n:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
     count = math.comb(n, r)
     if count > MAX_SEARCH_SUBSETS:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -130,8 +131,7 @@ class TestRunReplications:
         errors, _ = subset_oracle(dist, subs)
         a = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
         b = run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 1, master_seed=5)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.seeds, b.seeds)
+        assert same_replications(a, b)
 
     def test_deterministic_scenario_yields_exact_zeros(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
@@ -176,6 +176,21 @@ class TestRunReplications:
             q99.append(float(np.quantile(np.abs(res.z[:, 0]), 0.99)))
         assert 0.6 < q99[1] / q99[0] < 1.6
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_records", 2.5, "n_records must be an integer, got 2.5"),
+        ("n_records", 0, "sample size must be >= 1, got 0"),
+        ("n_replications", 2.0, "n_replications must be an integer, got 2.0"),
+        ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
+        ("master_seed", True, "master_seed must be an integer, got True"),
+        ("master_seed", -1, "master_seed must be >= 0, got -1"),
+    ])
+    def test_counts_and_seed_are_judged_once(self, field, value, message):
+        # judged here, before any batch: not coerced, and not left to numpy
+        args = {"n_records": 100, "n_replications": 2, "master_seed": 1, field: value}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            verify_clt(scenario_a(), [FactorSubset.of(1, 2)], args["n_records"], 2,
+                       args["n_replications"], args["master_seed"])
+
     def test_empty_subset_list_rejected(self):
         with pytest.raises(ValidationError, match="at least one subset"):
             run_replications(scenario_a(), [], [], 100, 2, DEFAULT_SCHEDULE, 1, master_seed=1)
@@ -191,10 +206,9 @@ class TestRunReplications:
 
 def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed):
     """Replications one dataset at a time, from the public primitives."""
-    seeds, z, sds, covs = [], [], [], []
+    z, sds, covs = [], [], []
     for rep in range(1, m + 1):
-        rep_seed = derive_seed(seed, rep)
-        dataset = sample(dist, n_records, rep_seed)
+        dataset = sample(dist, n_records, derive_seed(seed, rep))
         z.append([
             math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s) - err)
             for s, err in zip(subsets, errors)
@@ -202,18 +216,14 @@ def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed
         infl = [influence_values(dataset, s) for s in subsets]
         sds.append([asymptotic_sd_estimate(v) for v in infl])
         covs.append(asymptotic_covariance_estimate(infl))
-        seeds.append(rep_seed)
-    return Replications(np.array(seeds, dtype=np.uint64), np.array(z), np.array(sds),
-                        np.array(covs))
+    return Replications(np.array(z), np.array(sds), np.array(covs))
 
 
 def same_replications(got, want):
     """Every field equal, with its shape and dtype."""
     return all(
         g.dtype == w.dtype and np.array_equal(g, w)
-        for g, w in zip(
-            (got.seeds, got.z, got.sds, got.covs), (want.seeds, want.z, want.sds, want.covs)
-        )
+        for g, w in zip((got.z, got.sds, got.covs), (want.z, want.sds, want.covs))
     )
 
 
@@ -450,7 +460,7 @@ class TestVerifyClt:
         )
         assert isinstance(report, CltReport)
         assert report.n_replications == 50
-        assert reps.seeds.shape == (50,) and reps.z.shape == reps.sds.shape == (50, 2)
+        assert reps.z.shape == reps.sds.shape == (50, 2)
         assert reps.covs.shape == (50, 2, 2)
         doc = report.to_dict()
         assert doc["subsets"] == [[1, 2], [1, 3]]
@@ -462,8 +472,10 @@ class TestVerifyClt:
         report, reps = verify_clt(dist, [FactorSubset.of(1, 2)], 400, 4, 7, master_seed=3)
         assert report.multivariate is None
         assert reps.covs.shape == (7, 1, 1)
-        assert reps.seeds.dtype == np.uint64
-        assert reps.seeds.tolist() == [derive_seed(3, m) for m in range(1, 8)]
+        # replication m is sampled with derive_seed(3, m)
+        want = per_replication_reference(dist, [FactorSubset.of(1, 2)], report.oracle_errors,
+                                         400, 4, 7, 3)
+        assert same_replications(reps, want)
 
     def test_histogram_renders(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mdrcv.errors import ValidationError
 from mdrcv.model import (
@@ -28,9 +31,11 @@ from mdrcv.model import (
     save_distribution,
     _atom_index,
 )
-from mdrcv.estimator import dataset_counts
-
-from mdrcv.scenarios import PRESETS, generate_scenario
+from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, dataset_counts, fold_index
+from mdrcv.mcverify import run_replications
+from mdrcv.oracle import subset_oracle
+from mdrcv.scenarios import PRESETS, generate_scenario, scenario_a
+from mdrcv.search import enumerate_subsets
 
 from conftest import grid_reference, reference_cdf, small_distributions
 
@@ -57,8 +62,13 @@ class TestFactorSpace:
         (True, 1, "n must be an integer, got True"),
         (2, True, "q must be an integer, got True"),
         (2.0, 1, "n must be an integer, got 2.0"),
+        (np.int64(3), np.int64(2), None),
     ])
     def test_rejects_non_integer_n_and_q(self, n, q, message):
+        if message is None:  # numpy integers are integers, stored as Python ints
+            space = FactorSpace(n, q)
+            assert (type(space.n), type(space.q), space.n, space.q) == (int, int, n, q)
+            return
         with pytest.raises(ValidationError, match=f"^{message}$"):
             FactorSpace(n, q)
 
@@ -70,7 +80,9 @@ class TestFactorSpace:
         with pytest.raises(ValidationError, match="exceeds dense-table cap"):
             space.grid_shape
 
-    @pytest.mark.parametrize("n,q", [(25, 1), (10**20, 1), (1, 2**24), (2, 10**30)])
+    # an int64 q would wrap (q+1)^n: 32768^24 is 0 in int64
+    @pytest.mark.parametrize("n,q", [(25, 1), (10**20, 1), (1, 2**24), (2, 10**30),
+                                     (24, np.int64(MAX_LEVEL))])
     def test_oversized_space_rejected_without_the_power(self, n, q):
         if q > MAX_LEVEL:  # the space itself refuses q before any size is taken
             with pytest.raises(ValidationError, match="exceeds the largest factor level"):
@@ -210,6 +222,114 @@ class TestJointDistribution:
         atoms = [((np.int64(0),), np.int8(1), np.float64(0.5)), ((np.int16(1),), -1, 0.5)]
         dist = JointDistribution.from_atoms(1, 1, atoms)
         assert dist.probs.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    try:  # an int past the float range overflows here
+        return (_is_integer(v) or isinstance(v, (float, np.floating))) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _atom_p(p):
+    """P(0, +1) of a table whose atom #1 has p; the other atoms give both
+    labels mass and make a real p <= 1/2 sum to 1."""
+    rest = 0.5 - float(p) if _is_real(p) else 0.25
+    atoms = [((1,), -1, 0.25), ((0,), 1, p), ((1,), 1, 0.25), ((0,), -1, rest)]
+    return JointDistribution.from_atoms(1, 1, atoms).probs[0, 1].item()
+
+
+def _atom_kept(atoms, pick):
+    """The atom that ``pick`` selects, as a table of ``atoms`` keeps it."""
+    return next(a for a in JointDistribution.from_atoms(1, 1, atoms).atoms() if pick(a))
+
+
+def _replications(n_replications=1, master_seed=1):
+    dist, subsets = scenario_a(), [FactorSubset.of(1, 2)]
+    errors, _ = subset_oracle(dist, subsets)
+    return run_replications(dist, subsets, errors, 100, 2, DEFAULT_SCHEDULE,
+                            n_replications, master_seed).z.tobytes()
+
+
+def _arrays(*arrays):
+    return tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+
+# Every judged argument: (its type, a pattern that names it, a call that
+# passes the value there and returns what is kept of it).
+JUDGED = {
+    "n": (int, r"\bn\b", lambda v: FactorSpace(v, 1).n),
+    "q": (int, r"\bq\b", lambda v: FactorSpace(1, v).q),
+    "index": (int, r"factor ind\w*", lambda v: FactorSubset((v,)).indices[0]),
+    "level": (int, r"atom #1: (level|point)",
+              lambda v: _atom_kept([((0,), 1, 0.5), ((v,), -1, 0.5)], lambda a: a[1] == -1)[0][0]),
+    "y": (int, r"atom #2: .*\by\b", lambda v: _atom_kept(
+        [((1,), -1, 0.25), ((1,), 1, 0.25), ((0,), v, 0.5)], lambda a: a[0] == (0,))[1]),
+    "p": (float, r"atom #\d: .*\bp\b", _atom_p),
+    "psi_neg": (float, r"psi_neg", lambda v: PenaltyFunction(v, 1.0).psi_neg),
+    "psi_pos": (float, r"psi_pos", lambda v: PenaltyFunction(1.0, v).psi_pos),
+    "c0": (float, r"\bc0\b", lambda v: EpsilonSchedule(v, 0.25).c0),
+    "beta": (float, r"\bbeta\b", lambda v: EpsilonSchedule(1.0, v).beta),
+    # a preset's p near 0 or 1 can leave a label no mass in float64 (the
+    # table's refusal): 5e-324 times a point's mass is 0
+    "p_pos": (float, r"p_pos|degenerate label", lambda v: _arrays(
+        generate_scenario("null", 1, 1, p_pos=v).probs)),
+    "p_low": (float, r"p_low|degenerate label", lambda v: _arrays(
+        generate_scenario("single-factor", 1, 1, p_low=v, p_high=1.0).probs)),
+    "p_high": (float, r"p_high|degenerate label", lambda v: _arrays(
+        generate_scenario("pair-epistasis", 2, 1, p_low=0.0, p_high=v).probs)),
+    "effect": (float, r"effect", lambda v: _arrays(
+        generate_scenario("independent", 2, 1, effect=v).probs)),
+    "n_folds": (int, r"folds", lambda v: _arrays(fold_index(20, v))),
+    "r": (int, r"\br\b", lambda v: enumerate_subsets(6, v)),
+    "n_records": (int, r"n_records|sample size",
+                  lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), v, 1))),
+    "eps n_records": (int, r"n_records|sample size", lambda v: DEFAULT_SCHEDULE.value(v)),
+    "n_replications": (int, r"replications?", lambda v: _replications(n_replications=v)),
+    "master_seed": (int, r"master_seed", lambda v: _replications(master_seed=v)),
+}
+# Counts that size what a call builds are tried only up to 64.
+SIZES = {"n_records", "eps n_records", "n_replications"}
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@given(value=st.one_of(
+    st.integers(),
+    st.sampled_from(INTEGER_DTYPES).flatmap(lambda t: hnp.from_dtype(np.dtype(t))),
+    st.floats(), st.floats(0, 1), hnp.from_dtype(np.dtype(np.float32)),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.text(max_size=3), st.none(), st.sampled_from([10**400, -10**400]),
+))
+@example(np.uint64(2**64 - 1))
+@example(np.float32(0.25))
+@example(5e-324)
+@example(np.bool_(True))
+@example("1")
+@settings(max_examples=300, deadline=None)
+def test_every_judged_argument_is_kept_exactly_or_refused(value):
+    """Each argument keeps a value as the Python int or float it equals (what
+    is kept is what that Python number gives), or refuses it with one
+    ValidationError that names the argument."""
+    for name, (kind, pattern, call) in JUDGED.items():
+        legal = _is_integer(value) if kind is int else _is_real(value)
+        if name in SIZES and legal and value > 64:
+            continue
+        try:
+            got = call(value)
+        except ValidationError as exc:
+            message = str(exc)
+            assert "\n" not in message and re.search(pattern, message), (name, message)
+            if not legal:
+                assert re.search(f"({pattern}) must be an? (integer|finite real number), got ",
+                                 message), (name, message)
+            continue
+        assert legal, (name, value)
+        want = call(kind(value))
+        assert type(got) is type(want) and got == want, (name, value, got, want)
 
 
 def support(dist):
