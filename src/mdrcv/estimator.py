@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DegenerateLabelsError, ValidationError
 from .model import (
+    MAX_RECORDS,
     Dataset,
     FactorSubset,
     _integer,
@@ -72,42 +73,40 @@ class EpsilonSchedule:
             raise ValidationError(f"eps schedule needs beta in (0, 1/2), got {self.beta}")
 
     def value(self, n_records: int) -> float:
-        if (n_records := _integer("n_records", n_records)) < 1:
-            raise ValidationError("sample size must be positive")
+        if not 1 <= (n_records := _integer("n_records", n_records)) <= MAX_RECORDS:
+            raise ValidationError(f"n_records must be in 1..{MAX_RECORDS}")
         return self.c0 * n_records ** (-self.beta)
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule()
 
 
-def row_keys(y: np.ndarray, n_folds: int, n_stack: int = 1) -> np.ndarray:
-    """Each record's count-table row ``2 * fold + [y = +1]``, offset by
-    ``2K * b`` in dataset b of the ``n_stack`` equal blocks of records in
-    ``y``; shape (n_stack, N)."""
-    y = y.reshape(n_stack, -1)
-    rows = fold_index(y.shape[1], n_folds) + n_folds * np.arange(n_stack)[:, None]
+def row_keys(y: np.ndarray, n_folds: int) -> np.ndarray:
+    """Each record's count-table row ``2 * fold + [y = +1]`` from (..., N)
+    labels, offset by ``2K * b`` in block b of the leading axes (flattened),
+    so that one ``bincount`` counts every block in its own table."""
+    blocks = np.arange(y.size // y.shape[-1]).reshape(y.shape[:-1] + (1,))
+    rows = fold_index(y.shape[-1], n_folds) + n_folds * blocks
     rows *= 2
     rows += y == 1
     return rows
 
 
 def dataset_counts(
-    dataset: Dataset, subset: FactorSubset, n_folds: int, n_stack: int | None = None
+    dataset: Dataset, subset: FactorSubset, n_folds: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, counts) of a dataset: each record's key ``row * cells + code``
     with its ``row_keys`` row and cylinder code, and one ``bincount`` of the
     keys as a (K, 2, cells) table of (fold, label, cell) counts, label row 0
-    being y = -1.  With ``n_stack``, both get a leading axis over the equal
-    blocks of records the dataset holds (the datasets ``sample`` draws from
-    a list of seeds)."""
+    being y = -1.  ``rows``, the (B, N) ``row_keys`` of a dataset of B equal
+    blocks of records (``sample`` from a list of seeds), kept as it is for
+    the next subset, gives both a leading axis over the blocks."""
     subset.validate_for(dataset.space)
     cells = cylinder_count(subset.r, dataset.space.q)
-    keys = row_keys(dataset.y, n_folds, n_stack or 1)
-    keys *= cells
-    keys += cylinder_codes(dataset.x, subset, dataset.space.q).reshape(keys.shape)
-    counts = np.bincount(keys.ravel(), minlength=keys.shape[0] * n_folds * 2 * cells)
-    counts = counts.reshape(-1, n_folds, 2, cells)
-    return (keys[0], counts[0]) if n_stack is None else (keys, counts)
+    rows = row_keys(dataset.y, n_folds) if rows is None else rows
+    keys = cylinder_codes(dataset.x, subset, dataset.space.q, rows)
+    counts = np.bincount(keys, minlength=rows.size // rows.shape[-1] * n_folds * 2 * cells)
+    return keys.reshape(rows.shape), counts.reshape(rows.shape[:-1] + (n_folds, 2, cells))
 
 
 def _trained_rule(train: np.ndarray, eps: float) -> np.ndarray:
@@ -178,10 +177,21 @@ def influence_values(
     return influence_stack(keys, counts, schedule.value(len(dataset)))
 
 
+def plugin_moments(influences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., S) sds and (..., S, S) symmetrized covariances of a float64
+    (..., S, N) stack of influence rows, bit for bit ``np.std`` and the
+    centred ``c @ c.T / N``, from one centring that overwrites the stack."""
+    n = influences.shape[-1]
+    influences -= influences.sum(axis=-1, keepdims=True) / n
+    cov = influences @ influences.swapaxes(-1, -2) / n
+    influences *= influences
+    return np.sqrt(influences.sum(axis=-1) / n), (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
 def asymptotic_sd_estimate(influence: np.ndarray) -> float | np.ndarray:
     """Plug-in estimate of the CLT scale: the empirical standard deviation
     of one subset's ``influence_values``, or of each row of a stack."""
-    sd = np.std(influence, axis=-1)
+    sd = plugin_moments(np.array(influence, dtype=np.float64)[..., None, :])[0][..., 0]
     return float(sd) if sd.ndim == 0 else sd
 
 
@@ -189,9 +199,7 @@ def asymptotic_covariance_estimate(influences: Sequence[np.ndarray]) -> np.ndarr
     """Plug-in estimate of the joint influence covariance across subsets,
     from one row of ``influence_values`` per subset; a (..., S, N) stack
     gives one symmetrized (S, S) matrix per leading index."""
-    rows = np.asarray(influences)
+    rows = np.array(influences, dtype=np.float64)
     if rows.ndim < 2 or rows.shape[-2] < 1:
         raise ValidationError("need at least one subset")
-    centered = rows - rows.mean(axis=-1, keepdims=True)
-    c = centered @ centered.swapaxes(-1, -2) / rows.shape[-1]
-    return (c + c.swapaxes(-1, -2)) / 2.0
+    return plugin_moments(rows)[1]

@@ -21,11 +21,11 @@ from .errors import NearSingularMatrixError, ValidationError, ZeroScaleError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
-    asymptotic_covariance_estimate,
-    asymptotic_sd_estimate,
     cv_error_stack,
     dataset_counts,
     influence_stack,
+    plugin_moments,
+    row_keys,
 )
 from .linalg import inv_sqrt_symmetric
 from .model import FactorSubset, JointDistribution, _integer, sample
@@ -73,22 +73,23 @@ def _init_worker(context: tuple) -> None:
 
 
 def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...]:
-    """Replications as one stack: one ``sample`` call, then per subset one
-    count table, CV and influence values and plug-in scales for all.
-    Returns the batch's ``Replications`` fields."""
+    """B replications in one pass, returned as ``Replications`` fields: one
+    ``sample`` call and ``row_keys`` array; per subset, keys coded on from
+    those rows, one bincount, stacked CV values and influence values into
+    one (B, S, N) buffer; one centring of it (``plugin_moments``)."""
     context = context or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
     seeds = [derive_seed(master_seed, m) for m in replications]
     data = sample(dist, n_records, seeds)
     eps = schedule.value(n_records)
-    z, influences = [], []
-    for s, err in zip(subsets, oracle_errors):
-        keys, counts = dataset_counts(data, s, n_folds, len(seeds))
-        z.append(math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err))
-        influences.append(influence_stack(keys, counts, eps))
-    rows = np.stack(influences, axis=1)  # (replications, subsets, records)
-    sds, covs = asymptotic_sd_estimate(rows), asymptotic_covariance_estimate(rows)
-    return np.stack(z, axis=1), sds, covs
+    rows = row_keys(data.y.reshape(len(seeds), n_records), n_folds)
+    z = np.empty((len(seeds), len(subsets)))
+    influences = np.empty((len(seeds), len(subsets), n_records))
+    for i, (s, err) in enumerate(zip(subsets, oracle_errors)):
+        keys, counts = dataset_counts(data, s, n_folds, rows)
+        z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
+        influences[:, i] = influence_stack(keys, counts, eps)
+    return z, *plugin_moments(influences)
 
 
 def run_replications(
@@ -105,9 +106,10 @@ def run_replications(
     """Replications 1..M, each on a fresh dataset; deterministic per-index
     seeds, row m-1 of every array is replication m.  Deviations are centred
     at ``oracle_errors``, each subset's exact optimal error.  Batches hold
-    at most ``RECORDS_PER_BATCH`` records; ``workers > 1`` spreads them
-    over a process pool of at most one process per CPU.  Neither changes
-    any result."""
+    at most ``RECORDS_PER_BATCH`` records, each scored in one pass: one
+    row key array, one bincount per subset, one (B, S, N) influence buffer
+    and one centring.  ``workers > 1`` spreads them over a process pool of
+    at most one process per CPU.  Neither changes any result."""
     if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
     if (master_seed := _integer("master_seed", master_seed)) < 0:
@@ -366,10 +368,10 @@ def verify_clt(
     joint = len(subsets) > 1
     report = CltReport(
         scenario=scenario,
-        n_records=n_records,
-        n_folds=n_folds,
-        n_replications=n_replications,
-        master_seed=master_seed,
+        n_records=_integer("n_records", n_records),
+        n_folds=_integer("n_folds", n_folds),
+        n_replications=_integer("n_replications", n_replications),
+        master_seed=_integer("master_seed", master_seed),
         eps_c0=schedule.c0,
         eps_beta=schedule.beta,
         subsets=tuple(s.indices for s in subsets),

@@ -32,6 +32,7 @@ LABELS = (-1, 1)
 MAX_POINTS = 2**24
 
 MAX_LEVEL = 2**15 - 1  # Dataset.x holds factor levels as int16
+MAX_RECORDS = np.iinfo(np.intp).max // 8  # float64 draws past it have no array
 
 NORMALIZATION_TOL = 1e-12
 
@@ -180,14 +181,15 @@ def cylinder_count(r: int, q: int) -> int:
         ) from None
 
 
-def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int) -> np.ndarray:
+def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int, start=None) -> np.ndarray:
     """Map each row of an (m, n) level array to its cylinder cell code.
 
     Codes enumerate the sub-vectors u lexicographically, so code 0 is
-    u = (0,...,0) and code (q+1)^r - 1 is u = (q,...,q).
+    u = (0,...,0) and code (q+1)^r - 1 is u = (q,...,q).  With ``start``, m
+    int64 values of any shape, row j gets ``start[j] * (q+1)^r`` plus its code.
     """
     x = np.asarray(x_rows)
-    codes = np.zeros(x.shape[0], dtype=np.int64)
+    codes = np.zeros(x.shape[0], dtype=np.int64) if start is None else start.reshape(-1).copy()
     for i in subset.indices:  # in place: no record-sized temporaries
         codes *= q + 1
         codes += x[:, i - 1]
@@ -503,13 +505,22 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     y = -1 before +1; see ``_atom_index``), so identical
     (dist, n_records, seed) give the same dataset bit for bit.  A sequence
     of B seeds gives one dataset of B * n_records records whose block b is
-    exactly ``sample(dist, n_records, seeds[b])``.  With at least as many
-    draws as atoms, x is gathered from the levels of every point, a grid
-    no larger than the draws; with fewer, levels are read off each rank.
+    exactly ``sample(dist, n_records, seeds[b])``; seeds are integers >= 0,
+    a refused one named by its index, and draws at most MAX_RECORDS in all.
+    With at least as many draws as atoms, x is gathered from the levels of
+    every point, a grid no larger than the draws; with fewer, levels are
+    read off each rank.
     """
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
-    seeds = [seed] if np.ndim(seed) == 0 else seed
+    listed, seeds = np.ndim(seed) > 0, []
+    for i, s in enumerate(seed if listed else [seed]):
+        name = f"seed #{i}" if listed else "seed"
+        if (s := _integer(name, s)) < 0:
+            raise ValidationError(f"{name} must be >= 0, got {s}")
+        seeds.append(s)
+    if len(seeds) * n_records > MAX_RECORDS:
+        raise ValidationError(f"n_records too large: over {MAX_RECORDS} draws in all")
     u = np.empty((len(seeds), n_records))
     for row, s in zip(u, seeds):
         np.random.default_rng(s).random(out=row)

@@ -82,7 +82,8 @@ def rank_subsets(
     # stable on lexicographic candidates: exact ties keep index order
     floats = values.tolist()
     entries = tuple((candidates[i], floats[i]) for i in np.argsort(values, kind="stable").tolist())
-    return SearchReport(r, n_folds, entries, selected=FactorSubset(entries[0][0]))
+    return SearchReport(_integer("r", r), _integer("n_folds", n_folds), entries,
+                        selected=FactorSubset(entries[0][0]))
 
 
 def _group_size(head: int, levels: int, n_records: int, most: int) -> int:
@@ -148,7 +149,7 @@ def _cv_errors(
     # than bincount's cast of int16 keys to intp costs.
     least = dataset.x.dtype if g > 1 else np.int32
     dtype = np.promote_types(least, np.min_scalar_type(-head * levels**g)).type
-    base = (row_keys(dataset.y, n_folds)[0] * cells).astype(dtype)
+    base = (row_keys(dataset.y, n_folds) * cells).astype(dtype)
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
     weights = [dtype(levels ** (r - 1 - j)) for j in range(r - 1)]
     partial = np.empty((r - 1, len(dataset)), dtype)  # partial[j]: key over positions 0..j

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mdrcv.errors import DegenerateLabelsError, ValidationError
 from mdrcv.estimator import (
@@ -14,9 +15,11 @@ from mdrcv.estimator import (
     dataset_counts,
     fold_index,
     influence_values,
+    plugin_moments,
 )
 from mdrcv.linalg import NearSingularMatrixError, inv_sqrt_symmetric
 from mdrcv.model import (
+    MAX_RECORDS,
     Dataset,
     FactorSpace,
     FactorSubset,
@@ -139,6 +142,12 @@ class TestEpsilonSchedule:
             EpsilonSchedule(1.0, 0.0)
         with pytest.raises(ValidationError):
             EpsilonSchedule(0.0, 0.25)
+
+    def test_record_count_past_any_array_is_refused(self):
+        assert DEFAULT_SCHEDULE.value(MAX_RECORDS) == MAX_RECORDS ** -0.25
+        for n in (MAX_RECORDS + 1, 10**400):
+            with pytest.raises(ValidationError, match=r"^n_records must be in 1\.\.\d+$"):
+                DEFAULT_SCHEDULE.value(n)
 
     def test_limits_hold_along_the_rule(self):
         sched = EpsilonSchedule(2.0, 0.3)
@@ -469,3 +478,29 @@ class TestCovarianceEstimate:
             devs.append(float(np.abs(c - oracle).max()))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.1
+
+
+def centred_matmul(rows):
+    """The plug-in covariance as two separate centrings computed it."""
+    centered = rows - rows.mean(axis=-1, keepdims=True)
+    c = centered @ centered.swapaxes(-1, -2) / rows.shape[-1]
+    return (c + c.swapaxes(-1, -2)) / 2.0
+
+
+@given(rows=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 300)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(-50, 50))))
+@example(rows=np.full((2, 3, 40), 0.5))  # constant rows: sd exactly 0.0
+@example(rows=np.arange(60.0).reshape(3, 1, 20))  # S = 1
+@example(rows=np.arange(6.0).reshape(2, 3, 1))  # N = 1
+@settings(max_examples=60, deadline=None)
+def test_plugin_moments_equal_std_and_centred_matmul(rows):
+    kept = rows.copy()
+    sds, covs = plugin_moments(rows.copy())  # it centres its argument in place
+    assert sds.tobytes() == np.std(rows, axis=-1).tobytes()
+    assert covs.tobytes() == centred_matmul(rows).tobytes()
+    assert sds.shape == rows.shape[:2] and covs.shape == rows.shape[:2] + rows.shape[1:2]
+    assert sds.tobytes() == asymptotic_sd_estimate(rows).tobytes()
+    assert covs.tobytes() == asymptotic_covariance_estimate(rows).tobytes()
+    assert np.array_equal(rows, kept)  # the public estimates leave their input as it is
+    if np.all(rows == 0.5):
+        assert np.all(sds == 0.0) and np.all(covs == 0.0)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -191,6 +192,15 @@ class TestRunReplications:
             verify_clt(scenario_a(), [FactorSubset.of(1, 2)], args["n_records"], 2,
                        args["n_replications"], args["master_seed"])
 
+    @pytest.mark.parametrize("field", ["n_records", "n_folds", "n_replications", "master_seed"])
+    def test_report_stores_judged_ints(self, field):
+        args = {"n_records": 100, "n_folds": 2, "n_replications": 2, "master_seed": 3}
+        want = json.dumps(verify_clt(scenario_a(), [FactorSubset.of(1, 2)], **args)[0].to_dict())
+        args[field] = np.int64(args[field])
+        got = verify_clt(scenario_a(), [FactorSubset.of(1, 2)], **args)[0]
+        assert type(getattr(got, field)) is int
+        assert json.dumps(got.to_dict()) == want
+
     def test_empty_subset_list_rejected(self):
         with pytest.raises(ValidationError, match="at least one subset"):
             run_replications(scenario_a(), [], [], 100, 2, DEFAULT_SCHEDULE, 1, master_seed=1)
@@ -258,6 +268,15 @@ class TestBatchedEngine:
     )
     @example(  # more records than a batch holds: one replication per batch
         config=("null", 2, 1, [(1,), (1, 2)], RECORDS_PER_BATCH + 3, 3), m=2, seed=8
+    )
+    @example(  # subsets of different sizes share the batch's rows and buffer
+        config=("pair-epistasis", 3, 2, [(1,), (1, 2, 3)], 1500, 4), m=6, seed=11
+    )
+    @example(  # a repeated subset
+        config=("pair-epistasis", 3, 1, [(1, 2), (1, 2)], 900, 5), m=4, seed=2
+    )
+    @example(  # S = 1
+        config=("independent", 3, 2, [(2, 3)], 700, 3), m=9, seed=6
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_per_replication_reference(self, config, m, seed):

@@ -15,6 +15,7 @@ from mdrcv.model import (
     CDF_BLOCK,
     CDF_CHUNK,
     MAX_LEVEL,
+    MAX_RECORDS,
     Dataset,
     FactorSpace,
     FactorSubset,
@@ -289,6 +290,9 @@ JUDGED = {
     "n_records": (int, r"n_records|sample size",
                   lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), v, 1))),
     "eps n_records": (int, r"n_records|sample size", lambda v: DEFAULT_SCHEDULE.value(v)),
+    "seed": (int, r"\bseed\b", lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), 4, v))),
+    "seed #1": (int, r"seed #1\b",
+                lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), 4, [0, v]))),
     "n_replications": (int, r"replications?", lambda v: _replications(n_replications=v)),
     "master_seed": (int, r"master_seed", lambda v: _replications(master_seed=v)),
 }
@@ -460,6 +464,29 @@ def test_seed_list_concatenates_single_seed_samples(dist, n_records, seeds):
     assert len(ds) == n_records * len(seeds)
     assert np.array_equal(ds.x, np.concatenate([p.x for p in parts]))
     assert np.array_equal(ds.y, np.concatenate([p.y for p in parts]))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    ([1, -2], "seed #1 must be >= 0, got -2"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ([0, 2, 1.5], "seed #2 must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    ((3, np.True_), "seed #1 must be an integer, got np.True_"),
+    ("7", "seed must be an integer, got '7'"),
+])
+def test_refused_seed_is_named(toy_balanced, seed, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        sample(toy_balanced, 5, seed)
+
+
+@pytest.mark.parametrize("n_records, seeds", [
+    (2**62, 1), (10**400, 1), (MAX_RECORDS + 1, [1]), (MAX_RECORDS // 2 + 1, [1, 2]),
+])
+def test_draws_past_any_array_are_refused(toy_balanced, n_records, seeds):
+    with mock.patch("numpy.empty", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValidationError, match="^n_records too large: "):
+            sample(toy_balanced, n_records, seeds)
 
 
 def test_empty_seed_list_rejected(toy_balanced):

@@ -61,6 +61,16 @@ class TestRankSubsets:
         values = [v for _, v in report.entries]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("field", ["r", "n_folds"])
+    def test_report_stores_judged_ints(self, field):
+        ds = sample(scenario_a(), 300, seed=4)
+        args = {"r": 2, "n_folds": 3}
+        want = json.dumps(rank_subsets(ds, **args).to_dict())
+        args[field] = np.int64(args[field])
+        got = rank_subsets(ds, **args)
+        assert type(getattr(got, field)) is int
+        assert json.dumps(got.to_dict()) == want
+
     def test_deterministic_and_serializable(self):
         dist = scenario_a()
         ds = sample(dist, 1000, seed=5)
