@@ -6,8 +6,8 @@ Subcommands:
   clt-verify  Monte Carlo check of the limit law of the error estimate
   oracle      print exact quantities for a known distribution
 
-Exit codes: 0 success, 1 usage/input error or out of memory, 2 numerical
-or degeneracy failure.
+Exit codes: 0 success, 1 usage/input error or out of memory, 2 unexpected
+numerical failure; clt-verify counts a degenerate replication in its report.
 """
 
 from __future__ import annotations
@@ -159,9 +159,12 @@ def _cmd_clt_verify(args) -> int:
         if u.degenerate:
             print(f"subset {u.subset}: degenerate (oracle variance 0) [{tag}]")
         else:
+            ks_self = "n/a" if u.ks_self_norm is None else f"{u.ks_self_norm:.4f}"
+            zero = (f", {u.zero_scale} of {u.n_replications} with plug-in scale 0"
+                    if u.zero_scale else "")
             print(f"subset {u.subset}: KS={u.ks_oracle:.4f} (limit {u.ks_limit:.4f}), "
-                  f"self-normalized KS={u.ks_self_norm:.4f} (limit {SELF_NORM_KS_LIMIT:.4f}), "
-                  f"var ratio={u.var_ratio:.3f} [{tag}]")
+                  f"self-normalized KS={ks_self} (limit {SELF_NORM_KS_LIMIT:.4f}), "
+                  f"var ratio={u.var_ratio:.3f}{zero} [{tag}]")
     if report.multivariate is not None:
         mv = report.multivariate
         tag = "PASS" if mv.passed else "FAIL"

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, ValidationError
+from .errors import ValidationError
 from .model import (
     MAX_RECORDS,
     Dataset,
@@ -148,15 +148,16 @@ def cv_prediction_error(
 def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndarray:
     """``influence_values`` of each dataset in a ``dataset_counts`` stack:
     the influence table of the full-sample counts, broadcast over folds and
-    read at the records' keys."""
+    read at the records' keys.  An absent label's row is 0 and read by no
+    record; trained on one class, the rule flags no cell, so all are 0.0."""
     full = counts.sum(axis=-3)
     n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
-    if np.any(n_labels == 0):
-        raise DegenerateLabelsError("influence values need both label classes")
     miss = _trained_rule(full, eps)[..., None, :] != _POSITIVE
-    rate = (full * miss).sum(axis=-1) / n_labels
+    misses = (full * miss).sum(axis=-1)
+    rate = np.divide(misses, n_labels, out=np.zeros(misses.shape), where=n_labels > 0)
     freq = n_labels / keys.shape[-1]
-    table = (2.0 / freq)[..., None] * (miss.astype(np.float64) - rate[..., None])
+    scale = np.divide(2.0, freq, out=np.zeros(freq.shape), where=freq > 0)
+    table = scale[..., None] * (miss.astype(np.float64) - rate[..., None])
     return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys)
 
 
@@ -169,9 +170,9 @@ def influence_values(
 
     Trains the regularized rule on the full sample, then substitutes the
     empirical label frequencies and miss rates for their population
-    counterparts.  The returned values sum to exactly zero whenever both
-    label classes are present; a missing class raises.  The values do not
-    depend on the fold count, which only keys the records.
+    counterparts.  The values sum to exactly zero; with one label class they
+    are all 0.0, a plug-in scale of 0.  They do not depend on the fold
+    count, which only keys the records.
     """
     keys, counts = dataset_counts(dataset, subset, 2)
     return influence_stack(keys, counts, schedule.value(len(dataset)))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularMatrixError, ValidationError, ZeroScaleError
+from .errors import NearSingularMatrixError, ValidationError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
@@ -116,6 +116,8 @@ def run_replications(
         raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
     if (n_records := _integer("n_records", n_records)) < 1:  # it divides the batch size
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
+    if (workers := _integer("workers", workers)) < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     subsets = list(subsets)
     if not subsets:
         raise ValidationError("need at least one subset")
@@ -167,12 +169,13 @@ class UnivariateCheck:
     ks_oracle: float | None
     ks_self_norm: float | None
     var_ratio: float | None
+    zero_scale: int
     ks_limit: float
     passed: bool
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **{k: v for k, v in vars(self).items() if k != "zero_scale" or v},
             "subset": list(self.subset),
             "self_norm_limit": SELF_NORM_KS_LIMIT,
             "var_rtol": VAR_RATIO_RTOL,
@@ -190,9 +193,10 @@ def clt_check(
 
     With a positive oracle variance: KS of z/sigma against the standard
     normal, KS of the per-replication self-normalized values, and the
-    empirical-to-oracle variance ratio.  A zero oracle variance routes to
-    the degenerate branch, which requires every deviation to vanish.
-    A plug-in scale of zero raises ``ZeroScaleError``.
+    empirical-to-oracle variance ratio.  A plug-in scale of 0 is counted in
+    ``zero_scale`` and fails the check; the self-normalized KS reads the
+    other replications (None if none).  A zero oracle variance routes to the
+    degenerate branch, which reads no scale and needs every deviation to vanish.
     """
     m = len(z)
     if m < 1:
@@ -201,21 +205,18 @@ def clt_check(
         raise ValidationError("oracle variance cannot be negative")
     degenerate = oracle_sigma2 == 0.0
     z_var = float(z.var(ddof=1)) if m > 1 else 0.0 if degenerate else float("nan")
-    ks_oracle, ks_self, ratio, ks_limit = None, None, None, float("nan")
+    ks_oracle, ks_self, ratio, ks_limit, zero_scale = None, None, None, float("nan"), 0
     if degenerate:
         passed = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT)
     else:
         ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
         ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
-        zero_scale = int(np.count_nonzero(sds == 0.0))
-        if zero_scale:
-            raise ZeroScaleError(
-                f"subset {subset.indices}: {zero_scale} of {m} replications have "
-                f"plug-in scale 0, so their self-normalized deviations are undefined"
-            )
-        ks_self = ks_statistic(z / sds, 0.0, 1.0)
+        scaled = sds != 0.0
+        zero_scale = m - int(np.count_nonzero(scaled))
+        if zero_scale < m:
+            ks_self = ks_statistic(z[scaled] / sds[scaled], 0.0, 1.0)
         ratio = z_var / oracle_sigma2
-        passed = (ks_oracle < ks_limit and ks_self < SELF_NORM_KS_LIMIT
+        passed = (not zero_scale and ks_oracle < ks_limit and ks_self < SELF_NORM_KS_LIMIT
                   and abs(ratio - 1.0) <= VAR_RATIO_RTOL)
     return UnivariateCheck(
         subset=subset.indices,
@@ -227,6 +228,7 @@ def clt_check(
         ks_oracle=ks_oracle,
         ks_self_norm=ks_self,
         var_ratio=ratio,
+        zero_scale=zero_scale,
         ks_limit=ks_limit,
         passed=passed,
     )

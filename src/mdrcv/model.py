@@ -44,16 +44,22 @@ CDF_CHUNK = 2**16
 
 
 def _integer(name: str, value) -> int:
-    """The one judge of an integer argument, never a bool: a Python int."""
+    """The one judge of an integer argument, never a bool: a Python int of
+    at most 2048 bits (617 digits), short enough for any message to print."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if (value := int(value)).bit_length() > 2048:
+        raise ValidationError(f"{name} must be an integer of at most 2048 bits")
+    return value
 
 
 def _real(name: str, value) -> float:
     """The one judge of a real argument, finite and never a bool: a Python
-    float.  An int past the float range stays an int, and is refused."""
-    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+    float.  An int past the float range is refused unprinted."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            raise ValidationError(
+                f"{name} must be a finite real number, got an int past the float range")
         value = float(value)
     if not (isinstance(value, (float, np.integer, np.floating)) and np.isfinite(value)):
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")

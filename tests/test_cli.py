@@ -397,25 +397,34 @@ class TestCliCommands:
         assert main(["search", "--data", str(missing), "--r", "1", "--K", "1"]) == 1
         assert capsys.readouterr().err == "error: --K must be >= 2\n"
 
-    def test_degenerate_replication_exits_two(self):
-        # tiny samples from a rare-positive null scenario eventually produce
-        # a single-label dataset, which the scale estimate refuses
+    def test_degenerate_replication_is_reported(self, tmp_path, capsys):
+        # tiny samples from a rare-positive null scenario produce
+        # single-label datasets; the degenerate branch reads no plug-in scale
+        out = tmp_path / "r.json"
         code = main([
             "clt-verify", "--preset", "null", "--n", "1", "--q", "1",
             "--p-pos", "0.05", "--subsets", "1", "--N", "4", "--K", "2",
-            "--M", "50", "--seed", "3",
+            "--M", "50", "--seed", "3", "--out", str(out),
         ])
-        assert code == 2
+        assert code == 0 and capsys.readouterr().err == ""
+        (entry,) = json.loads(out.read_text())["univariate"]
+        assert entry["degenerate"] and "zero_scale" not in entry
 
-    def test_one_class_replication_exits_two(self, capsys):
+    def test_one_class_replication_is_reported(self, tmp_path, capsys):
+        # 140 of the 200 replications hold one label class
+        out = tmp_path / "r.json"
         code = main([
             "clt-verify", "--preset", "null", "--n", "1", "--q", "1",
             "--p-pos", "0.02", "--subsets", "1", "--N", "20", "--K", "2",
-            "--M", "200", "--seed", "1",
+            "--M", "200", "--seed", "1", "--out", str(out),
         ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "numerical failure: influence values need both label classes\n"
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("subset (1,): degenerate (oracle variance 0) [")
+        (entry,) = json.loads(out.read_text())["univariate"]
+        assert entry["degenerate"] and entry["ks_self_norm"] is None
+        assert "zero_scale" not in entry
 
     @pytest.mark.parametrize("command", ["simulate", "clt-verify"])
     def test_negative_seed_exits_one(self, command, tmp_path, capsys):
@@ -430,18 +439,36 @@ class TestCliCommands:
         assert err == "error: --seed must be >= 0, got -1\n"
         assert not (tmp_path / "x.csv").exists()
 
-    def test_zero_plug_in_scale_exits_two(self, capsys):
+    def test_zero_plug_in_scale_is_counted(self, tmp_path, capsys):
         # near-deterministic labels on one binary factor: most replications
         # see no misclassified record, so their plug-in scale is exactly 0
+        out = tmp_path / "r.json"
         code = main([
             "clt-verify", "--preset", "single-factor", "--n", "1", "--q", "1",
             "--p-low", "0.02", "--p-high", "0.98", "--subsets", "1",
-            "--N", "30", "--M", "300", "--seed", "1",
+            "--N", "30", "--M", "300", "--seed", "1", "--out", str(out),
         ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "subset (1,)" in err and "200 of 300 replications" in err
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ", 200 of 300 with plug-in scale 0 [FAIL]\n" in captured.out
+        (entry,) = json.loads(out.read_text())["univariate"]
+        assert entry["zero_scale"] == 200 and not entry["passed"]
+
+    def test_empty_rule_replication_is_counted(self, tmp_path, capsys):
+        # eps_500 lifts the threshold of subset {1,3} above every cell in
+        # one of the 20 replications: its rule is empty, its scale 0
+        out = tmp_path / "r.json"
+        code = main([
+            "clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+            "--subsets", "1,2;1,3", "--N", "500", "--M", "20", "--seed", "1",
+            "--out", str(out),
+        ])
+        assert code == 0 and capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert [u.get("zero_scale") for u in doc["univariate"]] == [None, 1]
+        assert not doc["univariate"][1]["passed"]
+        assert doc["multivariate"]["whitening_skipped"]  # a singular plug-in covariance
 
     @pytest.mark.parametrize("command", ["clt-verify", "oracle"])
     def test_empty_subset_list_exits_one(self, command, tmp_path, capsys):
@@ -925,12 +952,12 @@ def clt_verify_args(draw):
 @given(args=clt_verify_args())
 @settings(max_examples=80, deadline=None)
 def test_clt_verify_fuzz_exits_cleanly(args):
-    # exit 2 is expected for the two known degenerate events: one label class
-    # in a replication, or a plug-in scale of 0
+    # one label class in a replication, or a plug-in scale of 0, is counted
+    # in the report: no input ends in exit 2
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(args)
-    assert code in (0, 1, 2)
+    assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mdrcv.errors import DegenerateLabelsError, ValidationError
+from mdrcv.errors import ValidationError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
@@ -14,8 +14,12 @@ from mdrcv.estimator import (
     cv_prediction_error,
     dataset_counts,
     fold_index,
+    influence_stack,
     influence_values,
     plugin_moments,
+    row_keys,
+    _POSITIVE,
+    _trained_rule,
 )
 from mdrcv.linalg import NearSingularMatrixError, inv_sqrt_symmetric
 from mdrcv.model import (
@@ -422,10 +426,13 @@ class TestSdEstimate:
         shuffled = Dataset(ds.space, ds.x[perm], ds.y[perm])
         assert asymptotic_sd_estimate(influence_values(shuffled, sub)) == pytest.approx(base, abs=1e-12)
 
-    def test_single_label_class_raises(self):
-        ds = Dataset(FactorSpace(1, 1), [[0], [1], [0]], [1, 1, 1])
-        with pytest.raises(DegenerateLabelsError):
-            influence_values(ds, FactorSubset.of(1))
+    def test_single_label_class_gives_zero_influence(self):
+        # the rule trained on one class flags no cell: a zero plug-in scale
+        for label in (1, -1):
+            ds = Dataset(FactorSpace(1, 1), [[0], [1], [0]], [label] * 3)
+            v = influence_values(ds, FactorSubset.of(1))
+            assert v.tolist() == [0.0, 0.0, 0.0]
+            assert asymptotic_sd_estimate(v) == 0.0
 
     def test_consistent_for_oracle_scale(self):
         dist = scenario_a()
@@ -504,3 +511,57 @@ def test_plugin_moments_equal_std_and_centred_matmul(rows):
     assert np.array_equal(rows, kept)  # the public estimates leave their input as it is
     if np.all(rows == 0.5):
         assert np.all(sds == 0.0) and np.all(covs == 0.0)
+
+
+def reference_influence_table(full, eps, n_records):
+    """The influence table of (..., 2, cells) full-sample counts with both
+    label classes, as one expression: 2 / freq(y) * (miss - rate(y))."""
+    n_labels = full.sum(axis=-1)
+    miss = _trained_rule(full, eps)[..., None, :] != _POSITIVE
+    rate = (full * miss).sum(axis=-1) / n_labels
+    freq = n_labels / n_records
+    return (2.0 / freq)[..., None] * (miss.astype(np.float64) - rate[..., None])
+
+
+@st.composite
+def blocked_datasets(draw):
+    """(dataset, B, K): B equal blocks of records, each with labels drawn
+    at random, only y = +1 or only y = -1."""
+    b, k = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    n, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_records = draw(st.integers(k, 30))
+    x = draw(hnp.arrays(np.int16, (b * n_records, n), elements=st.integers(0, q)))
+    labels = st.sampled_from([-1, 1])
+    y = np.concatenate([
+        draw(st.one_of(labels.map(lambda v: np.full(n_records, v)),
+                       hnp.arrays(np.int8, n_records, elements=labels)))
+        for _ in range(b)
+    ])
+    return Dataset(FactorSpace(n, q), x, y), b, k
+
+
+@given(data=blocked_datasets(), eps=st.floats(1e-3, 1.0))
+@example(  # N = 9 with five y = +1: 2.0 / (5 / 9) is not 18 / 5 in float64
+    data=(Dataset(FactorSpace(1, 1), [[0]] * 4 + [[1], [0], [1], [1], [1]] + [[0]] * 9,
+                  [1] * 5 + [-1] * 4 + [1] * 9), 2, 3),
+    eps=0.01,
+)
+@settings(max_examples=80, deadline=None)
+def test_influence_stack_zeroes_one_class_blocks(data, eps):
+    dataset, b, k = data
+    subset = FactorSubset(tuple(range(1, dataset.space.n + 1)))
+    n_records = len(dataset) // b
+    rows = row_keys(dataset.y.reshape(b, n_records), k)
+    keys, counts = dataset_counts(dataset, subset, k, rows)
+    got = influence_stack(keys, counts, eps)
+    sds = plugin_moments(got.copy()[:, None, :])[0][:, 0]
+    assert got.shape == (b, n_records) and np.all(np.isfinite(got))
+    y = dataset.y.reshape(b, n_records)
+    for block in range(b):
+        if np.all(y[block] == y[block, 0]):
+            assert np.all(got[block] == 0.0) and sds[block] == 0.0
+        else:
+            table = reference_influence_table(counts[block].sum(axis=0), eps, n_records)
+            local = keys[block] - 2 * k * counts.shape[-1] * block
+            want = np.take(np.broadcast_to(table, counts.shape[1:]), local)
+            assert got[block].tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdrcv import mcverify
-from mdrcv.errors import DegenerateLabelsError, ValidationError, ZeroScaleError
+from mdrcv.errors import ValidationError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
     asymptotic_covariance_estimate,
@@ -184,13 +184,20 @@ class TestRunReplications:
         ("master_seed", 1.5, "master_seed must be an integer, got 1.5"),
         ("master_seed", True, "master_seed must be an integer, got True"),
         ("master_seed", -1, "master_seed must be >= 0, got -1"),
+        ("workers", "2", "workers must be an integer, got '2'"),
+        ("workers", 1.5, "workers must be an integer, got 1.5"),
+        ("workers", None, "workers must be an integer, got None"),
+        ("workers", True, "workers must be an integer, got True"),
+        ("workers", 0, "workers must be >= 1, got 0"),
+        ("workers", -3, "workers must be >= 1, got -3"),
     ])
     def test_counts_and_seed_are_judged_once(self, field, value, message):
         # judged here, before any batch: not coerced, and not left to numpy
-        args = {"n_records": 100, "n_replications": 2, "master_seed": 1, field: value}
+        args = {"n_records": 100, "n_replications": 2, "master_seed": 1, "workers": 1,
+                field: value}
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             verify_clt(scenario_a(), [FactorSubset.of(1, 2)], args["n_records"], 2,
-                       args["n_replications"], args["master_seed"])
+                       args["n_replications"], args["master_seed"], workers=args["workers"])
 
     @pytest.mark.parametrize("field", ["n_records", "n_folds", "n_replications", "master_seed"])
     def test_report_stores_judged_ints(self, field):
@@ -285,12 +292,7 @@ class TestBatchedEngine:
         subs = [FactorSubset(s) for s in subsets]
         errors, _ = subset_oracle(dist, subs)
         args = (dist, subs, errors, n_records, n_folds)
-        try:
-            want = per_replication_reference(*args, m, seed)
-        except DegenerateLabelsError as exc:
-            with pytest.raises(DegenerateLabelsError, match=str(exc)):
-                run_replications(*args, DEFAULT_SCHEDULE, m, seed)
-            return
+        want = per_replication_reference(*args, m, seed)
         got = run_replications(*args, DEFAULT_SCHEDULE, m, seed)
         assert same_replications(got, want)
 
@@ -377,8 +379,14 @@ class TestCltCheck:
         sub = FactorSubset.of(2)
         m = np.arange(1, 10)
         z, sds = 0.5 * m, np.where(m % 3, 0.0, 1.0)
-        with pytest.raises(ZeroScaleError, match=r"subset \(2,\): 6 of 9 replications"):
-            clt_check(z, sds, 1.0, sub)
+        entry = clt_check(z, sds, 1.0, sub)
+        assert entry.subset == (2,) and entry.zero_scale == 6 and not entry.passed
+        # the self-normalized KS reads the three rows with a positive scale
+        assert entry.ks_self_norm == ks_statistic(z[2::3] / sds[2::3], 0.0, 1.0)
+        assert entry.to_dict()["zero_scale"] == 6
+        # none left: no self-normalized KS
+        entry = clt_check(z, np.zeros(9), 1.0, sub)
+        assert entry.zero_scale == 9 and entry.ks_self_norm is None and not entry.passed
 
     @given(
         z=st.lists(st.floats(-50, 50), min_size=2, max_size=30),

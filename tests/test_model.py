@@ -31,6 +31,7 @@ from mdrcv.model import (
     sample,
     save_distribution,
     _atom_index,
+    _real,
 )
 from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, dataset_counts, fold_index
 from mdrcv.mcverify import run_replications
@@ -334,6 +335,19 @@ def test_every_judged_argument_is_kept_exactly_or_refused(value):
         assert legal, (name, value)
         want = call(kind(value))
         assert type(got) is type(want) and got == want, (name, value, got, want)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: sample(d, -10**5000, 1), "n_records must be an integer of at most 2048 bits"),
+    (lambda d: sample(d, 10, -10**5000), "seed must be an integer of at most 2048 bits"),
+    (lambda d: FactorSpace(-10**5000, 1), "n must be an integer of at most 2048 bits"),
+    (lambda d: _real("p", 10**5000),
+     "p must be a finite real number, got an int past the float range"),
+], ids=["n_records", "seed", "n", "real"])
+def test_refused_huge_int_is_not_printed(toy_balanced, call, message):
+    # an int of 5001 digits is past Python's int-to-str limit
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(toy_balanced)
 
 
 def support(dist):
