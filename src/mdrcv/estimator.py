@@ -109,11 +109,11 @@ def dataset_counts(
     return keys.reshape(rows.shape), counts.reshape(rows.shape[:-1] + (n_folds, 2, cells))
 
 
-def _trained_rule(train: np.ndarray, eps: float) -> np.ndarray:
+def _trained_rule(train: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:
     """Cells the regularized rule predicts +1 after training on the
-    (..., 2, cells) label counts ``train``."""
-    tot = train.sum(axis=-2)
-    gamma = train[..., 1, :].sum(axis=-1) / tot.sum(axis=-1)
+    (..., 2, cells) label counts ``train``, with (..., 2) label totals ``labels``."""
+    tot = train[..., 0, :] + train[..., 1, :]
+    gamma = labels[..., 1] / (labels[..., 0] + labels[..., 1])
     return cell_conditionals(tot, train[..., 1, :]) > (gamma + eps)[..., None]
 
 
@@ -121,13 +121,15 @@ def cv_error_stack(counts: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     """(values, penalties, misses) of the CV error of each dataset in a
     (..., K, 2, cells) ``dataset_counts`` stack; per fold, the rule is
     trained on the complement and penalties are estimated on the fold.
-    Terms combine in the formula's order (outer sum over labels, running
-    sum over folds), so stacking leaves every value bit for bit."""
+    Integer counts regroup exactly; float terms combine in the formula's order
+    (outer sum over labels, running sum over folds): every value bit for bit."""
     labels = counts.sum(axis=-1)
     sizes = labels.sum(axis=-1, keepdims=True)
     # fold k's rule is trained on every count outside fold k
-    plus = _trained_rule(counts.sum(axis=-3, keepdims=True) - counts, eps)
-    misses = (counts * (plus[..., None, :] != _POSITIVE)).sum(axis=-1)
+    train = counts.sum(axis=-3, keepdims=True) - counts
+    plus = _trained_rule(train, labels.sum(axis=-2, keepdims=True) - labels, eps)
+    misses = np.einsum("...yc,...c->...y", counts, plus)  # records in +1 cells
+    misses[..., 1] = labels[..., 1] - misses[..., 1]  # y = +1 misses the other cells
     penalties = np.divide(sizes, labels, out=np.zeros(labels.shape), where=labels > 0)
     acc = np.cumsum(penalties * misses / sizes, axis=-2)[..., -1, :]
     return (acc / counts.shape[-3]).sum(axis=-1) * 2.0, penalties, misses
@@ -152,7 +154,7 @@ def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndar
     record; trained on one class, the rule flags no cell, so all are 0.0."""
     full = counts.sum(axis=-3)
     n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
-    miss = _trained_rule(full, eps)[..., None, :] != _POSITIVE
+    miss = _trained_rule(full, n_labels, eps)[..., None, :] != _POSITIVE
     misses = (full * miss).sum(axis=-1)
     rate = np.divide(misses, n_labels, out=np.zeros(misses.shape), where=n_labels > 0)
     freq = n_labels / keys.shape[-1]

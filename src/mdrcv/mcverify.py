@@ -42,7 +42,7 @@ COV_ENTRY_LIMIT_FACTOR = 0.15
 HISTOGRAM_BINS = 15
 HISTOGRAM_WIDTH = 50
 # Records per batch of replications: bounds the batch buffers whatever M is.
-RECORDS_PER_BATCH = 2**14
+RECORDS_PER_BATCH = 2**15
 
 
 def derive_seed(master_seed: int, replication: int) -> int:
@@ -359,6 +359,7 @@ def verify_clt(
     subsets = list(subsets)
     oracle_errors, tables = subset_oracle(dist, subsets)
     oracle_vars, oracle_cov = asymptotic_moments(dist, tables)
+    del tables  # one bool mask per point per subset, not needed by the replications
     reps = run_replications(
         dist, subsets, oracle_errors, n_records, n_folds, schedule,
         n_replications, master_seed, workers=workers,

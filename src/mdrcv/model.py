@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ NORMALIZATION_TOL = 1e-12
 
 # The atom CDF is kept only at the end of each block of CDF_BLOCK atoms;
 # ``sample`` re-sums the blocks its draws land in.  CDF_CHUNK atoms (a
-# multiple of CDF_BLOCK, 512 KiB of float64) are summed at a time.
+# multiple of CDF_BLOCK, 512 KiB of float64) are summed at a time, so
+# sorted draws are searched CDF_CHUNK // CDF_BLOCK at a time.
 CDF_BLOCK = 16
 CDF_CHUNK = 2**16
 
@@ -236,9 +238,9 @@ class JointDistribution:
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
     must be strictly positive (degenerate labels are rejected).  Beside the
-    table it keeps only the atom CDF at each block end, both label sums and
-    a support mask.
-    Equal spaces and tables make equal distributions, which are unhashable.
+    table it keeps the atom CDF at each block end, both label sums, a support
+    mask and, once sampled with at least as many draws as atoms, its
+    ``_guide_table``.  Equal spaces and tables make equal, unhashable ones.
     """
 
     space: FactorSpace
@@ -278,6 +280,11 @@ class JointDistribution:
         return self.space == other.space and np.array_equal(self.probs, other.probs)
 
     __hash__ = None
+
+    @cached_property
+    def _guide(self) -> tuple:
+        """``_guide_table(self)``, built on first use and pickled with the table."""
+        return _guide_table(self)
 
     @classmethod
     def from_atoms(
@@ -406,38 +413,51 @@ def _block_cdf(dist: JointDistribution, blocks: np.ndarray) -> np.ndarray:
 def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
     """Each draw's atom: ``np.searchsorted(cdf, u, "right")`` on the
     sequential CDF of all atoms, final value 1.0, bit for bit.  With at
-    least as many draws as atoms every block is re-summed and the draws go
-    through ``_guide_index``; with fewer, only the blocks they land in are
-    re-summed and searched (the rule reads only the sizes)."""
-    atoms, blocks = dist.probs.size, dist._cdf_ends.size
-    if atoms <= u.size:
-        return _guide_index(_block_cdf(dist, np.arange(blocks)).ravel()[:atoms], u)
-    hit = np.zeros(blocks, dtype=bool)
-    hit[np.searchsorted(dist._cdf_ends, u, "right")] = True
-    touched = np.flatnonzero(hit)
-    pos = np.searchsorted(_block_cdf(dist, touched).ravel(), u, "right")
-    return touched[pos // CDF_BLOCK] * CDF_BLOCK + pos % CDF_BLOCK
+    least as many draws as atoms, the distribution's ``_guide_table`` finds
+    them; with fewer, the draws are sorted and searched CDF_CHUNK // CDF_BLOCK
+    at a time, each chunk re-summing only the blocks its draws land in (the
+    rule reads only the sizes)."""
+    if dist.probs.size <= u.size:
+        guide, lo, rounds, pad, _ = dist._guide
+        idx = lo[(u * guide).astype(np.intp)]
+        # masked adds write only the draws that move, so the rounds a crowded
+        # bucket sets for every draw stay cheap; the last round adds 0 or 1
+        for step in (1 << r for r in reversed(range(1, rounds))):
+            np.add(idx, step, out=idx, where=pad[step - 1 :][idx] <= u)
+        idx += pad[idx] <= u
+        return idx
+    order = np.argsort(u)
+    atom = np.empty(u.size, dtype=np.intp)
+    step = CDF_CHUNK // CDF_BLOCK  # at most CDF_CHUNK atoms re-summed per chunk
+    for start in range(0, u.size, step):
+        rank = order[start : start + step]
+        v = u[rank]
+        block = np.searchsorted(dist._cdf_ends, v, "right")
+        touched = block[np.flatnonzero(np.diff(block, prepend=-1))]  # run starts
+        pos = np.searchsorted(_block_cdf(dist, touched).ravel(), v, "right")
+        atom[rank] = touched[pos // CDF_BLOCK] * CDF_BLOCK + pos % CDF_BLOCK
+    return atom
 
 
-def _guide_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, "right")`` for draws u in [0, 1) by a guide
-    table (Chen & Asau 1974): a draw in bucket b = floor(u * G) has its atom
+def _guide_table(dist: JointDistribution) -> tuple:
+    """(G, lo, rounds, pad, grid), read-only and O(atoms): a guide table over
+    the sequential CDF (Chen & Asau 1974) and every point's levels, which
+    ``sample`` gathers x from.  A draw u in bucket b = floor(u * G) has its atom
     in lo[b]..lo[b+1], lo[b] counting the CDF values below b/G; a branchless
-    binary search over the fullest bucket's values finishes it.  G is a
-    power of two >= 2 * atoms, so u * G is exact and every step compares the
-    same float64 values as ``searchsorted``."""
-    guide = 1 << (2 * cdf.size - 1).bit_length()
+    binary search of ``rounds`` steps over ``pad``, the CDF padded with +inf,
+    finishes it.  G is a power of two >= 2 * atoms, so u * G is exact and
+    every step compares the same float64 values as ``searchsorted``."""
+    atoms = dist.probs.size
+    cdf = _block_cdf(dist, np.arange(dist._cdf_ends.size)).ravel()[:atoms]
+    guide = 1 << (2 * atoms - 1).bit_length()
     lo = np.searchsorted(cdf, np.arange(guide + 1) / guide, "left")
     rounds = int(np.diff(lo).max()).bit_length()
-    pad = np.full(cdf.size + (1 << rounds) - 1, np.inf)  # past the bucket: > u
-    pad[: cdf.size] = cdf
-    idx = lo[(u * guide).astype(np.intp)]
-    # masked adds write only the draws that move, so the rounds a crowded
-    # bucket sets for every draw stay cheap; the last round adds 0 or 1
-    for step in (1 << r for r in reversed(range(1, rounds))):
-        np.add(idx, step, out=idx, where=pad[step - 1 :][idx] <= u)
-    idx += pad[idx] <= u
-    return idx
+    pad = np.full(atoms + (1 << rounds) - 1, np.inf)  # past the bucket: > u
+    pad[:atoms] = cdf
+    grid = dist.space.points(np.arange(dist.space.num_points))
+    for arr in (lo, pad, grid):
+        arr.flags.writeable = False
+    return guide, lo, rounds, pad, grid
 
 
 def label_marginal(dist: JointDistribution, y: int) -> float:
@@ -514,8 +534,8 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     exactly ``sample(dist, n_records, seeds[b])``; seeds are integers >= 0,
     a refused one named by its index, and draws at most MAX_RECORDS in all.
     With at least as many draws as atoms, x is gathered from the levels of
-    every point, a grid no larger than the draws; with fewer, levels are
-    read off each rank.
+    every point, a grid no larger than the draws kept in the distribution's
+    ``_guide_table``; with fewer, levels are read off each rank.
     """
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
@@ -530,15 +550,15 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     u = np.empty((len(seeds), n_records))
     for row, s in zip(u, seeds):
         np.random.default_rng(s).random(out=row)
-    atom_idx = _atom_index(dist, u.ravel())
-    point_rank = atom_idx >> 1
-    ys = (atom_idx & 1).astype(np.int8) * 2 - 1
-    space = dist.space
-    if dist.probs.size <= u.size:  # the grid is no larger than the draws
-        xs = np.take(space.points(np.arange(space.num_points)), point_rank, axis=0)
+    rank = _atom_index(dist, u.ravel())
+    del u  # free the draws before the records are built
+    ys = (rank & 1).astype(np.int8) * 2 - 1
+    rank >>= 1  # atom to point rank
+    if dist.probs.size <= rank.size:  # the grid is no larger than the draws
+        xs = np.take(dist._guide[4], rank, axis=0)
     else:  # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
-        xs = space.points(point_rank.astype(np.int32))
-    return Dataset(space, xs, ys)
+        xs = dist.space.points(rank.astype(np.int32))
+    return Dataset(dist.space, xs, ys)
 
 
 def save_distribution(dist: JointDistribution, path) -> None:

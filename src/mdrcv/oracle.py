@@ -154,7 +154,7 @@ def optimal_predictor(
     # ties resolve to -1: strict inequality, with the tolerance shielding
     # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
     above = _conditionals(dist, subset, within) > psi.threshold + EQUALITY_TOL
-    plus = on_points(dist.space, above) & dist.support_mask()
+    plus = (above & dist.support_mask().reshape(dist.space.grid_shape)).reshape(-1)  # one alloc
     plus.flags.writeable = False
     return plus
 

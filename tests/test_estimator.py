@@ -517,7 +517,7 @@ def reference_influence_table(full, eps, n_records):
     """The influence table of (..., 2, cells) full-sample counts with both
     label classes, as one expression: 2 / freq(y) * (miss - rate(y))."""
     n_labels = full.sum(axis=-1)
-    miss = _trained_rule(full, eps)[..., None, :] != _POSITIVE
+    miss = _trained_rule(full, n_labels, eps)[..., None, :] != _POSITIVE
     rate = (full * miss).sum(axis=-1) / n_labels
     freq = n_labels / n_records
     return (2.0 / freq)[..., None] * (miss.astype(np.float64) - rate[..., None])
@@ -565,3 +565,41 @@ def test_influence_stack_zeroes_one_class_blocks(data, eps):
             local = keys[block] - 2 * k * counts.shape[-1] * block
             want = np.take(np.broadcast_to(table, counts.shape[1:]), local)
             assert got[block].tobytes() == want.tobytes()
+
+
+def reference_cv_error_stack(counts, eps):
+    """``cv_error_stack`` as one expression over the cells: each fold's rule
+    trained on the complement's cell sums, misses counted cell by cell."""
+    labels = counts.sum(axis=-1)
+    sizes = labels.sum(axis=-1, keepdims=True)
+    train = counts.sum(axis=-3, keepdims=True) - counts
+    tot = train.sum(axis=-2)
+    gamma = train[..., 1, :].sum(axis=-1) / tot.sum(axis=-1)
+    plus = cell_conditionals(tot, train[..., 1, :]) > (gamma + eps)[..., None]
+    misses = (counts * (plus[..., None, :] != _POSITIVE)).sum(axis=-1)
+    penalties = np.divide(sizes, labels, out=np.zeros(labels.shape), where=labels > 0)
+    acc = np.cumsum(penalties * misses / sizes, axis=-2)[..., -1, :]
+    return (acc / counts.shape[-3]).sum(axis=-1) * 2.0, penalties, misses
+
+
+@st.composite
+def count_stacks(draw):
+    """(B, K, 2, cells) int64 fold count tables, mostly empty cells, some
+    folds of one label class, every fold holding at least one record."""
+    b, k, cells = draw(st.integers(1, 4)), draw(st.integers(2, 6)), draw(st.integers(1, 27))
+    counts = draw(hnp.arrays(np.int64, (b, k, 2, cells), elements=st.sampled_from([0, 0, 1, 2, 7])))
+    one_class = draw(hnp.arrays(np.int8, (b, k), elements=st.integers(-1, 1)))
+    counts[one_class == -1, 1] = 0  # only y = -1 in the fold
+    counts[one_class == 1, 0] = 0  # only y = +1
+    empty = counts.sum(axis=(-2, -1)) == 0
+    counts[empty, np.maximum(one_class[empty], 0), 0] = 1
+    return counts
+
+
+@given(counts=count_stacks(), eps=st.sampled_from([0.0, 1e-3, 0.2, 0.6]))
+@example(counts=np.ones((1, 2, 2, 1), dtype=np.int64), eps=0.0)
+@settings(max_examples=200, deadline=None)
+def test_cv_error_stack_matches_cell_by_cell_reference(counts, eps):
+    for got, want in zip(cv_error_stack(counts, eps), reference_cv_error_stack(counts, eps)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdrcv import mcverify
+from mdrcv import mcverify, model
 from mdrcv.errors import ValidationError
 from mdrcv.estimator import (
     DEFAULT_SCHEDULE,
@@ -305,6 +305,16 @@ class TestBatchedEngine:
         serial = run_replications(*args, master_seed=2)
         parallel = run_replications(*args, master_seed=2, workers=2)
         assert same_replications(parallel, serial)
+
+    def test_multi_batch_run_builds_the_guide_table_once(self, monkeypatch):
+        # N = 6000: 5 replications a batch, 3 batches on scenario A's 54 atoms
+        build = model._guide_table
+        built = []
+        monkeypatch.setattr(model, "_guide_table", lambda d: built.append(d) or build(d))
+        dist = scenario_a()
+        verify_clt(dist, [FactorSubset.of(1, 2)], 6000, 5, 12, 3)
+        assert len(built) == 1 and built[0] is dist
+        assert max(1, RECORDS_PER_BATCH // 6000) == 5
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (1, []), (None, [])])
     def test_worker_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_sizes):

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -31,6 +32,7 @@ from mdrcv.model import (
     sample,
     save_distribution,
     _atom_index,
+    _guide_table as model_guide_table,
     _real,
 )
 from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, dataset_counts, fold_index
@@ -1006,3 +1008,79 @@ class TestBlockedCdf:
         dist = generate_scenario("pair-epistasis", 10, 2)  # 118098 atoms: two chunks
         assert dist._cdf_ends.shape == (7382,)
         assert dist._cdf_ends.tobytes() == reference_block_ends(dist).tobytes()
+
+
+CHUNK_DRAWS = CDF_CHUNK // CDF_BLOCK  # sorted draws searched at a time
+
+
+class TestSortedChunks:
+    """With fewer draws than atoms, the draws are sorted and searched
+    CHUNK_DRAWS at a time, each chunk re-summing only its own blocks; every
+    atom is still the one a search of the full sequential CDF finds."""
+
+    @pytest.mark.parametrize("size", [1, CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1,
+                                      3 * CHUNK_DRAWS + 5])
+    @given(seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.5, 0.95]))
+    @settings(max_examples=8, deadline=None)
+    def test_atom_index_matches_full_cdf_search(self, size, seed, zeros):
+        # 39366 atoms, some of them zero; half the draws sit on a CDF value or
+        # one ulp either side, a third repeat another draw, none are sorted
+        rng = np.random.default_rng(seed)
+        w = rng.random(2 * 3**9)
+        w[rng.random(w.size) < zeros] = 0.0
+        dist = JointDistribution(FactorSpace(9, 2), (w / w.sum()).reshape(-1, 2))
+        c = reference_cdf(dist)
+        exact = c[c < 1.0]
+        near = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0), [0.0]])
+        near = near[near < 1.0]
+        u = np.where(rng.random(size) < 0.5, near[rng.integers(near.size, size=size)],
+                     rng.random(size))
+        u[rng.integers(size, size=size // 3)] = u[rng.integers(size, size=size // 3)]
+        assert c.size > u.size
+        got = _atom_index(dist, u)
+        want = np.searchsorted(c, u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_peak_grows_by_a_few_int64_per_draw(self):
+        # 1.06M atoms: the chunks' re-summed blocks stay within CDF_CHUNK
+        # atoms, so 16x more draws add only the sort order and the result
+        dist = generate_scenario("pair-epistasis", 12, 2)
+        u = np.random.default_rng(1).random(16 * CHUNK_DRAWS)
+        _atom_index(dist, u[:10])  # first-call allocations off the books
+        peaks = []
+        for size in (CHUNK_DRAWS, 16 * CHUNK_DRAWS):
+            tracemalloc.start()
+            try:
+                _atom_index(dist, u[:size])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 8 * 15 * CHUNK_DRAWS  # three int64 per added draw
+
+
+class TestGuideTableOnce:
+    """A distribution builds its small-table sampler once, on first use."""
+
+    def test_guide_table_is_built_once_and_pickled_with_the_table(self):
+        dist = generate_scenario("pair-epistasis", 3, 2)  # 54 atoms
+        assert "_guide" not in vars(dist)
+        with mock.patch("mdrcv.model._guide_table", wraps=model_guide_table) as build:
+            first = sample(dist, 100, 1)
+            again = sample(dist, 200, [2, 3])
+            assert build.call_count == 1
+            copy = pickle.loads(pickle.dumps(dist))
+            assert np.array_equal(sample(copy, 200, [2, 3]).x, again.x)
+            assert build.call_count == 1  # the copy carries the table
+            fresh = pickle.loads(pickle.dumps(generate_scenario("pair-epistasis", 3, 2)))
+            for got, want in ((sample(fresh, 100, 1), first), (sample(fresh, 200, [2, 3]), again)):
+                assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+            assert build.call_count == 2
+        guide, lo, rounds, pad, grid = dist._guide
+        assert not (lo.flags.writeable or pad.flags.writeable or grid.flags.writeable)
+        assert np.array_equal(pad[: dist.probs.size], reference_cdf(dist))
+        assert np.array_equal(grid, grid_reference(dist.space))
+
+    def test_large_table_builds_no_guide_table(self):
+        dist = generate_scenario("pair-epistasis", 9, 2)  # 39366 atoms
+        sample(dist, 3000, 1)
+        assert "_guide" not in vars(dist)

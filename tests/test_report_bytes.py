@@ -43,11 +43,13 @@ INDEPENDENT_ORACLE_ARGS = [
 ]
 INDEPENDENT_ORACLE_SHA256 = "7a67cca8c8af21532cab2e81fc8bff2a3449c3cf8308f4e0aa138798d48aa576"
 
-# Sampled datasets: 54 atoms and 500 draws re-sum every CDF block; 39366
-# atoms (a partial last block) and 3000 draws re-sum only the blocks hit.
+# Sampled datasets: 54 atoms and 500 draws go through the guide table; 39366
+# atoms (a partial last block) and 3000 draws re-sum only the blocks hit, in
+# one sorted chunk; 118098 atoms and 20000 draws in five.
 SIMULATE_SHA256 = {
     ("--n", "3", "--N", "500"): "115904d10f512b013af206fce6d4b7d39caf7457fe6cc4ec77d3c6434218a2c4",
     ("--n", "9", "--N", "3000"): "aff84262483dec83c6c852d947b0eda53c2762c4e258ec2b7ab766634b60ec7e",
+    ("--n", "10", "--N", "20000"): "a83ab92f87d9fda59182055f858a03296ef180b4d3377aff705bfb3748f1e4ac",
 }
 
 
