@@ -533,9 +533,9 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     of B seeds gives one dataset of B * n_records records whose block b is
     exactly ``sample(dist, n_records, seeds[b])``; seeds are integers >= 0,
     a refused one named by its index, and draws at most MAX_RECORDS in all.
-    With at least as many draws as atoms, x is gathered from the levels of
-    every point, a grid no larger than the draws kept in the distribution's
-    ``_guide_table``; with fewer, levels are read off each rank.
+    With at least as many draws as atoms, x is gathered from a grid of every
+    point's levels, kept with the distribution's ``_guide_table``; with
+    fewer, levels are read off each rank.
     """
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
