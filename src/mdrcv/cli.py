@@ -133,7 +133,7 @@ def _cmd_search(args) -> int:
     _check_flags(args, K=2)
     dataset = ingest_csv(args.data)
     report = rank_subsets(dataset, args.r, args.K, schedule)
-    print(f"ranked {len(report.entries)} subsets of size {report.r} "
+    print(f"ranked {len(report.values)} subsets of size {report.r} "
           f"(N={len(dataset)}, K={args.K})")
     for i, (indices, value) in enumerate(report.entries):
         marker = " <- selected" if i == 0 else ""

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import (
-    DEFAULT_SCHEDULE,
-    EpsilonSchedule,
-    cv_error_stack,
-    row_keys,
-)
+from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_error_stack, row_keys
 from .model import Dataset, FactorSubset, _integer, cylinder_count
 
 # Exhaustive enumeration only: caps C(n, r), the subsets one search scores.
@@ -27,26 +22,39 @@ BLOCK_ENTRIES = 2**16
 GROUP_BUDGET = 1
 
 
-def enumerate_subsets(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-element index tuples of {1..n}, lexicographic."""
-    if (r := _integer("r", r)) < 1 or r > n:
+def enumerate_subsets(n: int, r: int) -> np.ndarray:
+    """All r-subsets of {1..n}: the lexicographic rows of a read-only (C(n, r), r) int32 array."""
+    if (n := _integer("n", n)) < (r := _integer("r", r)) or r < 1:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
     count = math.comb(n, r)
     if count > MAX_SEARCH_SUBSETS:
         raise ValidationError(
             f"C({n}, {r}) = {count} subsets exceed the search budget {MAX_SEARCH_SUBSETS}"
         )
-    return list(itertools.combinations(range(1, n + 1), r))
+    rows = itertools.combinations(range(1, n + 1), r)
+    subsets = np.fromiter(rows, np.dtype((np.int32, r)), count)
+    subsets.flags.writeable = False
+    return subsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchReport:
-    """All candidate subsets of one size, ranked by estimated error."""
+    """All candidate subsets of one size, ranked by estimated error: row i of the
+    read-only (C, r) int32 ``subsets`` scored the float64 ``values[i]``, ascending."""
 
     r: int
     n_folds: int
-    entries: tuple[tuple[tuple[int, ...], float], ...]  # (indices, value), ascending
-    selected: FactorSubset
+    subsets: np.ndarray
+    values: np.ndarray
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """(indices, value) pairs, ascending, built on each read."""
+        return tuple(zip(map(tuple, self.subsets.tolist()), self.values.tolist()))
+
+    @property
+    def selected(self) -> FactorSubset:
+        return FactorSubset(tuple(self.subsets[0].tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -54,10 +62,10 @@ class SearchReport:
             "n_folds": self.n_folds,
             "tie_tolerance": 0.0,  # only exact ties are broken, lexicographically
             "ranking": [
-                {"indices": list(s), "estimated_error": v}
-                for s, v in self.entries
+                {"indices": s, "estimated_error": v}
+                for s, v in zip(self.subsets.tolist(), self.values.tolist())
             ],
-            "selected": list(self.selected.indices),
+            "selected": self.subsets[0].tolist(),
         }
 
 
@@ -80,10 +88,10 @@ def rank_subsets(
     candidates = enumerate_subsets(dataset.space.n, r)
     values = _cv_errors(dataset, candidates, n_folds, schedule.value(len(dataset)))
     # stable on lexicographic candidates: exact ties keep index order
-    floats = values.tolist()
-    entries = tuple((candidates[i], floats[i]) for i in np.argsort(values, kind="stable").tolist())
-    return SearchReport(_integer("r", r), _integer("n_folds", n_folds), entries,
-                        selected=FactorSubset(entries[0][0]))
+    order = np.argsort(values, kind="stable")
+    subsets, values = candidates[order], values[order]
+    subsets.flags.writeable = values.flags.writeable = False
+    return SearchReport(_integer("r", r), _integer("n_folds", n_folds), subsets, values)
 
 
 def _group_size(head: int, levels: int, n_records: int, most: int) -> int:
@@ -106,49 +114,42 @@ def _marginal_indicator(levels: int, g: int) -> np.ndarray:
 
 
 def _cv_errors(
-    dataset: Dataset, subsets: list[tuple[int, ...]], n_folds: int, eps: float
+    dataset: Dataset, subsets: np.ndarray, n_folds: int, eps: float
 ) -> np.ndarray:
-    """``cv_prediction_error`` values of r-subsets in lexicographic order,
-    all on one dataset's folds, bit for bit.
+    """``cv_prediction_error`` values of the lexicographic (C, r) rows of
+    ``subsets``, all on one dataset's folds, bit for bit.
 
     A record's count key is ``dataset_counts``'s ``row * cells + code``,
     with the ``row_keys`` row ``2 * fold + [y = +1]`` and the cell code
     ``sum_j (q+1)^(r-1-j) * x[m_j]``.  The first r-1 positions, a subset's
-    prefix, are kept as partial sums, so a prefix recomputes only the
-    positions after the ones it shares with the previous prefix.
-
-    Consecutive subsets with one prefix differ only in their last factor,
-    and are counted g at a time.  Last factors d_1 < ... < d_g share one
-    key per record, the mixed-radix ``(2 * fold + [y = +1], prefix cell,
-    x[d_1], ..., x[d_g])``: the prefix sum plus one Horner step
-    (``key *= q+1; key += x[d_i]``) per further last factor.  One
-    ``np.bincount`` of it fills the joint (head, (q+1)^g) table, with
-    head = 2K (q+1)^(r-1).  Subset d_i's count row is that table's marginal
-    over the other g-1 last factors, and all g marginals come from one
-    float64 matmul with the g stacked ``_marginal_indicator`` matrices, in
-    count-row layout.  The matmul is exact: every
-    partial sum is an integer count <= N < 2^53.  A group takes 2g-1 vector
-    ops, so a subset costs about two of them plus 1/g of a bincount, whose
-    cost is mostly its pass over the N keys whatever the table width.  A
-    group of one is its own table: at g = 1 a subset costs one add and one
-    bincount.  ``_group_size`` picks g from the sizes alone.  This is not
-    one bincount over all of a prefix's last factors, which would bin N
-    keys per last factor: here g last factors share N keys.
+    prefix, are kept as partial sums.  Each run of rows with one prefix
+    recomputes them from the first position that moved, and its subsets,
+    which differ only in their last factor, are counted g at a time.
+    Last factors d_1 < ... < d_g share one key per record, the mixed-radix
+    ``(2 * fold + [y = +1], prefix cell, x[d_1], ..., x[d_g])``: the prefix
+    sum plus one Horner step (``key *= q+1; key += x[d_i]``) per further
+    last factor.  One ``np.bincount`` of it fills the joint (head, (q+1)^g)
+    table, with head = 2K (q+1)^(r-1).  Subset d_i's count row is that
+    table's marginal over the other g-1 last factors, and all g marginals
+    come from one float64 matmul with the g stacked ``_marginal_indicator``
+    matrices, in count-row layout.  The matmul is exact: every partial sum
+    is an integer count <= N < 2^53.  A group takes 2g-1 vector ops, so a
+    subset costs about two of them plus 1/g of a bincount, whose cost is
+    mostly its pass over the N keys whatever the table width.  A group of
+    one is its own table: at g = 1 a subset costs one add and one bincount.
+    ``_group_size`` picks g from the sizes alone.
 
     Count rows fill a block, and each block is scored by one
     ``cv_error_stack`` call.
     """
-    q, r = dataset.space.q, len(subsets[0])
+    q, r = dataset.space.q, subsets.shape[1]
     levels = q + 1
     cells = cylinder_count(r, q)
     head = 2 * n_folds * cells // levels
     width = head * levels
     g = _group_size(head, levels, len(dataset), dataset.space.n - r + 1)
-    # A group's 2g-1 adds run about 3x faster on keys of the columns' int16
-    # than on int32 keys, which mix dtypes; a lone add (g = 1) gains less
-    # than bincount's cast of int16 keys to intp costs.
-    least = dataset.x.dtype if g > 1 else np.int32
-    dtype = np.promote_types(least, np.min_scalar_type(-head * levels**g)).type
+    # keys of the columns' dtype where they fit: adds that mix dtypes run slower
+    dtype = np.promote_types(dataset.x.dtype, np.min_scalar_type(-head * levels**g)).type
     base = (row_keys(dataset.y, n_folds) * cells).astype(dtype)
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
     weights = [dtype(levels ** (r - 1 - j)) for j in range(r - 1)]
@@ -158,14 +159,13 @@ def _cv_errors(
     block = np.empty((min(len(subsets), max(1, BLOCK_ENTRIES // width)), width), np.int64)
     values = np.empty(len(subsets))
     done = row = 0
-    prev: tuple[int, ...] = ()
-    for prefix, group in itertools.groupby(subsets, key=lambda m: m[:-1]):
-        start = next((j for j, (a, b) in enumerate(zip(prefix, prev)) if a != b), 0)
-        for j in range(start, r - 1):
-            column = columns[prefix[j] - 1]
+    moved = subsets[1:, :-1] != subsets[:-1, :-1]  # prefix positions changed from the row above
+    bounds = [0, *(np.flatnonzero(moved.any(axis=1)) + 1).tolist(), len(subsets)]
+    for lo, hi in zip(bounds, bounds[1:]):  # one run of rows per prefix
+        for j in range(int(moved[lo - 1].argmax()) if lo else 0, r - 1):
+            column = columns[subsets[lo, j] - 1]
             np.add(base if j == 0 else partial[j - 1], column * weights[j], out=partial[j])
-        prev = prefix
-        lasts = [m[-1] for m in group]
+        lasts = subsets[lo:hi, -1].tolist()
         for first in range(0, len(lasts), g):
             chunk = lasts[first : first + g]
             k = len(chunk)

@@ -123,11 +123,11 @@ def test_criterion_2_subset_dominance():
     psi = balanced_penalty(dist)
     errs = {
         s: prediction_error(dist, psi, optimal_predictor(dist, psi, FactorSubset(s)))
-        for s in enumerate_subsets(3, 2)
+        for s in map(tuple, enumerate_subsets(3, 2).tolist())
     }
     ok = all(errs[(1, 2)] <= v for v in errs.values())
     gaps = []
-    for s in enumerate_subsets(3, 2):
+    for s in map(tuple, enumerate_subsets(3, 2).tolist()):
         if not is_significant(dist, FactorSubset(s)):
             gaps.append(errs[s] - errs[(1, 2)])
     ok = ok and all(g >= 0.01 for g in gaps)

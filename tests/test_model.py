@@ -289,7 +289,7 @@ JUDGED = {
     "effect": (float, r"effect", lambda v: _arrays(
         generate_scenario("independent", 2, 1, effect=v).probs)),
     "n_folds": (int, r"folds", lambda v: _arrays(fold_index(20, v))),
-    "r": (int, r"\br\b", lambda v: enumerate_subsets(6, v)),
+    "r": (int, r"\br\b", lambda v: _arrays(enumerate_subsets(6, v))),
     "n_records": (int, r"n_records|sample size",
                   lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), v, 1))),
     "eps n_records": (int, r"n_records|sample size", lambda v: DEFAULT_SCHEDULE.value(v)),

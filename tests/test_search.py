@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -21,14 +22,21 @@ from conftest import wide_csv
 
 class TestEnumerateSubsets:
     def test_pairs_of_three(self):
-        assert enumerate_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]
+        subsets = enumerate_subsets(3, 2)
+        assert subsets.tolist() == [[1, 2], [1, 3], [2, 3]]
+        assert subsets.dtype == np.int32 and not subsets.flags.writeable
 
     def test_full_subset_is_single(self):
-        assert enumerate_subsets(4, 4) == [(1, 2, 3, 4)]
+        assert enumerate_subsets(4, 4).tolist() == [[1, 2, 3, 4]]
 
     def test_rejects_oversized(self):
         with pytest.raises(ValidationError):
             enumerate_subsets(3, 4)
+
+    @pytest.mark.parametrize("n", [3.5, True, "3"])
+    def test_refuses_a_non_integer_n(self, n):
+        with pytest.raises(ValidationError, match=r"^n must be an integer, got "):
+            enumerate_subsets(n, 1)
 
     def test_budget_bounds_the_subset_count(self):
         with mock.patch.object(search, "MAX_SEARCH_SUBSETS", 10):
@@ -41,7 +49,7 @@ class TestEnumerateSubsets:
     def test_count_is_binomial(self, n, r):
         if r > n:
             return
-        assert len(enumerate_subsets(n, r)) == comb(n, r)
+        assert enumerate_subsets(n, r).shape == (comb(n, r), r)
 
 
 class TestRankSubsets:
@@ -89,13 +97,41 @@ class TestRankSubsets:
                 rank_subsets(ds, 3, 4)
 
     def test_builds_one_factor_subset_per_search(self):
-        # candidates stay index tuples; only the selected one is validated
+        # candidates stay one int32 array; only the selected one is
+        # validated, when it is read
         ds = sample(generate_scenario("pair-epistasis", n=6, q=1), 400, seed=2)
         with mock.patch.object(search, "FactorSubset", wraps=FactorSubset) as built:
             report = rank_subsets(ds, 2, 4)
-        assert len(report.entries) == 15
+            assert built.call_count == 0
+            selected = report.selected
         assert built.call_count == 1
-        assert report.selected == FactorSubset(report.entries[0][0])
+        assert len(report.entries) == 15
+        assert selected == FactorSubset(report.entries[0][0])
+        assert report.subsets.shape == (15, 2) and report.values.shape == (15,)
+        assert not report.subsets.flags.writeable and not report.values.flags.writeable
+
+    def test_retains_at_most_32_bytes_per_subset(self):
+        # one int32 row and one float64 value per subset, no Python object
+        rng = np.random.default_rng(7)
+        ds = Dataset(FactorSpace(60, 1), rng.integers(0, 2, (200, 60)), rng.choice([-1, 1], 200))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = rank_subsets(ds, 3, 5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.values) == comb(60, 3) == 34_220
+        assert held <= 32 * 34_220
+
+    def test_wide_single_factor_search_ranks_every_factor(self):
+        # 40,000 factor indices: past int16, which would wrap at 32,767
+        rng = np.random.default_rng(3)
+        ds = Dataset(FactorSpace(40_000, 1), rng.integers(0, 2, (4, 40_000)), [1, -1, 1, -1])
+        report = rank_subsets(ds, 1, 2)
+        assert sorted(report.subsets[:, 0].tolist()) == list(range(1, 40_001))
+        last = report.entries[int(np.flatnonzero(report.subsets[:, 0] == 40_000)[0])]
+        assert last == ((40_000,), cv_prediction_error(ds, 2, FactorSubset.of(40_000)))
 
     def test_cell_table_over_the_dense_cap_rejected(self):
         # 64^5 cells: the count table has the point tables' cap
@@ -137,7 +173,7 @@ class TestRankSubsets:
         psi = balanced_penalty(dist)
         errs = {
             s: prediction_error(dist, psi, optimal_predictor(dist, psi, FactorSubset(s)))
-            for s in enumerate_subsets(3, 2)
+            for s in map(tuple, enumerate_subsets(3, 2).tolist())
         }
         assert min(errs, key=errs.get) == (1, 2)
         assert all(errs[(1, 2)] <= v + 1e-12 for v in errs.values())
@@ -226,7 +262,7 @@ def test_search_kernel_matches_single_subset_estimator(case):
         report = rank_subsets(ds, r, k, schedule)
     want = [
         (s, cv_prediction_error(ds, k, FactorSubset(s), schedule))
-        for s in enumerate_subsets(ds.space.n, r)
+        for s in map(tuple, enumerate_subsets(ds.space.n, r).tolist())
     ]
     want.sort(key=lambda e: (e[1], e[0]))
     assert list(report.entries) == want
