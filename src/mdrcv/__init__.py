@@ -2,7 +2,7 @@
 with exact oracles and a Monte Carlo harness verifying the estimator's
 limit behaviour."""
 
-from .errors import MdrError, NearSingularMatrixError, ValidationError
+from .errors import ValidationError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,

@@ -6,8 +6,8 @@ Subcommands:
   clt-verify  Monte Carlo check of the limit law of the error estimate
   oracle      print exact quantities for a known distribution
 
-Exit codes: 0 success, 1 usage/input error or out of memory, 2 unexpected
-numerical failure; clt-verify counts a degenerate replication in its report.
+Exit codes: 0 success, 1 usage/input error or out of memory; clt-verify
+counts a degenerate replication in its report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import sys
 
 from .dataio import ingest_csv, write_dataset_csv
-from .errors import MdrError, ValidationError
+from .errors import ValidationError
 from .estimator import DEFAULT_EPS_BETA, DEFAULT_EPS_C0, EpsilonSchedule
 from .mcverify import SELF_NORM_KS_LIMIT, text_histogram, verify_clt
 from .model import (
@@ -156,20 +156,22 @@ def _cmd_clt_verify(args) -> int:
     )
     for u in report.univariate:
         tag = "PASS" if u.passed else "FAIL"
+        notes = {"with a one-class fold": u.one_class_folds, "with plug-in scale 0": u.zero_scale}
+        counts = "".join(f", {k} of {u.n_replications} {what}" for what, k in notes.items() if k)
         if u.degenerate:
-            print(f"subset {u.subset}: degenerate (oracle variance 0) [{tag}]")
+            print(f"subset {u.subset}: degenerate (oracle variance 0){counts} [{tag}]")
         else:
             ks_self = "n/a" if u.ks_self_norm is None else f"{u.ks_self_norm:.4f}"
-            zero = (f", {u.zero_scale} of {u.n_replications} with plug-in scale 0"
-                    if u.zero_scale else "")
             print(f"subset {u.subset}: KS={u.ks_oracle:.4f} (limit {u.ks_limit:.4f}), "
                   f"self-normalized KS={ks_self} (limit {SELF_NORM_KS_LIMIT:.4f}), "
-                  f"var ratio={u.var_ratio:.3f}{zero} [{tag}]")
+                  f"var ratio={u.var_ratio:.3f}{counts} [{tag}]")
     if report.multivariate is not None:
         mv = report.multivariate
         tag = "PASS" if mv.passed else "FAIL"
-        whitened = ("skipped (near-singular plug-in covariance)" if mv.whitening_skipped
+        whitened = ("skipped" if mv.whitening_skipped
                     else ", ".join(f"{k:.4f}" for k in mv.whitened_ks))
+        if mv.near_singular:
+            whitened += f", {mv.near_singular} of {mv.n_replications} near-singular"
         print(f"joint: max covariance discrepancy {mv.max_abs_discrepancy:.4f} "
               f"(limit {mv.entry_limit:.4f}), whitened KS {whitened} [{tag}]")
     if args.histogram:
@@ -276,9 +278,6 @@ def main(argv=None) -> int:
     except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MdrError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NearSingularMatrixError, ValidationError
+from .errors import ValidationError
 
 MIN_EIGENVALUE = 1e-8
 
@@ -26,14 +26,11 @@ def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive-definite matrix, or of
     each matrix in a (..., S, S) stack.
 
-    Raises NearSingularMatrixError when an eigenvalue of any matrix falls
-    below MIN_EIGENVALUE: whitening with such a matrix is meaningless.
+    A matrix with an eigenvalue below MIN_EIGENVALUE, for which whitening is
+    meaningless, gets an all-NaN result; the others are unaffected.
     """
     vals, vecs = np.linalg.eigh(_check_symmetric(a))
-    if vals.min() < MIN_EIGENVALUE:
-        raise NearSingularMatrixError(
-            f"near-singular matrix: smallest eigenvalue {vals.min():.3e} "
-            f"< {MIN_EIGENVALUE:.0e}"
-        )
-    diag = np.eye(vals.shape[-1]) * (1.0 / np.sqrt(vals))[..., None, :]
+    ok = (vals >= MIN_EIGENVALUE).all(-1, keepdims=True)
+    inv = np.where(ok, 1.0 / np.sqrt(np.where(ok, vals, 1.0)), np.nan)
+    diag = np.eye(vals.shape[-1]) * inv[..., None, :]
     return vecs @ diag @ vecs.swapaxes(-1, -2)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NearSingularMatrixError, ValidationError
+from .errors import ValidationError
 from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
@@ -56,11 +56,13 @@ def derive_seed(master_seed: int, replication: int) -> int:
 class Replications:
     """M replications as arrays; row m-1 is replication m, sampled with
     seed ``derive_seed(master_seed, m)``: scaled deviations and plug-in
-    scales (M, S), and plug-in covariances (M, S, S), one column per subset."""
+    scales (M, S), plug-in covariances (M, S, S), one column per subset,
+    and (M,) flags of the replications with a fold that lacks a label."""
 
     z: np.ndarray
     sds: np.ndarray
     covs: np.ndarray
+    one_class: np.ndarray
 
 
 # Set once per pool worker by ``_init_worker``, not pickled into every task.
@@ -76,7 +78,8 @@ def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...
     """B replications in one pass, returned as ``Replications`` fields: one
     ``sample`` call and ``row_keys`` array; per subset, keys coded on from
     those rows, one bincount, stacked CV values and influence values into
-    one (B, S, N) buffer; one centring of it (``plugin_moments``)."""
+    one (B, S, N) buffer; one centring of it (``plugin_moments``).  The
+    one-class flags read the fold label totals, the same for every subset."""
     context = context or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
     seeds = [derive_seed(master_seed, m) for m in replications]
@@ -89,7 +92,7 @@ def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...
         keys, counts = dataset_counts(data, s, n_folds, rows)
         z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
         influences[:, i] = influence_stack(keys, counts, eps)
-    return z, *plugin_moments(influences)
+    return z, *plugin_moments(influences), (counts.sum(-1) == 0).any(axis=(-2, -1))
 
 
 def run_replications(
@@ -170,12 +173,14 @@ class UnivariateCheck:
     ks_self_norm: float | None
     var_ratio: float | None
     zero_scale: int
+    one_class_folds: int
     ks_limit: float
     passed: bool
 
     def to_dict(self) -> dict:
         return {
-            **{k: v for k, v in vars(self).items() if k != "zero_scale" or v},
+            **{k: v for k, v in vars(self).items()
+               if k not in ("zero_scale", "one_class_folds") or v},
             "subset": list(self.subset),
             "self_norm_limit": SELF_NORM_KS_LIMIT,
             "var_rtol": VAR_RATIO_RTOL,
@@ -185,18 +190,21 @@ class UnivariateCheck:
 def clt_check(
     z: np.ndarray,
     sds: np.ndarray,
+    one_class: np.ndarray,
     oracle_sigma2: float,
     subset: FactorSubset,
 ) -> UnivariateCheck:
     """Compare one subset's scaled deviations ``z`` and plug-in scales
-    ``sds`` (one entry per replication) against their limit law.
+    ``sds`` (one entry per replication) against their limit law; ``one_class``
+    flags the replications with a fold that lacks a label.
 
     With a positive oracle variance: KS of z/sigma against the standard
     normal, KS of the per-replication self-normalized values, and the
-    empirical-to-oracle variance ratio.  A plug-in scale of 0 is counted in
-    ``zero_scale`` and fails the check; the self-normalized KS reads the
-    other replications (None if none).  A zero oracle variance routes to the
+    empirical-to-oracle variance ratio.  A zero oracle variance routes to the
     degenerate branch, which reads no scale and needs every deviation to vanish.
+    Replications with plug-in scale 0 (``zero_scale``) or, in either branch, a
+    one-class fold (``one_class_folds``) are counted and fail the check; the
+    self-normalized KS reads the others (None if none), the rest reads all.
     """
     m = len(z)
     if m < 1:
@@ -206,18 +214,20 @@ def clt_check(
     degenerate = oracle_sigma2 == 0.0
     z_var = float(z.var(ddof=1)) if m > 1 else 0.0 if degenerate else float("nan")
     ks_oracle, ks_self, ratio, ks_limit, zero_scale = None, None, None, float("nan"), 0
+    one_class_folds = int(np.count_nonzero(one_class))
     if degenerate:
-        passed = bool(np.max(np.abs(z)) < DEGENERATE_LIMIT)
+        passed = not one_class_folds and bool(np.max(np.abs(z)) < DEGENERATE_LIMIT)
     else:
         ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
         ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
         scaled = sds != 0.0
         zero_scale = m - int(np.count_nonzero(scaled))
-        if zero_scale < m:
-            ks_self = ks_statistic(z[scaled] / sds[scaled], 0.0, 1.0)
+        kept = scaled & ~one_class
+        if kept.any():
+            ks_self = ks_statistic(z[kept] / sds[kept], 0.0, 1.0)
         ratio = z_var / oracle_sigma2
-        passed = (not zero_scale and ks_oracle < ks_limit and ks_self < SELF_NORM_KS_LIMIT
-                  and abs(ratio - 1.0) <= VAR_RATIO_RTOL)
+        passed = (not zero_scale and not one_class_folds and ks_oracle < ks_limit
+                  and ks_self < SELF_NORM_KS_LIMIT and abs(ratio - 1.0) <= VAR_RATIO_RTOL)
     return UnivariateCheck(
         subset=subset.indices,
         n_replications=m,
@@ -229,6 +239,7 @@ def clt_check(
         ks_self_norm=ks_self,
         var_ratio=ratio,
         zero_scale=zero_scale,
+        one_class_folds=one_class_folds,
         ks_limit=ks_limit,
         passed=passed,
     )
@@ -247,11 +258,12 @@ class MultivariateCheck:
     entry_limit: float
     whitened_ks: tuple[float, ...] | None
     whitening_skipped: bool
+    near_singular: int
     passed: bool
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **{k: v for k, v in vars(self).items() if k != "near_singular" or v},
             "ks_limit": SELF_NORM_KS_LIMIT,
             "subsets": [list(s) for s in self.subsets],
             "sample_cov": self.sample_cov.tolist(),
@@ -272,8 +284,9 @@ def multivariate_check(
     (a) every entry of the sample covariance must match the oracle matrix
     within COV_ENTRY_LIMIT_FACTOR times the largest oracle variance;
     (b) each replication vector is whitened by its own plug-in covariance
-    and every coordinate is KS-tested against the standard normal.  A
-    near-singular plug-in matrix skips the whitening with a flag.
+    and every coordinate is KS-tested against the standard normal.  The
+    replications whose plug-in matrix is near-singular whiten to NaN; they
+    are counted in ``near_singular``, fail the check, and the KS skips them.
     """
     oracle_cov = np.asarray(oracle_cov, dtype=np.float64)
     s = oracle_cov.shape[0]
@@ -288,15 +301,13 @@ def multivariate_check(
     disc = np.abs(sample_cov - oracle_cov)
     entry_limit = COV_ENTRY_LIMIT_FACTOR * float(oracle_cov.diagonal().max())
 
-    try:
-        whitened = (inv_sqrt_symmetric(covs) @ z[..., None])[..., 0]
-        whitened_ks = tuple(ks_statistic(w, 0.0, 1.0) for w in whitened.T)
-    except NearSingularMatrixError:
-        whitened_ks = None
-    skipped = whitened_ks is None
+    whitened = (inv_sqrt_symmetric(covs) @ z[..., None])[..., 0]
+    kept = whitened[~np.isnan(whitened).any(axis=-1)]
+    skipped = len(kept) == 0
+    whitened_ks = None if skipped else tuple(ks_statistic(w, 0.0, 1.0) for w in kept.T)
 
     entries_ok = bool(disc.max() <= entry_limit)
-    whitening_ok = (not skipped) and all(k < SELF_NORM_KS_LIMIT for k in whitened_ks)
+    whitening_ok = len(kept) == m and all(k < SELF_NORM_KS_LIMIT for k in whitened_ks)
     return MultivariateCheck(
         subsets=tuple(sub.indices for sub in subsets),
         n_replications=m,
@@ -307,6 +318,7 @@ def multivariate_check(
         entry_limit=entry_limit,
         whitened_ks=whitened_ks,
         whitening_skipped=skipped,
+        near_singular=m - len(kept),
         passed=entries_ok and whitening_ok,
     )
 
@@ -365,7 +377,7 @@ def verify_clt(
         n_replications, master_seed, workers=workers,
     )
     univariate = tuple(
-        clt_check(reps.z[:, i], reps.sds[:, i], var, s)
+        clt_check(reps.z[:, i], reps.sds[:, i], reps.one_class, var, s)
         for i, (s, var) in enumerate(zip(subsets, oracle_vars))
     )
     joint = len(subsets) > 1

@@ -233,7 +233,7 @@ def test_criterion_7_degenerate_scale():
         dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=41
     )
     worst = float(np.max(np.abs(reps.z[:, 0])))
-    entry = clt_check(reps.z[:, 0], reps.sds[:, 0], sigma2, sub)
+    entry = clt_check(reps.z[:, 0], reps.sds[:, 0], reps.one_class, sigma2, sub)
     ok = sigma2 == 0.0 and worst < 1e-9 and entry.degenerate and entry.passed
     elapsed = time.perf_counter() - start
     report(7, ok, f"exact variance 0, max |z| = {worst:.2e} < 1e-9", elapsed, 60.0)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -411,7 +412,8 @@ class TestCliCommands:
         assert entry["degenerate"] and "zero_scale" not in entry
 
     def test_one_class_replication_is_reported(self, tmp_path, capsys):
-        # 140 of the 200 replications hold one label class
+        # 140 of the 200 replications hold one label class; 190 have a fold
+        # that lacks one
         out = tmp_path / "r.json"
         code = main([
             "clt-verify", "--preset", "null", "--n", "1", "--q", "1",
@@ -421,10 +423,29 @@ class TestCliCommands:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out.startswith("subset (1,): degenerate (oracle variance 0) [")
+        assert captured.out.startswith(
+            "subset (1,): degenerate (oracle variance 0), 190 of 200 with a one-class fold [FAIL]\n")
         (entry,) = json.loads(out.read_text())["univariate"]
         assert entry["degenerate"] and entry["ks_self_norm"] is None
         assert "zero_scale" not in entry
+        assert entry["one_class_folds"] == 190 and not entry["passed"]
+
+    def test_single_one_class_replication_fails_the_null_check(self, tmp_path, capsys):
+        # replication 167's fold 1 holds 400 y = -1 records and no y = +1:
+        # its z is -sqrt(2000) * 0.4, and the other 199 are exactly 0
+        out = tmp_path / "r.json"
+        code = main([
+            "clt-verify", "--preset", "null", "--n", "1", "--q", "1",
+            "--p-pos", "0.02", "--subsets", "1", "--N", "2000", "--K", "5",
+            "--M", "200", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(
+            "subset (1,): degenerate (oracle variance 0), 1 of 200 with a one-class fold [FAIL]\n")
+        (entry,) = json.loads(out.read_text())["univariate"]
+        assert entry["one_class_folds"] == 1 and not entry["passed"]
 
     @pytest.mark.parametrize("command", ["simulate", "clt-verify"])
     def test_negative_seed_exits_one(self, command, tmp_path, capsys):
@@ -454,6 +475,8 @@ class TestCliCommands:
         assert ", 200 of 300 with plug-in scale 0 [FAIL]\n" in captured.out
         (entry,) = json.loads(out.read_text())["univariate"]
         assert entry["zero_scale"] == 200 and not entry["passed"]
+        # counted independently: 28 replications are in both counts
+        assert entry["one_class_folds"] == 40
 
     def test_empty_rule_replication_is_counted(self, tmp_path, capsys):
         # eps_500 lifts the threshold of subset {1,3} above every cell in
@@ -468,7 +491,28 @@ class TestCliCommands:
         doc = json.loads(out.read_text())
         assert [u.get("zero_scale") for u in doc["univariate"]] == [None, 1]
         assert not doc["univariate"][1]["passed"]
-        assert doc["multivariate"]["whitening_skipped"]  # a singular plug-in covariance
+        # that replication's plug-in covariance is singular: it alone is left out
+        assert not doc["multivariate"]["whitening_skipped"]
+        assert doc["multivariate"]["near_singular"] == 1
+        assert len(doc["multivariate"]["whitened_ks"]) == 2
+
+    def test_near_singular_replications_are_counted(self, tmp_path, capsys):
+        # 32 of 200 replications have scale 0 on {1,3}: a singular covariance
+        out = tmp_path / "r.json"
+        code = main([
+            "clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+            "--subsets", "1,2;1,3", "--N", "500", "--K", "5", "--M", "200", "--seed", "1",
+            "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        joint = captured.out.splitlines()[2]
+        assert re.fullmatch(r"joint: .*, whitened KS \d\.\d{4}, \d\.\d{4}, "
+                            r"32 of 200 near-singular \[FAIL\]", joint), joint
+        mv = json.loads(out.read_text())["multivariate"]
+        assert mv["near_singular"] == 32 and not mv["whitening_skipped"]
+        assert len(mv["whitened_ks"]) == 2 and not mv["passed"]
 
     @pytest.mark.parametrize("command", ["clt-verify", "oracle"])
     def test_empty_subset_list_exits_one(self, command, tmp_path, capsys):

@@ -21,7 +21,7 @@ from mdrcv.estimator import (
     _POSITIVE,
     _trained_rule,
 )
-from mdrcv.linalg import NearSingularMatrixError, inv_sqrt_symmetric
+from mdrcv.linalg import inv_sqrt_symmetric
 from mdrcv.model import (
     MAX_RECORDS,
     Dataset,
@@ -469,8 +469,7 @@ class TestCovarianceEstimate:
         sub = FactorSubset.of(1, 2)
         v = influence_values(ds, sub)
         c = asymptotic_covariance_estimate([v, v])
-        with pytest.raises(NearSingularMatrixError):
-            inv_sqrt_symmetric(c)
+        assert np.all(np.isnan(inv_sqrt_symmetric(c)))
 
     def test_entries_converge_to_oracle_matrix(self):
         from mdrcv.oracle import asymptotic_covariance

@@ -16,6 +16,7 @@ from mdrcv.estimator import (
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
+    fold_index,
     influence_values,
 )
 from mdrcv.mcverify import (
@@ -223,9 +224,11 @@ class TestRunReplications:
 
 def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed):
     """Replications one dataset at a time, from the public primitives."""
-    z, sds, covs = [], [], []
+    z, sds, covs, one_class = [], [], [], []
+    folds = fold_index(n_records, n_folds)
     for rep in range(1, m + 1):
         dataset = sample(dist, n_records, derive_seed(seed, rep))
+        one_class.append(any(set(dataset.y[folds == k]) != {-1, 1} for k in range(n_folds)))
         z.append([
             math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s) - err)
             for s, err in zip(subsets, errors)
@@ -233,14 +236,14 @@ def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed
         infl = [influence_values(dataset, s) for s in subsets]
         sds.append([asymptotic_sd_estimate(v) for v in infl])
         covs.append(asymptotic_covariance_estimate(infl))
-    return Replications(np.array(z), np.array(sds), np.array(covs))
+    return Replications(np.array(z), np.array(sds), np.array(covs), np.array(one_class))
 
 
 def same_replications(got, want):
     """Every field equal, with its shape and dtype."""
     return all(
         g.dtype == w.dtype and np.array_equal(g, w)
-        for g, w in zip((got.z, got.sds, got.covs), (want.z, want.sds, want.covs))
+        for g, w in zip(vars(got).values(), vars(want).values())
     )
 
 
@@ -356,14 +359,15 @@ class TestCltCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="^need at least one replication$"):
-                clt_check(np.empty(0), np.empty(0), oracle_sigma2, FactorSubset.of(1))
+                clt_check(np.empty(0), np.empty(0), np.empty(0, bool), oracle_sigma2,
+                          FactorSubset.of(1))
 
     def test_degenerate_branch(self):
         dist = generate_scenario("single-factor", n=1, q=1, p_low=0.0, p_high=1.0)
         sub = FactorSubset.of(1)
         errors, _ = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 500, 5, DEFAULT_SCHEDULE, 50, master_seed=1)
-        entry = clt_check(res.z[:, 0], res.sds[:, 0], 0.0, sub)
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], res.one_class, 0.0, sub)
         assert entry.degenerate and entry.passed
         assert entry.ks_oracle is None
 
@@ -372,7 +376,8 @@ class TestCltCheck:
         sub = FactorSubset.of(1, 2)
         errors, tables = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 400, master_seed=23)
-        entry = clt_check(res.z[:, 0], res.sds[:, 0], asymptotic_variance(dist, tables[0]), sub)
+        sigma2 = asymptotic_variance(dist, tables[0])
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], res.one_class, sigma2, sub)
         assert not entry.degenerate
         assert entry.passed, entry
 
@@ -382,21 +387,41 @@ class TestCltCheck:
         errors, tables = subset_oracle(dist, [sub])
         res = run_replications(dist, [sub], errors, 2000, 5, DEFAULT_SCHEDULE, 200, master_seed=2)
         sigma2 = 10.0 * asymptotic_variance(dist, tables[0])
-        entry = clt_check(res.z[:, 0], res.sds[:, 0], sigma2, sub)
+        entry = clt_check(res.z[:, 0], res.sds[:, 0], res.one_class, sigma2, sub)
         assert not entry.passed
 
     def test_zero_plug_in_scale_names_subset_and_count(self):
         sub = FactorSubset.of(2)
         m = np.arange(1, 10)
         z, sds = 0.5 * m, np.where(m % 3, 0.0, 1.0)
-        entry = clt_check(z, sds, 1.0, sub)
+        entry = clt_check(z, sds, np.zeros(9, bool), 1.0, sub)
         assert entry.subset == (2,) and entry.zero_scale == 6 and not entry.passed
         # the self-normalized KS reads the three rows with a positive scale
         assert entry.ks_self_norm == ks_statistic(z[2::3] / sds[2::3], 0.0, 1.0)
         assert entry.to_dict()["zero_scale"] == 6
         # none left: no self-normalized KS
-        entry = clt_check(z, np.zeros(9), 1.0, sub)
+        entry = clt_check(z, np.zeros(9), np.zeros(9, bool), 1.0, sub)
         assert entry.zero_scale == 9 and entry.ks_self_norm is None and not entry.passed
+
+    @pytest.mark.parametrize("sigma2", [0.0, 1.0])
+    def test_one_class_folds_are_counted(self, sigma2):
+        sub = FactorSubset.of(1)
+        m = np.arange(1, 10)
+        z, sds = 0.5 * (m - 5) * (sigma2 > 0), np.where(m % 3, 1.0, 0.0)
+        one_class = m > 6  # replications 7, 8 and 9; 9 also has scale 0
+        entry = clt_check(z, sds, one_class, sigma2, sub)
+        assert entry.one_class_folds == 3 and not entry.passed
+        assert entry.to_dict()["one_class_folds"] == 3
+        clean = clt_check(z, sds, np.zeros(9, bool), sigma2, sub)
+        assert "one_class_folds" not in clean.to_dict()
+        # every statistic but the self-normalized KS reads all nine rows
+        for field in ("z_mean", "z_var", "ks_oracle", "var_ratio", "zero_scale"):
+            assert getattr(entry, field) == getattr(clean, field)
+        if sigma2:
+            kept = [0, 1, 3, 4]  # in neither count
+            assert entry.ks_self_norm == ks_statistic(z[kept] / sds[kept], 0.0, 1.0)
+        else:
+            assert clean.passed  # z is 0: only the one-class folds fail it
 
     @given(
         z=st.lists(st.floats(-50, 50), min_size=2, max_size=30),
@@ -404,13 +429,15 @@ class TestCltCheck:
     )
     @settings(max_examples=50, deadline=None)
     def test_self_normalized_ks_matches_scalar_division(self, z, sd):
-        entry = clt_check(np.array(z), np.array(sd[: len(z)]), 1.0, FactorSubset.of(1))
+        entry = clt_check(
+            np.array(z), np.array(sd[: len(z)]), np.zeros(len(z), bool), 1.0, FactorSubset.of(1)
+        )
         scalar = ks_statistic([zi / sd[i] for i, zi in enumerate(z)], 0.0, 1.0)
         assert entry.ks_self_norm == scalar
 
 
     def test_degenerate_fields_at_one_replication(self):
-        entry = clt_check(np.zeros(1), np.zeros(1), -0.0, FactorSubset.of(1))
+        entry = clt_check(np.zeros(1), np.zeros(1), np.zeros(1, bool), -0.0, FactorSubset.of(1))
         assert entry.degenerate and entry.passed
         assert entry.z_var == 0.0 and math.isnan(entry.ks_limit)
         assert repr(entry.oracle_var) == "0.0"
@@ -418,7 +445,9 @@ class TestCltCheck:
         assert entry.var_ratio is None
 
     def test_normal_branch_variance_is_nan_at_one_replication(self):
-        entry = clt_check(np.array([0.3]), np.array([1.0]), 1.0, FactorSubset.of(1))
+        entry = clt_check(
+            np.array([0.3]), np.array([1.0]), np.zeros(1, bool), 1.0, FactorSubset.of(1)
+        )
         assert not entry.degenerate and math.isnan(entry.z_var)
 
     @pytest.mark.parametrize("sigma2", [0.0, 1.3])
@@ -428,8 +457,9 @@ class TestCltCheck:
         z = rng.standard_normal((20000, 2)) * (sigma2 > 0)
         sds = rng.uniform(0.5, 2.0, size=(20000, 2))
         sub = FactorSubset.of(1)
-        strided = clt_check(z[:, 0], sds[:, 0], sigma2, sub)
-        contiguous = clt_check(z[:, 0].copy(), sds[:, 0].copy(), sigma2, sub)
+        one_class = np.zeros(20000, bool)
+        strided = clt_check(z[:, 0], sds[:, 0], one_class, sigma2, sub)
+        contiguous = clt_check(z[:, 0].copy(), sds[:, 0].copy(), one_class, sigma2, sub)
         assert not z[:, 0].flags.c_contiguous
         assert repr(strided) == repr(contiguous)
 
@@ -449,7 +479,7 @@ class TestMultivariateCheck:
         )
         oracle = asymptotic_covariance(dist, tables)
         entry = multivariate_check(res.z, res.covs, oracle, [sub, sub])
-        assert entry.whitening_skipped
+        assert entry.whitening_skipped and entry.near_singular == 100
         assert not entry.passed
         corr = np.corrcoef(res.z.T)[0, 1]
         assert corr > 0.99
@@ -477,6 +507,23 @@ class TestMultivariateCheck:
         assert not entry.whitening_skipped
         assert entry.passed, entry
 
+
+    def test_near_singular_replications_are_counted_and_left_out(self):
+        # replications 2, 5 and 7 have singular plug-in covariances
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal((9, 2))
+        covs = np.array([[[1.0, 0.3], [0.3, 2.0]]] * 9)
+        covs[[2, 5, 7]] = [[1.0, 1.0], [1.0, 1.0]]
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entry = multivariate_check(z, covs, np.eye(2), subs)
+        kept = np.delete(np.arange(9), [2, 5, 7])
+        healthy = multivariate_check(z[kept], covs[kept], np.eye(2), subs)
+        assert entry.near_singular == 3 and not entry.whitening_skipped
+        assert entry.whitened_ks == healthy.whitened_ks
+        assert not entry.passed and entry.to_dict()["near_singular"] == 3
+        assert healthy.near_singular == 0 and "near_singular" not in healthy.to_dict()
 
     def test_one_replication_has_nan_sample_covariance(self):
         sub = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
