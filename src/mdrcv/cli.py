@@ -189,14 +189,13 @@ def _cmd_oracle(args) -> int:
     dist = _resolve_distribution(args)
     psi = balanced_penalty(dist)
     full = FactorSubset(tuple(range(1, dist.space.n + 1)))
-    subsets = _parse_subsets(args.subsets) if args.subsets else [full]
+    subsets = _parse_subsets(args.subsets) if args.subsets is not None else [full]
     doc = {
         "n": dist.space.n,
         "q": dist.space.q,
         "label_marginal_pos": label_marginal(dist, 1),
         "penalty": {"neg": psi.psi_neg, "pos": psi.psi_pos},
         "threshold": psi.threshold,
-        "high_risk_set": sorted(list(x) for x in high_risk_set(dist, psi)),
     }
     errors, tables = subset_oracle(dist, subsets)
     variances, cov = asymptotic_moments(dist, tables)
@@ -218,6 +217,7 @@ def _cmd_oracle(args) -> int:
               f"variance {entry['asymptotic_variance']:.6f}, "
               f"significant={entry['significant']}")
     if args.out:
+        doc["high_risk_set"] = high_risk_set(dist, psi).tolist()
         _write_json(doc, args.out)
     return 0
 

@@ -144,12 +144,12 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def ks_statistic(samples: Sequence[float], mean: float = 0.0, sd: float = 1.0) -> float:
-    """Sup distance between the empirical CDF of (samples - mean)/sd and
-    the standard normal CDF."""
+def ks_statistic(samples: Sequence[float], sd: float = 1.0) -> float:
+    """Sup distance between the empirical CDF of samples / sd and the
+    standard normal CDF."""
     if sd <= 0:
         raise ValidationError(f"sd must be positive, got {sd}")
-    arr = np.sort((np.asarray(samples, dtype=np.float64) - mean) / sd)
+    arr = np.sort(np.asarray(samples, dtype=np.float64) / sd)
     if arr.size == 0:
         raise ValidationError("ks_statistic needs a nonempty sample")
     if not np.all(np.isfinite(arr)):
@@ -219,12 +219,12 @@ def clt_check(
         passed = not one_class_folds and bool(np.max(np.abs(z)) < DEGENERATE_LIMIT)
     else:
         ks_limit = KS_LEVEL_CONSTANT_1PCT / math.sqrt(m)
-        ks_oracle = ks_statistic(z, 0.0, math.sqrt(oracle_sigma2))
+        ks_oracle = ks_statistic(z, math.sqrt(oracle_sigma2))
         scaled = sds != 0.0
         zero_scale = m - int(np.count_nonzero(scaled))
         kept = scaled & ~one_class
         if kept.any():
-            ks_self = ks_statistic(z[kept] / sds[kept], 0.0, 1.0)
+            ks_self = ks_statistic(z[kept] / sds[kept])
         ratio = z_var / oracle_sigma2
         passed = (not zero_scale and not one_class_folds and ks_oracle < ks_limit
                   and ks_self < SELF_NORM_KS_LIMIT and abs(ratio - 1.0) <= VAR_RATIO_RTOL)
@@ -304,7 +304,7 @@ def multivariate_check(
     whitened = (inv_sqrt_symmetric(covs) @ z[..., None])[..., 0]
     kept = whitened[~np.isnan(whitened).any(axis=-1)]
     skipped = len(kept) == 0
-    whitened_ks = None if skipped else tuple(ks_statistic(w, 0.0, 1.0) for w in kept.T)
+    whitened_ks = None if skipped else tuple(ks_statistic(w) for w in kept.T)
 
     entries_ok = bool(disc.max() <= entry_limit)
     whitening_ok = len(kept) == m and all(k < SELF_NORM_KS_LIMIT for k in whitened_ks)

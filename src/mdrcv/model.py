@@ -162,8 +162,7 @@ def point_levels(
     lexicographic ranks: the rank's base-(q+1) digit for that factor.
 
     ``ranks=None`` means every point, as the q+1 levels along the factor's
-    axis of an array that broadcasts against ``space.grid_shape``; it
-    stays that small until ``on_points`` spreads it over the table.
+    axis of an array that broadcasts against ``space.grid_shape``.
     """
     base = space.q + 1
     if ranks is None:
@@ -171,12 +170,6 @@ def point_levels(
         shape[factor - 1] = base
         return np.arange(base).reshape(shape)
     return np.asarray(ranks) // base ** (space.n - factor) % base
-
-
-def on_points(space: FactorSpace, grid: np.ndarray) -> np.ndarray:
-    """One value per point, in enumeration order, from an array that
-    broadcasts against ``space.grid_shape``."""
-    return np.broadcast_to(grid, space.grid_shape).reshape(-1)
 
 
 def cylinder_count(r: int, q: int) -> int:

@@ -20,7 +20,6 @@ from .model import (
     cell_conditionals,
     cylinder_masses,
     label_marginal,
-    on_points,
 )
 
 # Separates authored exact ties from double-precision rounding noise in
@@ -126,15 +125,15 @@ def _conditionals(dist: JointDistribution, subset, within=None) -> np.ndarray:
     return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
 
 
-def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> set[tuple[int, ...]]:
+def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> np.ndarray:
     """Points of the support whose conditional P(Y=1 | X=x) strictly exceeds
-    the threshold; the minimal-cardinality error-optimal plus-set.
+    the threshold, the minimal-cardinality error-optimal plus-set, as the
+    (k, n) int16 levels of its points in rank order, which is lexicographic.
 
     Strict inequality is resolved with the EQUALITY_TOL tolerance so that
     authored exact ties stay out of the set regardless of rounding.
     """
-    ranks = np.flatnonzero(optimal_predictor(dist, psi))
-    return set(map(tuple, dist.space.points(ranks).tolist()))
+    return dist.space.points(np.flatnonzero(optimal_predictor(dist, psi)))
 
 
 def optimal_predictor(
@@ -190,7 +189,7 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
     support point, within EQUALITY_TOL.
     """
-    gap = on_points(dist.space, _conditionals(dist, None) - _conditionals(dist, subset))
+    gap = (_conditionals(dist, None) - _conditionals(dist, subset)).reshape(-1)
     return bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
 
 

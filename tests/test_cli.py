@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdrcv import cli
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
@@ -27,7 +28,7 @@ from mdrcv.model import (
     sample,
     save_distribution,
 )
-from mdrcv.oracle import is_significant
+from mdrcv.oracle import high_risk_set, is_significant
 from mdrcv.scenarios import PRESETS, generate_scenario
 from mdrcv.search import enumerate_subsets, rank_subsets
 
@@ -333,6 +334,18 @@ class TestCliCommands:
         assert doc["subsets"][0]["error"] == pytest.approx(0.8)
         assert doc["high_risk_set"] == [[0]]
 
+    def test_oracle_builds_high_risk_set_only_for_out(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def spy(dist, psi):
+            calls.append(dist.space.n)
+            return high_risk_set(dist, psi)
+
+        monkeypatch.setattr(cli, "high_risk_set", spy)
+        args = ["oracle", "--preset", "pair-epistasis", "--n", "3", "--q", "2"]
+        assert main(args) == 0 and calls == []
+        assert main(args + ["--out", str(tmp_path / "o.json")]) == 0 and calls == [3]
+
     def test_simulate_then_reingest(self, toy_dist_file, tmp_path):
         out = tmp_path / "sim.csv"
         code = main([
@@ -629,6 +642,8 @@ DROPPED_SEARCH_FLAGS = {
     lambda tmp: _dist_json(tmp, b'{"n": 1, "q": 1, "atoms": 5}'),
     lambda tmp: ["oracle", "--preset", "independent", "--n", "2", "--q", "1",
                  "--effect", "inf"],
+    lambda tmp: ["oracle", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+                 "--subsets", ""],
     lambda tmp: _dist_json(tmp, b'{"n": 100000000000000000000, "q": 1, "atoms": []}'),
     lambda tmp: ["oracle", "--preset", "null", "--n", "100000000000000000000", "--q", "1"],
     _csv_level_overflow,
@@ -646,6 +661,7 @@ DROPPED_SEARCH_FLAGS = {
         "oracle", "--preset", preset, "--n", "3", "--q", "2", f"--{flag}", value]
       for preset, flag, value in UNREAD_PRESET_FLAGS],
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
+        "oracle-empty-subsets",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
         "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
         "independent-huge-n", "search-over-budget", "cell-table-over-cap",

@@ -80,7 +80,7 @@ class TestKsStatistic:
         assert ks_statistic([0.0]) == pytest.approx(0.5)
 
     def test_constant_sample_is_far_from_normal(self):
-        assert ks_statistic([1.0] * 50, 1.0, 1.0) >= 0.5
+        assert ks_statistic(np.full(50, 1.0) - 1.0) >= 0.5
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
@@ -93,7 +93,7 @@ class TestKsStatistic:
 
     def test_nonpositive_sd_rejected(self):
         with pytest.raises(ValidationError):
-            ks_statistic([1.0, 2.0], 0.0, 0.0)
+            ks_statistic([1.0, 2.0], 0.0)
 
     def test_normal_draws_pass_their_own_test(self):
         rng = np.random.default_rng(123)
@@ -103,7 +103,7 @@ class TestKsStatistic:
     def test_agrees_with_scipy_kstest(self):
         rng = np.random.default_rng(7)
         draws = rng.normal(2.0, 3.0, size=400)
-        ours = ks_statistic(draws, 2.0, 3.0)
+        ours = ks_statistic(draws - 2.0, 3.0)
         ref = scipy.stats.kstest(draws, "norm", args=(2.0, 3.0)).statistic
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -113,7 +113,7 @@ class TestKsStatistic:
     )
     @settings(max_examples=40, deadline=None)
     def test_bounded_in_unit_interval(self, data, sd):
-        got = ks_statistic(data, 0.0, sd)
+        got = ks_statistic(data, sd)
         assert 0.0 <= got <= 1.0
 
 
@@ -397,7 +397,7 @@ class TestCltCheck:
         entry = clt_check(z, sds, np.zeros(9, bool), 1.0, sub)
         assert entry.subset == (2,) and entry.zero_scale == 6 and not entry.passed
         # the self-normalized KS reads the three rows with a positive scale
-        assert entry.ks_self_norm == ks_statistic(z[2::3] / sds[2::3], 0.0, 1.0)
+        assert entry.ks_self_norm == ks_statistic(z[2::3] / sds[2::3])
         assert entry.to_dict()["zero_scale"] == 6
         # none left: no self-normalized KS
         entry = clt_check(z, np.zeros(9), np.zeros(9, bool), 1.0, sub)
@@ -419,7 +419,7 @@ class TestCltCheck:
             assert getattr(entry, field) == getattr(clean, field)
         if sigma2:
             kept = [0, 1, 3, 4]  # in neither count
-            assert entry.ks_self_norm == ks_statistic(z[kept] / sds[kept], 0.0, 1.0)
+            assert entry.ks_self_norm == ks_statistic(z[kept] / sds[kept])
         else:
             assert clean.passed  # z is 0: only the one-class folds fail it
 
@@ -432,7 +432,7 @@ class TestCltCheck:
         entry = clt_check(
             np.array(z), np.array(sd[: len(z)]), np.zeros(len(z), bool), 1.0, FactorSubset.of(1)
         )
-        scalar = ks_statistic([zi / sd[i] for i, zi in enumerate(z)], 0.0, 1.0)
+        scalar = ks_statistic([zi / sd[i] for i, zi in enumerate(z)])
         assert entry.ks_self_norm == scalar
 
 

@@ -27,7 +27,6 @@ from mdrcv.model import (
     cylinder_masses,
     label_marginal,
     load_distribution,
-    on_points,
     point_levels,
     sample,
     save_distribution,
@@ -722,7 +721,6 @@ class TestGridFreePath:
             dtype=np.int64,
         )
         assert np.array_equal(point_levels(space, factor, ranks), pts[ranks, factor - 1])
-        assert np.array_equal(on_points(space, point_levels(space, factor)), pts[:, factor - 1])
 
     @given(dist=small_distributions(max_n=3, max_q=3), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -773,6 +771,12 @@ def preset_inputs(preset, n, q):
         dist = generate_scenario(preset, n, q)
     ((m, c),) = seen
     return dist, m, c
+
+
+def flatten_grid(space, grid):
+    """One value per point, in enumeration order, from an array that
+    broadcasts against ``space.grid_shape``."""
+    return np.broadcast_to(grid, space.grid_shape).reshape(-1)
 
 
 def from_conditional_or_error(space, m, c):
@@ -827,7 +831,7 @@ class TestFromConditional:
         dist, m, c = preset_inputs(*preset_nq)
         assert np.ndim(m) == 0  # the uniform marginal stays a scalar
         flat = JointDistribution.from_conditional(
-            dist.space.n, dist.space.q, on_points(dist.space, m), on_points(dist.space, c)
+            dist.space.n, dist.space.q, flatten_grid(dist.space, m), flatten_grid(dist.space, c)
         )
         assert_same_distribution(dist, flat, n_records, seed)
 
@@ -835,10 +839,10 @@ class TestFromConditional:
     @settings(max_examples=80, deadline=None)
     def test_random_grids_match_flat_arrays(self, space, data, seed):
         raw = data.draw(broadcast_grids(space))
-        total = on_points(space, raw).sum()
+        total = flatten_grid(space, raw).sum()
         assume(total > 0)
         m, c = raw / total, data.draw(broadcast_grids(space))
-        m_flat, c_flat = on_points(space, m), on_points(space, c)
+        m_flat, c_flat = flatten_grid(space, m), flatten_grid(space, c)
         got = from_conditional_or_error(space, m, c)
         want = from_conditional_or_error(space, m_flat, c_flat)
         if isinstance(want, str):

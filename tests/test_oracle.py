@@ -81,16 +81,45 @@ class TestThreshold:
 
 class TestHighRiskSet:
     def test_zero_positive_weight_empties_the_set(self, toy_balanced):
-        assert high_risk_set(toy_balanced, PenaltyFunction(1.0, 0.0)) == set()
+        assert high_risk_set(toy_balanced, PenaltyFunction(1.0, 0.0)).tolist() == []
 
     def test_toy_table(self, toy_balanced):
         psi = balanced_penalty(toy_balanced)
-        assert high_risk_set(toy_balanced, psi) == {(0,)}
+        assert high_risk_set(toy_balanced, psi).tolist() == [[0]]
 
     def test_independent_labels_give_empty_set(self, independent_labels):
         # every conditional equals the threshold; strict inequality fails
         psi = balanced_penalty(independent_labels)
-        assert high_risk_set(independent_labels, psi) == set()
+        assert high_risk_set(independent_labels, psi).tolist() == []
+
+    @given(
+        n=st.integers(1, 3),
+        q=st.integers(1, 2),
+        psi=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_points_of_dense_mask_in_rank_order(self, n, q, psi, data):
+        # conditionals at the threshold, one tolerance above it, or on a grid
+        psi = PenaltyFunction(*map(float, psi))
+        t = psi.threshold
+        size = (q + 1) ** n
+        cond = data.draw(st.lists(
+            st.sampled_from((t, t + EQUALITY_TOL)) | st.integers(0, 6).map(lambda k: k / 6),
+            min_size=size, max_size=size,
+        ))
+        mass = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)))
+        cond = np.minimum(cond, 1.0)
+        probs = mass[:, None] * np.column_stack([1.0 - cond, cond])
+        assume(probs[:, 0].sum() > 0 and probs[:, 1].sum() > 0)
+        dist = JointDistribution(FactorSpace(n, q), probs / probs.sum())
+        got = high_risk_set(dist, psi)
+        # argwhere lists the grid indices of the mask in C order
+        want = np.argwhere(dense_oracle.plus_mask(dist, psi).reshape(dist.space.grid_shape))
+        assert got.dtype == np.int16 and got.shape == (len(want), n)
+        assert np.array_equal(got, want)
+        rows = got.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 class TestOptimalPredictor:
@@ -98,7 +127,7 @@ class TestOptimalPredictor:
         psi = balanced_penalty(n2_partial_support)
         f = optimal_predictor(n2_partial_support, psi)
         points = n2_partial_support.space.points(np.flatnonzero(f))
-        assert set(map(tuple, points.tolist())) == high_risk_set(n2_partial_support, psi)
+        assert np.array_equal(points, high_risk_set(n2_partial_support, psi))
 
     def test_off_support_predicts_minus(self, n2_partial_support):
         f = optimal_predictor(n2_partial_support, UNIT_PENALTY)
@@ -311,7 +340,7 @@ class TestPenaltyScaling:
         psi = PenaltyFunction(float(a), float(b))
         scaled = PenaltyFunction(c * psi.psi_neg, c * psi.psi_pos)
         assert scaled.threshold == psi.threshold
-        assert high_risk_set(dist, scaled) == high_risk_set(dist, psi)
+        assert np.array_equal(high_risk_set(dist, scaled), high_risk_set(dist, psi))
         f = optimal_predictor(dist, psi)
         g = optimal_predictor(dist, scaled)
         assert np.array_equal(f, g)
@@ -380,8 +409,8 @@ class TestOracleFromTables:
         dist = generate_scenario(preset, n, q)
         self.assert_matches_dense(dist, spread_subsets(n))
         psi = balanced_penalty(dist)
-        assert high_risk_set(dist, psi) == set(map(tuple, dist.space.points(
-            np.flatnonzero(dense_oracle.plus_mask(dist, psi))).tolist()))
+        assert np.array_equal(high_risk_set(dist, psi), dist.space.points(
+            np.flatnonzero(dense_oracle.plus_mask(dist, psi))))
         point_cond = dense_oracle.conditional_at_points(dist)
         mask = dist.support_mask()
         for s in spread_subsets(n):

@@ -1,4 +1,4 @@
-"""Byte-level pins of four small CLI reports and two sampled CSVs.
+"""Byte-level pins of five small CLI reports and three sampled CSVs.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -43,6 +43,10 @@ INDEPENDENT_ORACLE_ARGS = [
 ]
 INDEPENDENT_ORACLE_SHA256 = "7a67cca8c8af21532cab2e81fc8bff2a3449c3cf8308f4e0aa138798d48aa576"
 
+# 65536 points, 32768 of them high-risk: the report lists them in rank order.
+HIGH_RISK_ORACLE_ARGS = ["oracle", "--preset", "single-factor", "--n", "8", "--q", "3"]
+HIGH_RISK_ORACLE_SHA256 = "c40b694571fb01799ca234474827e7d43d68894752c80dd5c118707521e1a710"
+
 # Sampled datasets: 54 atoms and 500 draws go through the guide table; 39366
 # atoms (a partial last block) and 3000 draws re-sum only the blocks hit, in
 # one sorted chunk; 118098 atoms and 20000 draws in five.
@@ -77,6 +81,11 @@ def test_oracle_report_bytes(tmp_path):
 def test_independent_oracle_report_bytes(tmp_path):
     got = report_digest(INDEPENDENT_ORACLE_ARGS, tmp_path / "independent.json")
     assert got == INDEPENDENT_ORACLE_SHA256
+
+
+def test_high_risk_oracle_report_bytes(tmp_path):
+    got = report_digest(HIGH_RISK_ORACLE_ARGS, tmp_path / "high-risk.json")
+    assert got == HIGH_RISK_ORACLE_SHA256
 
 
 @pytest.mark.parametrize("size_args", list(SIMULATE_SHA256))
