@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,7 +132,9 @@ def run_replications(
     pool_size = min(workers, len(batches), os.cpu_count() or 1)
     if pool_size <= 1:
         chunks = [_replicate_batch(b, context) for b in batches]
-    else:
+    else:  # imported here: a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(context,)) as pool:
             chunks = list(pool.map(_replicate_batch, batches))
     return Replications(*(np.concatenate(field) for field in zip(*chunks)))
@@ -371,7 +372,7 @@ def verify_clt(
     subsets = list(subsets)
     oracle_errors, tables = subset_oracle(dist, subsets)
     oracle_vars, oracle_cov = asymptotic_moments(dist, tables)
-    del tables  # one bool mask per point per subset, not needed by the replications
+    del tables  # a predictor byte per point per 8 subsets, not needed by the replications
     reps = run_replications(
         dist, subsets, oracle_errors, n_records, n_folds, schedule,
         n_replications, master_seed, workers=workers,

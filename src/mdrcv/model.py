@@ -231,9 +231,10 @@ class JointDistribution:
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
     must be strictly positive (degenerate labels are rejected).  Beside the
-    table it keeps the atom CDF at each block end, both label sums, a support
-    mask and, once sampled with at least as many draws as atoms, its
-    ``_guide_table``.  Equal spaces and tables make equal, unhashable ones.
+    table it keeps the atom CDF at each block end, both label sums, the
+    support as packed bits and, once sampled with at least as many draws as
+    atoms, its ``_guide_table``.  Equal spaces and tables make equal,
+    unhashable ones.
     """
 
     space: FactorSpace
@@ -260,10 +261,9 @@ class JointDistribution:
                 f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
             )
         object.__setattr__(self, "_label_sums", (float(p[:, 0].sum()), marg_pos))
-        support = p[:, 0] > 0.0  # = p.sum(axis=1) > 0 on a nonnegative table
-        support |= p[:, 1] > 0.0
-        ends = _block_ends(p.reshape(-1))
-        for name, arr in (("probs", p), ("_support", support), ("_cdf_ends", ends)):
+        atoms = p.reshape(-1)
+        for name, arr in (("probs", p), ("_support_bits", _support_bits(atoms)),
+                          ("_cdf_ends", _block_ends(atoms))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -343,8 +343,11 @@ class JointDistribution:
         return marginal
 
     def support_mask(self) -> np.ndarray:
-        """Points with positive mass, enumeration order (read-only)."""
-        return self._support
+        """Points with positive mass, enumeration order (read-only), unpacked
+        from the support bits on each call."""
+        mask = np.unpackbits(self._support_bits, count=self.space.num_points).view(np.bool_)
+        mask.flags.writeable = False
+        return mask
 
     def atoms(self) -> list[tuple[tuple[int, ...], int, float]]:
         """Nonzero atoms (x, y, p) in enumeration order."""
@@ -352,6 +355,18 @@ class JointDistribution:
         xs = self.space.points(ranks).tolist()
         ps = self.probs[ranks, cols].tolist()
         return [(tuple(x), LABELS[c], p) for x, c, p in zip(xs, cols.tolist(), ps)]
+
+
+def _support_bits(atoms: np.ndarray) -> np.ndarray:
+    """``np.packbits`` of the support mask, each point's bit set iff one of
+    its two atoms is positive, built CDF_CHUNK atoms at a time: no
+    table-sized mask is made."""
+    bits = np.empty(-(-atoms.size // 16), dtype=np.uint8)
+    for start in range(0, atoms.size, CDF_CHUNK):  # CDF_CHUNK // 2 points: whole bytes
+        positive = atoms[start : start + CDF_CHUNK] > 0.0
+        packed = np.packbits(positive.view(np.uint16) != 0)  # one uint16 per point's pair
+        bits[start // 16 : start // 16 + packed.size] = packed
+    return bits
 
 
 def _block_ends(atoms: np.ndarray) -> np.ndarray:
@@ -516,6 +531,16 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    @classmethod
+    def _drawn(cls, space: FactorSpace, xs: np.ndarray, ys: np.ndarray) -> "Dataset":
+        """The records ``sample`` drew, int16 levels and int8 labels that are
+        valid by construction: taken over read-only, not judged or copied."""
+        xs.flags.writeable = ys.flags.writeable = False
+        data = object.__new__(cls)
+        for name, value in (("space", space), ("x", xs), ("y", ys)):
+            object.__setattr__(data, name, value)
+        return data
+
 
 def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -> Dataset:
     """Draw an i.i.d. sample of size n_records, reproducibly.
@@ -538,6 +563,8 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
         if (s := _integer(name, s)) < 0:
             raise ValidationError(f"{name} must be >= 0, got {s}")
         seeds.append(s)
+    if not seeds:
+        raise ValidationError("no seed given: a dataset must contain at least one record")
     if len(seeds) * n_records > MAX_RECORDS:
         raise ValidationError(f"n_records too large: over {MAX_RECORDS} draws in all")
     u = np.empty((len(seeds), n_records))
@@ -551,7 +578,7 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
         xs = np.take(dist._guide[4], rank, axis=0)
     else:  # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
         xs = dist.space.points(rank.astype(np.int32))
-    return Dataset(dist.space, xs, ys)
+    return Dataset._drawn(dist.space, xs, ys)
 
 
 def save_distribution(dist: JointDistribution, path) -> None:

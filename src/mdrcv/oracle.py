@@ -26,76 +26,86 @@ from .model import (
 # comparisons against the threshold.
 EQUALITY_TOL = 1e-10
 
-# Most float64s one ``.sum()`` call of a replayed pairwise sum adds: 512 KiB.
+# Most float64s in the leaves of all predictors of a pass: 512 KiB.  Over S
+# predictors, a replayed pairwise sum adds leaves of at most
+# LEAF_ELEMENTS // S values, one ``.sum()`` call each; a pass holds about
+# two leaves per predictor, so its memory does not grow with S.
 LEAF_ELEMENTS = 2**16
+
+# Points a per-point loop takes at a time: a predictor plane's support
+# masking and bit counts, and a significance slab (256 KiB of float64).
+CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
-    """An influence variable v(x, y) = lut[plus[x], y] with its mean E v.
-    The lut is read-only, and so is an ``optimal_predictor`` mask."""
+    """An influence variable v(x, y) = lut[plane[x], y] with its mean E v.
 
-    plus: np.ndarray
+    The predictor sends x to +1 iff bit ``bit`` of ``plane[x]`` is set; the
+    uint8 plane holds up to 8 predictors, one bit each, and is shared by
+    their tables.  The (256, 2) lut repeats, at each byte, the row of the
+    predictor's two-valued table that the byte's bit picks.  The lut is
+    read-only, and so is a plane that ``subset_oracle`` makes."""
+
+    plane: np.ndarray
+    bit: int
     lut: np.ndarray
     mean: float
 
 
-def _expand(lut: np.ndarray, plus: np.ndarray) -> np.ndarray:
-    """The (len(plus), 2) rows lut[plus[x], :] of a two-valued table."""
-    return np.take(lut, plus.view(np.int8), axis=0)
-
-
-def _split(n: int) -> int:
+def _split(n: int, cap: int) -> int:
     """Where numpy's pairwise sum of n float64s splits them, or 0 for a leaf.
 
     numpy splits at ``n2 = n // 2; n2 -= n2 % 8`` down to 128 elements, which
-    it adds in an unrolled loop; a replay stops at LEAF_ELEMENTS or there and
-    lets ``.sum()`` do the rest, which gives the same bits."""
-    if n <= max(LEAF_ELEMENTS, 128):
+    it adds in an unrolled loop; a replay stops at ``cap`` or there and lets
+    ``.sum()`` do the rest, which gives the same bits."""
+    if n <= max(cap, 128):
         return 0
     n2 = n // 2
     return n2 - n2 % 8
 
 
-def _leaves(n: int) -> list[int]:
+def _leaves(n: int, cap: int) -> list[int]:
     """The leaf lengths of the pairwise tree over n elements, left to right."""
-    n2 = _split(n)
-    return _leaves(n2) + _leaves(n - n2) if n2 else [n]
+    n2 = _split(n, cap)
+    return _leaves(n2, cap) + _leaves(n - n2, cap) if n2 else [n]
 
 
-def _combine(n: int, leaf_sums) -> float:
+def _combine(n: int, leaf_sums, cap: int) -> float:
     """Add leaf sums (an iterator, left to right) back up the tree over n."""
-    n2 = _split(n)
-    return _combine(n2, leaf_sums) + _combine(n - n2, leaf_sums) if n2 else next(leaf_sums)
+    n2 = _split(n, cap)
+    if not n2:
+        return next(leaf_sums)
+    return _combine(n2, leaf_sums, cap) + _combine(n - n2, leaf_sums, cap)
 
 
 def _table_sums(
     dist: JointDistribution,
-    plus_masks: Sequence[np.ndarray],
+    planes: Sequence[np.ndarray],
     terms: Callable[[np.ndarray, list], Iterable[np.ndarray]],
     lengths: Sequence[int],
 ) -> list[float]:
     """``.sum()`` of each term's values, bit for bit, in one pass over the
-    table and without a table-sized array.  ``plus_masks`` are predictors:
-    each the bool mask of the points it sends to +1, in rank order.
+    table and without a table-sized array.  ``planes`` hold predictors, one
+    byte per point in rank order (``InfluenceTable``).
 
-    ``terms(p, plus)`` yields, for the probs rows ``p`` and the masks' rows
-    ``plus`` of one block of points, each term's next values in order; term
+    ``terms(p, rows)`` yields, for the probs rows ``p`` and the planes' rows
+    ``rows`` of one block of points, each term's next values in order; term
     t has ``lengths[t]`` values in all.  The blocks are the leaves of the
     pairwise tree over the flattened (num_points, 2) table, so a term with
     one value per entry sums each block whole; a shorter term carries its
     values over into its own tree's leaves.  Leaf sums add up each tree.
+    Leaves hold at most LEAF_ELEMENTS // len(planes) values.
     """
-    for f in plus_masks:
-        if f.dtype != np.bool_ or f.shape != dist.probs.shape[:1]:
-            raise ValidationError("a predictor needs one bool per point of its space")
-    todo = [_leaves(n)[::-1] for n in lengths]  # each term's leaves, next last
+    cap = LEAF_ELEMENTS // max(len(planes), 1)
+    trees = {n: _leaves(n, cap) for n in {dist.probs.size, *lengths}}
+    todo = [trees[n][::-1] for n in lengths]  # each term's leaves, next last
     sums = [[] for _ in lengths]
     carry = [np.empty(0)] * len(lengths)
     a = 0
-    for size in _leaves(dist.probs.size):  # splits of an even length are even
+    for size in trees[dist.probs.size]:  # splits of an even length are even
         b = a + size // 2
-        for t, v in enumerate(terms(dist.probs[a:b], [m[a:b] for m in plus_masks])):
+        for t, v in enumerate(terms(dist.probs[a:b], [f[a:b] for f in planes])):
             v = np.concatenate((carry[t], v.ravel())) if carry[t].size else v.ravel()
             i = 0
             while todo[t] and v.size - i >= todo[t][-1]:
@@ -103,7 +113,7 @@ def _table_sums(
                 i += todo[t].pop()
             carry[t] = v[i:] if i < v.size else np.empty(0)  # drop the block
         a = b
-    return [float(_combine(n, iter(s))) for n, s in zip(lengths, sums)]
+    return [float(_combine(n, iter(s), cap)) for n, s in zip(lengths, sums)]
 
 
 def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
@@ -136,6 +146,35 @@ def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> np.ndarray:
     return dist.space.points(np.flatnonzero(optimal_predictor(dist, psi)))
 
 
+def _planes(
+    dist: JointDistribution,
+    psi: PenaltyFunction,
+    subsets: Sequence[FactorSubset | None],
+    within: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """The optimal predictors of the subsets as read-only uint8 planes, one
+    per 8 subsets: bit i % 8 of plane i // 8 is set on the points subset
+    i's predictor sends to +1, and every bit is 0 off the support.  Each
+    cell's decision is OR-ed into its plane by broadcasting over the grid;
+    the support is applied CHUNK_POINTS points at a time."""
+    P, grid = dist.space.num_points, dist.space.grid_shape
+    planes = [np.zeros(P, dtype=np.uint8) for _ in range(0, len(subsets), 8)]
+    for i, s in enumerate(subsets):
+        # ties resolve to -1: strict inequality, with the tolerance shielding
+        # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
+        above = _conditionals(dist, s, within) > psi.threshold + EQUALITY_TOL
+        plane = planes[i // 8].reshape(grid)
+        plane |= np.left_shift(above, i % 8, dtype=np.uint8)
+    for a in range(0, P, CHUNK_POINTS):  # a multiple of 8: whole bytes of bits
+        b = min(a + CHUNK_POINTS, P)
+        on = np.unpackbits(dist._support_bits[a // 8 : -(-b // 8)], count=b - a)
+        for plane in planes:
+            plane[a:b] *= on
+    for plane in planes:
+        plane.flags.writeable = False
+    return planes
+
+
 def optimal_predictor(
     dist: JointDistribution,
     psi: PenaltyFunction,
@@ -150,36 +189,46 @@ def optimal_predictor(
     ``subset=None`` means all factors, i.e. pointwise conditionals.  Each cell
     decides once; ``within``: ``cylinder_masses`` of a superset of the subset.
     """
-    # ties resolve to -1: strict inequality, with the tolerance shielding
-    # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
-    above = _conditionals(dist, subset, within) > psi.threshold + EQUALITY_TOL
-    plus = (above & dist.support_mask().reshape(dist.space.grid_shape)).reshape(-1)  # one alloc
-    plus.flags.writeable = False
-    return plus
+    return _planes(dist, psi, [subset], within)[0].view(np.bool_)  # a plane of bit 0
 
 
-def _misses(dist: JointDistribution, plus_masks) -> list[tuple[float, float]]:
-    """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1)) per predictor mask, bit for bit
-    ``probs[f, 0].sum()`` and ``probs[~f, 1].sum()``: one pass of block gathers."""
-    counts = [int(np.count_nonzero(f)) for f in plus_masks]
+def _mask_plane(dist: JointDistribution, plus: np.ndarray) -> np.ndarray:
+    """A predictor's bool mask as a plane of its own, bit 0, uncopied."""
+    plus = np.asarray(plus)
+    if plus.dtype != np.bool_ or plus.shape != (dist.space.num_points,):
+        raise ValidationError("a predictor needs one bool per point of its space")
+    return plus.view(np.uint8)
+
+
+def _misses(dist: JointDistribution, predictors) -> list[tuple[float, float]]:
+    """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1)) per predictor, a (plane, bit)
+    pair, bit for bit ``probs[f, 0].sum()`` and ``probs[~f, 1].sum()`` of
+    its bool mask f: one pass of block gathers."""
     P = dist.space.num_points
+    counts = [
+        sum(int(np.count_nonzero(plane[a : a + CHUNK_POINTS] & (1 << bit)))
+            for a in range(0, P, CHUNK_POINTS))
+        for plane, bit in predictors
+    ]
 
-    def terms(p, plus):
-        for f in plus:
+    def terms(p, rows):
+        for (_, bit), r in zip(predictors, rows):
+            f = (r & (1 << bit)).astype(np.bool_)
             yield p[:, 0][f]
             yield p[:, 1][~f]
 
-    sums = _table_sums(dist, plus_masks, terms, [n for k in counts for n in (k, P - k)])
+    sums = _table_sums(dist, [plane for plane, _ in predictors], terms,
+                       [n for k in counts for n in (k, P - k)])
     return list(zip(sums[::2], sums[1::2]))
 
 
 def prediction_error(
-    dist: JointDistribution, psi: PenaltyFunction, plus: np.ndarray, misses=None
+    dist: JointDistribution, psi: PenaltyFunction, plus: np.ndarray | None, misses=None
 ) -> float:
     """Expected penalized loss 2 * sum_y psi(y) P(Y=y, f(X) != y) of the
     predictor f with mask ``plus``; pass ``misses`` when the two masses of
-    ``_misses`` are at hand."""
-    miss_neg, miss_pos = misses or _misses(dist, [plus])[0]
+    ``_misses`` are at hand, and ``plus`` is not read."""
+    miss_neg, miss_pos = misses or _misses(dist, [(_mask_plane(dist, plus), 0)])[0]
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
@@ -187,10 +236,23 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     """Whether the conditional law of Y given X depends only on these factors.
 
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
-    support point, within EQUALITY_TOL.
+    support point, within EQUALITY_TOL.  The two are compared one slab of
+    the grid at a time, over its leading axes.
     """
-    gap = (_conditionals(dist, None) - _conditionals(dist, subset)).reshape(-1)
-    return bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
+    space = dist.space
+    grid = space.grid_shape
+    cylinder = np.broadcast_to(_conditionals(dist, subset), grid)
+    table = dist.probs.reshape(grid + (2,))
+    lead = 0  # leading axes indexed: a slab holds at most CHUNK_POINTS points
+    while lead < space.n and (space.q + 1) ** (space.n - lead) > CHUNK_POINTS:
+        lead += 1
+    for idx in np.ndindex(grid[:lead]):
+        p = table[idx]
+        tot = p[..., 0] + p[..., 1]
+        gap = cell_conditionals(tot, p[..., 1]) - cylinder[idx]
+        if not np.all(np.abs(gap)[tot > 0.0] <= EQUALITY_TOL):
+            return False
+    return True
 
 
 def influence_table(dist: JointDistribution, plus: np.ndarray) -> InfluenceTable:
@@ -202,26 +264,31 @@ def influence_table(dist: JointDistribution, plus: np.ndarray) -> InfluenceTable
     cross-validated error uses its optimal predictor under balanced
     penalties.  The mean of v under the distribution is exactly zero.
     """
-    return _influence_tables(dist, [plus], _misses(dist, [plus]))[0]
+    predictor = [(_mask_plane(dist, plus), 0)]
+    return _influence_tables(dist, predictor, _misses(dist, predictor))[0]
 
 
-def _influence_tables(dist: JointDistribution, plus_masks, misses) -> list[InfluenceTable]:
-    """``influence_table`` of each mask, given its misses: one pass for the means."""
+def _influence_tables(dist: JointDistribution, predictors, misses) -> list[InfluenceTable]:
+    """``influence_table`` of each (plane, bit) predictor, given its misses:
+    one pass for the means."""
     p_pos = label_marginal(dist, 1)
     p_neg = 1.0 - p_pos
     luts = []
-    for miss_neg, miss_pos in misses:
+    for (_, bit), (miss_neg, miss_pos) in zip(predictors, misses):
         lut = np.empty((2, 2))  # row 1 holds the points f sends to +1
         lut[:, 0] = (2.0 / p_neg) * (np.array([0.0, 1.0]) - miss_neg / p_neg)
         lut[:, 1] = (2.0 / p_pos) * (np.array([1.0, 0.0]) - miss_pos / p_pos)
+        lut = lut[(np.arange(256) >> bit) & 1]  # the row of each plane byte
         lut.flags.writeable = False
         luts.append(lut)
 
-    def terms(p, plus):
-        return (p * _expand(lut, f) for lut, f in zip(luts, plus))
+    def terms(p, rows):
+        return (p * np.take(lut, r, axis=0) for lut, r in zip(luts, rows))
 
-    means = _table_sums(dist, plus_masks, terms, [dist.probs.size] * len(luts))
-    return [InfluenceTable(f, lut, mean) for f, lut, mean in zip(plus_masks, luts, means)]
+    planes = [plane for plane, _ in predictors]
+    means = _table_sums(dist, planes, terms, [dist.probs.size] * len(luts))
+    return [InfluenceTable(plane, bit, lut, mean)
+            for (plane, bit), lut, mean in zip(predictors, luts, means)]
 
 
 def subset_oracle(
@@ -229,7 +296,8 @@ def subset_oracle(
 ) -> tuple[tuple[float, ...], list[InfluenceTable]]:
     """Per subset, the exact error of its balanced-penalty optimal predictor
     and that predictor's ``influence_table``: one predictor per subset, its
-    cells decided on the table's marginal over the union of the subsets.
+    cells decided on the table's marginal over the union of the subsets,
+    and one predictor plane per 8 subsets, shared by their tables.
     ``run_replications`` takes the errors; ``asymptotic_*`` take the tables.
     """
     for s in subsets:
@@ -237,10 +305,11 @@ def subset_oracle(
     union = tuple(sorted({i for s in subsets for i in s.indices}))
     within = cylinder_masses(dist, FactorSubset(union)) if union else None
     psi = balanced_penalty(dist)
-    masks = [optimal_predictor(dist, psi, s, within) for s in subsets]
-    misses = _misses(dist, masks)
-    errors = tuple(prediction_error(dist, psi, f, m) for f, m in zip(masks, misses))
-    return errors, _influence_tables(dist, masks, misses)
+    planes = _planes(dist, psi, subsets, within)
+    predictors = [(planes[i // 8], i % 8) for i in range(len(subsets))]
+    misses = _misses(dist, predictors)
+    errors = tuple(prediction_error(dist, psi, None, m) for m in misses)
+    return errors, _influence_tables(dist, predictors, misses)
 
 
 def asymptotic_moments(
@@ -258,14 +327,15 @@ def asymptotic_moments(
     devs = [t.lut - t.mean for t in tables]
     pairs = [(i, j) for i in range(len(tables)) for j in range(i, len(tables))]
 
-    def terms(p, plus):
-        d = [_expand(dev, f) for dev, f in zip(devs, plus)]
-        pd = [p * di for di in d]
+    def terms(p, rows):
+        d = [np.take(dev, r, axis=0) for dev, r in zip(devs, rows)]
         yield from (p * (di * di) for di in d)
-        yield from (pd[i] * d[j] for i, j in pairs)
+        for i, di in enumerate(d):  # one p * d_i at a time: the pairs (i, j >= i)
+            pd = p * di
+            yield from (pd * dj for dj in d[i:])
 
     sums = _table_sums(
-        dist, [t.plus for t in tables], terms, [dist.probs.size] * (len(tables) + len(pairs))
+        dist, [t.plane for t in tables], terms, [dist.probs.size] * (len(tables) + len(pairs))
     )
     c = np.zeros((len(tables), len(tables)))
     for (i, j), s in zip(pairs, sums[len(tables) :]):

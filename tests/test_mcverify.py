@@ -1,7 +1,12 @@
+import concurrent.futures
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +324,33 @@ class TestBatchedEngine:
         assert len(built) == 1 and built[0] is dist
         assert max(1, RECORDS_PER_BATCH // 6000) == 5
 
+    def test_batches_are_not_judged_again(self, monkeypatch):
+        # the sampled records are valid by construction: no Dataset check and
+        # copy per batch, and the same replications as one dataset at a time
+        judged = []
+        check = model.Dataset.__post_init__
+        monkeypatch.setattr(model.Dataset, "__post_init__",
+                            lambda self: judged.append(1) or check(self))
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        errors, _ = subset_oracle(dist, subs)
+        n_records = RECORDS_PER_BATCH // 3  # three batches of 3, 3 and 1
+        got = run_replications(dist, subs, errors, n_records, 5, DEFAULT_SCHEDULE, 7, 4)
+        assert judged == []
+        assert same_replications(got, per_replication_reference(
+            dist, subs, errors, n_records, 5, 7, 4))
+
+    def test_serial_import_loads_no_process_pool(self):
+        # concurrent.futures.process pulls in multiprocessing; only a pooled
+        # run imports it
+        src = str(Path(mcverify.__file__).resolve().parents[1])
+        code = ("import sys, mdrcv.mcverify; "
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (1, []), (None, [])])
     def test_worker_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, pool_sizes):
         # a recording pool runs the batches in this process: no process starts
@@ -338,7 +370,7 @@ class TestBatchedEngine:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(mcverify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(mcverify, "_WORKER_CONTEXT", None)
         monkeypatch.setattr(mcverify.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(mcverify, "RECORDS_PER_BATCH", 100)  # one replication per batch

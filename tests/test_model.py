@@ -862,8 +862,8 @@ class TestFromConditional:
     @pytest.mark.parametrize("preset", ["null", "single-factor", "pair-epistasis"])
     def test_preset_build_keeps_to_table_ends_and_mask(self, preset):
         # beside the table only the block ends (1/16 of its bytes), the
-        # support mask (one byte a point) and one CDF_CHUNK cumsum buffer
-        # are alive at the peak: no table-sized CDF
+        # support bits (one bit a point) and one CDF_CHUNK cumsum buffer
+        # are alive at the peak: no table-sized CDF or support mask
         # (independent is left out: its conditional depends on every factor)
         generate_scenario(preset, 2, 2)  # first-call allocations off the books
         tracemalloc.start()
@@ -875,7 +875,7 @@ class TestFromConditional:
         assert peak <= build_floor(dist) + 2**13
 
     def test_independent_build_keeps_one_conditional_buffer(self):
-        # beside the table, block ends, mask and cumsum buffer, only the
+        # beside the table, block ends, support bits and cumsum buffer, only the
         # conditional (half the table's bytes) is alive: no level sum or
         # logistic temporary
         generate_scenario("independent", 2, 2)
@@ -889,9 +889,9 @@ class TestFromConditional:
 
 
 def build_floor(dist):
-    """Bytes a distribution keeps (table, block ends, support mask) plus the
+    """Bytes a distribution keeps (table, block ends, support bits) plus the
     one cumsum buffer its build needs."""
-    return (dist.probs.nbytes + dist._cdf_ends.nbytes + dist.support_mask().nbytes
+    return (dist.probs.nbytes + dist._cdf_ends.nbytes + dist._support_bits.nbytes
             + 8 * (CDF_CHUNK + 1))
 
 
@@ -1007,6 +1007,22 @@ class TestBlockedCdf:
         assert ds.x.dtype == np.int16 and ds.y.dtype == np.int8
         assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
         assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))
+
+    @pytest.mark.parametrize("n", [10, 11])  # 59,049 and 177,147 points: 2 and 6 chunks
+    def test_support_bits_span_chunks(self, n):
+        # zero-mass points on both sides of every chunk edge and in the last,
+        # partial byte; one label's mass alone keeps a point in the support
+        probs = generate_scenario("pair-epistasis", n, 2).probs.copy()
+        P = len(probs)
+        edges = np.arange(0, P, CDF_CHUNK // 2)
+        probs[np.concatenate([edges, edges[1:] - 1, [P - 1]])] = 0.0
+        probs[edges[1:] + 1, 0] = 0.0
+        probs[edges[1:] + 2, 1] = 0.0
+        dist = JointDistribution(FactorSpace(n, 2), probs / probs.sum())
+        mask = dist.support_mask()
+        assert mask.dtype == np.bool_ and not mask.flags.writeable
+        assert np.array_equal(mask, dist.probs.sum(axis=1) > 0)
+        assert dist._support_bits.tobytes() == np.packbits(mask).tobytes()
 
     def test_cdf_ends_carry_across_chunks(self):
         dist = generate_scenario("pair-epistasis", 10, 2)  # 118098 atoms: two chunks

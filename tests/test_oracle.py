@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -40,9 +41,14 @@ from conftest import small_distributions
 UNIT_PENALTY = PenaltyFunction(1.0, 1.0)
 
 
+def plus_of(table):
+    """An influence table's predictor as its bool mask: bit ``bit`` of its plane."""
+    return (table.plane >> table.bit) & 1 == 1
+
+
 def dense(table):
-    """An influence table's dense (points, 2) values lut[plus[x], y]."""
-    return table.lut[table.plus.astype(np.intp)]
+    """An influence table's dense (points, 2) values lut[plane[x], y]."""
+    return table.lut[table.plane]
 
 
 def all_predictors(space):
@@ -195,6 +201,12 @@ def test_predictor_needs_one_bool_per_point(n2_partial_support, make_mask):
         prediction_error(n2_partial_support, UNIT_PENALTY, plus)
     with pytest.raises(ValidationError, match=message):
         influence_table(n2_partial_support, plus)
+    # the oracle's own predictors are planes: one byte per point, 8 to a plane
+    _, tables = subset_oracle(n2_partial_support, [FactorSubset.of(1)] * 9)
+    for t in tables:
+        assert t.plane.dtype == np.uint8
+        assert t.plane.shape == (n2_partial_support.space.num_points,)
+    assert len({id(t.plane) for t in tables}) == 2
 
 
 class TestSignificance:
@@ -242,6 +254,56 @@ class TestSignificance:
         gap = at_points(FactorSubset(tuple(range(1, n + 1)))) - at_points(subset)
         want = bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
         assert is_significant(dist, subset) == want
+
+
+    @pytest.mark.parametrize("chunk", [8, 16, oracle.CHUNK_POINTS])
+    @given(
+        dist=small_distributions(max_n=3, max_q=2),
+        zeros=st.lists(st.integers(0, 26), max_size=8),
+        tied=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_slabs_match_whole_grid_and_dense_recipe(self, chunk, dist, zeros, tied, data):
+        # slabs of a few points; zero-mass points; with ``tied``, every point
+        # of a cell of the first factor shares its conditional, exactly
+        space = dist.space
+        probs = dist.probs.copy()
+        if tied:
+            first = space.points(np.arange(space.num_points))[:, 0]
+            cond = (np.arange(space.q + 1) / (space.q + 1))[first]
+            probs = probs.sum(axis=1)[:, None] * np.column_stack([1.0 - cond, cond])
+        probs[[z % space.num_points for z in zeros]] = 0.0
+        assume(probs[:, 0].sum() > 0 and probs[:, 1].sum() > 0)
+        dist = JointDistribution(space, probs / probs.sum())
+        subset = FactorSubset(tuple(sorted(data.draw(
+            st.lists(st.integers(1, space.n), min_size=1, max_size=space.n, unique=True)
+        ))))
+        # the whole-grid expression: every pointwise and cylinder conditional at once
+        gap = (oracle._conditionals(dist, None) - oracle._conditionals(dist, subset)).reshape(-1)
+        whole = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
+        at_points = functools.partial(dense_oracle.conditional_at_points, dist)
+        gap = at_points(FactorSubset(tuple(range(1, space.n + 1)))) - at_points(subset)
+        dense = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            assert is_significant(dist, subset) == whole == dense
+        if tied:
+            assert is_significant(dist, FactorSubset.of(1))
+
+    def test_dense_cap_keeps_to_slabs(self):
+        # 531,441 points: no table-sized float array, against 8.5 MB of
+        # pointwise conditionals and 17 MB of the table's copy at once
+        dist = generate_scenario("pair-epistasis", 12, 2)
+        is_significant(dist, FactorSubset.of(1, 2))
+        tracemalloc.start()
+        try:
+            flags = [is_significant(dist, FactorSubset.of(*s)) for s in [(1, 2), (1,), (3, 4)]]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert flags == [True, False, False]
+        assert peak <= 2**21
 
 
 class TestAsymptoticVariance:
@@ -369,6 +431,7 @@ class TestOracleFromTables:
         for s, t in zip(subsets, tables):
             plus = dense_oracle.plus_mask(dist, psi, s)
             assert np.array_equal(optimal_predictor(dist, psi, s), plus)
+            assert np.array_equal(plus_of(t), plus)
             assert np.array_equal(dense(t), dense_oracle.influence(dist, plus))
             assert t.mean == float((dist.probs * dense_oracle.influence(dist, plus)).sum())
 
@@ -431,6 +494,35 @@ class TestOracleFromTables:
         dist = JointDistribution(dist.space, probs / probs.sum())
         subsets = spread_subsets(dist.space.n)[: data.draw(st.integers(1, 8))]
         self.assert_matches_dense(dist, subsets)
+
+    @pytest.mark.parametrize("S", range(1, 11))
+    @pytest.mark.parametrize("chunk", [8, oracle.CHUNK_POINTS])
+    @given(
+        dist=small_distributions(max_n=3, max_q=2),
+        zeros=st.lists(st.integers(0, 26), max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_planes_of_one_to_ten_subsets_match_dense_recipe(self, S, chunk, dist, zeros, data):
+        # subset i is bit i % 8 of plane i // 8: from S = 9 on, a second plane;
+        # supports masked and bits counted a few points at a time
+        probs = dist.probs.copy()
+        probs[[z % dist.space.num_points for z in zeros]] = 0.0
+        assume(probs[:, 0].sum() > 0 and probs[:, 1].sum() > 0)
+        dist = JointDistribution(dist.space, probs / probs.sum())
+        n = dist.space.n
+        subsets = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+            .map(lambda idx: FactorSubset(tuple(sorted(idx)))),
+            min_size=S, max_size=S,
+        ))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            self.assert_matches_dense(dist, subsets)
+            _, tables = subset_oracle(dist, subsets)
+        assert [t.bit for t in tables] == [i % 8 for i in range(S)]
+        assert all(t.plane is tables[8 * (i // 8)].plane for i, t in enumerate(tables))
+        assert len({id(t.plane) for t in tables}) == -(-S // 8)
 
     @given(dist=small_distributions(max_n=2, max_q=2), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -499,11 +591,9 @@ class TestPairwiseReplay:
 
     def test_leaves_follow_numpys_split(self):
         # 1000 -> 496 + 504; 496 -> 248 + 248; 504 -> 248 + 256; 248 -> 120 + 128
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "LEAF_ELEMENTS", 8)
-            assert oracle._leaves(1000) == [120, 128, 120, 128, 120, 128, 128, 128]
-            assert oracle._leaves(128) == [128]
-            assert oracle._leaves(0) == [0]
+        assert oracle._leaves(1000, 8) == [120, 128, 120, 128, 120, 128, 128, 128]
+        assert oracle._leaves(128, 8) == [128]
+        assert oracle._leaves(0, 8) == [0]
 
 
 class TestMissPass:
@@ -522,7 +612,13 @@ class TestMissPass:
         masks = [np.zeros(P, bool), np.ones(P, bool), np.arange(P) % 3 == 1]
         masks += [optimal_predictor(dist, psi, s) for s in spread_subsets(n)]
         want = [(float(dist.probs[f, 0].sum()), float(dist.probs[~f, 1].sum())) for f in masks]
-        assert oracle._misses(dist, masks) == want
+        # mask i as bit i % 8 of plane i // 8: up to 11 masks, two planes
+        planes = [np.zeros(P, np.uint8) for _ in range(0, len(masks), 8)]
+        for i, f in enumerate(masks):
+            planes[i // 8] |= f.astype(np.uint8) << (i % 8)
+        predictors = [(planes[i // 8], i % 8) for i in range(len(masks))]
+        assert oracle._misses(dist, predictors) == want
+        assert [oracle._misses(dist, [(f.view(np.uint8), 0)])[0] for f in masks] == want
         assert want[0][0] == 0.0 and want[1][1] == 0.0
         # zero-mass points sit inside the masks, and inside plus cells of
         # an optimal predictor, which sends them to -1
@@ -548,7 +644,7 @@ class TestMissPass:
             assert variances == want_vars
             assert np.array_equal(cov, want_cov)
         assert [asymptotic_variance(dist, t) for t in mixed] == runs[0][0]
-        assert not t1[0].lut.flags.writeable and not t1[0].plus.flags.writeable
+        assert not t1[0].lut.flags.writeable and not t1[0].plane.flags.writeable
 
 
 def test_tables_hold_the_predictor_masks_uncopied(monkeypatch):
@@ -560,8 +656,33 @@ def test_tables_hold_the_predictor_masks_uncopied(monkeypatch):
 
     monkeypatch.setattr(oracle, "optimal_predictor", spy)
     dist = generate_scenario("pair-epistasis", 4, 2)
-    _, tables = subset_oracle(dist, [FactorSubset.of(1, 2), FactorSubset.of(3)])
-    assert len(made) == len(tables) == 2
-    for plus, t in zip(made, tables):
-        assert not plus.flags.writeable
-        assert np.shares_memory(t.plus, plus)
+    subsets = [FactorSubset.of(1, 2), FactorSubset.of(3)]
+    _, tables = subset_oracle(dist, subsets)
+    assert made == [] and len(tables) == 2
+    plane = tables[0].plane
+    assert not plane.flags.writeable and plane.flags.owndata
+    assert [t.bit for t in tables] == [0, 1]
+    for s, t in zip(subsets, tables):
+        assert t.plane is plane
+        assert np.array_equal(plus_of(t), dense_oracle.plus_mask(dist, balanced_penalty(dist), s))
+    # a mask handed in is its own plane, bit 0, uncopied
+    plus = optimal_predictor(dist, balanced_penalty(dist), subsets[0])
+    table = influence_table(dist, plus)
+    assert table.bit == 0 and np.shares_memory(table.plane, plus)
+
+
+@pytest.mark.parametrize("S", [2, 8])
+def test_oracle_holds_one_byte_a_point_per_eight_subsets(S):
+    # 531,441 points: one predictor plane per 8 subsets, and leaf values
+    # that stay within 2 MiB however many subsets share the passes
+    dist = generate_scenario("pair-epistasis", 12, 2)
+    subsets = [FactorSubset(c) for c in itertools.combinations(range(1, 6), 2)][:S]
+    asymptotic_moments(dist, subset_oracle(dist, subsets[:2])[1])  # first-call allocations
+    tracemalloc.start()
+    try:
+        _, tables = subset_oracle(dist, subsets)
+        asymptotic_moments(dist, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= -(-S // 8) * dist.space.num_points + 2**21
