@@ -71,8 +71,9 @@ def _leaves(n: int, cap: int) -> list[int]:
     return _leaves(n2, cap) + _leaves(n - n2, cap) if n2 else [n]
 
 
-def _combine(n: int, leaf_sums, cap: int) -> float:
-    """Add leaf sums (an iterator, left to right) back up the tree over n."""
+def _combine(n: int, leaf_sums, cap: int):
+    """Add leaf sums (an iterator, left to right) back up the tree over n;
+    a leaf sum may be an array, one entry per tree of n values."""
     n2 = _split(n, cap)
     if not n2:
         return next(leaf_sums)
@@ -95,7 +96,9 @@ def _table_sums(
     pairwise tree over the flattened (num_points, 2) table, so a term with
     one value per entry sums each block whole; a shorter term carries its
     values over into its own tree's leaves.  Leaf sums add up each tree.
-    Leaves hold at most LEAF_ELEMENTS // len(planes) values.
+    Leaves hold at most LEAF_ELEMENTS // len(planes) values.  The terms of
+    one length climb their trees together: one walk adds their leaf sums
+    as arrays, the same adds as one walk per term.
     """
     cap = LEAF_ELEMENTS // max(len(planes), 1)
     trees = {n: _leaves(n, cap) for n in {dist.probs.size, *lengths}}
@@ -113,7 +116,12 @@ def _table_sums(
                 i += todo[t].pop()
             carry[t] = v[i:] if i < v.size else np.empty(0)  # drop the block
         a = b
-    return [float(_combine(n, iter(s), cap)) for n, s in zip(lengths, sums)]
+    out = [0.0] * len(lengths)
+    for n in set(lengths):
+        ts = [t for t, k in enumerate(lengths) if k == n]
+        for t, v in zip(ts, _combine(n, iter(np.array([sums[t] for t in ts]).T), cap)):
+            out[t] = float(v)
+    return out
 
 
 def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
@@ -127,12 +135,26 @@ def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
     return PenaltyFunction(1.0 / (1.0 - p_pos), 1.0 / p_pos)
 
 
-def _conditionals(dist: JointDistribution, subset, within=None) -> np.ndarray:
-    """P(Y=1 | X in C) per cell of the subset (all factors for None), 0 on
-    cells without mass, as an array that broadcasts against the point grid."""
-    subset = subset or FactorSubset(tuple(range(1, dist.space.n + 1)))
+def _conditionals(dist: JointDistribution, subset: FactorSubset, within=None) -> np.ndarray:
+    """P(Y=1 | X in C) per cell of the subset, 0 on cells without mass, as
+    an array that broadcasts against the point grid."""
     m = cylinder_masses(dist, subset, within)
     return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
+
+
+def _point_slabs(dist: JointDistribution):
+    """The pointwise conditional p1 / (p0 + p1) one slab of the point grid at
+    a time, over its leading axes, each slab at most CHUNK_POINTS points:
+    yields (slab index, P(X=x), P(Y=1 | X=x) with 0 where P(X=x) = 0)."""
+    space = dist.space
+    table = dist.probs.reshape(space.grid_shape + (2,))
+    lead = 0  # leading axes indexed
+    while lead < space.n and (space.q + 1) ** (space.n - lead) > CHUNK_POINTS:
+        lead += 1
+    for idx in np.ndindex(space.grid_shape[:lead]):
+        p = table[idx]
+        tot = p[..., 0] + p[..., 1]
+        yield idx, tot, cell_conditionals(tot, p[..., 1])
 
 
 def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> np.ndarray:
@@ -156,15 +178,21 @@ def _planes(
     per 8 subsets: bit i % 8 of plane i // 8 is set on the points subset
     i's predictor sends to +1, and every bit is 0 off the support.  Each
     cell's decision is OR-ed into its plane by broadcasting over the grid;
-    the support is applied CHUNK_POINTS points at a time."""
+    all factors (None) decide point by point, one ``_point_slabs`` slab at
+    a time.  The support is applied CHUNK_POINTS points at a time."""
     P, grid = dist.space.num_points, dist.space.grid_shape
     planes = [np.zeros(P, dtype=np.uint8) for _ in range(0, len(subsets), 8)]
+    # ties resolve to -1: strict inequality, with the tolerance shielding
+    # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
+    threshold = psi.threshold + EQUALITY_TOL
     for i, s in enumerate(subsets):
-        # ties resolve to -1: strict inequality, with the tolerance shielding
-        # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
-        above = _conditionals(dist, s, within) > psi.threshold + EQUALITY_TOL
         plane = planes[i // 8].reshape(grid)
-        plane |= np.left_shift(above, i % 8, dtype=np.uint8)
+        if s is None:
+            for idx, _, cond in _point_slabs(dist):
+                plane[idx] |= np.left_shift(cond > threshold, i % 8, dtype=np.uint8)
+        else:
+            plane |= np.left_shift(_conditionals(dist, s, within) > threshold, i % 8,
+                                   dtype=np.uint8)
     for a in range(0, P, CHUNK_POINTS):  # a multiple of 8: whole bytes of bits
         b = min(a + CHUNK_POINTS, P)
         on = np.unpackbits(dist._support_bits[a // 8 : -(-b // 8)], count=b - a)
@@ -236,21 +264,12 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
     """Whether the conditional law of Y given X depends only on these factors.
 
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
-    support point, within EQUALITY_TOL.  The two are compared one slab of
-    the grid at a time, over its leading axes.
+    support point, within EQUALITY_TOL.  The two are compared one
+    ``_point_slabs`` slab at a time.
     """
-    space = dist.space
-    grid = space.grid_shape
-    cylinder = np.broadcast_to(_conditionals(dist, subset), grid)
-    table = dist.probs.reshape(grid + (2,))
-    lead = 0  # leading axes indexed: a slab holds at most CHUNK_POINTS points
-    while lead < space.n and (space.q + 1) ** (space.n - lead) > CHUNK_POINTS:
-        lead += 1
-    for idx in np.ndindex(grid[:lead]):
-        p = table[idx]
-        tot = p[..., 0] + p[..., 1]
-        gap = cell_conditionals(tot, p[..., 1]) - cylinder[idx]
-        if not np.all(np.abs(gap)[tot > 0.0] <= EQUALITY_TOL):
+    cylinder = np.broadcast_to(_conditionals(dist, subset), dist.space.grid_shape)
+    for idx, tot, cond in _point_slabs(dist):
+        if not np.all(np.abs(cond - cylinder[idx])[tot > 0.0] <= EQUALITY_TOL):
             return False
     return True
 

@@ -127,6 +127,31 @@ class TestHighRiskSet:
         rows = got.tolist()
         assert all(a < b for a, b in zip(rows, rows[1:]))
 
+    @pytest.mark.parametrize("chunk", [8, 16])
+    @given(dist=small_distributions(max_n=3, max_q=2))
+    @settings(max_examples=30, deadline=None)
+    def test_slabs_of_a_few_points_match_dense_mask(self, chunk, dist):
+        psi = balanced_penalty(dist)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            got = optimal_predictor(dist, psi)
+        assert np.array_equal(got, dense_oracle.plus_mask(dist, psi))
+
+    def test_pointwise_predictor_keeps_to_slabs(self):
+        # 531,441 points: no copy of the 8.1 MiB table and no table-sized
+        # conditional, only the 0.5 MiB predictor and one slab's temporaries
+        dist = generate_scenario("pair-epistasis", 12, 2)
+        psi = balanced_penalty(dist)
+        optimal_predictor(dist, psi)
+        tracemalloc.start()
+        try:
+            plus = optimal_predictor(dist, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(plus) == 3**11
+        assert peak <= 2**21
+
 
 class TestOptimalPredictor:
     def test_full_subset_matches_high_risk_set(self, n2_partial_support):
@@ -280,7 +305,8 @@ class TestSignificance:
             st.lists(st.integers(1, space.n), min_size=1, max_size=space.n, unique=True)
         ))))
         # the whole-grid expression: every pointwise and cylinder conditional at once
-        gap = (oracle._conditionals(dist, None) - oracle._conditionals(dist, subset)).reshape(-1)
+        every = FactorSubset(tuple(range(1, space.n + 1)))
+        gap = (oracle._conditionals(dist, every) - oracle._conditionals(dist, subset)).reshape(-1)
         whole = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
         at_points = functools.partial(dense_oracle.conditional_at_points, dist)
         gap = at_points(FactorSubset(tuple(range(1, space.n + 1)))) - at_points(subset)

@@ -1,4 +1,4 @@
-"""Byte-level pins of five small CLI reports and three sampled CSVs.
+"""Byte-level pins of six small CLI reports and three sampled CSVs.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -29,6 +29,15 @@ SEARCH_DATA_ARGS = [
 ]
 SEARCH_ARGS = ["search", "--r", "2", "--K", "5"]
 SEARCH_SHA256 = "c5ada2b2e9b915707eba692ce59a67aed7ac20d6cb77ae6133fa9699fbc4c629"
+
+# A deep binary search: 220 triples of 12 factors on 5000 records, so each
+# prefix's pairs are counted from joint tables over several factors.
+DEEP_SEARCH_DATA_ARGS = [
+    "simulate", "--preset", "pair-epistasis", "--n", "12", "--q", "1",
+    "--N", "5000", "--seed", "7",
+]
+DEEP_SEARCH_ARGS = ["search", "--r", "3", "--K", "5"]
+DEEP_SEARCH_SHA256 = "fb3332113fe02207f22a8490e366a8cc86635cada260436d14744202c3447776"
 
 ORACLE_ARGS = [
     "oracle", "--preset", "pair-epistasis", "--n", "6", "--q", "2",
@@ -72,6 +81,13 @@ def test_search_report_bytes(tmp_path):
     report_digest(SEARCH_DATA_ARGS, data)
     got = report_digest(SEARCH_ARGS + ["--data", str(data)], tmp_path / "search.json")
     assert got == SEARCH_SHA256
+
+
+def test_deep_search_report_bytes(tmp_path):
+    data = tmp_path / "data.csv"
+    report_digest(DEEP_SEARCH_DATA_ARGS, data)
+    got = report_digest(DEEP_SEARCH_ARGS + ["--data", str(data)], tmp_path / "search.json")
+    assert got == DEEP_SEARCH_SHA256
 
 
 def test_oracle_report_bytes(tmp_path):

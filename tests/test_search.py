@@ -190,15 +190,52 @@ class TestRankSubsets:
         assert report.to_dict()["tie_tolerance"] == 0.0
 
 
+class TestBlockSize:
+    def test_search_csv_shape_counts_595_tables(self):
+        # n = 20, q = 1, N = 20,000, r = 4, K = 5: head = 2K (q+1)^2 = 40
+        assert search._block_size(40, 2, 20_000, 20, 4) == 4
+        assert search._passes(20, 4, 4) == 595
+        assert search._passes(20, 4, 1) == comb(20, 4)
+
+    @pytest.mark.parametrize("q, n_records, n, r, want", [
+        (2, 2000, 300, 2, 2),  # wide ternary pairs
+        (2, 2000, 60, 3, 2),
+        (1, 20_000, 20, 3, 4),
+        (63, 200, 4, 4, 1),  # 64^2 cells after the prefix: only b = 1 fits
+        (1, 20_000, 200, 1, 8),  # r = 1: 2K * 2^8 bins a table
+    ])
+    def test_picks_from_sizes_within_the_joint_cap(self, q, n_records, n, r, want):
+        head = 10 * (q + 1) ** max(r - 2, 0)
+        b = search._block_size(head, q + 1, n_records, n, r)
+        assert b == want
+        assert b == 1 or head * (q + 1) ** (min(r, 2) * b) <= search.BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_one_bincount_per_joint_table(self, r):
+        rng = np.random.default_rng(r)
+        ds = Dataset(FactorSpace(9, 1), rng.integers(0, 2, (300, 9)), rng.choice([-1, 1], 300))
+        want = rank_subsets(ds, r, 5)
+        head, span = 10 * 2 ** max(r - 2, 0), 2 ** min(r, 2)
+        for b in range(1, 9 - max(r - 2, 0) + 1):
+            if b > 1 and head * span**b > search.BLOCK_ENTRIES:
+                break
+            with mock.patch.object(search, "_block_size", return_value=b), \
+                    mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+                got = rank_subsets(ds, r, 5)
+            assert bincount.call_count == search._passes(9, r, b)
+            assert got.to_dict() == want.to_dict()
+
+
 @st.composite
 def search_inputs(draw):
-    """(dataset, r, K, schedule, subsets per count block, group budget) for
+    """(dataset, r, K, schedule, subsets per count block, block size) for
     ``rank_subsets``.
 
     Levels up to q = 3 and up to 60 records, so N is often below the cell
-    count; fold 1 is sometimes made one-class.  The search's own budget
-    groups few last factors at N <= 60, so larger ones are drawn too, up
-    to one that groups every last factor of a prefix.
+    count; fold 1 is sometimes made one-class.  The block size is the
+    search's own pick (None) or any size it can pick for the shape: from 1
+    to the n - r + 2 factors after the shortest prefix, with a joint table
+    of at most ``BLOCK_ENTRIES`` bins past size 1.
     """
     q = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
@@ -216,8 +253,11 @@ def search_inputs(draw):
         st.builds(EpsilonSchedule, st.floats(0.01, 4.0), st.floats(0.01, 0.49)),
     ))
     per_block = draw(st.integers(1, 4))
-    budget = draw(st.one_of(st.just(search.GROUP_BUDGET), st.integers(1, 2**12), st.just(2**40)))
-    return Dataset(FactorSpace(n, q), xs, ys), r, k, schedule, per_block, budget
+    fixed = max(r - 2, 0)
+    head, span = 2 * k * (q + 1) ** fixed, (q + 1) ** min(r, 2)
+    sizes = [b for b in range(1, n - fixed + 1) if b == 1 or head * span**b <= search.BLOCK_ENTRIES]
+    size = draw(st.one_of(st.none(), st.sampled_from(sizes)))
+    return Dataset(FactorSpace(n, q), xs, ys), r, k, schedule, per_block, size
 
 
 @given(case=search_inputs())
@@ -225,40 +265,57 @@ def search_inputs(draw):
     Dataset(FactorSpace(4, 3),
             [[i % 4, i // 4 % 4, (i * 3) % 4, 3 - i % 4] for i in range(13)],
             [1] * 4 + [-1, 1, -1, -1, 1, 1, -1, 1, -1]),
-    2, 3, EpsilonSchedule(0.3, 0.4), 4, search.GROUP_BUDGET,
+    2, 3, EpsilonSchedule(0.3, 0.4), 4, None,
 ))
 @example(case=(  # r = n = 4 at q = 2: one subset, 81 cells, 10 records in 4 folds
     Dataset(FactorSpace(4, 2),
             [[i % 3, i // 3 % 3, (i * 2) % 3, 2 - i % 3] for i in range(10)],
             [1, -1] * 5),
-    4, 4, DEFAULT_SCHEDULE, 1, search.GROUP_BUDGET,
+    4, 4, DEFAULT_SCHEDULE, 1, None,
 ))
-@example(case=(  # r = 1: the prefix is (fold, label) alone; g = n = 5, one bincount
+@example(case=(  # r = 1 in one block of 5: the key is (fold, label) and its 5 levels
     Dataset(FactorSpace(5, 1), [[(i >> j) % 2 for j in range(5)] for i in range(9)],
             [1, -1, -1, 1, 1, -1, 1, -1, -1]),
-    1, 3, DEFAULT_SCHEDULE, 8, 2**40,
+    1, 3, DEFAULT_SCHEDULE, 8, 5,
 ))
-@example(case=(  # g = 2 at q = 2: prefix (1,) groups last factors (2, 3), then (4,)
+@example(case=(  # r = 1 in blocks {1, 2, 3} and {4, 5}, the second padded with a 0 digit
+    Dataset(FactorSpace(5, 2), [[(i * (j + 1)) // 2 % 3 for j in range(5)] for i in range(14)],
+            [1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, -1]),
+    1, 4, DEFAULT_SCHEDULE, 2, 3,
+))
+@example(case=(  # r = 2, no prefix: blocks {1, 2}, {3, 4}; pairs within and across them
     Dataset(FactorSpace(4, 2), [[i % 3, i // 3 % 3, (i * 2) % 3, (i + 1) % 3] for i in range(12)],
             [1, 1, -1, 1, -1, -1, 1, -1, 1, -1, -1, 1]),
-    2, 2, EpsilonSchedule(0.5, 0.3), 8, 100,
+    2, 2, EpsilonSchedule(0.5, 0.3), 8, 2,
 ))
-@example(case=(  # g = 4 in blocks of 3 rows: groups of 4, 3 and 2 split at a flush
+@example(case=(  # one block of 4 and {5}: 6 pairs inside it, 4 across, scored table by table
     Dataset(FactorSpace(5, 1), [[(i * (j + 2)) // 3 % 2 for j in range(5)] for i in range(11)],
             [1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1]),
-    2, 2, DEFAULT_SCHEDULE, 3, 2**40,
+    2, 2, DEFAULT_SCHEDULE, 3, 4,
 ))
-@example(case=(  # r = 3, g = 2: prefix (1, 3) groups (4, 5), then a short final (6,)
+@example(case=(  # r = 3 in blocks of 2: prefix (1,) straddles {1, 2}; (4,) pairs only in {5, 6}
     Dataset(FactorSpace(6, 1), [[(i + j * i // 2) % 2 for j in range(6)] for i in range(20)],
             [1, -1, -1, 1] * 5),
-    3, 2, DEFAULT_SCHEDULE, 4, 20,
+    3, 2, DEFAULT_SCHEDULE, 4, 2,
+))
+@example(case=(  # r = 4 in blocks of 2 at q = 2: prefix (1, 2) pairs {3, 4} with {5}
+    Dataset(FactorSpace(5, 2), [[(i * (j + 1) + j) % 3 for j in range(5)] for i in range(30)],
+            [1, -1, -1] * 10),
+    4, 3, DEFAULT_SCHEDULE, 2, 2,
+))
+@example(case=(  # blocks {1..6}, {7}: 10 * 2^12 joint bins, so the keys are int32
+    Dataset(FactorSpace(7, 1), [[(i >> j) % 2 for j in range(7)] for i in range(0, 120, 7)],
+            [1, -1, -1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1, -1, 1, 1, -1, 1]),
+    2, 5, DEFAULT_SCHEDULE, 3, 6,
 ))
 @settings(max_examples=80, deadline=None)
 def test_search_kernel_matches_single_subset_estimator(case):
-    ds, r, k, schedule, per_block, budget = case
+    ds, r, k, schedule, per_block, size = case
     width = k * 2 * (ds.space.q + 1) ** r
     with mock.patch.object(search, "BLOCK_ENTRIES", per_block * width), \
-            mock.patch.object(search, "GROUP_BUDGET", budget):
+            mock.patch.object(search, "_block_size", wraps=search._block_size) as rule:
+        if size is not None:
+            rule.side_effect = lambda *sizes: size
         report = rank_subsets(ds, r, k, schedule)
     want = [
         (s, cv_prediction_error(ds, k, FactorSubset(s), schedule))
