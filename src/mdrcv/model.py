@@ -38,9 +38,10 @@ MAX_RECORDS = np.iinfo(np.intp).max // 8  # float64 draws past it have no array
 NORMALIZATION_TOL = 1e-12
 
 # The atom CDF is kept only at the end of each block of CDF_BLOCK atoms;
-# ``sample`` re-sums the blocks its draws land in.  CDF_CHUNK atoms (a
-# multiple of CDF_BLOCK, 512 KiB of float64) are summed at a time, so
-# sorted draws are searched CDF_CHUNK // CDF_BLOCK at a time.
+# ``sample`` re-sums the blocks its draws land in.  Every walk over a table
+# takes CDF_CHUNK atoms, CDF_CHUNK // 2 points (a multiple of CDF_BLOCK and
+# of 8 points, 512 KiB of float64), at a time: the build pass, sorted draws
+# (searched CDF_CHUNK // CDF_BLOCK at a time) and the oracle's slabs.
 CDF_BLOCK = 16
 CDF_CHUNK = 2**16
 
@@ -231,10 +232,11 @@ class JointDistribution:
     y = +1, rows follow the lexicographic point enumeration.  Entries must
     be nonnegative and sum to 1 within 1e-12, and both label marginals
     must be strictly positive (degenerate labels are rejected).  Beside the
-    table it keeps the atom CDF at each block end, both label sums, the
-    support as packed bits and, once sampled with at least as many draws as
-    atoms, its ``_guide_table``.  Equal spaces and tables make equal,
-    unhashable ones.
+    table it keeps both label sums, the atom CDF at each block end and the
+    support as packed bits, the last two from one chunked pass over the
+    table, which only this class walks (``support_mask`` serves any range of
+    points), and, once sampled with at least as many draws as atoms, its
+    ``_guide_table``.  Equal spaces and tables make equal, unhashable ones.
     """
 
     space: FactorSpace
@@ -261,9 +263,27 @@ class JointDistribution:
                 f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
             )
         object.__setattr__(self, "_label_sums", (float(p[:, 0].sum()), marg_pos))
+        # one pass, CDF_CHUNK atoms at a time: the support bits, np.packbits
+        # of each point's "either atom > 0", and np.cumsum of the atoms at the
+        # last atom of each block, the final atom's value forced to 1.0.  Each
+        # chunk's cumsum is seeded with the previous chunk's last value, so
+        # every value is the sequential one; no table-sized array is made
         atoms = p.reshape(-1)
-        for name, arr in (("probs", p), ("_support_bits", _support_bits(atoms)),
-                          ("_cdf_ends", _block_ends(atoms))):
+        bits = np.empty(-(-atoms.size // 16), dtype=np.uint8)
+        ends = np.empty(-(-atoms.size // CDF_BLOCK))
+        carry = 0.0
+        for start in range(0, atoms.size, CDF_CHUNK):  # CDF_CHUNK // 2 points: whole bytes
+            chunk = atoms[start : start + CDF_CHUNK]
+            k, byte, block = chunk.size, start // 16, start // CDF_BLOCK
+            # one uint16 per point's pair of flags
+            bits[byte : byte + -(-k // 16)] = np.packbits((chunk > 0.0).view(np.uint16) != 0)
+            run = np.concatenate(([carry], chunk))
+            np.cumsum(run, out=run)
+            ends[block : block + k // CDF_BLOCK] = run[CDF_BLOCK::CDF_BLOCK]
+            carry = run[-1]
+            del run  # no chunk buffer is alive while the next flags are packed
+        ends[-1] = 1.0  # also the end of a partial last block
+        for name, arr in (("probs", p), ("_support_bits", bits), ("_cdf_ends", ends)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -342,10 +362,14 @@ class JointDistribution:
         marginal.flags.writeable = False
         return marginal
 
-    def support_mask(self) -> np.ndarray:
-        """Points with positive mass, enumeration order (read-only), unpacked
-        from the support bits on each call."""
-        mask = np.unpackbits(self._support_bits, count=self.space.num_points).view(np.bool_)
+    def support_mask(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Whether each point has positive mass, ``[start:stop]`` of the
+        enumeration order (read-only), unpacked from the support bits on each
+        call: only the bytes that hold the range."""
+        start, stop, _ = slice(start, stop).indices(self.space.num_points)
+        skip, count = start % 8, max(stop - start, 0)
+        bits = self._support_bits[start // 8 : -(-(start + count) // 8)]
+        mask = np.unpackbits(bits, count=skip + count)[skip:].view(np.bool_)
         mask.flags.writeable = False
         return mask
 
@@ -355,39 +379,6 @@ class JointDistribution:
         xs = self.space.points(ranks).tolist()
         ps = self.probs[ranks, cols].tolist()
         return [(tuple(x), LABELS[c], p) for x, c, p in zip(xs, cols.tolist(), ps)]
-
-
-def _support_bits(atoms: np.ndarray) -> np.ndarray:
-    """``np.packbits`` of the support mask, each point's bit set iff one of
-    its two atoms is positive, built CDF_CHUNK atoms at a time: no
-    table-sized mask is made."""
-    bits = np.empty(-(-atoms.size // 16), dtype=np.uint8)
-    for start in range(0, atoms.size, CDF_CHUNK):  # CDF_CHUNK // 2 points: whole bytes
-        positive = atoms[start : start + CDF_CHUNK] > 0.0
-        packed = np.packbits(positive.view(np.uint16) != 0)  # one uint16 per point's pair
-        bits[start // 16 : start // 16 + packed.size] = packed
-    return bits
-
-
-def _block_ends(atoms: np.ndarray) -> np.ndarray:
-    """``np.cumsum(atoms)`` at the last atom of each CDF_BLOCK block, the
-    final atom's value forced to 1.0.  The sum runs chunk by chunk, each
-    chunk's cumsum seeded with the previous chunk's last value, so every
-    value is the sequential one and no table-sized array is made."""
-    ends = np.empty(-(-atoms.size // CDF_BLOCK))
-    buf = np.empty(min(CDF_CHUNK, atoms.size) + 1)
-    carry = 0.0
-    for start in range(0, atoms.size, CDF_CHUNK):
-        chunk = atoms[start : start + CDF_CHUNK]
-        run = buf[: chunk.size + 1]
-        run[0] = carry
-        run[1:] = chunk
-        np.cumsum(run, out=run)
-        block_ends = run[CDF_BLOCK::CDF_BLOCK]
-        ends[start // CDF_BLOCK : start // CDF_BLOCK + block_ends.size] = block_ends
-        carry = run[-1]
-    ends[-1] = 1.0  # also the end of a partial last block
-    return ends
 
 
 def _block_cdf(dist: JointDistribution, blocks: np.ndarray) -> np.ndarray:

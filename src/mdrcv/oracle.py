@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    CDF_CHUNK,
     FactorSubset,
     JointDistribution,
     PenaltyFunction,
@@ -31,10 +32,6 @@ EQUALITY_TOL = 1e-10
 # LEAF_ELEMENTS // S values, one ``.sum()`` call each; a pass holds about
 # two leaves per predictor, so its memory does not grow with S.
 LEAF_ELEMENTS = 2**16
-
-# Points a per-point loop takes at a time: a predictor plane's support
-# masking and bit counts, and a significance slab (256 KiB of float64).
-CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +141,12 @@ def _conditionals(dist: JointDistribution, subset: FactorSubset, within=None) ->
 
 def _point_slabs(dist: JointDistribution):
     """The pointwise conditional p1 / (p0 + p1) one slab of the point grid at
-    a time, over its leading axes, each slab at most CHUNK_POINTS points:
+    a time, over its leading axes, each slab at most CDF_CHUNK // 2 points:
     yields (slab index, P(X=x), P(Y=1 | X=x) with 0 where P(X=x) = 0)."""
     space = dist.space
     table = dist.probs.reshape(space.grid_shape + (2,))
     lead = 0  # leading axes indexed
-    while lead < space.n and (space.q + 1) ** (space.n - lead) > CHUNK_POINTS:
+    while lead < space.n and (space.q + 1) ** (space.n - lead) > CDF_CHUNK // 2:
         lead += 1
     for idx in np.ndindex(space.grid_shape[:lead]):
         p = table[idx]
@@ -169,55 +166,57 @@ def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> np.ndarray:
 
 
 def _planes(
-    dist: JointDistribution,
-    psi: PenaltyFunction,
-    subsets: Sequence[FactorSubset | None],
-    within: np.ndarray | None = None,
+    dist: JointDistribution, psi: PenaltyFunction, subsets: Sequence[FactorSubset]
 ) -> list[np.ndarray]:
     """The optimal predictors of the subsets as read-only uint8 planes, one
     per 8 subsets: bit i % 8 of plane i // 8 is set on the points subset
     i's predictor sends to +1, and every bit is 0 off the support.  Each
-    cell's decision is OR-ed into its plane by broadcasting over the grid;
-    all factors (None) decide point by point, one ``_point_slabs`` slab at
-    a time.  The support is applied CHUNK_POINTS points at a time."""
-    P, grid = dist.space.num_points, dist.space.grid_shape
+    cell decides once, on the table's marginal over the union of the
+    subsets, and its decision is OR-ed into its plane by broadcasting over
+    the grid; a subset of every factor decides point by point, one
+    ``_point_slabs`` slab at a time, and joins no union.  The support is
+    applied one slab's worth of points at a time."""
+    space = dist.space
+    for s in subsets:
+        s.validate_for(space)
+    union = tuple(sorted({i for s in subsets if s.r < space.n for i in s.indices}))
+    within = cylinder_masses(dist, FactorSubset(union)) if union else None
+    P, step = space.num_points, CDF_CHUNK // 2
     planes = [np.zeros(P, dtype=np.uint8) for _ in range(0, len(subsets), 8)]
     # ties resolve to -1: strict inequality, with the tolerance shielding
     # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
     threshold = psi.threshold + EQUALITY_TOL
     for i, s in enumerate(subsets):
-        plane = planes[i // 8].reshape(grid)
-        if s is None:
+        plane = planes[i // 8].reshape(space.grid_shape)
+        if s.r == space.n:
             for idx, _, cond in _point_slabs(dist):
                 plane[idx] |= np.left_shift(cond > threshold, i % 8, dtype=np.uint8)
         else:
             plane |= np.left_shift(_conditionals(dist, s, within) > threshold, i % 8,
                                    dtype=np.uint8)
-    for a in range(0, P, CHUNK_POINTS):  # a multiple of 8: whole bytes of bits
-        b = min(a + CHUNK_POINTS, P)
-        on = np.unpackbits(dist._support_bits[a // 8 : -(-b // 8)], count=b - a)
+    for a in range(0, P, step):
+        on = dist.support_mask(a, a + step).view(np.uint8)  # 0/1: no cast buffer
         for plane in planes:
-            plane[a:b] *= on
+            plane[a : a + step] *= on
     for plane in planes:
         plane.flags.writeable = False
     return planes
 
 
 def optimal_predictor(
-    dist: JointDistribution,
-    psi: PenaltyFunction,
-    subset: FactorSubset | None = None,
-    within: np.ndarray | None = None,
+    dist: JointDistribution, psi: PenaltyFunction, subset: FactorSubset | None = None
 ) -> np.ndarray:
     """The error-minimizing predictor that looks only at the given factors,
     as the read-only bool mask of the points it sends to +1, in rank order.
 
     +1 exactly on support points whose cylinder conditional strictly
     exceeds the threshold; -1 elsewhere, including off the support.
-    ``subset=None`` means all factors, i.e. pointwise conditionals.  Each cell
-    decides once; ``within``: ``cylinder_masses`` of a superset of the subset.
+    ``subset=None`` means every factor, whose cylinder conditional is the
+    pointwise one.
     """
-    return _planes(dist, psi, [subset], within)[0].view(np.bool_)  # a plane of bit 0
+    if subset is None:
+        subset = FactorSubset(tuple(range(1, dist.space.n + 1)))
+    return _planes(dist, psi, [subset])[0].view(np.bool_)  # a plane of bit 0
 
 
 def _mask_plane(dist: JointDistribution, plus: np.ndarray) -> np.ndarray:
@@ -232,10 +231,9 @@ def _misses(dist: JointDistribution, predictors) -> list[tuple[float, float]]:
     """(P(Y=-1, f(X)=+1), P(Y=+1, f(X)=-1)) per predictor, a (plane, bit)
     pair, bit for bit ``probs[f, 0].sum()`` and ``probs[~f, 1].sum()`` of
     its bool mask f: one pass of block gathers."""
-    P = dist.space.num_points
+    P, step = dist.space.num_points, CDF_CHUNK // 2
     counts = [
-        sum(int(np.count_nonzero(plane[a : a + CHUNK_POINTS] & (1 << bit)))
-            for a in range(0, P, CHUNK_POINTS))
+        sum(int(np.count_nonzero(plane[a : a + step] & (1 << bit))) for a in range(0, P, step))
         for plane, bit in predictors
     ]
 
@@ -265,8 +263,12 @@ def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
 
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
     support point, within EQUALITY_TOL.  The two are compared one
-    ``_point_slabs`` slab at a time.
+    ``_point_slabs`` slab at a time; a subset of every factor is True
+    unread, as its cylinder conditional is the pointwise one.
     """
+    subset.validate_for(dist.space)
+    if subset.r == dist.space.n:
+        return True
     cylinder = np.broadcast_to(_conditionals(dist, subset), dist.space.grid_shape)
     for idx, tot, cond in _point_slabs(dist):
         if not np.all(np.abs(cond - cylinder[idx])[tot > 0.0] <= EQUALITY_TOL):
@@ -319,12 +321,8 @@ def subset_oracle(
     and one predictor plane per 8 subsets, shared by their tables.
     ``run_replications`` takes the errors; ``asymptotic_*`` take the tables.
     """
-    for s in subsets:
-        s.validate_for(dist.space)
-    union = tuple(sorted({i for s in subsets for i in s.indices}))
-    within = cylinder_masses(dist, FactorSubset(union)) if union else None
     psi = balanced_penalty(dist)
-    planes = _planes(dist, psi, subsets, within)
+    planes = _planes(dist, psi, subsets)
     predictors = [(planes[i // 8], i % 8) for i in range(len(subsets))]
     misses = _misses(dist, predictors)
     errors = tuple(prediction_error(dist, psi, None, m) for m in misses)

@@ -346,6 +346,17 @@ class TestCliCommands:
         assert main(args) == 0 and calls == []
         assert main(args + ["--out", str(tmp_path / "o.json")]) == 0 and calls == [3]
 
+    def test_every_factor_spelled_out_prints_and_writes_the_default(self, tmp_path, capsys):
+        # no --subsets means every factor; listing all six takes the same path
+        args = ["oracle", "--preset", "pair-epistasis", "--n", "6", "--q", "2"]
+        runs = []
+        for extra in ([], ["--subsets", "1,2,3,4,5,6"]):
+            out = tmp_path / f"oracle{len(runs)}.json"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "subset [1, 2, 3, 4, 5, 6]: " in runs[0][0] and "significant=True" in runs[0][0]
+
     def test_simulate_then_reingest(self, toy_dist_file, tmp_path):
         out = tmp_path / "sim.csv"
         code = main([

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mdrcv import model
 from mdrcv.errors import ValidationError
 from mdrcv.model import (
     CDF_BLOCK,
@@ -1008,26 +1009,62 @@ class TestBlockedCdf:
         assert np.array_equal(ds.x, grid_reference(dist.space)[atom >> 1])
         assert np.array_equal(ds.y, np.where(atom & 1, 1, -1))
 
-    @pytest.mark.parametrize("n", [10, 11])  # 59,049 and 177,147 points: 2 and 6 chunks
-    def test_support_bits_span_chunks(self, n):
+    @pytest.mark.parametrize("space,chunk", [
+        # 59,049 and 177,147 points: 2 and 6 chunks, the last one partial
+        pytest.param(FactorSpace(10, 2), CDF_CHUNK, id="10"),
+        pytest.param(FactorSpace(11, 2), CDF_CHUNK, id="11"),
+        # CDF_CHUNK - 2 and CDF_CHUNK atoms: one chunk, the first ending mid-byte
+        pytest.param(FactorSpace(1, 32766), CDF_CHUNK, id="chunk-minus-2"),
+        pytest.param(FactorSpace(1, 32767), CDF_CHUNK, id="chunk"),
+        # chunks scaled down: 162 atoms in chunks of 160, chunk + 2, so the
+        # last chunk holds one point; 62 atoms in a chunk of 64, chunk - 2;
+        # 686 atoms in a chunk of 688 and 1458 in chunks of 1456, each with
+        # a partial last block
+        pytest.param(FactorSpace(4, 2), 160, id="small-chunk-plus-2"),
+        pytest.param(FactorSpace(1, 30), 64, id="small-chunk-minus-2"),
+        pytest.param(FactorSpace(3, 6), 688, id="partial-block"),
+        pytest.param(FactorSpace(6, 2), 1456, id="partial-block-plus-2"),
+    ])
+    def test_support_bits_span_chunks(self, monkeypatch, space, chunk):
         # zero-mass points on both sides of every chunk edge and in the last,
-        # partial byte; one label's mass alone keeps a point in the support
-        probs = generate_scenario("pair-epistasis", n, 2).probs.copy()
+        # partial byte; one label's mass alone keeps a point in the support.
+        # The same pass builds the block ends: they carry across the chunks
+        monkeypatch.setattr(model, "CDF_CHUNK", chunk)
+        if space.n > 1:
+            probs = generate_scenario("pair-epistasis", space.n, space.q).probs.copy()
+        else:  # one factor makes no pair
+            probs = np.random.default_rng(space.q).uniform(0.5, 1.0, (space.num_points, 2))
         P = len(probs)
-        edges = np.arange(0, P, CDF_CHUNK // 2)
-        probs[np.concatenate([edges, edges[1:] - 1, [P - 1]])] = 0.0
-        probs[edges[1:] + 1, 0] = 0.0
-        probs[edges[1:] + 2, 1] = 0.0
-        dist = JointDistribution(FactorSpace(n, 2), probs / probs.sum())
+        edges = np.arange(0, P, chunk // 2)
+        inside = lambda idx: idx[idx < P]  # a last chunk of one or two points
+        probs[inside(np.concatenate([edges, edges[1:] - 1, [P - 1]]))] = 0.0
+        probs[inside(edges[1:] + 1), 0] = 0.0
+        probs[inside(edges[1:] + 2), 1] = 0.0
+        dist = JointDistribution(space, probs / probs.sum())
         mask = dist.support_mask()
         assert mask.dtype == np.bool_ and not mask.flags.writeable
         assert np.array_equal(mask, dist.probs.sum(axis=1) > 0)
         assert dist._support_bits.tobytes() == np.packbits(mask).tobytes()
+        assert dist._cdf_ends.tobytes() == reference_block_ends(dist).tobytes()
 
     def test_cdf_ends_carry_across_chunks(self):
         dist = generate_scenario("pair-epistasis", 10, 2)  # 118098 atoms: two chunks
         assert dist._cdf_ends.shape == (7382,)
         assert dist._cdf_ends.tobytes() == reference_block_ends(dist).tobytes()
+
+    @given(dist=st.one_of(small_distributions(max_n=3, max_q=3), block_edge_tables()),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_support_mask_serves_any_range(self, dist, data):
+        # bounds on and off byte edges, negative, past the end and reversed,
+        # read as a slice of the whole mask reads them
+        P = dist.space.num_points
+        bound = st.integers(-P - 9, P + 9)
+        start, stop = data.draw(bound), data.draw(st.none() | bound)
+        got = dist.support_mask(start, stop)
+        assert got.dtype == np.bool_ and not got.flags.writeable
+        assert np.array_equal(got, dist.support_mask()[start:stop])
+        assert np.array_equal(dist.support_mask(start), dist.support_mask()[start:])
 
 
 CHUNK_DRAWS = CDF_CHUNK // CDF_BLOCK  # sorted draws searched at a time

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mdrcv.errors import ValidationError
 from mdrcv.model import (
+    CDF_CHUNK,
     FactorSpace,
     FactorSubset,
     JointDistribution,
@@ -133,7 +134,7 @@ class TestHighRiskSet:
     def test_slabs_of_a_few_points_match_dense_mask(self, chunk, dist):
         psi = balanced_penalty(dist)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            mp.setattr(oracle, "CDF_CHUNK", 2 * chunk)
             got = optimal_predictor(dist, psi)
         assert np.array_equal(got, dense_oracle.plus_mask(dist, psi))
 
@@ -238,6 +239,12 @@ class TestSignificance:
     def test_full_subset_always_significant(self, n2_partial_support):
         assert is_significant(n2_partial_support, FactorSubset.of(1, 2))
 
+    def test_subset_past_n_refused_at_every_factors_length(self, n2_partial_support):
+        with pytest.raises(ValidationError, match="beyond n=2"):
+            is_significant(n2_partial_support, FactorSubset.of(1, 3))
+        with pytest.raises(ValidationError, match="beyond n=2"):
+            optimal_predictor(n2_partial_support, UNIT_PENALTY, FactorSubset.of(2, 3))
+
     def test_independent_labels_make_everything_significant(self, independent_labels):
         for r in (1, 2):
             for sub in subsets_of_size(2, r):
@@ -281,7 +288,7 @@ class TestSignificance:
         assert is_significant(dist, subset) == want
 
 
-    @pytest.mark.parametrize("chunk", [8, 16, oracle.CHUNK_POINTS])
+    @pytest.mark.parametrize("chunk", [8, 16, CDF_CHUNK // 2])
     @given(
         dist=small_distributions(max_n=3, max_q=2),
         zeros=st.lists(st.integers(0, 26), max_size=8),
@@ -312,7 +319,7 @@ class TestSignificance:
         gap = at_points(FactorSubset(tuple(range(1, space.n + 1)))) - at_points(subset)
         dense = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            mp.setattr(oracle, "CDF_CHUNK", 2 * chunk)
             assert is_significant(dist, subset) == whole == dense
         if tied:
             assert is_significant(dist, FactorSubset.of(1))
@@ -522,7 +529,7 @@ class TestOracleFromTables:
         self.assert_matches_dense(dist, subsets)
 
     @pytest.mark.parametrize("S", range(1, 11))
-    @pytest.mark.parametrize("chunk", [8, oracle.CHUNK_POINTS])
+    @pytest.mark.parametrize("chunk", [5, 8, CDF_CHUNK // 2])
     @given(
         dist=small_distributions(max_n=3, max_q=2),
         zeros=st.lists(st.integers(0, 26), max_size=6),
@@ -543,7 +550,7 @@ class TestOracleFromTables:
             min_size=S, max_size=S,
         ))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "CHUNK_POINTS", chunk)
+            mp.setattr(oracle, "CDF_CHUNK", 2 * chunk)
             self.assert_matches_dense(dist, subsets)
             _, tables = subset_oracle(dist, subsets)
         assert [t.bit for t in tables] == [i % 8 for i in range(S)]
@@ -695,6 +702,27 @@ def test_tables_hold_the_predictor_masks_uncopied(monkeypatch):
     plus = optimal_predictor(dist, balanced_penalty(dist), subsets[0])
     table = influence_table(dist, plus)
     assert table.bit == 0 and np.shares_memory(table.plane, plus)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dist, every: subset_oracle(dist, [every]),
+    lambda dist, every: is_significant(dist, every),
+], ids=["subset_oracle", "is_significant"])
+def test_every_factor_keeps_to_slabs(call):
+    # 531,441 points: every factor as the subset decides point by point, one
+    # slab at a time, and is significant unread, so no call copies the
+    # 8.1 MiB table into its marginal over all factors; beside the 0.5 MiB
+    # plane, only slab-sized temporaries
+    dist = generate_scenario("pair-epistasis", 12, 2)
+    every = FactorSubset(tuple(range(1, 13)))
+    call(dist, FactorSubset.of(1, 2))  # first-call allocations
+    tracemalloc.start()
+    try:
+        call(dist, every)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**21
 
 
 @pytest.mark.parametrize("S", [2, 8])
