@@ -31,6 +31,7 @@ from .oracle import (
     is_significant,
     optimal_predictor,
     prediction_error,
+    significance,
     subset_oracle,
 )
 from .scenarios import PRESETS, generate_scenario, scenario_a

@@ -32,7 +32,7 @@ from .oracle import (
     asymptotic_moments,
     balanced_penalty,
     high_risk_set,
-    is_significant,
+    significance,
     subset_oracle,
 )
 from .scenarios import PRESET_PARAMS, PRESETS, generate_scenario
@@ -202,11 +202,11 @@ def _cmd_oracle(args) -> int:
     doc["subsets"] = [
         {
             "indices": list(s.indices),
-            "significant": is_significant(dist, s),
+            "significant": flag,
             "error": err,
             "asymptotic_variance": var,
         }
-        for s, err, var in zip(subsets, errors, variances)
+        for s, flag, err, var in zip(subsets, significance(dist, subsets), errors, variances)
     ]
     if len(subsets) > 1:
         doc["asymptotic_covariance"] = cov.tolist()

@@ -16,17 +16,34 @@ from .errors import ValidationError
 from .model import MAX_LEVEL, Dataset, FactorSpace
 
 
-# Rows per ``tolist()``: a whole-table call would hold every row as a list at once.
+# Rows per block of the writer and of ``_name_bad_row``'s judge: a
+# whole-table pass would hold every row's text, or every row, at once.
 CSV_BLOCK_ROWS = 1024
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    table = np.column_stack([dataset.x, dataset.y])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"X{i}" for i in range(1, dataset.space.n + 1)] + ["Y"])
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            writer.writerows(table[start : start + CSV_BLOCK_ROWS].tolist())
+    """Write the bytes ``csv.writer`` writes: ``\\r\\n`` line ends, no
+    quoting.  Each value's text, followed by ``,`` in a factor column and by
+    ``\\r\\n`` in the label column, is a row of one NUL-padded text table;
+    a block of rows gathers its cells from it, drops the padding and makes
+    one write."""
+    x, y, n = dataset.x, dataset.y, dataset.space.n
+    lo, hi = min(int(x.min()), int(y.min())), max(int(x.max()), int(y.max()))
+    values = [str(v).encode() for v in range(lo, hi + 1)]
+    text = np.array([v + b"," for v in values] + [v + b"\r\n" for v in values])
+    cells = text.view(np.uint8).reshape(len(text), text.itemsize)
+    with open(path, "wb") as fh:
+        fh.write(",".join([f"X{i}" for i in range(1, n + 1)] + ["Y"]).encode() + b"\r\n")
+        for a in range(0, len(y), CSV_BLOCK_ROWS):
+            b = min(a + CSV_BLOCK_ROWS, len(y))
+            # offsets into the text table in intp: int16 - lo wraps at MAX_LEVEL
+            rows = np.empty((b - a, n + 1), dtype=np.intp)
+            rows[:, :n] = x[a:b]
+            rows[:, n] = y[a:b]
+            rows[:, n] += len(values)  # the label column's texts end the row
+            rows -= lo
+            block = np.take(cells, rows.ravel(), axis=0).ravel()
+            fh.write(block[block != 0])
 
 
 def ingest_csv(path) -> Dataset:

@@ -139,6 +139,20 @@ def _conditionals(dist: JointDistribution, subset: FactorSubset, within=None) ->
     return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
 
 
+def _subset_conditionals(
+    dist: JointDistribution, subsets: Sequence[FactorSubset]
+) -> list[np.ndarray | None]:
+    """Each subset's ``_conditionals``, all from one ``cylinder_masses``
+    call over the union of their factors; None for a subset of every
+    factor, which joins no union: its cells are the points."""
+    space = dist.space
+    for s in subsets:
+        s.validate_for(space)
+    union = tuple(sorted({i for s in subsets if s.r < space.n for i in s.indices}))
+    within = cylinder_masses(dist, FactorSubset(union)) if union else None
+    return [_conditionals(dist, s, within) if s.r < space.n else None for s in subsets]
+
+
 def _point_slabs(dist: JointDistribution):
     """The pointwise conditional p1 / (p0 + p1) one slab of the point grid at
     a time, over its leading axes, each slab at most CDF_CHUNK // 2 points:
@@ -177,23 +191,19 @@ def _planes(
     ``_point_slabs`` slab at a time, and joins no union.  The support is
     applied one slab's worth of points at a time."""
     space = dist.space
-    for s in subsets:
-        s.validate_for(space)
-    union = tuple(sorted({i for s in subsets if s.r < space.n for i in s.indices}))
-    within = cylinder_masses(dist, FactorSubset(union)) if union else None
+    conds = _subset_conditionals(dist, subsets)
     P, step = space.num_points, CDF_CHUNK // 2
     planes = [np.zeros(P, dtype=np.uint8) for _ in range(0, len(subsets), 8)]
     # ties resolve to -1: strict inequality, with the tolerance shielding
     # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
     threshold = psi.threshold + EQUALITY_TOL
-    for i, s in enumerate(subsets):
+    for i, cell_cond in enumerate(conds):
         plane = planes[i // 8].reshape(space.grid_shape)
-        if s.r == space.n:
+        if cell_cond is None:
             for idx, _, cond in _point_slabs(dist):
                 plane[idx] |= np.left_shift(cond > threshold, i % 8, dtype=np.uint8)
         else:
-            plane |= np.left_shift(_conditionals(dist, s, within) > threshold, i % 8,
-                                   dtype=np.uint8)
+            plane |= np.left_shift(cell_cond > threshold, i % 8, dtype=np.uint8)
     for a in range(0, P, step):
         on = dist.support_mask(a, a + step).view(np.uint8)  # 0/1: no cast buffer
         for plane in planes:
@@ -258,22 +268,32 @@ def prediction_error(
     return 2.0 * (psi.psi_neg * miss_neg + psi.psi_pos * miss_pos)
 
 
-def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
-    """Whether the conditional law of Y given X depends only on these factors.
+def significance(dist: JointDistribution, subsets: Sequence[FactorSubset]) -> list[bool]:
+    """Per subset, whether the conditional law of Y given X depends only on
+    its factors.
 
     True iff P(Y=1 | X=x) equals the subset's cylinder conditional at every
-    support point, within EQUALITY_TOL.  The two are compared one
-    ``_point_slabs`` slab at a time; a subset of every factor is True
+    support point, within EQUALITY_TOL.  The cylinder conditionals come
+    from one marginal over the union of the subsets, as the predictors'
+    do; one ``_point_slabs`` walk compares them with the pointwise one and
+    stops once every subset has failed.  A subset of every factor is True
     unread, as its cylinder conditional is the pointwise one.
     """
-    subset.validate_for(dist.space)
-    if subset.r == dist.space.n:
-        return True
-    cylinder = np.broadcast_to(_conditionals(dist, subset), dist.space.grid_shape)
-    for idx, tot, cond in _point_slabs(dist):
-        if not np.all(np.abs(cond - cylinder[idx])[tot > 0.0] <= EQUALITY_TOL):
-            return False
-    return True
+    conds = _subset_conditionals(dist, subsets)
+    grid = dist.space.grid_shape
+    held = {i: np.broadcast_to(c, grid) for i, c in enumerate(conds) if c is not None}
+    for idx, tot, cond in _point_slabs(dist) if held else ():
+        on = tot > 0.0
+        held = {i: c for i, c in held.items()
+                if np.all(np.abs(cond - c[idx])[on] <= EQUALITY_TOL)}
+        if not held:
+            break
+    return [c is None or i in held for i, c in enumerate(conds)]
+
+
+def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
+    """``significance`` of one subset."""
+    return significance(dist, [subset])[0]
 
 
 def influence_table(dist: JointDistribution, plus: np.ndarray) -> InfluenceTable:

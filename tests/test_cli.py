@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdrcv import cli
+from mdrcv import cli, oracle
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
@@ -126,16 +126,25 @@ class TestIngestCsv:
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
 
-    @pytest.mark.parametrize("n_records", [1, 1023, 1024, 1025, 3000])
-    def test_block_writer_matches_row_writer(self, tmp_path, n_records):
+    @pytest.mark.parametrize("n_records, n, labels", [
+        # the first shape keeps the id of the record count alone
+        pytest.param(k, n, labels, id=f"{k}" if i == 0 else f"{k}-{n}-{labels}")
+        for k in [1, 1023, 1024, 1025, 3000]
+        for i, (n, labels) in enumerate([(3, "alternating"), (1, "alternating"),
+                                         (3, "negative"), (3, "positive")])
+    ])
+    def test_block_writer_matches_row_writer(self, tmp_path, n_records, n, labels):
+        # the text table starts at the least value: -1 from the labels, or,
+        # with every label +1, the least level
         rng = np.random.default_rng(n_records)
-        x = rng.integers(0, MAX_LEVEL + 1, size=(n_records, 3))
+        x = rng.integers(0, MAX_LEVEL + 1, size=(n_records, n))
         x[0, 0] = MAX_LEVEL
-        y = np.where(np.arange(n_records) % 2, 1, -1)
-        ds = Dataset(FactorSpace(3, MAX_LEVEL), x, y)
+        y = {"alternating": np.where(np.arange(n_records) % 2, 1, -1),
+             "negative": np.full(n_records, -1), "positive": np.full(n_records, 1)}[labels]
+        ds = Dataset(FactorSpace(n, MAX_LEVEL), x, y)
         with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["X1", "X2", "X3", "Y"])
+            writer.writerow([f"X{i}" for i in range(1, n + 1)] + ["Y"])
             for row, label in zip(ds.x, ds.y):
                 writer.writerow([int(v) for v in row] + [int(label)])
         write_dataset_csv(ds, tmp_path / "blocks.csv")
@@ -345,6 +354,33 @@ class TestCliCommands:
         args = ["oracle", "--preset", "pair-epistasis", "--n", "3", "--q", "2"]
         assert main(args) == 0 and calls == []
         assert main(args + ["--out", str(tmp_path / "o.json")]) == 0 and calls == [3]
+
+    def test_oracle_reads_significance_off_one_union_marginal(self, monkeypatch, capsys):
+        # nine subsets: one significance call, whose conditionals all come
+        # from one marginal of the whole table; the predictors take one more
+        whole_table, inside, calls = [], [], []
+        masses, flags = oracle.cylinder_masses, cli.significance
+
+        def masses_spy(dist, subset, within=None):
+            if within is None:
+                whole_table.append(bool(inside))
+            return masses(dist, subset, within)
+
+        def flags_spy(dist, subsets):
+            calls.append(len(subsets))
+            inside.append(True)
+            try:
+                return flags(dist, subsets)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(oracle, "cylinder_masses", masses_spy)
+        monkeypatch.setattr(cli, "significance", flags_spy)
+        assert main(["oracle", "--preset", "pair-epistasis", "--n", "5", "--q", "2",
+                     "--subsets", "1,2;1,3;2,3;1,4;2,4;3,4;1,5;2,5;3,5"]) == 0
+        assert calls == [9]
+        assert sorted(whole_table) == [False, True]
+        assert capsys.readouterr().out.count("significant=True") == 1
 
     def test_every_factor_spelled_out_prints_and_writes_the_default(self, tmp_path, capsys):
         # no --subsets means every factor; listing all six takes the same path

@@ -42,6 +42,8 @@ from mdrcv.model import FactorSubset, sample
 from mdrcv.oracle import asymptotic_covariance, asymptotic_variance, subset_oracle
 from mdrcv.scenarios import generate_scenario, scenario_a
 
+import exact_law
+
 
 def series_normal_cdf(z, terms=120):
     """High-precision reference: Taylor expansion of the normal CDF around 0,
@@ -383,6 +385,60 @@ class TestBatchedEngine:
         assert sizes == pool_sizes
         assert same_replications(pooled, serial)
 
+
+# (preset, n, q, params, subset, N, K): 2 to 4 cells, 8 to 12 records
+EXACT_SHAPES = {
+    "3-cells": ("single-factor", 1, 2, dict(p_low=0.2, p_high=0.8), (1,), 10, 2),
+    "2-cells-K3": ("single-factor", 1, 1, dict(p_low=0.2, p_high=0.8), (1,), 12, 3),
+    "4-cells": ("pair-epistasis", 2, 1, dict(p_low=0.1, p_high=0.9), (1, 2), 8, 2),
+    "2-of-4-points": ("pair-epistasis", 2, 1, dict(p_low=0.1, p_high=0.9), (2,), 12, 3),
+    "null-K3": ("null", 1, 1, dict(p_pos=0.2), (1,), 9, 3),
+}
+
+
+class TestExactFiniteLaw:
+    """The harness against the exact law of its statistics (``exact_law``):
+    M = 4000 replications at one pinned seed per shape, every bound at 1%."""
+
+    M = 4000
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_referee_sums_to_one_and_counts_one_class_folds_exactly(self, shape):
+        # P(some fold lacks a label) in closed form: folds are independent
+        preset, n, q, params, sub, n_records, n_folds = EXACT_SHAPES[shape]
+        dist = generate_scenario(preset, n, q, **params)
+        law = exact_law.ExactLaw(dist, FactorSubset(sub), n_records, n_folds,
+                                 DEFAULT_SCHEDULE.value(n_records))
+        p_pos = float(dist.probs[:, 1].sum())
+        sizes = np.bincount(fold_index(n_records, n_folds))
+        both = np.prod(1.0 - p_pos**sizes - (1.0 - p_pos) ** sizes)
+        assert law.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert law.sd_weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert law.probability(law.one_class) == pytest.approx(1.0 - both, abs=1e-14)
+
+    @pytest.mark.parametrize("seed, shape", enumerate(EXACT_SHAPES, start=1))
+    def test_harness_follows_the_exact_law(self, seed, shape):
+        preset, n, q, params, sub, n_records, n_folds = EXACT_SHAPES[shape]
+        dist = generate_scenario(preset, n, q, **params)
+        subset = FactorSubset(sub)
+        errors, _ = subset_oracle(dist, [subset])
+        reps = run_replications(dist, [subset], errors, n_records, n_folds,
+                                DEFAULT_SCHEDULE, self.M, seed)
+        law = exact_law.ExactLaw(dist, subset, n_records, n_folds,
+                                 DEFAULT_SCHEDULE.value(n_records))
+        limit = mcverify.KS_LEVEL_CONSTANT_1PCT / math.sqrt(self.M)
+        # every deviation is, bit for bit, one of the law's values, the
+        # harness's own expression of it
+        z_law = math.sqrt(n_records) * (law.values - errors[0])
+        assert exact_law.ks_distance(reps.z[:, 0], z_law, law.weights) < limit
+        # the plug-in sd sums its records in another order: atoms within 1e-9
+        assert exact_law.ks_distance(reps.sds[:, 0], law.sds, law.sd_weights, 1e-9) < limit
+        for got, p in [
+            (np.count_nonzero(reps.one_class), law.probability(law.one_class)),
+            (np.count_nonzero(reps.sds[:, 0] == 0.0), law.sd_weights[law.sds == 0.0].sum()),
+        ]:
+            lo, hi = scipy.stats.binom.interval(0.99, self.M, p)
+            assert lo <= got <= hi, (got, self.M * p)
 
 class TestCltCheck:
     @pytest.mark.parametrize("oracle_sigma2", [0.0, 1.0])

@@ -31,6 +31,7 @@ from mdrcv.oracle import (
     is_significant,
     optimal_predictor,
     prediction_error,
+    significance,
     subset_oracle,
 )
 
@@ -338,6 +339,58 @@ class TestSignificance:
         assert flags == [True, False, False]
         assert peak <= 2**21
 
+
+    @given(n=st.integers(1, 3), q=st.integers(1, 2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_subsets_match_dense_recipe_with_ties_at_threshold(self, n, q, data):
+        # P(Y=1 | X=x) = 1/2 + d[x1] * s(x2..xn) with d[q - l] = -d[l], and
+        # P(X=x) even under x1 -> q - x1: P(Y=1), the balanced threshold, is
+        # 1/2 exactly, and every point where d or s is 0 ties with it
+        grid = FactorSpace(n, q).grid_shape
+        half = data.draw(st.lists(st.sampled_from([-0.3, -0.1, 0.0, 0.1, 0.3]),
+                                  min_size=(q + 1) // 2, max_size=(q + 1) // 2))
+        d = np.array(half + [0.0] * ((q + 1) % 2) + [-v for v in reversed(half)])
+        rest = int(np.prod(grid[1:]))
+        s = np.array(data.draw(st.lists(st.sampled_from([0.0, 1 / 3, 2 / 3, 1.0]),
+                                        min_size=rest, max_size=rest)))
+        w = np.array(data.draw(st.lists(st.integers(0, 3), min_size=(q + 1) * rest,
+                                        max_size=(q + 1) * rest)), dtype=float).reshape(grid)
+        w = w + w[::-1]
+        assume(w.sum() > 0)
+        cond = 0.5 + d.reshape((q + 1,) + (1,) * (n - 1)) * s.reshape((1,) + grid[1:])
+        dist = JointDistribution.from_conditional(n, q, w / w.sum(), cond)
+        subsets = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+            .map(lambda c: FactorSubset(tuple(sorted(c)))), min_size=1, max_size=10))
+        at_points = functools.partial(dense_oracle.conditional_at_points, dist)
+        mask = dist.support_mask()
+        want = [bool(np.all(np.abs(at_points() - at_points(s))[mask] <= EQUALITY_TOL))
+                for s in subsets]
+        assert significance(dist, subsets) == want
+        assert [is_significant(dist, s) for s in subsets] == want
+        psi = balanced_penalty(dist)
+        _, tables = subset_oracle(dist, subsets)
+        for s, t in zip(subsets, tables):
+            assert np.array_equal(plus_of(t), dense_oracle.plus_mask(dist, psi, s))
+
+    def test_walk_stops_once_every_subset_has_failed(self, monkeypatch):
+        # 531,441 points in 27 slabs: two subsets that have both failed by
+        # the tenth slab, x1 = 1, end the walk there; beside a significant
+        # one, it reads every slab
+        dist = generate_scenario("pair-epistasis", 12, 2)
+        walk, read = oracle._point_slabs, []
+
+        def spy(d):
+            for slab in walk(d):
+                read.append(slab[0])
+                yield slab
+
+        monkeypatch.setattr(oracle, "_point_slabs", spy)
+        assert significance(dist, [FactorSubset.of(1), FactorSubset.of(3, 4)]) == [False, False]
+        assert read[-1] == (1, 0, 0) and len(read) == 10
+        read.clear()
+        flags = significance(dist, [FactorSubset.of(1), FactorSubset.of(1, 2)])
+        assert flags == [False, True] and len(read) == 27
 
 class TestAsymptoticVariance:
     def test_deterministic_labels_have_zero_variance(self, deterministic_labels):
