@@ -31,11 +31,6 @@ def compositions(n_draws, probs):
     return counts, np.array(coef, dtype=float) * np.prod(np.asarray(probs) ** counts, axis=1)
 
 
-def category_probs(dist, subset):
-    """P(Y=y, X in C) as a (2, cells) array, label row 0 being y = -1."""
-    return cylinder_masses(dist, subset).reshape(-1, 2).T
-
-
 class ExactLaw:
     """The exact law of one subset's CV error and plug-in sd at (N, K, eps).
 
@@ -45,7 +40,7 @@ class ExactLaw:
     whole-sample table and its probability."""
 
     def __init__(self, dist, subset, n_records, n_folds, eps):
-        p = category_probs(dist, subset)
+        p = cylinder_masses(dist, subset).reshape(-1, 2).T  # (label, cell), y = -1 first
         cells = p.shape[1]
         sizes = np.bincount(fold_index(n_records, n_folds))
         per_fold = [compositions(int(size), p.ravel()) for size in sizes]
@@ -62,9 +57,6 @@ class ExactLaw:
         keys += 2 * cells * np.arange(len(whole))[:, None]
         values = influence_stack(keys, whole.reshape(-1, 1, 2, cells), eps)
         self.sds = plugin_moments(values[:, None, :])[0][:, 0]
-
-    def probability(self, event):
-        return float(self.weights[event].sum())
 
 
 def ks_distance(samples, atoms, weights, tol=0.0):
