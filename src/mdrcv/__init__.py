@@ -28,7 +28,6 @@ from .oracle import (
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,
-    is_significant,
     optimal_predictor,
     prediction_error,
     significance,

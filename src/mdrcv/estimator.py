@@ -156,7 +156,7 @@ def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndar
     n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
     miss = _trained_rule(full, n_labels, eps)[..., None, :] != _POSITIVE
     misses = (full * miss).sum(axis=-1)
-    rate = np.divide(misses, n_labels, out=np.zeros(misses.shape), where=n_labels > 0)
+    rate = cell_conditionals(n_labels, misses)
     freq = n_labels / keys.shape[-1]
     scale = np.divide(2.0, freq, out=np.zeros(freq.shape), where=freq > 0)
     table = scale[..., None] * (miss.astype(np.float64) - rate[..., None])

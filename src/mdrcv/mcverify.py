@@ -44,6 +44,16 @@ HISTOGRAM_WIDTH = 50
 RECORDS_PER_BATCH = 2**15
 
 
+def _strict(value):
+    """``value`` with None for every non-finite float, in dicts and lists
+    too: an undefined statistic is JSON null, never the nonstandard NaN token."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def derive_seed(master_seed: int, replication: int) -> int:
     """Counter-mode mix of (master seed, replication index) into a sampler
     seed; no state is shared between replications."""
@@ -179,13 +189,13 @@ class UnivariateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
+        return _strict({
             **{k: v for k, v in vars(self).items()
                if k not in ("zero_scale", "one_class_folds") or v},
             "subset": list(self.subset),
             "self_norm_limit": SELF_NORM_KS_LIMIT,
             "var_rtol": VAR_RATIO_RTOL,
-        }
+        })
 
 
 def clt_check(
@@ -263,14 +273,14 @@ class MultivariateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
+        return _strict({
             **{k: v for k, v in vars(self).items() if k != "near_singular" or v},
             "ks_limit": SELF_NORM_KS_LIMIT,
             "subsets": [list(s) for s in self.subsets],
             "sample_cov": self.sample_cov.tolist(),
             "oracle_cov": self.oracle_cov.tolist(),
             "whitened_ks": list(self.whitened_ks) if self.whitened_ks else None,
-        }
+        })
 
 
 def multivariate_check(

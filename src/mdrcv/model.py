@@ -41,7 +41,8 @@ NORMALIZATION_TOL = 1e-12
 # ``sample`` re-sums the blocks its draws land in.  Every walk over a table
 # takes CDF_CHUNK atoms, CDF_CHUNK // 2 points (a multiple of CDF_BLOCK and
 # of 8 points, 512 KiB of float64), at a time: the build pass, sorted draws
-# (searched CDF_CHUNK // CDF_BLOCK at a time) and the oracle's slabs.
+# (searched CDF_CHUNK // CDF_BLOCK at a time), the oracle's slabs and the
+# leaves of its replayed sums (CDF_CHUNK // S values over S predictors).
 CDF_BLOCK = 16
 CDF_CHUNK = 2**16
 
@@ -254,15 +255,14 @@ class JointDistribution:
             raise ValidationError("probability table contains non-finite entries")
         if lo < 0:
             raise ValidationError("probability table contains negative entries")
-        total = float(p.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1 within 1e-12")
-        marg_pos = float(p[:, 1].sum())
-        if not 0.0 < marg_pos < 1.0:
+        neg, pos = float(p[:, 0].sum()), float(p[:, 1].sum())  # the label marginals
+        if abs(neg + pos - 1.0) > NORMALIZATION_TOL:
+            raise ValidationError(f"probabilities sum to {neg + pos!r}, not 1 within 1e-12")
+        if not 0.0 < pos < 1.0:
             raise ValidationError(
-                f"degenerate label marginal P(Y=1) = {marg_pos}; both labels need mass"
+                f"degenerate label marginal P(Y=1) = {pos}; both labels need mass"
             )
-        object.__setattr__(self, "_label_sums", (float(p[:, 0].sum()), marg_pos))
+        object.__setattr__(self, "_label_sums", (neg, pos))
         # one pass, CDF_CHUNK atoms at a time: the support bits, np.packbits
         # of each point's "either atom > 0", and np.cumsum of the atoms at the
         # last atom of each block, the final atom's value forced to 1.0.  Each
@@ -464,15 +464,12 @@ def label_marginal(dist: JointDistribution, y: int) -> float:
     return dist._label_sums[LABELS.index(y)]
 
 
-def cylinder_masses(
-    dist: JointDistribution, subset: FactorSubset, within: np.ndarray | None = None
-) -> np.ndarray:
+def cylinder_masses(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
     """P(X in C, Y=y) per cylinder cell C of the subset, shaped ``grid_shape
-    + (2,)`` with length 1 on the axes of other factors.  ``within``: this
-    array for a superset, to marginalize instead of the whole table."""
+    + (2,)`` with length 1 on the axes of other factors."""
     space = dist.space
     subset.validate_for(space)
-    table = dist.probs.reshape(space.grid_shape + (2,)) if within is None else within
+    table = dist.probs.reshape(space.grid_shape + (2,))
     kept = [i - 1 for i in subset.indices] + [space.n]
     shape = [space.q + 1 if i + 1 in subset.indices else 1 for i in range(space.n)]
     return np.einsum(table, list(range(space.n + 1)), kept).reshape(shape + [2])

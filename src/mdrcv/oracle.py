@@ -27,12 +27,6 @@ from .model import (
 # comparisons against the threshold.
 EQUALITY_TOL = 1e-10
 
-# Most float64s in the leaves of all predictors of a pass: 512 KiB.  Over S
-# predictors, a replayed pairwise sum adds leaves of at most
-# LEAF_ELEMENTS // S values, one ``.sum()`` call each; a pass holds about
-# two leaves per predictor, so its memory does not grow with S.
-LEAF_ELEMENTS = 2**16
-
 
 @dataclass(frozen=True, eq=False)
 class InfluenceTable:
@@ -93,11 +87,12 @@ def _table_sums(
     pairwise tree over the flattened (num_points, 2) table, so a term with
     one value per entry sums each block whole; a shorter term carries its
     values over into its own tree's leaves.  Leaf sums add up each tree.
-    Leaves hold at most LEAF_ELEMENTS // len(planes) values.  The terms of
-    one length climb their trees together: one walk adds their leaf sums
-    as arrays, the same adds as one walk per term.
+    Leaves hold at most CDF_CHUNK // len(planes) values, so the memory of
+    a pass, about two leaves per predictor, does not grow with their
+    number.  The terms of one length climb their trees together: one walk
+    adds their leaf sums as arrays, the same adds as one walk per term.
     """
-    cap = LEAF_ELEMENTS // max(len(planes), 1)
+    cap = CDF_CHUNK // max(len(planes), 1)
     trees = {n: _leaves(n, cap) for n in {dist.probs.size, *lengths}}
     todo = [trees[n][::-1] for n in lengths]  # each term's leaves, next last
     sums = [[] for _ in lengths]
@@ -132,25 +127,24 @@ def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
     return PenaltyFunction(1.0 / (1.0 - p_pos), 1.0 / p_pos)
 
 
-def _conditionals(dist: JointDistribution, subset: FactorSubset, within=None) -> np.ndarray:
-    """P(Y=1 | X in C) per cell of the subset, 0 on cells without mass, as
-    an array that broadcasts against the point grid."""
-    m = cylinder_masses(dist, subset, within)
-    return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
-
-
 def _subset_conditionals(
     dist: JointDistribution, subsets: Sequence[FactorSubset]
 ) -> list[np.ndarray | None]:
-    """Each subset's ``_conditionals``, all from one ``cylinder_masses``
-    call over the union of their factors; None for a subset of every
-    factor, which joins no union: its cells are the points."""
+    """P(Y=1 | X in C) per cell of each subset, 0 on cells without mass, as
+    an array that broadcasts against the point grid, summed down from one
+    ``cylinder_masses`` over the union of their factors; None for a subset
+    of every factor, which joins no union: its cells are the points."""
     space = dist.space
     for s in subsets:
         s.validate_for(space)
-    union = tuple(sorted({i for s in subsets if s.r < space.n for i in s.indices}))
-    within = cylinder_masses(dist, FactorSubset(union)) if union else None
-    return [_conditionals(dist, s, within) if s.r < space.n else None for s in subsets]
+    union = sorted({i for s in subsets if s.r < space.n for i in s.indices})
+    masses = cylinder_masses(dist, FactorSubset(tuple(union))) if union else None
+
+    def cells(s: FactorSubset) -> np.ndarray:
+        m = masses.sum(axis=tuple(i - 1 for i in union if i not in s.indices), keepdims=True)
+        return cell_conditionals(m[..., 0] + m[..., 1], m[..., 1])
+
+    return [cells(s) if s.r < space.n else None for s in subsets]
 
 
 def _point_slabs(dist: JointDistribution):
@@ -289,11 +283,6 @@ def significance(dist: JointDistribution, subsets: Sequence[FactorSubset]) -> li
         if not held:
             break
     return [c is None or i in held for i, c in enumerate(conds)]
-
-
-def is_significant(dist: JointDistribution, subset: FactorSubset) -> bool:
-    """``significance`` of one subset."""
-    return significance(dist, [subset])[0]
 
 
 def influence_table(dist: JointDistribution, plus: np.ndarray) -> InfluenceTable:

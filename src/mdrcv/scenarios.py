@@ -23,17 +23,8 @@ import numpy as np
 from .errors import ValidationError
 from .model import FactorSpace, JointDistribution, _real, point_levels
 
-# The ``generate_scenario`` parameters each preset reads besides n and q.
-PRESET_PARAMS = {
-    "null": ("p_pos",),
-    "independent": ("effect",),
-    "single-factor": ("p_low", "p_high"),
-    "pair-epistasis": ("p_low", "p_high"),
-}
-PRESETS = tuple(PRESET_PARAMS)
 
-
-def _null(p_pos: float) -> float:
+def _null(space: FactorSpace, p_pos: float) -> float:
     if not 0.0 < (p_pos := _real("p_pos", p_pos)) < 1.0:
         raise ValidationError(f"p_pos must be in (0, 1), got {p_pos}")
     return p_pos
@@ -72,6 +63,18 @@ def _check_band(p_low: float, p_high: float) -> tuple[float, float]:
     return p_low, p_high
 
 
+# Each preset's builder of the conditional, and the ``generate_scenario``
+# parameters besides n and q that it reads, in the order it takes them.
+_BUILDERS = {
+    "null": (_null, ("p_pos",)),
+    "independent": (_independent, ("effect",)),
+    "single-factor": (_single_factor, ("p_low", "p_high")),
+    "pair-epistasis": (_pair_epistasis, ("p_low", "p_high")),
+}
+PRESET_PARAMS = {name: params for name, (_, params) in _BUILDERS.items()}
+PRESETS = tuple(_BUILDERS)
+
+
 def generate_scenario(
     preset: str,
     n: int,
@@ -84,16 +87,11 @@ def generate_scenario(
     """Build the distribution of a named preset on {0..q}^n."""
     space = FactorSpace(n, q)
     uniform = 1.0 / space.num_points  # the dense-table cap, before any grid
-    if preset == "null":
-        cond = _null(p_pos)
-    elif preset == "single-factor":
-        cond = _single_factor(space, p_low, p_high)
-    elif preset == "pair-epistasis":
-        cond = _pair_epistasis(space, p_low, p_high)
-    elif preset == "independent":
-        cond = _independent(space, effect)
-    else:
+    if preset not in PRESETS:  # by equality: any value gets the message
         raise ValidationError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    build, params = _BUILDERS[preset]
+    given = {"p_pos": p_pos, "p_low": p_low, "p_high": p_high, "effect": effect}
+    cond = build(space, *(given[k] for k in params))
     return JointDistribution.from_conditional(n, q, uniform, cond)
 
 

@@ -36,9 +36,9 @@ from mdrcv.oracle import (
     asymptotic_variance,
     balanced_penalty,
     high_risk_set,
-    is_significant,
     optimal_predictor,
     prediction_error,
+    significance,
     subset_oracle,
 )
 from mdrcv.scenarios import generate_scenario, scenario_a
@@ -128,7 +128,7 @@ def test_criterion_2_subset_dominance():
     ok = all(errs[(1, 2)] <= v for v in errs.values())
     gaps = []
     for s in map(tuple, enumerate_subsets(3, 2).tolist()):
-        if not is_significant(dist, FactorSubset(s)):
+        if not significance(dist, [FactorSubset(s)])[0]:
             gaps.append(errs[s] - errs[(1, 2)])
     ok = ok and all(g >= 0.01 for g in gaps)
     elapsed = time.perf_counter() - start

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -28,7 +27,7 @@ from mdrcv.model import (
     sample,
     save_distribution,
 )
-from mdrcv.oracle import high_risk_set, is_significant
+from mdrcv.oracle import high_risk_set, significance
 from mdrcv.scenarios import PRESETS, generate_scenario
 from mdrcv.search import enumerate_subsets, rank_subsets
 
@@ -285,26 +284,26 @@ class TestGenerateScenario:
         dist = generate_scenario("null", n=3, q=1, p_pos=0.3)
         for r in (1, 2, 3):
             for sub in enumerate_subsets(3, r):
-                assert is_significant(dist, FactorSubset(sub))
+                assert significance(dist, [FactorSubset(sub)])[0]
 
     def test_single_factor_structure(self):
         dist = generate_scenario("single-factor", n=2, q=2)
-        assert is_significant(dist, FactorSubset.of(1))
-        assert not is_significant(dist, FactorSubset.of(2))
+        assert significance(dist, [FactorSubset.of(1)])[0]
+        assert not significance(dist, [FactorSubset.of(2)])[0]
 
     def test_pair_epistasis_structure(self):
         dist = generate_scenario("pair-epistasis", n=3, q=1)
-        assert is_significant(dist, FactorSubset.of(1, 2))
-        assert not is_significant(dist, FactorSubset.of(1, 3))
-        assert not is_significant(dist, FactorSubset.of(2, 3))
-        assert not is_significant(dist, FactorSubset.of(1))
-        assert not is_significant(dist, FactorSubset.of(2))
+        assert significance(dist, [FactorSubset.of(1, 2)])[0]
+        assert not significance(dist, [FactorSubset.of(1, 3)])[0]
+        assert not significance(dist, [FactorSubset.of(2, 3)])[0]
+        assert not significance(dist, [FactorSubset.of(1)])[0]
+        assert not significance(dist, [FactorSubset.of(2)])[0]
 
     def test_independent_needs_every_factor(self):
         dist = generate_scenario("independent", n=2, q=1, effect=0.8)
-        assert not is_significant(dist, FactorSubset.of(1))
-        assert not is_significant(dist, FactorSubset.of(2))
-        assert is_significant(dist, FactorSubset.of(1, 2))
+        assert not significance(dist, [FactorSubset.of(1)])[0]
+        assert not significance(dist, [FactorSubset.of(2)])[0]
+        assert significance(dist, [FactorSubset.of(1, 2)])[0]
 
     @given(
         nq=st.tuples(st.integers(1, 12), st.integers(1, 15)).filter(
@@ -361,10 +360,9 @@ class TestCliCommands:
         whole_table, inside, calls = [], [], []
         masses, flags = oracle.cylinder_masses, cli.significance
 
-        def masses_spy(dist, subset, within=None):
-            if within is None:
-                whole_table.append(bool(inside))
-            return masses(dist, subset, within)
+        def masses_spy(dist, subset):
+            whole_table.append(bool(inside))
+            return masses(dist, subset)
 
         def flags_spy(dist, subsets):
             calls.append(len(subsets))
@@ -468,8 +466,9 @@ class TestCliCommands:
             "--M", "50", "--seed", "3", "--out", str(out),
         ])
         assert code == 0 and capsys.readouterr().err == ""
-        (entry,) = json.loads(out.read_text())["univariate"]
+        (entry,) = json.loads(out.read_text(), parse_constant=refuse_constant)["univariate"]
         assert entry["degenerate"] and "zero_scale" not in entry
+        assert entry["ks_limit"] is None  # undefined without a scale: JSON null
 
     def test_one_class_replication_is_reported(self, tmp_path, capsys):
         # 140 of the 200 replications hold one label class; 190 have a fold
@@ -789,6 +788,10 @@ def test_preset_refuses_a_flag_it_does_not_read(command, preset, flag, readers, 
     assert not (tmp_path / "x.csv").exists()
 
 
+def refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def test_joint_check_at_one_replication_warns_nothing(tmp_path):
     args = ["clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
             "--p-low", "0.05", "--p-high", "0.95",
@@ -801,9 +804,9 @@ def test_joint_check_at_one_replication_warns_nothing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    doc = json.loads((tmp_path / "r.json").read_text())
+    doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse_constant)
     sample_cov = doc["multivariate"]["sample_cov"]
-    assert len(sample_cov) == 2 and all(math.isnan(v) for row in sample_cov for v in row)
+    assert len(sample_cov) == 2 and all(v is None for row in sample_cov for v in row)
 
 
 def test_out_of_memory_is_one_line_error(tmp_path):

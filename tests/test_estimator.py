@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,6 +29,7 @@ from mdrcv.model import (
     Dataset,
     FactorSpace,
     FactorSubset,
+    JointDistribution,
     cell_conditionals,
     cylinder_codes,
     cylinder_count,
@@ -35,6 +38,7 @@ from mdrcv.model import (
 from mdrcv.oracle import (
     asymptotic_variance,
     balanced_penalty,
+    influence_table,
     optimal_predictor,
     prediction_error,
     subset_oracle,
@@ -450,6 +454,28 @@ class TestSdEstimate:
         ds = sample(dist, 700, seed=8)
         v = influence_values(ds, FactorSubset.of(1, 2))
         assert float(v.sum()) == pytest.approx(0.0, abs=1e-9)
+
+    @given(nq=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_empirical_law_gives_oracle_influence(self, nq, data):
+        # 64 records and their own empirical law: every mass is a multiple of
+        # 1/64, so exact, and eps = 1e-9 * 64^-0.25 lies far below every
+        # nonzero gap, at least 1/64^2, between a cell's frequency and P(Y=1)
+        space = FactorSpace(*nq)
+        atoms = np.array(data.draw(st.lists(
+            st.integers(0, 2 * space.num_points - 1), min_size=64, max_size=64)))
+        y = np.where(atoms & 1, 1, -1)
+        assume(0 < np.count_nonzero(y == 1) < 64)
+        ds = Dataset(space, space.points(atoms >> 1), y)
+        counts = np.bincount(atoms, minlength=2 * space.num_points).reshape(-1, 2)
+        dist = JointDistribution(space, counts / 64)
+        schedule = EpsilonSchedule(c0=1e-9)
+        for r in range(1, space.n + 1):
+            for idx in itertools.combinations(range(1, space.n + 1), r):
+                subset = FactorSubset(idx)
+                t = influence_table(dist, optimal_predictor(dist, balanced_penalty(dist), subset))
+                want = t.lut[t.plane[atoms >> 1], atoms & 1]
+                assert np.array_equal(influence_values(ds, subset, schedule), want)
 
 
 class TestCovarianceEstimate:

@@ -528,6 +528,7 @@ class TestCltCheck:
         entry = clt_check(np.zeros(1), np.zeros(1), np.zeros(1, bool), -0.0, FactorSubset.of(1))
         assert entry.degenerate and entry.passed
         assert entry.z_var == 0.0 and math.isnan(entry.ks_limit)
+        assert entry.to_dict()["ks_limit"] is None  # JSON null, not the NaN token
         assert repr(entry.oracle_var) == "0.0"
         assert entry.ks_oracle is None and entry.ks_self_norm is None
         assert entry.var_ratio is None
@@ -537,6 +538,7 @@ class TestCltCheck:
             np.array([0.3]), np.array([1.0]), np.zeros(1, bool), 1.0, FactorSubset.of(1)
         )
         assert not entry.degenerate and math.isnan(entry.z_var)
+        assert entry.to_dict()["z_var"] is None and entry.to_dict()["var_ratio"] is None
 
     @pytest.mark.parametrize("sigma2", [0.0, 1.3])
     def test_strided_column_equals_contiguous_copy(self, sigma2):
@@ -620,6 +622,9 @@ class TestMultivariateCheck:
             warnings.simplefilter("error")
             entry = multivariate_check(z, covs, np.eye(2), sub)
         assert entry.sample_cov.shape == (2, 2) and np.all(np.isnan(entry.sample_cov))
+        doc = entry.to_dict()
+        assert doc["sample_cov"] == [[None, None], [None, None]]
+        assert doc["max_abs_discrepancy"] is None and doc["oracle_cov"] == np.eye(2).tolist()
         assert not entry.passed
 
 

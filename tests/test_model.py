@@ -148,6 +148,13 @@ class TestJointDistribution:
         space = FactorSpace(1, 1)
         with pytest.raises(ValidationError):
             JointDistribution(space, np.full((2, 2), 0.3))
+        # the check reads the two label sums: 1e-12 of slack on their total
+        for off in (0.5e-12, -0.5e-12):
+            probs = np.array([[0.25, 0.25], [0.25, 0.25 + off]])
+            assert label_marginal(JointDistribution(space, probs), 1) == probs[:, 1].sum()
+        for off in (2e-12, -2e-12):
+            with pytest.raises(ValidationError, match="not 1 within 1e-12"):
+                JointDistribution(space, np.array([[0.25, 0.25 + off], [0.25, 0.25]]))
 
     def test_rejects_negative_mass(self):
         space = FactorSpace(1, 1)
@@ -739,8 +746,9 @@ class TestGridFreePath:
             np.bincount(codes, weights=dist.probs[:, y], minlength=cells) for y in (0, 1)
         ], axis=1)
         shape = [dist.space.q + 1 if i in subset.indices else 1 for i in range(1, dist.space.n + 1)]
-        for within in (None, cylinder_masses(dist, superset)):
-            got = cylinder_masses(dist, subset, within)
+        others = tuple(i - 1 for i in superset.indices if i not in subset.indices)
+        summed = cylinder_masses(dist, superset).sum(axis=others, keepdims=True)
+        for got in (cylinder_masses(dist, subset), summed):
             assert got.shape == tuple(shape) + (2,)
             np.testing.assert_allclose(got.reshape(-1, 2), want, rtol=1e-13, atol=1e-16)
 

@@ -28,7 +28,6 @@ from mdrcv.oracle import (
     balanced_penalty,
     high_risk_set,
     influence_table,
-    is_significant,
     optimal_predictor,
     prediction_error,
     significance,
@@ -238,22 +237,22 @@ def test_predictor_needs_one_bool_per_point(n2_partial_support, make_mask):
 
 class TestSignificance:
     def test_full_subset_always_significant(self, n2_partial_support):
-        assert is_significant(n2_partial_support, FactorSubset.of(1, 2))
+        assert significance(n2_partial_support, [FactorSubset.of(1, 2)])[0]
 
     def test_subset_past_n_refused_at_every_factors_length(self, n2_partial_support):
         with pytest.raises(ValidationError, match="beyond n=2"):
-            is_significant(n2_partial_support, FactorSubset.of(1, 3))
+            significance(n2_partial_support, [FactorSubset.of(1, 3)])[0]
         with pytest.raises(ValidationError, match="beyond n=2"):
             optimal_predictor(n2_partial_support, UNIT_PENALTY, FactorSubset.of(2, 3))
 
     def test_independent_labels_make_everything_significant(self, independent_labels):
         for r in (1, 2):
             for sub in subsets_of_size(2, r):
-                assert is_significant(independent_labels, sub)
+                assert significance(independent_labels, [sub])[0]
 
     def test_single_factor_structure(self, single_factor_table):
-        assert is_significant(single_factor_table, FactorSubset.of(1))
-        assert not is_significant(single_factor_table, FactorSubset.of(2))
+        assert significance(single_factor_table, [FactorSubset.of(1)])[0]
+        assert not significance(single_factor_table, [FactorSubset.of(2)])[0]
 
     def test_monotone_in_supersets_exhaustively(self):
         rng = np.random.default_rng(8)
@@ -265,7 +264,7 @@ class TestSignificance:
                 3, 1, np.full(8, 1 / 8), cond
             )
             subs = [s for r in (1, 2, 3) for s in subsets_of_size(3, r)]
-            flags = {s.indices: is_significant(dist, s) for s in subs}
+            flags = {s.indices: significance(dist, [s])[0] for s in subs}
             for s in subs:
                 if not flags[s.indices]:
                     continue
@@ -286,7 +285,7 @@ class TestSignificance:
         mask = dist.support_mask()
         gap = at_points(FactorSubset(tuple(range(1, n + 1)))) - at_points(subset)
         want = bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
-        assert is_significant(dist, subset) == want
+        assert significance(dist, [subset])[0] == want
 
 
     @pytest.mark.parametrize("chunk", [8, 16, CDF_CHUNK // 2])
@@ -312,27 +311,31 @@ class TestSignificance:
         subset = FactorSubset(tuple(sorted(data.draw(
             st.lists(st.integers(1, space.n), min_size=1, max_size=space.n, unique=True)
         ))))
-        # the whole-grid expression: every pointwise and cylinder conditional at once
-        every = FactorSubset(tuple(range(1, space.n + 1)))
-        gap = (oracle._conditionals(dist, every) - oracle._conditionals(dist, subset)).reshape(-1)
-        whole = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
+        # the whole-grid expression: the subset's cylinder conditionals, summed
+        # down from the union marginal, at every point at once, against the
+        # dense recipe's point-coded ones
         at_points = functools.partial(dense_oracle.conditional_at_points, dist)
+        (cells,) = oracle._subset_conditionals(dist, [subset])
+        # None for every factor: the cells are the points
+        cells = at_points() if cells is None else np.broadcast_to(cells, space.grid_shape).ravel()
+        np.testing.assert_allclose(cells, at_points(subset), rtol=0, atol=1e-15)
+        whole = bool(np.all(np.abs(at_points() - cells)[dist.support_mask()] <= EQUALITY_TOL))
         gap = at_points(FactorSubset(tuple(range(1, space.n + 1)))) - at_points(subset)
         dense = bool(np.all(np.abs(gap[dist.support_mask()]) <= EQUALITY_TOL))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "CDF_CHUNK", 2 * chunk)
-            assert is_significant(dist, subset) == whole == dense
+            assert significance(dist, [subset])[0] == whole == dense
         if tied:
-            assert is_significant(dist, FactorSubset.of(1))
+            assert significance(dist, [FactorSubset.of(1)])[0]
 
     def test_dense_cap_keeps_to_slabs(self):
         # 531,441 points: no table-sized float array, against 8.5 MB of
         # pointwise conditionals and 17 MB of the table's copy at once
         dist = generate_scenario("pair-epistasis", 12, 2)
-        is_significant(dist, FactorSubset.of(1, 2))
+        significance(dist, [FactorSubset.of(1, 2)])[0]
         tracemalloc.start()
         try:
-            flags = [is_significant(dist, FactorSubset.of(*s)) for s in [(1, 2), (1,), (3, 4)]]
+            flags = [significance(dist, [FactorSubset.of(*s)])[0] for s in [(1, 2), (1,), (3, 4)]]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -367,7 +370,7 @@ class TestSignificance:
         want = [bool(np.all(np.abs(at_points() - at_points(s))[mask] <= EQUALITY_TOL))
                 for s in subsets]
         assert significance(dist, subsets) == want
-        assert [is_significant(dist, s) for s in subsets] == want
+        assert [significance(dist, [s])[0] for s in subsets] == want
         psi = balanced_penalty(dist)
         _, tables = subset_oracle(dist, subsets)
         for s, t in zip(subsets, tables):
@@ -535,21 +538,22 @@ class TestOracleFromTables:
     def test_reductions_match_composite_expressions(self, dist, data):
         self.draw_subsets_and_match(dist, data)
 
-    # these tables fit in one leaf of LEAF_ELEMENTS; smaller leaves make the
-    # reductions cross leaves and add their sums back up the pairwise tree
+    # these tables fit in one leaf of CDF_CHUNK values; smaller leaves make
+    # the reductions cross leaves and add their sums back up the pairwise
+    # tree, and smaller slabs split the grid
     @pytest.mark.parametrize("leaf", [8, 24, 136])
     @given(dist=small_distributions(max_n=3, max_q=2), data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_reductions_match_composite_expressions_across_leaves(self, leaf, dist, data):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "LEAF_ELEMENTS", leaf)
+            mp.setattr(oracle, "CDF_CHUNK", leaf)
             self.draw_subsets_and_match(dist, data)
 
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3), (5, 2), (6, 1), (6, 2)])
     @pytest.mark.parametrize("leaf", [8, 24, 136])
     def test_presets_match_dense_recipe_across_leaves(self, monkeypatch, leaf, preset, n, q):
-        monkeypatch.setattr(oracle, "LEAF_ELEMENTS", leaf)
+        monkeypatch.setattr(oracle, "CDF_CHUNK", leaf)
         self.assert_matches_dense(generate_scenario(preset, n, q), spread_subsets(n))
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -564,7 +568,7 @@ class TestOracleFromTables:
         mask = dist.support_mask()
         for s in spread_subsets(n):
             gap = point_cond - dense_oracle.conditional_at_points(dist, s)
-            assert is_significant(dist, s) == bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
+            assert significance(dist, [s])[0] == bool(np.all(np.abs(gap[mask]) <= EQUALITY_TOL))
 
     @given(
         dist=small_distributions(max_n=3, max_q=2),
@@ -623,10 +627,10 @@ class TestOracleFromTables:
 
 def even_lengths(max_n):
     """Even lengths in 2..max_n, half of them within 6 of a multiple of 8,
-    of 128 or of LEAF_ELEMENTS."""
+    of 128 or of CDF_CHUNK."""
     near = st.builds(
         lambda m, k, d: min(max(m * k + 2 * d, 2), max_n),
-        st.sampled_from((8, 128, oracle.LEAF_ELEMENTS)),
+        st.sampled_from((8, 128, oracle.CDF_CHUNK)),
         st.integers(1, max_n // 8),
         st.integers(-3, 3),
     )
@@ -672,7 +676,7 @@ class TestPairwiseReplay:
     def test_matches_np_sum_with_small_leaves(self, n, seed, rate, leaf):
         x = wide_values(seed, n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "LEAF_ELEMENTS", leaf)
+            mp.setattr(oracle, "CDF_CHUNK", leaf)
             self.assert_replays(x, np.random.default_rng(seed).random(n // 2) < rate)
 
     def test_leaves_follow_numpys_split(self):
@@ -686,10 +690,10 @@ class TestMissPass:
     """Edge cases of the miss masses' gathers: empty and full masks, points
     without mass inside plus cells, tables that end mid-block."""
 
-    @pytest.mark.parametrize("leaf", [8, 136, oracle.LEAF_ELEMENTS])
+    @pytest.mark.parametrize("leaf", [8, 136, oracle.CDF_CHUNK])
     @pytest.mark.parametrize("n,q", [(5, 2), (6, 2), (7, 1), (4, 3)])
     def test_masses_match_boolean_gathers(self, monkeypatch, leaf, n, q):
-        monkeypatch.setattr(oracle, "LEAF_ELEMENTS", leaf)
+        monkeypatch.setattr(oracle, "CDF_CHUNK", leaf)
         probs = generate_scenario("pair-epistasis", n, q).probs.copy()
         probs[::7] = 0.0
         dist = JointDistribution(FactorSpace(n, q), probs / probs.sum())
@@ -759,7 +763,7 @@ def test_tables_hold_the_predictor_masks_uncopied(monkeypatch):
 
 @pytest.mark.parametrize("call", [
     lambda dist, every: subset_oracle(dist, [every]),
-    lambda dist, every: is_significant(dist, every),
+    lambda dist, every: significance(dist, [every])[0],
 ], ids=["subset_oracle", "is_significant"])
 def test_every_factor_keeps_to_slabs(call):
     # 531,441 points: every factor as the subset decides point by point, one
