@@ -130,7 +130,7 @@ def cv_error_stack(counts: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     plus = _trained_rule(train, labels.sum(axis=-2, keepdims=True) - labels, eps)
     misses = np.einsum("...yc,...c->...y", counts, plus)  # records in +1 cells
     misses[..., 1] = labels[..., 1] - misses[..., 1]  # y = +1 misses the other cells
-    penalties = np.divide(sizes, labels, out=np.zeros(labels.shape), where=labels > 0)
+    penalties = cell_conditionals(labels, sizes)
     acc = np.cumsum(penalties * misses / sizes, axis=-2)[..., -1, :]
     return (acc / counts.shape[-3]).sum(axis=-1) * 2.0, penalties, misses
 
@@ -158,7 +158,7 @@ def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndar
     misses = (full * miss).sum(axis=-1)
     rate = cell_conditionals(n_labels, misses)
     freq = n_labels / keys.shape[-1]
-    scale = np.divide(2.0, freq, out=np.zeros(freq.shape), where=freq > 0)
+    scale = cell_conditionals(freq, 2.0)
     table = scale[..., None] * (miss.astype(np.float64) - rate[..., None])
     return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys)
 

@@ -42,15 +42,23 @@ HISTOGRAM_BINS = 15
 HISTOGRAM_WIDTH = 50
 # Records per batch of replications: bounds the batch buffers whatever M is.
 RECORDS_PER_BATCH = 2**15
+# Degenerate counts a report leaves out while they are 0.
+_OMITTED_AT_ZERO = ("zero_scale", "one_class_folds", "near_singular")
 
 
-def _strict(value):
-    """``value`` with None for every non-finite float, in dicts and lists
-    too: an undefined statistic is JSON null, never the nonstandard NaN token."""
+def _jsonable(value):
+    """``value`` ready for ``json.dumps``: a check is its ``to_dict``, tuples
+    and arrays are lists, a non-finite float is None (JSON null, never the
+    nonstandard NaN token), and a count in ``_OMITTED_AT_ZERO`` is left out
+    of its dict while it is 0."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_strict(v) for v in value]
+        return {k: _jsonable(v) for k, v in value.items() if k not in _OMITTED_AT_ZERO or v}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
@@ -189,13 +197,8 @@ class UnivariateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return _strict({
-            **{k: v for k, v in vars(self).items()
-               if k not in ("zero_scale", "one_class_folds") or v},
-            "subset": list(self.subset),
-            "self_norm_limit": SELF_NORM_KS_LIMIT,
-            "var_rtol": VAR_RATIO_RTOL,
-        })
+        return _jsonable({**vars(self), "self_norm_limit": SELF_NORM_KS_LIMIT,
+                          "var_rtol": VAR_RATIO_RTOL})
 
 
 def clt_check(
@@ -273,14 +276,7 @@ class MultivariateCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return _strict({
-            **{k: v for k, v in vars(self).items() if k != "near_singular" or v},
-            "ks_limit": SELF_NORM_KS_LIMIT,
-            "subsets": [list(s) for s in self.subsets],
-            "sample_cov": self.sample_cov.tolist(),
-            "oracle_cov": self.oracle_cov.tolist(),
-            "whitened_ks": list(self.whitened_ks) if self.whitened_ks else None,
-        })
+        return _jsonable({**vars(self), "ks_limit": SELF_NORM_KS_LIMIT})
 
 
 def multivariate_check(
@@ -351,13 +347,7 @@ class CltReport:
     multivariate: MultivariateCheck | None = None
 
     def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "subsets": [list(s) for s in self.subsets],
-            "oracle_errors": list(self.oracle_errors),
-            "univariate": [u.to_dict() for u in self.univariate],
-            "multivariate": self.multivariate.to_dict() if self.multivariate else None,
-        }
+        return _jsonable(vars(self))
 
     @property
     def passed(self) -> bool:

@@ -26,6 +26,8 @@ from .model import (
 # Separates authored exact ties from double-precision rounding noise in
 # comparisons against the threshold.
 EQUALITY_TOL = 1e-10
+# The least P(Y=1) whose squared CLT scale (2 / P(Y=1))**2 is finite.
+MIN_POSITIVE_MASS = 2.0 / float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +123,12 @@ def balanced_penalty(dist: JointDistribution) -> PenaltyFunction:
 
     With these weights the classification threshold equals P(Y=1), so the
     predictor flags exactly the points whose conditional risk exceeds the
-    prevalence.
+    prevalence.  A P(Y=1) below ``MIN_POSITIVE_MASS`` is refused: its
+    influence variances overflow.
     """
-    p_pos = label_marginal(dist, 1)
+    if (p_pos := label_marginal(dist, 1)) < MIN_POSITIVE_MASS:
+        raise ValidationError(f"P(Y=1) = {p_pos!r} is below {MIN_POSITIVE_MASS!r}, "
+                              "where the squared CLT scale (2 / P(Y=1))**2 overflows")
     return PenaltyFunction(1.0 / (1.0 - p_pos), 1.0 / p_pos)
 
 

@@ -27,7 +27,6 @@ from mdrcv.model import (
     Dataset,
     FactorSpace,
     FactorSubset,
-    JointDistribution,
     PenaltyFunction,
     sample,
 )
@@ -44,6 +43,7 @@ from mdrcv.oracle import (
 from mdrcv.scenarios import generate_scenario, scenario_a
 from mdrcv.search import enumerate_subsets, rank_subsets
 
+from conftest import weights_to_distribution
 from test_estimator import transcribed_cv_error
 
 
@@ -54,15 +54,6 @@ def report(number, passed, detail, elapsed, budget):
     )
     assert passed, f"criterion {number}: {detail}"
     assert elapsed < budget, f"criterion {number}: took {elapsed:.1f}s, budget {budget}s"
-
-
-def weighted_table(n, q, weights_neg, weights_pos):
-    total = sum(weights_neg) + sum(weights_pos)
-    space = FactorSpace(n, q)
-    probs = np.zeros((space.num_points, 2))
-    probs[:, 0] = np.asarray(weights_neg, dtype=np.float64) / total
-    probs[:, 1] = np.asarray(weights_pos, dtype=np.float64) / total
-    return JointDistribution(space, probs)
 
 
 @pytest.fixture(scope="module")
@@ -86,17 +77,17 @@ def test_criterion_1_exhaustive_optimality():
     start = time.perf_counter()
     unit = PenaltyFunction(1.0, 1.0)
     fixtures = [
-        (weighted_table(2, 1, (3, 1, 3, 1), (1, 3, 1, 3)), unit),
+        (weights_to_distribution(2, 1, (3, 1, 3, 1), (1, 3, 1, 3)), unit),
         # conditionals 0.5 at two cells tie the unit threshold exactly
-        (weighted_table(2, 1, (2, 1, 3, 2), (2, 3, 1, 2)), unit),
+        (weights_to_distribution(2, 1, (2, 1, 3, 2), (2, 3, 1, 2)), unit),
         # (0,0) carries no mass at all
-        (weighted_table(2, 1, (0, 2, 4, 2), (0, 6, 2, 2)), unit),
-        (weighted_table(2, 1, (6, 2, 1, 1), (1, 1, 2, 2)), None),  # balanced
+        (weights_to_distribution(2, 1, (0, 2, 4, 2), (0, 6, 2, 2)), unit),
+        (weights_to_distribution(2, 1, (6, 2, 1, 1), (1, 1, 2, 2)), None),  # balanced
         # deterministic labels
-        (weighted_table(2, 1, (4, 0, 0, 4), (0, 4, 4, 0)), unit),
+        (weights_to_distribution(2, 1, (4, 0, 0, 4), (0, 4, 4, 0)), unit),
         # labels independent of the factors: every conditional ties the
         # balanced threshold
-        (weighted_table(2, 1, (2, 2, 2, 2), (3, 3, 3, 3)), None),
+        (weights_to_distribution(2, 1, (2, 2, 2, 2), (3, 3, 3, 3)), None),
     ]
     checked = 0
     for dist, psi in fixtures:
@@ -288,8 +279,8 @@ def test_criterion_10_penalty_scaling_invariance():
     multiplies the error by exactly c (dyadic fixtures, exact floats)."""
     start = time.perf_counter()
     # dyadic tables: every probability is a multiple of 1/16
-    plain = weighted_table(2, 1, (6, 2, 2, 6), (2, 6, 6, 2))
-    tied = weighted_table(1, 1, (6, 2), (2, 6))  # conditional 0.75 at x=1
+    plain = weights_to_distribution(2, 1, (6, 2, 2, 6), (2, 6, 6, 2))
+    tied = weights_to_distribution(1, 1, (6, 2), (2, 6))  # conditional 0.75 at x=1
     cases = [
         (plain, PenaltyFunction(1.0, 1.0)),
         (plain, PenaltyFunction(3.0, 1.0)),

@@ -667,11 +667,34 @@ def _data_with(tmp_path, *flags):
     return ["search", "--data", str(_small_csv(tmp_path)), *flags, "--r", "1", "--K", "2"]
 
 
+def _tiny_positive_mass(command, p_pos):
+    """A null preset whose P(Y=1) lies below ``oracle.MIN_POSITIVE_MASS``."""
+    flags = ["--subsets", "1", "--N", "20", "--M", "2", "--seed", "1"]
+    return lambda tmp: [command, "--preset", "null", "--n", "1", "--q", "1",
+                        "--p-pos", p_pos, *(flags if command == "clt-verify" else [])]
+
+
+def _tiny_positive_atom(tmp_path):
+    # a large influence value on the unlisted, zero-mass atom (0, -1)
+    return _dist_json(tmp_path, b'{"n": 1, "q": 1, "atoms": [{"x": [0], "y": 1, "p": 1e-200},'
+                                b' {"x": [1], "y": -1, "p": 1.0}]}')
+
+
 # (preset, a flag it does not read, value): each is refused, not ignored.
 UNREAD_PRESET_FLAGS = [
     ("pair-epistasis", "effect", "5"), ("null", "p-low", "0.1"),
     ("single-factor", "p-pos", "0.5"), ("independent", "p-high", "0.9"),
 ]
+
+
+# A P(Y=1) whose CLT scale overflows when squared, by repro.
+TINY_POSITIVE_MASS = {
+    "oracle-p-pos-1e-308": _tiny_positive_mass("oracle", "1e-308"),
+    "clt-verify-p-pos-1e-308": _tiny_positive_mass("clt-verify", "1e-308"),
+    "oracle-p-pos-1e-320": _tiny_positive_mass("oracle", "1e-320"),
+    "clt-verify-p-pos-1e-320": _tiny_positive_mass("clt-verify", "1e-320"),
+    "dist-positive-atom-1e-200": _tiny_positive_atom,
+}
 
 
 # The flags search had for sampling its own dataset; it reads a CSV only.
@@ -706,22 +729,44 @@ DROPPED_SEARCH_FLAGS = {
     *[lambda tmp, preset=preset, flag=flag, value=value: [
         "oracle", "--preset", preset, "--n", "3", "--q", "2", f"--{flag}", value]
       for preset, flag, value in UNREAD_PRESET_FLAGS],
+    *TINY_POSITIVE_MASS.values(),
 ], ids=["csv-not-utf8", "json-not-utf8", "n-not-int", "atoms-not-list", "effect-inf",
         "oracle-empty-subsets",
         "json-huge-n", "preset-huge-n", "csv-level-overflow", "preset-q-past-int16",
         "csv-field-past-limit", "single-factor-huge-n", "pair-epistasis-huge-n",
         "independent-huge-n", "search-over-budget", "cell-table-over-cap",
         *[f"data-with-{flag}" for flag in DROPPED_SEARCH_FLAGS],
-        *[f"{preset}-with-{flag}" for preset, flag, _ in UNREAD_PRESET_FLAGS]])
+        *[f"{preset}-with-{flag}" for preset, flag, _ in UNREAD_PRESET_FLAGS],
+        *TINY_POSITIVE_MASS])
 def test_malformed_input_is_one_line_error(make_args, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdrcv", *make_args(tmp_path)],
         capture_output=True, text=True, cwd=tmp_path, timeout=60,
-        env=child_env(),
+        env=child_env(PYTHONWARNINGS="error"),  # a warning would be a traceback
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("make_args", TINY_POSITIVE_MASS.values(), ids=TINY_POSITIVE_MASS)
+def test_tiny_positive_mass_names_the_bound(make_args, tmp_path, capsys):
+    # (2 / P(Y=1))**2 overflows below the bound: refused before any oracle sum
+    assert main(make_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: P(Y=1) = ") and err.count("\n") == 1
+    assert f"is below {oracle.MIN_POSITIVE_MASS!r}, " in err
+
+
+def test_small_positive_mass_above_the_bound_is_kept(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdrcv", "oracle", "--preset", "null", "--n", "1", "--q", "1",
+         "--p-pos", "1e-150"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env=child_env(PYTHONWARNINGS="error"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "variance 0.000000" in proc.stdout
 
 
 def test_cell_table_over_cap_names_the_subset_size(tmp_path, capsys):

@@ -86,6 +86,17 @@ class TestThreshold:
         )
 
 
+    def test_positive_mass_below_the_bound_is_refused(self):
+        # the scale 2 / P(Y=1) meets the zero-mass atom (0, -1) squared
+        def variance(p_pos):
+            dist = JointDistribution(FactorSpace(1, 1), np.array([[0.0, p_pos], [1.0, 0.0]]))
+            return asymptotic_moments(dist, subset_oracle(dist, [FactorSubset((1,))])[1])[0]
+
+        assert variance(oracle.MIN_POSITIVE_MASS) == [0.0]
+        with pytest.raises(ValidationError, match=r"^P\(Y=1\) = .* is below "):
+            variance(np.nextafter(oracle.MIN_POSITIVE_MASS, 0.0))
+
+
 class TestHighRiskSet:
     def test_zero_positive_weight_empties_the_set(self, toy_balanced):
         assert high_risk_set(toy_balanced, PenaltyFunction(1.0, 0.0)).tolist() == []

@@ -1,4 +1,4 @@
-"""Byte-level pins of six small CLI reports and three sampled CSVs.
+"""Byte-level pins of eight small CLI reports and three sampled CSVs.
 
 Report JSON is a deterministic function of its configuration, so a
 refactor that keeps the numbers must keep these digests.  A change that
@@ -21,6 +21,21 @@ CLT_VERIFY_ARGS = [
     "--N", "500", "--K", "5", "--M", "40", "--seed", "23",
 ]
 CLT_VERIFY_SHA256 = "a5ad13ccb299bf52dba06401cfb6bb3b8e3f8f44d022f5e768db2c685eaa4145"
+
+# Every branch of the report's JSON walk: a degenerate subset whose
+# undefined KS limit is null and whose 190 one-class replications are
+# counted; then {1,3} with 32 zero-scale replications beside {1,2} with
+# none, and 32 near-singular plug-in covariances.
+DEGENERATE_CLT_VERIFY_ARGS = [
+    "clt-verify", "--preset", "null", "--n", "1", "--q", "1", "--p-pos", "0.02",
+    "--subsets", "1", "--N", "20", "--K", "2", "--M", "200", "--seed", "1",
+]
+DEGENERATE_CLT_VERIFY_SHA256 = "c91f0d8465ae1a9db788860a889280fd0ee013ab2b4228d0cc15f60e1b6c185a"
+SINGULAR_CLT_VERIFY_ARGS = [
+    "clt-verify", "--preset", "pair-epistasis", "--n", "3", "--q", "2",
+    "--subsets", "1,2;1,3", "--N", "500", "--K", "5", "--M", "200", "--seed", "1",
+]
+SINGULAR_CLT_VERIFY_SHA256 = "b380c14e6d2b6f43a6c84ea8fed0b52a9bcdcb2b2455570a39ad318e07152d49"
 
 # search reads a CSV, so the pin runs simulate first and searches its output.
 SEARCH_DATA_ARGS = [
@@ -74,6 +89,16 @@ def report_digest(args, path):
 
 def test_clt_verify_report_bytes(tmp_path):
     assert report_digest(CLT_VERIFY_ARGS, tmp_path / "clt.json") == CLT_VERIFY_SHA256
+
+
+def test_degenerate_clt_verify_report_bytes(tmp_path):
+    got = report_digest(DEGENERATE_CLT_VERIFY_ARGS, tmp_path / "null.json")
+    assert got == DEGENERATE_CLT_VERIFY_SHA256
+
+
+def test_singular_clt_verify_report_bytes(tmp_path):
+    got = report_digest(SINGULAR_CLT_VERIFY_ARGS, tmp_path / "singular.json")
+    assert got == SINGULAR_CLT_VERIFY_SHA256
 
 
 def test_search_report_bytes(tmp_path):
