@@ -478,8 +478,7 @@ def cylinder_masses(dist: JointDistribution, subset: FactorSubset) -> np.ndarray
 def cell_conditionals(tot: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """pos / tot per cell, from masses or counts, with 0/0 := 0 on cells
     that carry nothing; the two broadcast against each other."""
-    out = np.zeros(np.broadcast_shapes(np.shape(pos), np.shape(tot)))
-    return np.divide(pos, tot, out=out, where=tot > 0)
+    return np.divide(pos, tot, out=np.zeros(np.broadcast(pos, tot).shape), where=tot > 0)
 
 
 @dataclass(frozen=True)
