@@ -81,30 +81,44 @@ class EpsilonSchedule:
 DEFAULT_SCHEDULE = EpsilonSchedule()
 
 
-def row_keys(y: np.ndarray, n_folds: int) -> np.ndarray:
-    """Each record's count-table row ``2 * fold + [y = +1]`` from (..., N)
-    labels, offset by ``2K * b`` in block b of the leading axes (flattened),
-    so that one ``bincount`` counts every block in its own table."""
-    blocks = np.arange(y.size // y.shape[-1]).reshape(y.shape[:-1] + (1,))
-    rows = fold_index(y.shape[-1], n_folds) + n_folds * blocks
+def fold_rows(n_blocks: int, n_records: int, n_folds: int) -> np.ndarray:
+    """The (B, N) count-table rows ``2 * (fold + K * b)`` of y = -1 records
+    in B blocks of N: the base ``row_keys`` adds the label bit to."""
+    rows = fold_index(n_records, n_folds) + n_folds * np.arange(n_blocks)[:, None]
     rows *= 2
-    rows += y == 1
     return rows
 
 
+def row_keys(y: np.ndarray, n_folds: int, base=None, out=None) -> np.ndarray:
+    """Each record's count-table row ``2 * fold + [y = +1]`` from (..., N)
+    labels, offset by ``2K * b`` in block b of the leading axes (flattened),
+    so that one ``bincount`` counts every block in its own table.  ``base``,
+    ``fold_rows`` of at least as many blocks, is read at its leading blocks,
+    and ``out`` receives the rows; without ``base``, one is built and
+    becomes the rows."""
+    blocks = y.size // y.shape[-1]
+    if base is None:
+        base = out = fold_rows(blocks, y.shape[-1], n_folds).reshape(y.shape)
+    else:
+        base = base[:blocks].reshape(y.shape)
+    return np.add(base, y == 1, out=out)
+
+
 def dataset_counts(
-    dataset: Dataset, subset: FactorSubset, n_folds: int, rows: np.ndarray | None = None
+    dataset: Dataset, subset: FactorSubset, n_folds: int, rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, counts) of a dataset: each record's key ``row * cells + code``
     with its ``row_keys`` row and cylinder code, and one ``bincount`` of the
     keys as a (K, 2, cells) table of (fold, label, cell) counts, label row 0
     being y = -1.  ``rows``, the (B, N) ``row_keys`` of a dataset of B equal
     blocks of records (``sample`` from a list of seeds), kept as it is for
-    the next subset, gives both a leading axis over the blocks."""
+    the next subset, gives both a leading axis over the blocks.  ``out``,
+    one int64 per record, receives the keys."""
     subset.validate_for(dataset.space)
     cells = cylinder_count(subset.r, dataset.space.q)
     rows = row_keys(dataset.y, n_folds) if rows is None else rows
-    keys = cylinder_codes(dataset.x, subset, dataset.space.q, rows)
+    keys = cylinder_codes(dataset.x, subset, dataset.space.q, rows, out)
     counts = np.bincount(keys, minlength=rows.size // rows.shape[-1] * n_folds * 2 * cells)
     return keys.reshape(rows.shape), counts.reshape(rows.shape[:-1] + (n_folds, 2, cells))
 
@@ -147,11 +161,14 @@ def cv_prediction_error(
     return float(cv_error_stack(dataset_counts(dataset, subset, n_folds)[1], eps)[0])
 
 
-def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndarray:
+def influence_stack(
+    keys: np.ndarray, counts: np.ndarray, eps: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """``influence_values`` of each dataset in a ``dataset_counts`` stack:
     the influence table of the full-sample counts, broadcast over folds and
-    read at the records' keys.  An absent label's row is 0 and read by no
-    record; trained on one class, the rule flags no cell, so all are 0.0."""
+    read at the records' keys, into ``out`` if given.  An absent label's row
+    is 0 and read by no record; trained on one class, the rule flags no
+    cell, so all are 0.0."""
     full = counts.sum(axis=-3)
     n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
     miss = _trained_rule(full, n_labels, eps)[..., None, :] != _POSITIVE
@@ -160,7 +177,9 @@ def influence_stack(keys: np.ndarray, counts: np.ndarray, eps: float) -> np.ndar
     freq = n_labels / keys.shape[-1]
     scale = cell_conditionals(freq, 2.0)
     table = scale[..., None] * (miss.astype(np.float64) - rate[..., None])
-    return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys)
+    # every key indexes the table: "clip" only spares take a copy of out
+    return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys, out=out,
+                   mode="clip")
 
 
 def influence_values(

@@ -22,6 +22,7 @@ from .estimator import (
     EpsilonSchedule,
     cv_error_stack,
     dataset_counts,
+    fold_rows,
     influence_stack,
     plugin_moments,
     row_keys,
@@ -82,34 +83,59 @@ class Replications:
     one_class: np.ndarray
 
 
-# Set once per pool worker by ``_init_worker``, not pickled into every task.
+# Set once per pool worker by ``_init_worker``, not pickled into every task:
+# the run's context and the worker's own batch buffers.
 _WORKER_CONTEXT: tuple | None = None
 
 
-def _init_worker(context: tuple) -> None:
+def _batch_buffers(context: tuple, blocks: int) -> tuple:
+    """The record-sized arrays of a batch of ``blocks`` replications, made
+    once per run or pool worker; a shorter batch uses their leading entries.
+    They are ``sample``'s buffers (draws, atoms, x, y, scratch), the
+    ``fold_rows`` base and the influence buffer, laid out (S, B, N) so that
+    each subset's lookup is taken straight into its contiguous row.  Roles
+    that are never alive at once share an array: the draws live in the
+    influence buffer, the atom indices become the rows, and the search
+    scratch each subset's keys."""
+    dist, subsets, _, n_records, n_folds = context[:5]
+    size = blocks * n_records
+    influences = np.empty((len(subsets), blocks, n_records))
+    records = (influences[0].reshape(-1), np.empty(size, dtype=np.intp),
+               np.empty((size, dist.space.n), dtype=np.int16), np.empty(size, dtype=np.int8),
+               np.empty(size))
+    return records, fold_rows(blocks, n_records, n_folds), influences
+
+
+def _init_worker(context: tuple, blocks: int) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
+    _WORKER_CONTEXT = context, _batch_buffers(context, blocks)
 
 
-def _replicate_batch(replications: range, context=None) -> tuple[np.ndarray, ...]:
+def _replicate_batch(replications: range, work=None) -> tuple[np.ndarray, ...]:
     """B replications in one pass, returned as ``Replications`` fields: one
     ``sample`` call and ``row_keys`` array; per subset, keys coded on from
     those rows, one bincount, stacked CV values and influence values into
-    one (B, S, N) buffer; one centring of it (``plugin_moments``).  The
-    one-class flags read the fold label totals, the same for every subset."""
-    context = context or _WORKER_CONTEXT
+    its row of one (S, B, N) buffer; one centring of it, read as (B, S, N)
+    (``plugin_moments``).  The one-class flags read the fold label totals,
+    the same for every subset.  ``work`` is the run's context and
+    ``_batch_buffers``, the pool worker's by default; every returned array
+    is new."""
+    context, (records, base, influences) = work or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
     seeds = [derive_seed(master_seed, m) for m in replications]
-    data = sample(dist, n_records, seeds)
+    data = sample(dist, n_records, seeds, out=records)
     eps = schedule.value(n_records)
-    rows = row_keys(data.y.reshape(len(seeds), n_records), n_folds)
+    shape, size = (len(seeds), n_records), len(seeds) * n_records
+    rows = row_keys(data.y.reshape(shape), n_folds, base, records[1][:size].reshape(shape))
+    keys_out = records[4][:size].view(np.int64)
     z = np.empty((len(seeds), len(subsets)))
-    influences = np.empty((len(seeds), len(subsets), n_records))
+    influences = influences[:, : len(seeds)]
     for i, (s, err) in enumerate(zip(subsets, oracle_errors)):
-        keys, counts = dataset_counts(data, s, n_folds, rows)
+        keys, counts = dataset_counts(data, s, n_folds, rows, keys_out)
         z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
-        influences[:, i] = influence_stack(keys, counts, eps)
-    return z, *plugin_moments(influences), (counts.sum(-1) == 0).any(axis=(-2, -1))
+        influence_stack(keys, counts, eps, influences[i])
+    moments = plugin_moments(influences.transpose(1, 0, 2))
+    return z, *moments, (counts.sum(-1) == 0).any(axis=(-2, -1))
 
 
 def run_replications(
@@ -127,9 +153,10 @@ def run_replications(
     seeds, row m-1 of every array is replication m.  Deviations are centred
     at ``oracle_errors``, each subset's exact optimal error.  Batches hold
     at most ``RECORDS_PER_BATCH`` records, each scored in one pass: one
-    row key array, one bincount per subset, one (B, S, N) influence buffer
-    and one centring.  ``workers > 1`` spreads them over a process pool of
-    at most one process per CPU.  Neither changes any result."""
+    row key array, one bincount per subset, one influence buffer and one
+    centring, all in arrays made once per run (``_batch_buffers``).
+    ``workers > 1`` spreads them over a process pool of at most one
+    process per CPU.  Neither changes any result."""
     if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
     if (master_seed := _integer("master_seed", master_seed)) < 0:
@@ -149,11 +176,13 @@ def run_replications(
     context = (dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed)
     pool_size = min(workers, len(batches), os.cpu_count() or 1)
     if pool_size <= 1:
-        chunks = [_replicate_batch(b, context) for b in batches]
+        work = context, _batch_buffers(context, len(batches[0]))
+        chunks = [_replicate_batch(b, work) for b in batches]
     else:  # imported here: a serial run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(pool_size, initializer=_init_worker, initargs=(context,)) as pool:
+        with ProcessPoolExecutor(pool_size, initializer=_init_worker,
+                                 initargs=(context, len(batches[0]))) as pool:
             chunks = list(pool.map(_replicate_batch, batches))
     return Replications(*(np.concatenate(field) for field in zip(*chunks)))
 

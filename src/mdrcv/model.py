@@ -102,15 +102,16 @@ class FactorSpace:
         self.num_points  # raises over the dense-table cap
         return (self.q + 1,) * self.n
 
-    def points(self, ranks: np.ndarray) -> np.ndarray:
+    def points(self, ranks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(len(ranks), n) int16 levels of the points with the given
-        lexicographic ranks, one ``point_levels`` column per factor.
+        lexicographic ranks, one ``point_levels`` column per factor, into
+        ``out`` if given.
 
         Only ``sample`` asks for the whole grid, when it is no larger than
         its draws: (q+1)^n x n int16 is hundreds of MB near the cap.
         """
         ranks = np.asarray(ranks)
-        pts = np.empty((len(ranks), self.n), dtype=np.int16)
+        pts = np.empty((len(ranks), self.n), dtype=np.int16) if out is None else out
         for i in range(1, self.n + 1):
             pts[:, i - 1] = point_levels(self, i, ranks)
         return pts
@@ -184,15 +185,19 @@ def cylinder_count(r: int, q: int) -> int:
         ) from None
 
 
-def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int, start=None) -> np.ndarray:
+def cylinder_codes(
+    x_rows: np.ndarray, subset: FactorSubset, q: int, start=None, out=None
+) -> np.ndarray:
     """Map each row of an (m, n) level array to its cylinder cell code.
 
     Codes enumerate the sub-vectors u lexicographically, so code 0 is
     u = (0,...,0) and code (q+1)^r - 1 is u = (q,...,q).  With ``start``, m
     int64 values of any shape, row j gets ``start[j] * (q+1)^r`` plus its code.
+    ``out``, m int64 values, receives the codes.
     """
     x = np.asarray(x_rows)
-    codes = np.zeros(x.shape[0], dtype=np.int64) if start is None else start.reshape(-1).copy()
+    codes = np.empty(x.shape[0], dtype=np.int64) if out is None else out
+    codes[...] = 0 if start is None else start.reshape(-1)
     for i in subset.indices:  # in place: no record-sized temporaries
         codes *= q + 1
         codes += x[:, i - 1]
@@ -409,24 +414,32 @@ def _block_cdf(dist: JointDistribution, blocks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _atom_index(dist: JointDistribution, u: np.ndarray) -> np.ndarray:
+def _atom_index(
+    dist: JointDistribution, u: np.ndarray, out=None, scratch=None, mask=None
+) -> np.ndarray:
     """Each draw's atom: ``np.searchsorted(cdf, u, "right")`` on the
-    sequential CDF of all atoms, final value 1.0, bit for bit.  With at
-    least as many draws as atoms, the distribution's ``_guide_table`` finds
-    them; with fewer, the draws are sorted and searched CDF_CHUNK // CDF_BLOCK
-    at a time, each chunk re-summing only the blocks its draws land in (the
-    rule reads only the sizes)."""
+    sequential CDF of all atoms, final value 1.0, bit for bit, written into
+    ``out`` (intp).  With at least as many draws as atoms, the distribution's
+    ``_guide_table`` finds them, its working arrays ``scratch`` (float64) and
+    ``mask`` (bool); with fewer, the draws are sorted and searched CDF_CHUNK //
+    CDF_BLOCK at a time, each chunk re-summing only the blocks its draws land
+    in (the rule reads only the sizes).  An array not given is allocated."""
+    atom = np.empty(u.size, dtype=np.intp) if out is None else out
     if dist.probs.size <= u.size:
         guide, lo, rounds, pad, _ = dist._guide
-        idx = lo[(u * guide).astype(np.intp)]
+        scratch = np.empty(u.size) if scratch is None else scratch
+        mask = np.empty(u.size, dtype=np.bool_) if mask is None else mask
+        bucket = scratch.view(np.intp)  # truncated, as astype would
+        np.take(lo, np.multiply(u, guide, out=bucket, casting="unsafe"), out=atom, mode="clip")
         # masked adds write only the draws that move, so the rounds a crowded
-        # bucket sets for every draw stay cheap; the last round adds 0 or 1
+        # bucket sets for every draw stay cheap; the last round adds 0 or 1.
+        # Every index is in range: "clip" only spares take a copy of out
         for step in (1 << r for r in reversed(range(1, rounds))):
-            np.add(idx, step, out=idx, where=pad[step - 1 :][idx] <= u)
-        idx += pad[idx] <= u
-        return idx
+            np.less_equal(np.take(pad[step - 1 :], atom, out=scratch, mode="clip"), u, out=mask)
+            np.add(atom, step, out=atom, where=mask)
+        atom += np.less_equal(np.take(pad, atom, out=scratch, mode="clip"), u, out=mask)
+        return atom
     order = np.argsort(u)
-    atom = np.empty(u.size, dtype=np.intp)
     step = CDF_CHUNK // CDF_BLOCK  # at most CDF_CHUNK atoms re-summed per chunk
     for start in range(0, u.size, step):
         rank = order[start : start + step]
@@ -530,7 +543,9 @@ class Dataset:
         return data
 
 
-def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -> Dataset:
+def sample(
+    dist: JointDistribution, n_records: int, seed: int | Sequence[int], *, out=None
+) -> Dataset:
     """Draw an i.i.d. sample of size n_records, reproducibly.
 
     Inverse-CDF sampling over the fixed atom enumeration (x lexicographic,
@@ -542,6 +557,12 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
     With at least as many draws as atoms, x is gathered from a grid of every
     point's levels, kept with the distribution's ``_guide_table``; with
     fewer, levels are read off each rank.
+
+    ``out``, passed only by the Monte Carlo harness, is the batch buffers
+    (draws, atoms, x, y, scratch): float64, intp, (., n) int16, int8 and
+    float64 arrays with room for every draw.  The draws go to their leading
+    entries, and the dataset's x and y are views of ``out``'s, overwritten by
+    the next call with it.  Without it, every array is the dataset's own.
     """
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
@@ -555,17 +576,22 @@ def sample(dist: JointDistribution, n_records: int, seed: int | Sequence[int]) -
         raise ValidationError("no seed given: a dataset must contain at least one record")
     if len(seeds) * n_records > MAX_RECORDS:
         raise ValidationError(f"n_records too large: over {MAX_RECORDS} draws in all")
-    u = np.empty((len(seeds), n_records))
-    for row, s in zip(u, seeds):
+    size = len(seeds) * n_records
+    u, rank, xs, ys, scratch = (a[:size] for a in out) if out else (
+        np.empty(size), np.empty(size, dtype=np.intp), None, np.empty(size, dtype=np.int8), None)
+    for row, s in zip(u.reshape(len(seeds), n_records), seeds):
         np.random.default_rng(s).random(out=row)
-    rank = _atom_index(dist, u.ravel())
-    del u  # free the draws before the records are built
-    ys = (rank & 1).astype(np.int8) * 2 - 1
+    # the labels' bytes hold the search's mask until the labels are written
+    _atom_index(dist, u, rank, scratch, ys.view(np.bool_))
+    del u  # a dataset's own draws are freed before its levels are built
+    np.bitwise_and(rank, 1, out=ys, casting="unsafe")
+    ys *= 2
+    ys -= 1
     rank >>= 1  # atom to point rank
     if dist.probs.size <= rank.size:  # the grid is no larger than the draws
-        xs = np.take(dist._guide[4], rank, axis=0)
+        xs = np.take(dist._guide[4], rank, axis=0, out=xs, mode="clip")
     else:  # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
-        xs = dist.space.points(rank.astype(np.int32))
+        xs = dist.space.points(rank.astype(np.int32), out=xs)
     return Dataset._drawn(dist.space, xs, ys)
 
 

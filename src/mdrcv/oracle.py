@@ -23,8 +23,9 @@ from .model import (
     label_marginal,
 )
 
-# Separates authored exact ties from double-precision rounding noise in
-# comparisons against the threshold.
+# Separates authored exact ties from double-precision rounding noise: a
+# relative tolerance against the threshold, so a threshold near 0 keeps its
+# scale, and an absolute one between two conditionals (``significance``).
 EQUALITY_TOL = 1e-10
 # The least P(Y=1) whose squared CLT scale (2 / P(Y=1))**2 is finite.
 MIN_POSITIVE_MASS = 2.0 / float(np.sqrt(np.finfo(np.float64).max))
@@ -193,9 +194,10 @@ def _planes(
     conds = _subset_conditionals(dist, subsets)
     P, step = space.num_points, CDF_CHUNK // 2
     planes = [np.zeros(P, dtype=np.uint8) for _ in range(0, len(subsets), 8)]
-    # ties resolve to -1: strict inequality, with the tolerance shielding
-    # authored exact ties from rounding; psi(+1) = 0 puts the threshold at 1
-    threshold = psi.threshold + EQUALITY_TOL
+    # ties resolve to -1: strict inequality, with the relative tolerance
+    # shielding authored exact ties from rounding; psi(+1) = 0 puts the
+    # threshold at 1
+    threshold = psi.threshold * (1.0 + EQUALITY_TOL)
     for i, cell_cond in enumerate(conds):
         plane = planes[i // 8].reshape(space.grid_shape)
         if cell_cond is None:

@@ -35,7 +35,8 @@ def conditional_at_points(dist, subset=None):
 
 def plus_mask(dist, psi, subset=None):
     """The optimal predictor's +1 points, decided point by point."""
-    plus = dist.support_mask() & (conditional_at_points(dist, subset) > psi.threshold + EQUALITY_TOL)
+    threshold = psi.threshold * (1.0 + EQUALITY_TOL)  # relative: keeps its scale near 0
+    plus = dist.support_mask() & (conditional_at_points(dist, subset) > threshold)
     if psi.psi_pos == 0.0:
         plus[:] = False
     return plus

@@ -342,6 +342,13 @@ class TestCliCommands:
         assert doc["subsets"][0]["error"] == pytest.approx(0.8)
         assert doc["high_risk_set"] == [[0]]
 
+    def test_tie_tolerance_is_relative_to_a_tiny_threshold(self, capsys):
+        # threshold P(Y=1) = 5e-11: an absolute 1e-10 tolerance would send
+        # the cell with P(Y=1 | x) = 1e-10 to -1, an error of 2, variance 0
+        assert main(["oracle", "--preset", "single-factor", "--n", "1", "--q", "1",
+                     "--p-low", "0", "--p-high", "1e-10"]) == 0
+        assert "error 1.000000, variance 1.000000" in capsys.readouterr().out
+
     def test_oracle_builds_high_risk_set_only_for_out(self, monkeypatch, tmp_path, capsys):
         calls = []
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -384,6 +385,74 @@ class TestBatchedEngine:
         pooled = run_replications(*args, master_seed=5, workers=5000)
         assert sizes == pool_sizes
         assert same_replications(pooled, serial)
+
+
+class TestBatchBuffers:
+    """A run allocates its batch buffers once, and they are its alone."""
+
+    @staticmethod
+    def scenario_a_pair():
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        return dist, subs, subset_oracle(dist, subs)[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_later_batches_fault_no_memory_back_in(self):
+        # in a fresh interpreter, as the CLI runs, memory that a batch frees
+        # is trimmed off the heap and faulted back in by the next batch: 328
+        # faults a batch when every batch allocates its arrays anew
+        code = """if True:
+            import resource
+            from mdrcv import estimator, mcverify, model, oracle, scenarios
+            dist = scenarios.scenario_a()
+            subs = [model.FactorSubset.of(1, 2), model.FactorSubset.of(1, 3)]
+            args = (dist, subs, oracle.subset_oracle(dist, subs)[0], 2000, 5,
+                    estimator.DEFAULT_SCHEDULE)
+            mcverify.run_replications(*args, 16, 1)  # first use: guide table, numpy.random
+            for m in (32, 160):  # 2 and 10 batches of 16
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                mcverify.run_replications(*args, m, 1)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = str(Path(mcverify.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        few, many = map(int, out.stdout.split())
+        assert (many - few) / 8 < 32
+
+    def test_concurrent_runs_match_their_serial_runs(self):
+        # more threads than CI's cores, switching often: a buffer shared
+        # between runs would mix their batches
+        args = (*self.scenario_a_pair(), 2000, 5, DEFAULT_SCHEDULE, 64)
+        seeds = (1, 2, 3, 4)
+        serial = [run_replications(*args, seed) for seed in seeds]
+        start = threading.Barrier(len(seeds), timeout=60)
+
+        def run(seed):
+            start.wait()
+            return run_replications(*args, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(run, seed) for seed in seeds]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_replications(t, s) for t, s in zip(threaded, serial))
+
+    def test_sampled_dataset_outlives_later_runs_and_samples(self):
+        dist, subs, errors = self.scenario_a_pair()
+        data = sample(dist, 2000, [3, 4])
+        x, y = data.x.copy(), data.y.copy()
+        run_replications(dist, subs, errors, 2000, 5, DEFAULT_SCHEDULE, 40, 9)
+        assert np.array_equal(data.x, x) and np.array_equal(data.y, y)
+        sample(dist, 2000, [5, 6])
+        assert np.array_equal(data.x, x) and np.array_equal(data.y, y)
 
 
 # (preset, n, q, params, subset, N, K): 2 to 4 cells, 8 to 12 records

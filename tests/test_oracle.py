@@ -725,7 +725,7 @@ class TestMissPass:
         # an optimal predictor, which sends them to -1
         zero = dist.point_probs() == 0.0
         flagged = dense_oracle.conditional_at_points(dist, FactorSubset.of(1, 2)) > (
-            psi.threshold + EQUALITY_TOL)
+            psi.threshold * (1.0 + EQUALITY_TOL))
         assert (zero & masks[2]).any() and (zero & flagged).any()
 
     def test_tables_of_two_calls_interleave(self):
