@@ -89,19 +89,14 @@ def fold_rows(n_blocks: int, n_records: int, n_folds: int) -> np.ndarray:
     return rows
 
 
-def row_keys(y: np.ndarray, n_folds: int, base=None, out=None) -> np.ndarray:
+def row_keys(y: np.ndarray, base: np.ndarray, out=None) -> np.ndarray:
     """Each record's count-table row ``2 * fold + [y = +1]`` from (..., N)
     labels, offset by ``2K * b`` in block b of the leading axes (flattened),
-    so that one ``bincount`` counts every block in its own table.  ``base``,
-    ``fold_rows`` of at least as many blocks, is read at its leading blocks,
-    and ``out`` receives the rows; without ``base``, one is built and
-    becomes the rows."""
+    so that one ``bincount`` counts every block in its own table: ``base``,
+    ``fold_rows`` of at least as many blocks, read at its leading blocks,
+    plus the label bit, into ``out`` if given."""
     blocks = y.size // y.shape[-1]
-    if base is None:
-        base = out = fold_rows(blocks, y.shape[-1], n_folds).reshape(y.shape)
-    else:
-        base = base[:blocks].reshape(y.shape)
-    return np.add(base, y == 1, out=out)
+    return np.add(base[:blocks].reshape(y.shape), y == 1, out=out)
 
 
 def dataset_counts(
@@ -117,7 +112,7 @@ def dataset_counts(
     one int64 per record, receives the keys."""
     subset.validate_for(dataset.space)
     cells = cylinder_count(subset.r, dataset.space.q)
-    rows = row_keys(dataset.y, n_folds) if rows is None else rows
+    rows = row_keys(dataset.y, fold_rows(1, len(dataset), n_folds)) if rows is None else rows
     keys = cylinder_codes(dataset.x, subset, dataset.space.q, rows, out)
     counts = np.bincount(keys, minlength=rows.size // rows.shape[-1] * n_folds * 2 * cells)
     return keys.reshape(rows.shape), counts.reshape(rows.shape[:-1] + (n_folds, 2, cells))
@@ -161,14 +156,16 @@ def cv_prediction_error(
     return float(cv_error_stack(dataset_counts(dataset, subset, n_folds)[1], eps)[0])
 
 
-def influence_stack(
+def influence_values(
     keys: np.ndarray, counts: np.ndarray, eps: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``influence_values`` of each dataset in a ``dataset_counts`` stack:
-    the influence table of the full-sample counts, broadcast over folds and
-    read at the records' keys, into ``out`` if given.  An absent label's row
-    is 0 and read by no record; trained on one class, the rule flags no
-    cell, so all are 0.0."""
+    """Per-record plug-in influence values of each dataset in a
+    ``dataset_counts`` stack, into ``out`` if given: the regularized rule
+    trained on the full-sample counts, with the empirical label frequencies
+    and miss rates for their population counterparts, read at the records'
+    keys.  The values sum to exactly zero and do not depend on the fold
+    count, which only keys the records; with one label class the rule flags
+    no cell, so all are 0.0, a plug-in scale of 0."""
     full = counts.sum(axis=-3)
     n_labels = full.sum(axis=-1)  # (..., 2): records with y = -1, y = +1
     miss = _trained_rule(full, n_labels, eps)[..., None, :] != _POSITIVE
@@ -180,23 +177,6 @@ def influence_stack(
     # every key indexes the table: "clip" only spares take a copy of out
     return np.take(np.broadcast_to(table[..., None, :, :], counts.shape), keys, out=out,
                    mode="clip")
-
-
-def influence_values(
-    dataset: Dataset,
-    subset: FactorSubset,
-    schedule: EpsilonSchedule = DEFAULT_SCHEDULE,
-) -> np.ndarray:
-    """Per-record plug-in influence values.
-
-    Trains the regularized rule on the full sample, then substitutes the
-    empirical label frequencies and miss rates for their population
-    counterparts.  The values sum to exactly zero; with one label class they
-    are all 0.0, a plug-in scale of 0.  They do not depend on the fold
-    count, which only keys the records.
-    """
-    keys, counts = dataset_counts(dataset, subset, 2)
-    return influence_stack(keys, counts, schedule.value(len(dataset)))
 
 
 def plugin_moments(influences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

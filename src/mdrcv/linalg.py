@@ -32,5 +32,4 @@ def inv_sqrt_symmetric(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(_check_symmetric(a))
     ok = (vals >= MIN_EIGENVALUE).all(-1, keepdims=True)
     inv = np.where(ok, 1.0 / np.sqrt(np.where(ok, vals, 1.0)), np.nan)
-    diag = np.eye(vals.shape[-1]) * inv[..., None, :]
-    return vecs @ diag @ vecs.swapaxes(-1, -2)
+    return (vecs * inv[..., None, :]) @ vecs.swapaxes(-1, -2)

@@ -23,7 +23,7 @@ from .estimator import (
     cv_error_stack,
     dataset_counts,
     fold_rows,
-    influence_stack,
+    influence_values,
     plugin_moments,
     row_keys,
 )
@@ -126,14 +126,14 @@ def _replicate_batch(replications: range, work=None) -> tuple[np.ndarray, ...]:
     data = sample(dist, n_records, seeds, out=records)
     eps = schedule.value(n_records)
     shape, size = (len(seeds), n_records), len(seeds) * n_records
-    rows = row_keys(data.y.reshape(shape), n_folds, base, records[1][:size].reshape(shape))
+    rows = row_keys(data.y.reshape(shape), base, records[1][:size].reshape(shape))
     keys_out = records[4][:size].view(np.int64)
     z = np.empty((len(seeds), len(subsets)))
     influences = influences[:, : len(seeds)]
     for i, (s, err) in enumerate(zip(subsets, oracle_errors)):
         keys, counts = dataset_counts(data, s, n_folds, rows, keys_out)
         z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
-        influence_stack(keys, counts, eps, influences[i])
+        influence_values(keys, counts, eps, influences[i])
     moments = plugin_moments(influences.transpose(1, 0, 2))
     return z, *moments, (counts.sum(-1) == 0).any(axis=(-2, -1))
 

@@ -360,10 +360,10 @@ class JointDistribution:
         np.multiply(m, c, out=p[..., 1])
         return cls(space, p.reshape(-1, 2), copy=False)
 
-    def point_probs(self) -> np.ndarray:
-        """P(X=x) for every point, enumeration order (read-only), summed
-        on each call: bit for bit ``probs.sum(axis=1)``, about 5x faster."""
-        marginal = self.probs[:, 0] + self.probs[:, 1]
+    def point_probs(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """P(X=x) of each point, ``[start:stop]`` of the enumeration order (read-only),
+        summed on each call: bit for bit ``probs.sum(axis=1)``, about 5x faster."""
+        marginal = self.probs[start:stop, 0] + self.probs[start:stop, 1]
         marginal.flags.writeable = False
         return marginal
 

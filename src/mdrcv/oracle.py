@@ -156,16 +156,16 @@ def _subset_conditionals(
 def _point_slabs(dist: JointDistribution):
     """The pointwise conditional p1 / (p0 + p1) one slab of the point grid at
     a time, over its leading axes, each slab at most CDF_CHUNK // 2 points:
-    yields (slab index, P(X=x), P(Y=1 | X=x) with 0 where P(X=x) = 0)."""
+    yields (slab index, its ``point_probs``, P(Y=1 | X=x) with 0 where P(X=x) = 0)."""
     space = dist.space
     table = dist.probs.reshape(space.grid_shape + (2,))
     lead = 0  # leading axes indexed
     while lead < space.n and (space.q + 1) ** (space.n - lead) > CDF_CHUNK // 2:
         lead += 1
-    for idx in np.ndindex(space.grid_shape[:lead]):
-        p = table[idx]
-        tot = p[..., 0] + p[..., 1]
-        yield idx, tot, cell_conditionals(tot, p[..., 1])
+    size = (space.q + 1) ** (space.n - lead)  # points per slab
+    for i, idx in enumerate(np.ndindex(space.grid_shape[:lead])):  # C order: slab i
+        tot = dist.point_probs(i * size, i * size + size).reshape(space.grid_shape[lead:])
+        yield idx, tot, cell_conditionals(tot, table[idx][..., 1])
 
 
 def high_risk_set(dist: JointDistribution, psi: PenaltyFunction) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_error_stack, row_keys
+from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_error_stack, fold_rows, row_keys
 from .model import Dataset, FactorSubset, _integer, cylinder_count
 
 # Exhaustive enumeration only: caps C(n, r), the subsets one search scores.
@@ -207,17 +208,13 @@ def _cv_errors(
     dtype = np.promote_types(dataset.x.dtype, np.min_scalar_type(-head * span)).type
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
     codes = _block_codes(columns, b, levels, dtype)
-    base = (row_keys(dataset.y, n_folds) * (levels**fixed * span)).astype(dtype)
+    folds = row_keys(dataset.y, fold_rows(1, len(dataset), n_folds))
+    base = (folds * (levels**fixed * span)).astype(dtype)
     weights = [dtype(levels ** (fixed - 1 - j) * span) for j in range(fixed)]
     partial = np.empty((fixed, len(dataset)), dtype)  # partial[j]: key over positions 0..j
     lead, key = np.empty((2, len(dataset)), dtype)
     scale = dtype(levels**b)
-    indicators = {}  # by (digits, c digits, d digits)
-
-    def indicator(*spec):
-        if spec not in indicators:
-            indicators[spec] = _indicator(levels, *spec)
-        return indicators[spec]
+    indicator = functools.cache(functools.partial(_indicator, levels))
 
     # a table adds at most ``most`` count rows, so the block, scored once
     # fewer are free, never splits one

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mdrcv.estimator import DEFAULT_SCHEDULE, dataset_counts, influence_values
 from mdrcv.model import Dataset, FactorSpace, JointDistribution
 
 
@@ -140,3 +141,10 @@ def reference_cdf(dist):
 def grid_reference(space):
     """Every point in enumeration order, from ``np.indices``."""
     return np.indices(space.grid_shape).reshape(space.n, -1).T
+
+
+def dataset_influences(dataset, subset, schedule=DEFAULT_SCHEDULE):
+    """One dataset's per-record ``influence_values``, keyed over 2 folds:
+    the fold count only keys the records."""
+    keys, counts = dataset_counts(dataset, subset, 2)
+    return influence_values(keys, counts, schedule.value(len(dataset)))

@@ -7,7 +7,7 @@ joint table can be listed with its probability.  The CV error of each is
 read off ``cv_error_stack``, the harness's own formula: the referee checks
 what the harness samples, folds and counts, not the formula.  The plug-in
 sd depends only on the whole-sample table, Multinomial(N, P); it is read
-off ``influence_stack`` and ``plugin_moments`` with the records in cell
+off ``influence_values`` and ``plugin_moments`` with the records in cell
 order, so it matches the harness's up to summation order.
 """
 
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from mdrcv.estimator import cv_error_stack, fold_index, influence_stack, plugin_moments
+from mdrcv.estimator import cv_error_stack, fold_index, influence_values, plugin_moments
 from mdrcv.model import cylinder_masses
 
 
@@ -55,7 +55,7 @@ class ExactLaw:
         # each record's key into the flattened (T, 1, 2, cells) stack, cell order
         keys = np.array([np.repeat(np.arange(2 * cells), row) for row in whole])
         keys += 2 * cells * np.arange(len(whole))[:, None]
-        values = influence_stack(keys, whole.reshape(-1, 1, 2, cells), eps)
+        values = influence_values(keys, whole.reshape(-1, 1, 2, cells), eps)
         self.sds = plugin_moments(values[:, None, :])[0][:, 0]
 
 

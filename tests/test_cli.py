@@ -19,6 +19,7 @@ from mdrcv import cli, oracle
 from mdrcv.cli import main
 from mdrcv.dataio import ingest_csv, write_dataset_csv
 from mdrcv.errors import ValidationError
+from mdrcv.mcverify import HISTOGRAM_BINS
 from mdrcv.model import (
     MAX_LEVEL,
     Dataset,
@@ -817,6 +818,45 @@ def test_oracle_reads_a_dist_with_a_utf8_bom(toy_dist_file, capsys):
 def test_dist_with_a_preset_flag_names_the_flag(toy_dist_file, flag, value, capsys):
     assert main(["oracle", "--dist", str(toy_dist_file), f"--{flag}", value]) == 1
     assert capsys.readouterr().err == f"error: --dist cannot be combined with --{flag}\n"
+
+
+def _field_past_limit_on_line_3(tmp_path, dist_file):
+    path = tmp_path / "wide-cell.csv"
+    path.write_text('X1,Y\n0,1\n"' + "1" * 200_000 + '",-1\n')
+    return (["search", "--data", str(path), "--r", "1", "--K", "2"],
+            f"{path}, line 3: field larger than field limit (131072)")
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda tmp, dist: (["oracle", "--dist", str(dist), "--preset", "null"],
+                       "give either --dist or --preset, not both"),
+    lambda tmp, dist: (["oracle", "--preset", "null", "--q", "1"], "--preset requires --n and --q"),
+    lambda tmp, dist: (["oracle", "--preset", "null", "--n", "1"], "--preset requires --n and --q"),
+    _field_past_limit_on_line_3,
+], ids=["dist-and-preset", "preset-without-n", "preset-without-q", "csv-field-past-limit"])
+def test_refusal_names_its_fault(make_case, toy_dist_file, tmp_path, capsys):
+    args, message = make_case(tmp_path, toy_dist_file)
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_histogram_is_printed_for_each_non_degenerate_subset(tmp_path, capsys):
+    # {1} carries the signal; {2} has oracle variance 0 and gets no histogram
+    args = ["clt-verify", "--preset", "single-factor", "--n", "2", "--q", "1",
+            "--subsets", "1;2", "--N", "200", "--M", "20", "--seed", "1"]
+    plain, drawn = tmp_path / "plain.json", tmp_path / "drawn.json"
+    assert main(args + ["--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--histogram", "--out", str(drawn)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "subset (2,): degenerate" in "\n".join(lines)
+    heads = [i for i, line in enumerate(lines) if line.startswith("standardized deviations")]
+    assert [lines[i] for i in heads] == ["standardized deviations, subset (1,):"]
+    bars = lines[heads[0] + 1 : heads[0] + 1 + HISTOGRAM_BINS]
+    counts = [re.fullmatch(r"\[ *[+-]\d+\.\d{3}, +[+-]\d+\.\d{3}\) +(\d+) #*", b) for b in bars]
+    assert all(counts) and sum(int(c[1]) for c in counts) == 20
+    assert lines[heads[0] + 1 + HISTOGRAM_BINS] == f"report written to {drawn}"
+    assert plain.read_bytes() == drawn.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "clt-verify", "oracle"])

@@ -16,7 +16,7 @@ from mdrcv.estimator import (
     cv_prediction_error,
     dataset_counts,
     fold_index,
-    influence_stack,
+    fold_rows,
     influence_values,
     plugin_moments,
     row_keys,
@@ -45,7 +45,7 @@ from mdrcv.oracle import (
 )
 from mdrcv.scenarios import generate_scenario, scenario_a
 
-from conftest import small_datasets
+from conftest import dataset_influences, small_datasets
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +418,23 @@ class TestCvPredictionError:
 class TestSdEstimate:
     def test_deterministic_relation_gives_zero(self, deterministic_labels):
         ds = sample(deterministic_labels, 400, seed=2)
-        assert asymptotic_sd_estimate(influence_values(ds, FactorSubset.of(1))) == 0.0
+        assert asymptotic_sd_estimate(dataset_influences(ds, FactorSubset.of(1))) == 0.0
 
     def test_permutation_invariant(self):
         dist = scenario_a()
         ds = sample(dist, 500, seed=77)
         sub = FactorSubset.of(1, 2)
-        base = asymptotic_sd_estimate(influence_values(ds, sub))
+        base = asymptotic_sd_estimate(dataset_influences(ds, sub))
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(ds))
         shuffled = Dataset(ds.space, ds.x[perm], ds.y[perm])
-        assert asymptotic_sd_estimate(influence_values(shuffled, sub)) == pytest.approx(base, abs=1e-12)
+        assert asymptotic_sd_estimate(dataset_influences(shuffled, sub)) == pytest.approx(base, abs=1e-12)
 
     def test_single_label_class_gives_zero_influence(self):
         # the rule trained on one class flags no cell: a zero plug-in scale
         for label in (1, -1):
             ds = Dataset(FactorSpace(1, 1), [[0], [1], [0]], [label] * 3)
-            v = influence_values(ds, FactorSubset.of(1))
+            v = dataset_influences(ds, FactorSubset.of(1))
             assert v.tolist() == [0.0, 0.0, 0.0]
             assert asymptotic_sd_estimate(v) == 0.0
 
@@ -445,14 +445,14 @@ class TestSdEstimate:
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=n)
-            devs.append(abs(asymptotic_sd_estimate(influence_values(ds, sub)) - sigma))
+            devs.append(abs(asymptotic_sd_estimate(dataset_influences(ds, sub)) - sigma))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.05 * sigma
 
     def test_influence_values_sum_to_zero(self):
         dist = scenario_a()
         ds = sample(dist, 700, seed=8)
-        v = influence_values(ds, FactorSubset.of(1, 2))
+        v = dataset_influences(ds, FactorSubset.of(1, 2))
         assert float(v.sum()) == pytest.approx(0.0, abs=1e-9)
 
     @given(nq=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), data=st.data())
@@ -475,15 +475,20 @@ class TestSdEstimate:
                 subset = FactorSubset(idx)
                 t = influence_table(dist, optimal_predictor(dist, balanced_penalty(dist), subset))
                 want = t.lut[t.plane[atoms >> 1], atoms & 1]
-                assert np.array_equal(influence_values(ds, subset, schedule), want)
+                assert np.array_equal(dataset_influences(ds, subset, schedule), want)
 
 
 class TestCovarianceEstimate:
+    @pytest.mark.parametrize("influences", [[], np.empty((0, 5))], ids=["list", "array"])
+    def test_no_subset_refused(self, influences):
+        with pytest.raises(ValidationError, match="^need at least one subset$"):
+            asymptotic_covariance_estimate(influences)
+
     def test_single_subset_matches_sd(self):
         dist = scenario_a()
         ds = sample(dist, 800, seed=4)
         sub = FactorSubset.of(1, 2)
-        v = influence_values(ds, sub)
+        v = dataset_influences(ds, sub)
         c = asymptotic_covariance_estimate([v])
         sd = asymptotic_sd_estimate(v)
         assert c.shape == (1, 1)
@@ -493,7 +498,7 @@ class TestCovarianceEstimate:
         dist = scenario_a()
         ds = sample(dist, 800, seed=4)
         sub = FactorSubset.of(1, 2)
-        v = influence_values(ds, sub)
+        v = dataset_influences(ds, sub)
         c = asymptotic_covariance_estimate([v, v])
         assert np.all(np.isnan(inv_sqrt_symmetric(c)))
 
@@ -506,7 +511,7 @@ class TestCovarianceEstimate:
         devs = []
         for n in (500, 5000, 50000):
             ds = sample(dist, n, seed=3 * n + 1)
-            c = asymptotic_covariance_estimate([influence_values(ds, s) for s in subs])
+            c = asymptotic_covariance_estimate([dataset_influences(ds, s) for s in subs])
             devs.append(float(np.abs(c - oracle).max()))
         assert devs[-1] < devs[0]
         assert devs[-1] < 0.1
@@ -576,9 +581,9 @@ def test_influence_stack_zeroes_one_class_blocks(data, eps):
     dataset, b, k = data
     subset = FactorSubset(tuple(range(1, dataset.space.n + 1)))
     n_records = len(dataset) // b
-    rows = row_keys(dataset.y.reshape(b, n_records), k)
+    rows = row_keys(dataset.y.reshape(b, n_records), fold_rows(b, n_records, k))
     keys, counts = dataset_counts(dataset, subset, k, rows)
-    got = influence_stack(keys, counts, eps)
+    got = influence_values(keys, counts, eps)
     sds = plugin_moments(got.copy()[:, None, :])[0][:, 0]
     assert got.shape == (b, n_records) and np.all(np.isfinite(got))
     y = dataset.y.reshape(b, n_records)

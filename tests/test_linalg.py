@@ -114,3 +114,9 @@ def test_near_singular_members_are_nan_and_the_others_unchanged(case):
 def test_non_square_input_rejected(shape):
     with pytest.raises(ValidationError, match="square"):
         inv_sqrt_symmetric(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_entry_rejected(bad):
+    with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
+        inv_sqrt_symmetric(np.array([[1.0, bad], [bad, 1.0]]))

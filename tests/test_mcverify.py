@@ -44,6 +44,7 @@ from mdrcv.oracle import asymptotic_covariance, asymptotic_variance, subset_orac
 from mdrcv.scenarios import generate_scenario, scenario_a
 
 import exact_law
+from conftest import dataset_influences
 
 
 def series_normal_cdf(z, terms=120):
@@ -241,7 +242,7 @@ def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed
             math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s) - err)
             for s, err in zip(subsets, errors)
         ])
-        infl = [influence_values(dataset, s) for s in subsets]
+        infl = [dataset_influences(dataset, s) for s in subsets]
         sds.append([asymptotic_sd_estimate(v) for v in infl])
         covs.append(asymptotic_covariance_estimate(infl))
     return Replications(np.array(z), np.array(sds), np.array(covs), np.array(one_class))
@@ -342,6 +343,20 @@ class TestBatchedEngine:
         assert judged == []
         assert same_replications(got, per_replication_reference(
             dist, subs, errors, n_records, 5, 7, 4))
+
+    def test_influence_kernel_runs_once_per_subset_per_batch(self, monkeypatch):
+        # the harness reads its influences through estimator.influence_values,
+        # the name a tracer charges them to: one call per subset per batch
+        kernel, calls = mcverify.influence_values, []
+        monkeypatch.setattr(mcverify, "influence_values",
+                            lambda keys, *rest: calls.append(keys.shape) or kernel(keys, *rest))
+        assert kernel is influence_values
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        errors, _ = subset_oracle(dist, subs)
+        n_records = RECORDS_PER_BATCH // 3  # three batches of 3, 3 and 1
+        run_replications(dist, subs, errors, n_records, 5, DEFAULT_SCHEDULE, 7, 4)
+        assert calls == [(b, n_records) for b in (3, 3, 1) for _ in subs]
 
     def test_serial_import_loads_no_process_pool(self):
         # concurrent.futures.process pulls in multiprocessing; only a pooled
@@ -623,6 +638,18 @@ class TestCltCheck:
         assert repr(strided) == repr(contiguous)
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda: clt_check(np.zeros(3), np.ones(3), np.zeros(3, bool), -1.0, FactorSubset.of(1)),
+     "oracle variance cannot be negative"),
+    (lambda: multivariate_check(np.zeros((3, 1)), np.ones((3, 1, 1)), np.eye(1),
+                                [FactorSubset.of(1)]),
+     "multivariate check needs at least two subsets"),
+], ids=["negative-oracle-variance", "one-subset"])
+def test_check_refusal_names_its_fault(check, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        check()
+
+
 class TestMultivariateCheck:
     def test_no_replications_rejected(self):
         subsets = [FactorSubset.of(1), FactorSubset.of(2)]
@@ -727,3 +754,4 @@ class TestVerifyClt:
         rng = np.random.default_rng(0)
         text = text_histogram(rng.standard_normal(500))
         assert len(text.splitlines()) == HISTOGRAM_BINS
+        assert text_histogram([]) == "(no values)"

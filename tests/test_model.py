@@ -359,6 +359,23 @@ def test_refused_huge_int_is_not_printed(toy_balanced, call, message):
         call(toy_balanced)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FactorSubset(()), "a factor subset must contain at least one index"),
+    (lambda: JointDistribution(FactorSpace(1, 1), np.full((3, 2), 1 / 6)),
+     "probs must have shape (2, 2), got (3, 2)"),
+    (lambda: JointDistribution.from_conditional(1, 1, 0.5, [0.5, 1.5]),
+     "conditional probabilities must lie in [0, 1]"),
+    (lambda: JointDistribution.from_conditional(1, 1, 0.5, [-0.5, 0.5]),
+     "conditional probabilities must lie in [0, 1]"),
+    (lambda: Dataset(FactorSpace(1, 1), np.empty((0, 1), np.int16), np.empty(0, np.int8)),
+     "a dataset must contain at least one record"),
+], ids=["empty-subset", "table-wrong-shape", "conditional-above-one", "conditional-below-zero",
+        "empty-dataset"])
+def test_refusal_names_its_fault(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def support(dist):
     ranks = np.flatnonzero(dist.support_mask())
     return set(map(tuple, dist.space.points(ranks).tolist()))

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -406,6 +408,26 @@ class TestSignificance:
         flags = significance(dist, [FactorSubset.of(1), FactorSubset.of(1, 2)])
         assert flags == [False, True] and len(read) == 27
 
+    def test_slabs_read_the_marginal_off_point_probs(self, monkeypatch):
+        # 59,049 points in 3 slabs of 3^9: the all-factors predictor and
+        # significance read each slab's P(X=x) through point_probs(start, stop)
+        dist = generate_scenario("pair-epistasis", 10, 2)
+        psi = balanced_penalty(dist)
+        want = dense_oracle.plus_mask(dist, psi)
+        marginal, ranges = JointDistribution.point_probs, []
+
+        def spy(self, start=0, stop=None):
+            ranges.append((start, stop))
+            return marginal(self, start, stop)
+
+        monkeypatch.setattr(JointDistribution, "point_probs", spy)
+        slabs = [(a, a + 3**9) for a in range(0, 3**10, 3**9)]
+        assert np.array_equal(optimal_predictor(dist, psi), want)
+        assert ranges == slabs
+        ranges.clear()
+        assert significance(dist, [FactorSubset.of(1, 2)]) == [True]
+        assert ranges == slabs
+
 class TestAsymptoticVariance:
     def test_deterministic_labels_have_zero_variance(self, deterministic_labels):
         _, (v,) = subset_oracle(deterministic_labels, [FactorSubset.of(1)])
@@ -455,6 +477,16 @@ class TestAsymptoticCovariance:
         assert c[0, 0] == pytest.approx(c[0, 1])
         assert c[0, 1] == pytest.approx(c[1, 1])
         assert abs(np.linalg.det(c)) < 1e-12
+
+    @pytest.mark.parametrize("tables, message", [
+        (lambda t: [], "need at least one subset"),
+        (lambda t: [t, dataclasses.replace(t, mean=1.0)],
+         "influence variable mean 1.0 not zero; table corrupt?"),
+    ], ids=["no-subset", "mean-not-zero"])
+    def test_refusal_names_its_fault(self, toy_balanced, tables, message):
+        (table,) = subset_oracle(toy_balanced, [FactorSubset.of(1)])[1]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            asymptotic_moments(toy_balanced, tables(table))
 
     def test_conditionally_independent_pair_is_uncorrelated(
         self, conditionally_independent_pair
