@@ -5,6 +5,7 @@ their self-normalized versions with plug-in scales.
 Each replication samples a fresh dataset with a seed derived from the
 master seed and the replication index, so results do not depend on
 execution order and any single replication can be reproduced in isolation.
+A run derives its seeds in one pass of an array SeedSequence replica; numpy draws.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .estimator import (
     row_keys,
 )
 from .linalg import inv_sqrt_symmetric
-from .model import FactorSubset, JointDistribution, _integer, sample
+from .model import FactorSubset, JointDistribution, _integer, _seed_state, sample
 from .oracle import asymptotic_moments, subset_oracle
 
 # Asymptotic Kolmogorov-Smirnov critical value at the 1% level is
@@ -63,11 +64,23 @@ def _jsonable(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def derive_seed(master_seed: int, replication: int) -> int:
-    """Counter-mode mix of (master seed, replication index) into a sampler
-    seed; no state is shared between replications."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication,))
-    return int(ss.generate_state(1, np.uint64)[0])
+def derive_seed(master_seed: int, replication: int | np.ndarray) -> int | np.ndarray:
+    """Counter-mode mix of (master seed, replication index) into a sampler seed,
+    numpy's ``SeedSequence(master_seed, spawn_key=(replication,))``'s first
+    uint64, bit for bit; a 1-D integer array of indices gives a uint64 array."""
+    master_seed = _integer("master_seed", master_seed)
+    if listed := np.ndim(replication) > 0:
+        reps = np.asarray(replication)
+        if reps.ndim != 1 or reps.dtype.kind not in "iu":
+            raise ValidationError(f"replication must be a 1-D integer array, got {reps.dtype}")
+        low = int(np.min(reps, initial=0))
+    else:
+        reps = [low := _integer("replication", replication)]
+    for name, value in (("master_seed", master_seed), ("replication", low)):
+        if value < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
+    seeds = _seed_state(reps, 1, master_seed)[:, 0]
+    return seeds if listed else int(seeds[0])
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ def _init_worker(context: tuple, blocks: int) -> None:
     _WORKER_CONTEXT = context, _batch_buffers(context, blocks)
 
 
-def _replicate_batch(replications: range, work=None) -> tuple[np.ndarray, ...]:
+def _replicate_batch(batch: slice, work=None) -> tuple[np.ndarray, ...]:
     """B replications in one pass, returned as ``Replications`` fields: one
     ``sample`` call and ``row_keys`` array; per subset, keys coded on from
     those rows, one bincount, stacked CV values and influence values into
@@ -119,10 +132,10 @@ def _replicate_batch(replications: range, work=None) -> tuple[np.ndarray, ...]:
     (``plugin_moments``).  The one-class flags read the fold label totals,
     the same for every subset.  ``work`` is the run's context and
     ``_batch_buffers``, the pool worker's by default; every returned array
-    is new."""
+    is new.  ``batch`` slices the run's seeds, the context's last entry."""
     context, (records, base, influences) = work or _WORKER_CONTEXT
-    dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed = context
-    seeds = [derive_seed(master_seed, m) for m in replications]
+    dist, subsets, oracle_errors, n_records, n_folds, schedule, run_seeds = context
+    seeds = run_seeds[batch]
     data = sample(dist, n_records, seeds, out=records)
     eps = schedule.value(n_records)
     shape, size = (len(seeds), n_records), len(seeds) * n_records
@@ -149,18 +162,16 @@ def run_replications(
     master_seed: int,
     workers: int = 1,
 ) -> Replications:
-    """Replications 1..M, each on a fresh dataset; deterministic per-index
-    seeds, row m-1 of every array is replication m.  Deviations are centred
-    at ``oracle_errors``, each subset's exact optimal error.  Batches hold
-    at most ``RECORDS_PER_BATCH`` records, each scored in one pass: one
-    row key array, one bincount per subset, one influence buffer and one
-    centring, all in arrays made once per run (``_batch_buffers``).
-    ``workers > 1`` spreads them over a process pool of at most one
-    process per CPU.  Neither changes any result."""
+    """Replications 1..M, each on a fresh dataset; per-index seeds from one
+    ``derive_seed`` call, row m-1 of every array is replication m.
+    Deviations are centred at ``oracle_errors``, each subset's exact optimal
+    error.  Batches hold at most ``RECORDS_PER_BATCH`` records, each scored
+    in one pass: one row key array, one bincount per subset, one influence
+    buffer and one centring, all in arrays made once per run
+    (``_batch_buffers``).  ``workers > 1`` spreads them over a process pool
+    of at most one process per CPU.  Neither changes any result."""
     if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
-    if (master_seed := _integer("master_seed", master_seed)) < 0:
-        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
     if (n_records := _integer("n_records", n_records)) < 1:  # it divides the batch size
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
     if (workers := _integer("workers", workers)) < 1:
@@ -170,26 +181,27 @@ def run_replications(
         raise ValidationError("need at least one subset")
     if len(oracle_errors) != len(subsets):
         raise ValidationError("need one oracle error per subset")
-    per_batch = max(1, RECORDS_PER_BATCH // n_records)
-    reps = range(1, n_replications + 1)
-    batches = [reps[i : i + per_batch] for i in range(0, n_replications, per_batch)]
-    context = (dist, subsets, oracle_errors, n_records, n_folds, schedule, master_seed)
+    per_batch = min(max(1, RECORDS_PER_BATCH // n_records), n_replications)
+    batches = [slice(i, i + per_batch) for i in range(0, n_replications, per_batch)]
+    seeds = derive_seed(master_seed, np.arange(1, n_replications + 1))
+    context = (dist, subsets, oracle_errors, n_records, n_folds, schedule, seeds)
     pool_size = min(workers, len(batches), os.cpu_count() or 1)
     if pool_size <= 1:
-        work = context, _batch_buffers(context, len(batches[0]))
+        work = context, _batch_buffers(context, per_batch)
         chunks = [_replicate_batch(b, work) for b in batches]
     else:  # imported here: a serial run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(pool_size, initializer=_init_worker,
-                                 initargs=(context, len(batches[0]))) as pool:
+                                 initargs=(context, per_batch)) as pool:
             chunks = list(pool.map(_replicate_batch, batches))
     return Replications(*(np.concatenate(field) for field in zip(*chunks)))
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def normal_cdf(z):
+    """Standard normal CDF, elementwise: one ``math.erf`` per value."""
+    erf = np.frompyfunc(math.erf, 1, 1)(np.divide(z, math.sqrt(2.0)))
+    return 0.5 * (1.0 + np.asarray(erf, dtype=np.float64))
 
 
 def ks_statistic(samples: Sequence[float], sd: float = 1.0) -> float:
@@ -202,7 +214,7 @@ def ks_statistic(samples: Sequence[float], sd: float = 1.0) -> float:
         raise ValidationError("ks_statistic needs a nonempty sample")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("ks_statistic needs finite samples")
-    cdf = np.array([normal_cdf(v) for v in arr])
+    cdf = normal_cdf(arr)
     steps = np.arange(arr.size + 1) / arr.size  # the empirical CDF's levels
     return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
 

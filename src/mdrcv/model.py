@@ -46,6 +46,19 @@ NORMALIZATION_TOL = 1e-12
 CDF_BLOCK = 16
 CDF_CHUNK = 2**16
 
+# numpy's SeedSequence (O'Neill 2014): hash k of each kind xors with init *
+# mult^k and multiplies by init * mult^(k+1); tables for 128 entropy words (a
+# 2048-bit seed and spawn key) and 8 output words.  _CROSS_HASH[src] hashes
+# pool word src into word d by hash 4 + 3 src + (d's rank), a spare at d = src.
+_SHIFT, _MIX = np.uint32(16), (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
+_POOL_HASH, _STATE_HASH = (
+    np.array([powers[:-1, None], powers[1:, None]]) for powers in (
+        np.multiply.accumulate(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)
+        for init, mult, count in ((0x43B0D7E5, 0x931E8875, 512), (0x8B51F9DD, 0x58F38DED, 8))))
+_CROSS_HASH = np.ascontiguousarray(_POOL_HASH[:, [
+    [4 + 3 * src + d - (d > src) for d in range(4)] for src in range(4)]].swapaxes(0, 1))
+_POOL_HASH.flags.writeable = _STATE_HASH.flags.writeable = _CROSS_HASH.flags.writeable = False
+
 
 def _integer(name: str, value) -> int:
     """The one judge of an integer argument, never a bool: a Python int of
@@ -543,6 +556,56 @@ class Dataset:
         return data
 
 
+def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX[0] * x - _MIX[1] * y
+    return value ^ value >> _SHIFT
+
+
+def _seed_state(values, n_words: int, head: int | None = None) -> np.ndarray:
+    """Row r is ``generate_state(n_words, np.uint64)`` of ``SeedSequence(values[r])``,
+    or with ``head`` of ``SeedSequence(head, spawn_key=(values[r],))``, bit for
+    bit; values are ints >= 0 or an integer array.  Every hash runs over the
+    (W, R) entropy's whole rows; words past 4 mix in where a column has them."""
+    if isinstance(values, np.ndarray):  # at most 64 bits: one or two words
+        words = np.ascontiguousarray(values, dtype="<u8").view("<u4").reshape(-1, 2).T
+        widths = 1 + (words[1] > 0)
+    else:
+        widths = np.array([max(1, -(-v.bit_length() // 32)) for v in values])
+        raw = b"".join(v.to_bytes(4 * int(widths.max()), "little") for v in values)
+        words = np.frombuffer(raw, "<u4").reshape(len(values), -1).T
+    lead = 0 if head is None else max(4, -(-head.bit_length() // 32))  # head padded to 4
+    entropy = np.zeros((max(4, lead + len(words)), words.shape[1]), dtype=np.uint32)
+    entropy[:lead] = np.frombuffer((head or 0).to_bytes(4 * lead, "little"), "<u4")[:, None]
+    entropy[lead : lead + len(words)] = words
+    pool = _hash(entropy[:4], *_POOL_HASH[:, :4])
+    for src in range(4):
+        mixed = _mix(pool, _hash(pool[src], *_CROSS_HASH[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for j in range(4, len(entropy)):
+        mixed = _mix(pool, _hash(entropy[j], *_POOL_HASH[:, 4 * j : 4 * j + 4]))
+        np.copyto(pool, mixed, where=widths + lead > j)
+    state = _hash(pool[np.arange(2 * n_words) % 4], *_STATE_HASH[:, : 2 * n_words])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass
+class _SeedWords:
+    """One generator's PCG64 seed words from ``_seed_state``, an
+    ``ISeedSequence`` once ``sample`` registers it: numpy.random (about 12 ms
+    to import) loads on first use, not with mdrcv."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def sample(
     dist: JointDistribution, n_records: int, seed: int | Sequence[int], *, out=None
 ) -> Dataset:
@@ -554,6 +617,7 @@ def sample(
     of B seeds gives one dataset of B * n_records records whose block b is
     exactly ``sample(dist, n_records, seeds[b])``; seeds are integers >= 0,
     a refused one named by its index, and draws at most MAX_RECORDS in all.
+    Block b draws ``np.random.default_rng(seeds[b]).random(n_records)``, bit for bit.
     With at least as many draws as atoms, x is gathered from a grid of every
     point's levels, kept with the distribution's ``_guide_table``; with
     fewer, levels are read off each rank.
@@ -567,20 +631,25 @@ def sample(
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
     listed, seeds = np.ndim(seed) > 0, []
-    for i, s in enumerate(seed if listed else [seed]):
-        name = f"seed #{i}" if listed else "seed"
-        if (s := _integer(name, s)) < 0:
-            raise ValidationError(f"{name} must be >= 0, got {s}")
-        seeds.append(s)
-    if not seeds:
+    if isinstance(seed, np.ndarray) and seed.ndim == 1 and seed.dtype.kind in "iu" and (
+            seed.size == 0 or seed.min() >= 0):  # judged whole; the loop names a refused seed
+        seeds = seed
+    else:
+        for i, s in enumerate(seed if listed else [seed]):
+            name = f"seed #{i}" if listed else "seed"
+            if (s := _integer(name, s)) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {s}")
+            seeds.append(s)
+    if len(seeds) == 0:
         raise ValidationError("no seed given: a dataset must contain at least one record")
     if len(seeds) * n_records > MAX_RECORDS:
         raise ValidationError(f"n_records too large: over {MAX_RECORDS} draws in all")
     size = len(seeds) * n_records
     u, rank, xs, ys, scratch = (a[:size] for a in out) if out else (
         np.empty(size), np.empty(size, dtype=np.intp), None, np.empty(size, dtype=np.int8), None)
-    for row, s in zip(u.reshape(len(seeds), n_records), seeds):
-        np.random.default_rng(s).random(out=row)
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    for row, w in zip(u.reshape(len(seeds), n_records), _seed_state(seeds, 4)):
+        np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
     # the labels' bytes hold the search's mask until the labels are written
     _atom_index(dist, u, rank, scratch, ys.view(np.bool_))
     del u  # a dataset's own draws are freed before its levels are built

@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ class TestNormalCdf:
 
 
 class TestKsStatistic:
+    @given(data=st.lists(st.floats(-40, 40), min_size=1, max_size=300), sd=st.floats(0.1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_cdf_is_the_scalar_formula_bit_for_bit(self, data, sd):
+        arr = np.sort(np.asarray(data) / sd)
+        want = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
+        assert normal_cdf(arr).tobytes() == want.tobytes()
+        steps = np.arange(arr.size + 1) / arr.size
+        ks = max((steps[1:] - want).max(), (want - steps[:-1]).max())
+        assert ks_statistic(data, sd) == ks
+
     def test_single_point_at_median(self):
         assert ks_statistic([0.0]) == pytest.approx(0.5)
 
@@ -126,13 +137,66 @@ class TestKsStatistic:
         assert 0.0 <= got <= 1.0
 
 
+def numpy_seed(master_seed, replication):
+    """The seed of replication m, from numpy's own SeedSequence."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(replication,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 class TestSeedDerivation:
-    def test_deterministic(self):
-        assert derive_seed(42, 7) == derive_seed(42, 7)
+    # up to _integer's 2048 bits; past 2**32 a spawn key is two words
+    @given(master=st.integers(0, 2**2048 - 1) | st.sampled_from([0, 2**32, 2**128 + 1]),
+           reps=st.lists(st.integers(0, 2**40) | st.integers(2**32 - 2, 2**32 + 2),
+                         min_size=1, max_size=8),
+           wide=st.integers(0, 2**2048 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_deterministic(self, master, reps, wide):
+        want = [numpy_seed(master, m) for m in reps]
+        assert [derive_seed(master, m) for m in reps] == want
+        got = derive_seed(master, np.array(reps, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == want
+        assert derive_seed(master, np.array(reps, dtype=np.int64)).tolist() == want
+        assert derive_seed(master, wide) == numpy_seed(master, wide)
 
     def test_distinct_across_replications(self):
-        seeds = {derive_seed(42, m) for m in range(1, 200)}
-        assert len(seeds) == 199
+        seeds = derive_seed(42, np.arange(1, 200))
+        assert seeds.tolist() == [numpy_seed(42, m) for m in range(1, 200)]
+        assert len(set(seeds.tolist())) == 199
+
+    @pytest.mark.parametrize("master, rep, message", [
+        (-1, 1, "master_seed must be >= 0, got -1"),
+        (1, -1, "replication must be >= 0, got -1"),
+        (1, np.array([3, -2, 5]), "replication must be >= 0, got -2"),
+        (1.5, 1, "master_seed must be an integer, got 1.5"),
+        (True, 1, "master_seed must be an integer, got True"),
+        (1, True, "replication must be an integer, got True"),
+        (1, np.array([1.0, 2.0]), "replication must be a 1-D integer array, got float64"),
+        (1, np.array([True]), "replication must be a 1-D integer array, got bool"),
+        (1, np.ones((2, 2), dtype=np.int64), "replication must be a 1-D integer array, got int64"),
+    ])
+    def test_refusal_names_the_argument(self, master, rep, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            derive_seed(master, rep)
+
+    def test_no_numpy_seed_sequence_on_the_run_path(self):
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2)]
+        errors, _ = subset_oracle(dist, subs)
+        spy = AssertionError("numpy seeding called")
+        with mock.patch("numpy.random.default_rng", side_effect=spy), \
+                mock.patch("numpy.random.SeedSequence", side_effect=spy):
+            run_replications(dist, subs, errors, 400, 4, DEFAULT_SCHEDULE, 30, master_seed=3)
+            sample(dist, 10, [1, 2**200])
+
+    def test_run_at_a_wide_master_seed_matches_numpy_seeding(self):
+        # 2**128 + 1 is five entropy words: the pool's extra mixing round
+        dist = scenario_a()
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(1, 3)]
+        errors, _ = subset_oracle(dist, subs)
+        master = 2**128 + 1
+        got = run_replications(dist, subs, errors, 6000, 4, DEFAULT_SCHEDULE, 12, master)
+        want = per_replication_reference(dist, subs, errors, 6000, 4, 12, master, numpy_seed)
+        assert same_replications(got, want)
 
 
 class TestRunReplications:
@@ -231,12 +295,13 @@ class TestRunReplications:
             )
 
 
-def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed):
+def per_replication_reference(dist, subsets, errors, n_records, n_folds, m, seed,
+                              derive=derive_seed):
     """Replications one dataset at a time, from the public primitives."""
     z, sds, covs, one_class = [], [], [], []
     folds = fold_index(n_records, n_folds)
     for rep in range(1, m + 1):
-        dataset = sample(dist, n_records, derive_seed(seed, rep))
+        dataset = sample(dist, n_records, derive(seed, rep))
         one_class.append(any(set(dataset.y[folds == k]) != {-1, 1} for k in range(n_folds)))
         z.append([
             math.sqrt(n_records) * (cv_prediction_error(dataset, n_folds, s) - err)

@@ -36,7 +36,7 @@ from mdrcv.model import (
     _real,
 )
 from mdrcv.estimator import DEFAULT_SCHEDULE, EpsilonSchedule, dataset_counts, fold_index
-from mdrcv.mcverify import run_replications
+from mdrcv.mcverify import derive_seed, run_replications
 from mdrcv.oracle import subset_oracle
 from mdrcv.scenarios import PRESETS, generate_scenario, scenario_a
 from mdrcv.search import enumerate_subsets
@@ -305,6 +305,7 @@ JUDGED = {
                 lambda v: (lambda d: _arrays(d.x, d.y))(sample(scenario_a(), 4, [0, v]))),
     "n_replications": (int, r"replications?", lambda v: _replications(n_replications=v)),
     "master_seed": (int, r"master_seed", lambda v: _replications(master_seed=v)),
+    "replication": (int, r"\breplication\b", lambda v: derive_seed(1, v)),
 }
 # Counts that size what a call builds are tried only up to 64.
 SIZES = {"n_records", "eps n_records", "n_replications"}
@@ -506,9 +507,45 @@ def test_seed_list_concatenates_single_seed_samples(dist, n_records, seeds):
     assert np.array_equal(ds.y, np.concatenate([p.y for p in parts]))
 
 
+def numpy_sample(dist, n_records, seed):
+    """x and y of ``sample(dist, n_records, seed)``, drawn by numpy's
+    default_rng and found by ``_atom_index``."""
+    atom = _atom_index(dist, np.random.default_rng(seed).random(n_records))
+    return dist.space.points(atom >> 1), (2 * (atom & 1) - 1).astype(np.int8)
+
+
+# seeds of 1, 2, 3, 4 and more entropy words; each pads to numpy's pool of 4
+# or mixes its extra words in, so every width is its own case
+SEED_WIDTHS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3, 2**128 - 1, 2**128 + 1,
+               2**160, 10**400, 2**2048 - 1]
+
+
+@pytest.mark.parametrize("seed", SEED_WIDTHS + [SEED_WIDTHS[::-1]],
+                         ids=[f"{s.bit_length()}-bit" for s in SEED_WIDTHS] + ["mixed"])
+def test_draws_are_numpy_default_rng_bit_for_bit(seed):
+    dist = generate_scenario("pair-epistasis", 3, 2)
+    seeds = seed if isinstance(seed, list) else [seed]
+    want = [numpy_sample(dist, 40, s) for s in seeds]
+    got = sample(dist, 40, seed)
+    assert np.array_equal(got.x, np.concatenate([x for x, _ in want]))
+    assert np.array_equal(got.y, np.concatenate([y for _, y in want]))
+
+
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+       dtype=st.sampled_from([np.uint64, np.int64]))
+@settings(max_examples=30, deadline=None)
+def test_integer_seed_array_is_the_seed_list(seeds, dtype):
+    seeds = [s % 2**63 if dtype is np.int64 else s for s in seeds]
+    dist = scenario_a()
+    got, want = sample(dist, 16, np.array(seeds, dtype=dtype)), sample(dist, 16, seeds)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+
 @pytest.mark.parametrize("seed, message", [
     (-1, "seed must be >= 0, got -1"),
     ([1, -2], "seed #1 must be >= 0, got -2"),
+    (np.array([4, 1, -2, -3]), "seed #2 must be >= 0, got -2"),
+    (np.array([True, False]), "seed #0 must be an integer, got np.True_"),
     (1.5, "seed must be an integer, got 1.5"),
     ([0, 2, 1.5], "seed #2 must be an integer, got 1.5"),
     (True, "seed must be an integer, got True"),
