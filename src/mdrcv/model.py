@@ -597,8 +597,8 @@ def _seed_state(values, n_words: int, head: int | None = None) -> np.ndarray:
 @dataclass
 class _SeedWords:
     """One generator's PCG64 seed words from ``_seed_state``, an
-    ``ISeedSequence`` once ``sample`` registers it: numpy.random (about 12 ms
-    to import) loads on first use, not with mdrcv."""
+    ``ISeedSequence`` once ``sample`` registers it: numpy.random, a slow
+    import, loads on first use, not with mdrcv."""
 
     words: np.ndarray
 

@@ -544,13 +544,13 @@ def test_integer_seed_array_is_the_seed_list(seeds, dtype):
 @pytest.mark.parametrize("seed, message", [
     (-1, "seed must be >= 0, got -1"),
     ([1, -2], "seed #1 must be >= 0, got -2"),
-    (np.array([4, 1, -2, -3]), "seed #2 must be >= 0, got -2"),
-    (np.array([True, False]), "seed #0 must be an integer, got np.True_"),
     (1.5, "seed must be an integer, got 1.5"),
     ([0, 2, 1.5], "seed #2 must be an integer, got 1.5"),
     (True, "seed must be an integer, got True"),
     ((3, np.True_), "seed #1 must be an integer, got np.True_"),
     ("7", "seed must be an integer, got '7'"),
+    (np.array([4, 1, -2, -3]), "seed #2 must be >= 0, got -2"),
+    (np.array([True, False]), "seed #0 must be an integer, got np.True_"),
 ])
 def test_refused_seed_is_named(toy_balanced, seed, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
