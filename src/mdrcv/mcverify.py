@@ -29,8 +29,9 @@ from .estimator import (
     row_keys,
 )
 from .linalg import inv_sqrt_symmetric
-from .model import FactorSubset, JointDistribution, _integer, _seed_state, sample
+from .model import FactorSubset, JointDistribution, _integer, sample
 from .oracle import asymptotic_moments, subset_oracle
+from .seeding import _seed_state
 
 # Asymptotic Kolmogorov-Smirnov critical value at the 1% level is
 # 1.63 / sqrt(M); the self-normalized variants get a looser cap because
