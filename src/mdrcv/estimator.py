@@ -83,39 +83,29 @@ DEFAULT_SCHEDULE = EpsilonSchedule()
 
 def fold_rows(n_blocks: int, n_records: int, n_folds: int) -> np.ndarray:
     """The (B, N) count-table rows ``2 * (fold + K * b)`` of y = -1 records
-    in B blocks of N: the base ``row_keys`` adds the label bit to."""
+    in B blocks of N, so that one ``bincount`` counts every block in its
+    own table."""
     rows = fold_index(n_records, n_folds) + n_folds * np.arange(n_blocks)[:, None]
     rows *= 2
     return rows
 
 
-def row_keys(y: np.ndarray, base: np.ndarray, out=None) -> np.ndarray:
-    """Each record's count-table row ``2 * fold + [y = +1]`` from (..., N)
-    labels, offset by ``2K * b`` in block b of the leading axes (flattened),
-    so that one ``bincount`` counts every block in its own table: ``base``,
-    ``fold_rows`` of at least as many blocks, read at its leading blocks,
-    plus the label bit, into ``out`` if given."""
-    blocks = y.size // y.shape[-1]
-    return np.add(base[:blocks].reshape(y.shape), y == 1, out=out)
+def row_keys(y: np.ndarray, n_folds: int) -> np.ndarray:
+    """Each record's count-table row ``2 * fold + [y = +1]`` from its label."""
+    return 2 * fold_index(len(y), n_folds) + (y == 1)
 
 
 def dataset_counts(
-    dataset: Dataset, subset: FactorSubset, n_folds: int, rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    dataset: Dataset, subset: FactorSubset, n_folds: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, counts) of a dataset: each record's key ``row * cells + code``
     with its ``row_keys`` row and cylinder code, and one ``bincount`` of the
     keys as a (K, 2, cells) table of (fold, label, cell) counts, label row 0
-    being y = -1.  ``rows``, the (B, N) ``row_keys`` of a dataset of B equal
-    blocks of records (``sample`` from a list of seeds), kept as it is for
-    the next subset, gives both a leading axis over the blocks.  ``out``,
-    one int64 per record, receives the keys."""
+    being y = -1."""
     subset.validate_for(dataset.space)
     cells = cylinder_count(subset.r, dataset.space.q)
-    rows = row_keys(dataset.y, fold_rows(1, len(dataset), n_folds)) if rows is None else rows
-    keys = cylinder_codes(dataset.x, subset, dataset.space.q, rows, out)
-    counts = np.bincount(keys, minlength=rows.size // rows.shape[-1] * n_folds * 2 * cells)
-    return keys.reshape(rows.shape), counts.reshape(rows.shape[:-1] + (n_folds, 2, cells))
+    keys = cylinder_codes(dataset.x, subset, dataset.space.q, row_keys(dataset.y, n_folds))
+    return keys, np.bincount(keys, minlength=n_folds * 2 * cells).reshape(n_folds, 2, cells)
 
 
 def _trained_rule(train: np.ndarray, labels: np.ndarray, eps: float) -> np.ndarray:

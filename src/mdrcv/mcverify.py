@@ -6,6 +6,8 @@ Each replication samples a fresh dataset with a seed derived from the
 master seed and the replication index, so results do not depend on
 execution order and any single replication can be reproduced in isolation.
 A run derives its seeds in one pass of an array SeedSequence replica; numpy draws.
+A batch keeps each record as its atom index and keys it into the fold
+count tables straight from that, never as levels and a label.
 """
 
 from __future__ import annotations
@@ -22,14 +24,20 @@ from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     cv_error_stack,
-    dataset_counts,
     fold_rows,
     influence_values,
     plugin_moments,
-    row_keys,
 )
 from .linalg import inv_sqrt_symmetric
-from .model import FactorSubset, JointDistribution, _integer, sample
+from .model import (
+    FactorSpace,
+    FactorSubset,
+    JointDistribution,
+    _integer,
+    cylinder_codes,
+    cylinder_count,
+    sample,
+)
 from .oracle import asymptotic_moments, subset_oracle
 from .seeding import _seed_state
 
@@ -102,22 +110,60 @@ class Replications:
 _WORKER_CONTEXT: tuple | None = None
 
 
+def _atom_codes(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
+    """The lookup route's table: every atom a's ``code_s(a) = [y = +1] * cells
+    + the cylinder code of point a >> 1``, from ``cylinder_codes`` on the
+    guide grid."""
+    codes = cylinder_codes(dist._guide[4], subset, dist.space.q)
+    return (codes[:, None] + [0, cylinder_count(subset.r, dist.space.q)]).reshape(-1)
+
+
+def _atom_counts(
+    space: FactorSpace, subset: FactorSubset, n_folds: int, atoms: np.ndarray,
+    rows: np.ndarray, table: np.ndarray | None, out: np.ndarray, scratch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of B blocks of N records from their atom indices
+    a = 2 * rank + [y = +1]: block b's ``dataset_counts``, its keys offset by
+    2K * cells * b.  Key ``rows + code_s(a)``, ``rows`` the (B, N) ``cells *
+    fold_rows``, goes into ``out``.  The lookup route reads code_s from the
+    subset's ``_atom_codes`` ``table``; with None, the digit route codes its
+    base-(q+1) digits of a >> 1 after the label bit, each in ``scratch``."""
+    cells = cylinder_count(subset.r, space.q)
+    if table is not None:  # every atom indexes the table: "clip" only spares take a copy
+        np.take(table, atoms, out=out, mode="clip")
+    else:
+        base = space.q + 1
+        np.bitwise_and(atoms, 1, out=out)
+        for i in subset.indices:
+            out *= base
+            np.floor_divide(atoms, 2 * base ** (space.n - i), out=scratch)
+            out += np.remainder(scratch, base, out=scratch)
+    out += rows.reshape(-1)
+    counts = np.bincount(out, minlength=len(rows) * n_folds * 2 * cells)
+    return out.reshape(rows.shape), counts.reshape(len(rows), n_folds, 2, cells)
+
+
 def _batch_buffers(context: tuple, blocks: int) -> tuple:
-    """The record-sized arrays of a batch of ``blocks`` replications, made
-    once per run or pool worker; a shorter batch uses their leading entries.
-    They are ``sample``'s buffers (draws, atoms, x, y, scratch), the
-    ``fold_rows`` base and the influence buffer, laid out (S, B, N) so that
-    each subset's lookup is taken straight into its contiguous row.  Roles
-    that are never alive at once share an array: the draws live in the
-    influence buffer, the atom indices become the rows, and the search
-    scratch each subset's keys."""
+    """The arrays of a batch of ``blocks`` replications, made once per run
+    or pool worker; a shorter batch uses their leading entries: ``sample``'s
+    buffers (draws, atoms, scratch, mask), the (S, B, N) influence buffer,
+    and each subset's ``_atom_counts`` rows, one array per distinct cell
+    count, and table, one per distinct subset, on the lookup route only: no
+    more atoms than draws, ``sample``'s guide-table test.  Roles never alive
+    at once share an array: the draws live in the influence buffer, the
+    search scratch holds each subset's keys, and its influence row digits."""
     dist, subsets, _, n_records, n_folds = context[:5]
     size = blocks * n_records
     influences = np.empty((len(subsets), blocks, n_records))
-    records = (influences[0].reshape(-1), np.empty(size, dtype=np.intp),
-               np.empty((size, dist.space.n), dtype=np.int16), np.empty(size, dtype=np.int8),
-               np.empty(size))
-    return records, fold_rows(blocks, n_records, n_folds), influences
+    records = (influences[0].reshape(-1), np.empty(size, dtype=np.intp), np.empty(size),
+               np.empty(size, dtype=np.bool_))
+    cells = []
+    for s in subsets:
+        s.validate_for(dist.space)
+        cells.append(cylinder_count(s.r, dist.space.q))
+    rows = {c: fold_rows(blocks, n_records, n_folds) * c for c in set(cells)}
+    tables = {s: _atom_codes(dist, s) for s in subsets} if dist.probs.size <= size else {}
+    return records, [(rows[c], tables.get(s)) for s, c in zip(subsets, cells)], influences
 
 
 def _init_worker(context: tuple, blocks: int) -> None:
@@ -127,25 +173,25 @@ def _init_worker(context: tuple, blocks: int) -> None:
 
 def _replicate_batch(batch: slice, work=None) -> tuple[np.ndarray, ...]:
     """B replications in one pass, returned as ``Replications`` fields: one
-    ``sample`` call and ``row_keys`` array; per subset, keys coded on from
-    those rows, one bincount, stacked CV values and influence values into
-    its row of one (S, B, N) buffer; one centring of it, read as (B, S, N)
-    (``plugin_moments``).  The one-class flags read the fold label totals,
-    the same for every subset.  ``work`` is the run's context and
-    ``_batch_buffers``, the pool worker's by default; every returned array
-    is new.  ``batch`` slices the run's seeds, the context's last entry."""
-    context, (records, base, influences) = work or _WORKER_CONTEXT
+    ``sample`` call for the records' atoms; per subset, ``_atom_counts``,
+    stacked CV values and influence values into its row of one (S, B, N)
+    buffer; one centring of it, read as (B, S, N) (``plugin_moments``).  The
+    one-class flags read the fold label totals, the same for every subset.
+    ``work`` is the run's context and ``_batch_buffers``, the pool worker's
+    by default; every returned array is new.  ``batch`` slices the run's
+    seeds, the context's last entry."""
+    context, (records, keyers, influences) = work or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, run_seeds = context
     seeds = run_seeds[batch]
-    data = sample(dist, n_records, seeds, out=records)
+    atoms = sample(dist, n_records, seeds, out=records)
     eps = schedule.value(n_records)
-    shape, size = (len(seeds), n_records), len(seeds) * n_records
-    rows = row_keys(data.y.reshape(shape), base, records[1][:size].reshape(shape))
-    keys_out = records[4][:size].view(np.int64)
+    keys_out = records[2][: atoms.size].view(np.int64)
     z = np.empty((len(seeds), len(subsets)))
     influences = influences[:, : len(seeds)]
-    for i, (s, err) in enumerate(zip(subsets, oracle_errors)):
-        keys, counts = dataset_counts(data, s, n_folds, rows, keys_out)
+    for i, (s, err, (rows, table)) in enumerate(zip(subsets, oracle_errors, keyers)):
+        scratch = influences[i].reshape(-1).view(np.int64)
+        keys, counts = _atom_counts(dist.space, s, n_folds, atoms, rows[: len(seeds)], table,
+                                    keys_out, scratch)
         z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
         influence_values(keys, counts, eps, influences[i])
     moments = plugin_moments(influences.transpose(1, 0, 2))
@@ -167,10 +213,10 @@ def run_replications(
     ``derive_seed`` call, row m-1 of every array is replication m.
     Deviations are centred at ``oracle_errors``, each subset's exact optimal
     error.  Batches hold at most ``RECORDS_PER_BATCH`` records, each scored
-    in one pass: one row key array, one bincount per subset, one influence
-    buffer and one centring, all in arrays made once per run
-    (``_batch_buffers``).  ``workers > 1`` spreads them over a process pool
-    of at most one process per CPU.  Neither changes any result."""
+    in one pass: one array of atom indices, one key pass and bincount per
+    subset, one influence buffer and one centring, all in arrays made once
+    per run (``_batch_buffers``).  ``workers > 1`` spreads them over a
+    process pool of at most one process per CPU.  Neither changes any result."""
     if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
     if (n_records := _integer("n_records", n_records)) < 1:  # it divides the batch size

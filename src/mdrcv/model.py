@@ -103,16 +103,15 @@ class FactorSpace:
         self.num_points  # raises over the dense-table cap
         return (self.q + 1,) * self.n
 
-    def points(self, ranks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def points(self, ranks: np.ndarray) -> np.ndarray:
         """(len(ranks), n) int16 levels of the points with the given
-        lexicographic ranks, one ``point_levels`` column per factor, into
-        ``out`` if given.
+        lexicographic ranks, one ``point_levels`` column per factor.
 
         Only ``sample`` asks for the whole grid, when it is no larger than
         its draws: (q+1)^n x n int16 is hundreds of MB near the cap.
         """
         ranks = np.asarray(ranks)
-        pts = np.empty((len(ranks), self.n), dtype=np.int16) if out is None else out
+        pts = np.empty((len(ranks), self.n), dtype=np.int16)
         for i in range(1, self.n + 1):
             pts[:, i - 1] = point_levels(self, i, ranks)
         return pts
@@ -186,18 +185,15 @@ def cylinder_count(r: int, q: int) -> int:
         ) from None
 
 
-def cylinder_codes(
-    x_rows: np.ndarray, subset: FactorSubset, q: int, start=None, out=None
-) -> np.ndarray:
+def cylinder_codes(x_rows: np.ndarray, subset: FactorSubset, q: int, start=None) -> np.ndarray:
     """Map each row of an (m, n) level array to its cylinder cell code.
 
     Codes enumerate the sub-vectors u lexicographically, so code 0 is
     u = (0,...,0) and code (q+1)^r - 1 is u = (q,...,q).  With ``start``, m
     int64 values of any shape, row j gets ``start[j] * (q+1)^r`` plus its code.
-    ``out``, m int64 values, receives the codes.
     """
     x = np.asarray(x_rows)
-    codes = np.empty(x.shape[0], dtype=np.int64) if out is None else out
+    codes = np.empty(x.shape[0], dtype=np.int64)
     codes[...] = 0 if start is None else start.reshape(-1)
     for i in subset.indices:  # in place: no record-sized temporaries
         codes *= q + 1
@@ -455,11 +451,12 @@ def _atom_index(
 def _guide_table(dist: JointDistribution) -> tuple:
     """(G, lo, rounds, pad, grid), read-only and O(atoms): a guide table over
     the sequential CDF (Chen & Asau 1974) and every point's levels, which
-    ``sample`` gathers x from.  A draw u in bucket b = floor(u * G) has its atom
-    in lo[b]..lo[b+1], lo[b] counting the CDF values below b/G; a branchless
-    binary search of ``rounds`` steps over ``pad``, the CDF padded with +inf,
-    finishes it.  G is a power of two >= 2 * atoms, so u * G is exact and
-    every step compares the same float64 values as ``searchsorted``."""
+    ``sample`` gathers x from and the harness codes its lookup tables from.
+    A draw u in bucket b = floor(u * G) has its atom in lo[b]..lo[b+1], lo[b]
+    counting the CDF values below b/G; a branchless binary search of
+    ``rounds`` steps over ``pad``, the CDF padded with +inf, finishes it.  G
+    is a power of two >= 2 * atoms, so u * G is exact and every step
+    compares the same float64 values as ``searchsorted``."""
     atoms = dist.probs.size
     cdf = _block_cdf(dist, np.arange(dist._cdf_ends.size)).ravel()[:atoms]
     guide = 1 << (2 * atoms - 1).bit_length()
@@ -546,7 +543,7 @@ class Dataset:
 
 def sample(
     dist: JointDistribution, n_records: int, seed: int | Sequence[int], *, out=None
-) -> Dataset:
+) -> Dataset | np.ndarray:
     """Draw an i.i.d. sample of size n_records, reproducibly.
 
     Inverse-CDF sampling over the fixed atom enumeration (x lexicographic,
@@ -561,10 +558,11 @@ def sample(
     fewer, levels are read off each rank.
 
     ``out``, passed only by the Monte Carlo harness, is the batch buffers
-    (draws, atoms, x, y, scratch): float64, intp, (., n) int16, int8 and
-    float64 arrays with room for every draw.  The draws go to their leading
-    entries, and the dataset's x and y are views of ``out``'s, overwritten by
-    the next call with it.  Without it, every array is the dataset's own.
+    (draws, atoms, scratch, mask): float64, intp, float64 and bool arrays
+    with room for every draw.  Then no dataset is built: ``sample`` returns
+    each draw's atom index ``2 * rank + [y = +1]``, a view of ``out``'s
+    atoms that the next call with it overwrites, and writes no levels and
+    no labels.  Without it, every array is the dataset's own.
     """
     if (n_records := _integer("n_records", n_records)) < 1:
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
@@ -583,22 +581,26 @@ def sample(
     if len(seeds) * n_records > MAX_RECORDS:
         raise ValidationError(f"n_records too large: over {MAX_RECORDS} draws in all")
     size = len(seeds) * n_records
-    u, rank, xs, ys, scratch = (a[:size] for a in out) if out else (
-        np.empty(size), np.empty(size, dtype=np.intp), None, np.empty(size, dtype=np.int8), None)
+    if out:
+        u, rank, scratch, mask = (a[:size] for a in out)
+    else:  # the labels' bytes hold the search's mask until the labels are written
+        u, rank, ys = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int8)
+        scratch, mask = None, ys.view(np.bool_)
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     for row, w in zip(u.reshape(len(seeds), n_records), _seed_state(seeds, 4)):
         np.random.Generator(np.random.PCG64(_SeedWords(w))).random(out=row)
-    # the labels' bytes hold the search's mask until the labels are written
-    _atom_index(dist, u, rank, scratch, ys.view(np.bool_))
+    _atom_index(dist, u, rank, scratch, mask)
+    if out:
+        return rank
     del u  # a dataset's own draws are freed before its levels are built
     np.bitwise_and(rank, 1, out=ys, casting="unsafe")
     ys *= 2
     ys -= 1
     rank >>= 1  # atom to point rank
     if dist.probs.size <= rank.size:  # the grid is no larger than the draws
-        xs = np.take(dist._guide[4], rank, axis=0, out=xs, mode="clip")
+        xs = np.take(dist._guide[4], rank, axis=0, mode="clip")
     else:  # ranks stay below MAX_POINTS; int32 digit arithmetic is the cheaper one
-        xs = dist.space.points(rank.astype(np.int32), out=xs)
+        xs = dist.space.points(rank.astype(np.int32))
     return Dataset._drawn(dist.space, xs, ys)
 
 

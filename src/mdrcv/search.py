@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_error_stack, fold_rows, row_keys
+from .estimator import DEFAULT_SCHEDULE, EpsilonSchedule, cv_error_stack, row_keys
 from .model import Dataset, FactorSubset, _integer, cylinder_count
 
 # Exhaustive enumeration only: caps C(n, r), the subsets one search scores.
@@ -208,7 +208,7 @@ def _cv_errors(
     dtype = np.promote_types(dataset.x.dtype, np.min_scalar_type(-head * span)).type
     columns = np.ascontiguousarray(dataset.x.T)  # factor rows; strided columns add 2x slower
     codes = _block_codes(columns, b, levels, dtype)
-    folds = row_keys(dataset.y, fold_rows(1, len(dataset), n_folds))
+    folds = row_keys(dataset.y, n_folds)
     base = (folds * (levels**fixed * span)).astype(dtype)
     weights = [dtype(levels ** (fixed - 1 - j) * span) for j in range(fixed)]
     partial = np.empty((fixed, len(dataset)), dtype)  # partial[j]: key over positions 0..j

@@ -19,11 +19,11 @@ from mdrcv.estimator import (
     fold_rows,
     influence_values,
     plugin_moments,
-    row_keys,
     _POSITIVE,
     _trained_rule,
 )
 from mdrcv.linalg import inv_sqrt_symmetric
+from mdrcv.mcverify import _atom_counts
 from mdrcv.model import (
     MAX_RECORDS,
     Dataset,
@@ -579,10 +579,14 @@ def blocked_datasets(draw):
 @settings(max_examples=80, deadline=None)
 def test_influence_stack_zeroes_one_class_blocks(data, eps):
     dataset, b, k = data
-    subset = FactorSubset(tuple(range(1, dataset.space.n + 1)))
+    space = dataset.space
+    subset = FactorSubset(tuple(range(1, space.n + 1)))
     n_records = len(dataset) // b
-    rows = row_keys(dataset.y.reshape(b, n_records), fold_rows(b, n_records, k))
-    keys, counts = dataset_counts(dataset, subset, k, rows)
+    # the harness's keys, from each record's atom 2 * rank + [y = +1]
+    atoms = 2 * cylinder_codes(dataset.x, subset, space.q) + (dataset.y == 1)
+    rows = fold_rows(b, n_records, k) * cylinder_count(subset.r, space.q)
+    keys, counts = _atom_counts(space, subset, k, atoms, rows, None,
+                                *np.empty((2, atoms.size), np.int64))
     got = influence_values(keys, counts, eps)
     sds = plugin_moments(got.copy()[:, None, :])[0][:, 0]
     assert got.shape == (b, n_records) and np.all(np.isfinite(got))

@@ -23,7 +23,9 @@ from mdrcv.estimator import (
     asymptotic_covariance_estimate,
     asymptotic_sd_estimate,
     cv_prediction_error,
+    dataset_counts,
     fold_index,
+    fold_rows,
     influence_values,
 )
 from mdrcv.mcverify import (
@@ -362,6 +364,19 @@ class TestBatchedEngine:
     @example(  # S = 1
         config=("independent", 3, 2, [(2, 3)], 700, 3), m=9, seed=6
     )
+    # the digit route: 1458 atoms against 1200 draws a batch
+    @example(  # subsets of different sizes
+        config=("pair-epistasis", 6, 2, [(1,), (2, 5), (1, 3, 6)], 100, 4), m=12, seed=5
+    )
+    @example(  # a repeated subset
+        config=("pair-epistasis", 6, 2, [(2, 4), (2, 4)], 100, 3), m=12, seed=7
+    )
+    @example(  # r = n
+        config=("independent", 6, 2, [(1, 2, 3, 4, 5, 6)], 100, 5), m=12, seed=9
+    )
+    @example(  # 13122 atoms: the lookup route, though the last batch of 1 samples by sorting
+        config=("pair-epistasis", 8, 2, [(1, 2), (3,)], 12000, 5), m=3, seed=1
+    )
     @settings(max_examples=30, deadline=None)
     def test_matches_per_replication_reference(self, config, m, seed):
         preset, n, q, subsets, n_records, n_folds = config
@@ -408,6 +423,35 @@ class TestBatchedEngine:
         assert judged == []
         assert same_replications(got, per_replication_reference(
             dist, subs, errors, n_records, 5, 7, 4))
+
+    def test_sample_runs_once_per_batch(self, monkeypatch):
+        # the harness draws through model.sample, the name a tracer charges
+        # sampling to, and reads the atoms it returns
+        calls = []
+        monkeypatch.setattr(mcverify, "sample",
+                            lambda *a, **kw: calls.append(len(a[2])) or sample(*a, **kw))
+        dist, subs = scenario_a(), [FactorSubset.of(1, 2)]
+        errors, _ = subset_oracle(dist, subs)
+        run_replications(dist, subs, errors, RECORDS_PER_BATCH // 3, 5, DEFAULT_SCHEDULE, 7, 4)
+        assert calls == [3, 3, 1]
+
+    @pytest.mark.parametrize("n, n_records, lookup", [(10, 2000, False), (9, 2 * 3**9, True),
+                                                      (9, 2 * 3**9 - 1, False)])
+    def test_key_route_is_fixed_by_the_full_batch(self, n, n_records, lookup):
+        # 2 * 3^n atoms against a full batch of 16 * 2000 or 1 * N draws
+        dist = generate_scenario("pair-epistasis", n, 2)
+        subs = [FactorSubset.of(1, 2), FactorSubset.of(3), FactorSubset.of(1, 2)]
+        blocks = max(1, RECORDS_PER_BATCH // n_records)
+        context = (dist, subs, None, n_records, 5)
+        _, keyers, _ = mcverify._batch_buffers(context, blocks)
+        tables = [table for _, table in keyers]
+        if lookup:  # one table per distinct subset, at most one int64 per draw
+            assert tables[0] is tables[2] and tables[0] is not tables[1]
+            assert all(t.dtype == np.int64 and t.size <= blocks * n_records for t in tables)
+        else:
+            assert tables == [None] * 3
+        rows = [r for r, _ in keyers]  # one row array per distinct cell count
+        assert rows[0] is rows[2] and rows[0] is not rows[1]
 
     def test_influence_kernel_runs_once_per_subset_per_batch(self, monkeypatch):
         # the harness reads its influences through estimator.influence_values,
@@ -467,6 +511,45 @@ class TestBatchedEngine:
         assert same_replications(pooled, serial)
 
 
+@st.composite
+def small_tables(draw):
+    """A random small table, both labels with mass, and one of its subsets."""
+    n, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    points = (q + 1) ** n
+    weights = np.array(draw(st.lists(st.integers(0, 5), min_size=2 * points,
+                                     max_size=2 * points))).reshape(points, 2)
+    weights[draw(st.integers(0, points - 1)), 0] += 1
+    weights[draw(st.integers(0, points - 1)), 1] += 1
+    dist = model.JointDistribution(model.FactorSpace(n, q), weights / weights.sum())
+    indices = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    return dist, FactorSubset(tuple(sorted(indices)))
+
+
+class TestKeyRoutes:
+    """Both key routes give every block's ``dataset_counts``, byte for byte."""
+
+    @given(table=small_tables(), n_records=st.integers(2, 40), k=st.integers(2, 5),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_and_digit_routes_equal_dataset_counts(self, table, n_records, k, seeds):
+        dist, subset = table
+        k = min(k, n_records)
+        size = len(seeds) * n_records
+        out = (np.empty(size), np.empty(size, np.intp), np.empty(size), np.empty(size, bool))
+        atoms = sample(dist, n_records, np.array(seeds, np.uint64), out=out)
+        cells = model.cylinder_count(subset.r, dist.space.q)
+        rows = fold_rows(len(seeds), n_records, k) * cells
+        routes = [mcverify._atom_counts(dist.space, subset, k, atoms, rows, lut,
+                                        *np.empty((2, size), np.int64))
+                  for lut in (mcverify._atom_codes(dist, subset), None)]
+        for b, seed in enumerate(seeds):
+            keys, counts = dataset_counts(sample(dist, n_records, seed), subset, k)
+            keys += 2 * k * cells * b
+            for got_keys, got_counts in routes:
+                assert got_keys[b].tobytes() == keys.tobytes()
+                assert got_counts[b].tobytes() == counts.tobytes()
+
+
 class TestBatchBuffers:
     """A run allocates its batch buffers once, and they are its alone."""
 
@@ -485,7 +568,7 @@ class TestBatchBuffers:
         code = """if True:
             import resource
             from mdrcv import estimator, mcverify, model, oracle, scenarios
-            dist = scenarios.scenario_a()
+            dist = scenarios.{table}
             subs = [model.FactorSubset.of(1, 2), model.FactorSubset.of(1, 3)]
             args = (dist, subs, oracle.subset_oracle(dist, subs)[0], 2000, 5,
                     estimator.DEFAULT_SCHEDULE)
@@ -498,10 +581,16 @@ class TestBatchBuffers:
         src = str(Path(mcverify.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
                "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True, timeout=120)
-        few, many = map(int, out.stdout.split())
-        assert (many - few) / 8 < 32
+        for table in (
+            "scenario_a()",  # 54 atoms: the guide-table search and the lookup route
+            # 118098 atoms against 32000 draws: sorted draws and the digit route
+            "generate_scenario('pair-epistasis', 10, 2)",
+        ):
+            out = subprocess.run([sys.executable, "-c", code.format(table=table)],
+                                 capture_output=True, text=True, env=env, check=True,
+                                 timeout=120)
+            few, many = map(int, out.stdout.split())
+            assert (many - few) / 8 < 32, table
 
     def test_concurrent_runs_match_their_serial_runs(self):
         # more threads than CI's cores, switching often: a buffer shared
