@@ -123,11 +123,12 @@ def _atom_counts(
     rows: np.ndarray, table: np.ndarray | None, out: np.ndarray, scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, counts) of B blocks of N records from their atom indices
-    a = 2 * rank + [y = +1]: block b's ``dataset_counts``, its keys offset by
-    2K * cells * b.  Key ``rows + code_s(a)``, ``rows`` the (B, N) ``cells *
-    fold_rows``, goes into ``out``.  The lookup route reads code_s from the
-    subset's ``_atom_codes`` ``table``; with None, the digit route codes its
-    base-(q+1) digits of a >> 1 after the label bit, each in ``scratch``."""
+    a = 2 * rank + [y = +1], as block b's ``dataset_counts`` with its keys
+    offset by 2K * cells * b.  Each key ``rows + code_s(a)`` goes into
+    ``out``; ``rows`` is the (B, N) ``cells * fold_rows``.  The lookup route
+    reads code_s from the subset's ``table`` (``_atom_codes``); with None,
+    the digit route codes the subset's base-(q+1) digits of the rank a >> 1
+    after the label bit, each digit in ``scratch``."""
     cells = cylinder_count(subset.r, space.q)
     if table is not None:  # every atom indexes the table: "clip" only spares take a copy
         np.take(table, atoms, out=out, mode="clip")
@@ -145,13 +146,15 @@ def _atom_counts(
 
 def _batch_buffers(context: tuple, blocks: int) -> tuple:
     """The arrays of a batch of ``blocks`` replications, made once per run
-    or pool worker; a shorter batch uses their leading entries: ``sample``'s
-    buffers (draws, atoms, scratch, mask), the (S, B, N) influence buffer,
-    and each subset's ``_atom_counts`` rows, one array per distinct cell
-    count, and table, one per distinct subset, on the lookup route only: no
-    more atoms than draws, ``sample``'s guide-table test.  Roles never alive
-    at once share an array: the draws live in the influence buffer, the
-    search scratch holds each subset's keys, and its influence row digits."""
+    or pool worker; a shorter batch uses their leading entries.  They are
+    ``sample``'s buffers (draws, atoms, scratch, mask), the (S, B, N)
+    influence buffer, and per subset the ``rows`` and ``table`` of
+    ``_atom_counts``: one rows array per distinct cell count, and one
+    ``_atom_codes`` table per distinct subset on the lookup route, taken
+    when the table has no more atoms than the batch has draws, ``sample``'s
+    guide-table test.  Roles never alive at once share an array: the draws
+    live in the influence buffer, the search scratch holds each subset's
+    keys, and its influence row its digits."""
     dist, subsets, _, n_records, n_folds = context[:5]
     size = blocks * n_records
     influences = np.empty((len(subsets), blocks, n_records))
