@@ -43,14 +43,19 @@ DEFAULT_EPS_BETA = 0.25
 _POSITIVE = np.array([[False], [True]])
 
 
-def fold_index(n_records: int, n_folds: int) -> np.ndarray:
-    """The 0-based fold of every record: folds 1..K-1 are contiguous blocks
-    of [N/K] records, and the last one runs to N.  Needs 2 <= K <= N."""
+def fold_size(n_records: int, n_folds: int) -> int:
+    """[N/K], the size of each of folds 1..K-1 (``fold_index``).  Needs 2 <= K <= N."""
     if (n_folds := _integer("n_folds", n_folds)) < 2:
         raise ValidationError(f"need at least 2 folds, got {n_folds}")
     if n_folds > n_records:
         raise ValidationError(f"cannot split {n_records} records into {n_folds} folds")
-    return np.minimum(np.arange(n_records) // (n_records // n_folds), n_folds - 1)
+    return n_records // n_folds
+
+
+def fold_index(n_records: int, n_folds: int) -> np.ndarray:
+    """The 0-based fold of every record: folds 1..K-1 are contiguous blocks
+    of ``fold_size`` records, and the last one runs to N."""
+    return np.minimum(np.arange(n_records) // fold_size(n_records, n_folds), n_folds - 1)
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,6 @@ class EpsilonSchedule:
 
 
 DEFAULT_SCHEDULE = EpsilonSchedule()
-
-
-def fold_rows(n_blocks: int, n_records: int, n_folds: int) -> np.ndarray:
-    """The (B, N) count-table rows ``2 * (fold + K * b)`` of y = -1 records
-    in B blocks of N, so that one ``bincount`` counts every block in its
-    own table."""
-    rows = fold_index(n_records, n_folds) + n_folds * np.arange(n_blocks)[:, None]
-    rows *= 2
-    return rows
 
 
 def row_keys(y: np.ndarray, n_folds: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from .estimator import (
     DEFAULT_SCHEDULE,
     EpsilonSchedule,
     cv_error_stack,
-    fold_rows,
+    fold_size,
     influence_values,
     plugin_moments,
 )
@@ -52,7 +52,7 @@ COV_ENTRY_LIMIT_FACTOR = 0.15
 HISTOGRAM_BINS = 15
 HISTOGRAM_WIDTH = 50
 # Records per batch of replications: bounds the batch buffers whatever M is.
-RECORDS_PER_BATCH = 2**15
+RECORDS_PER_BATCH = 2**16
 # Degenerate counts a report leaves out while they are 0.
 _OMITTED_AT_ZERO = ("zero_scale", "one_class_folds", "near_singular")
 
@@ -120,53 +120,55 @@ def _atom_codes(dist: JointDistribution, subset: FactorSubset) -> np.ndarray:
 
 def _atom_counts(
     space: FactorSpace, subset: FactorSubset, n_folds: int, atoms: np.ndarray,
-    rows: np.ndarray, table: np.ndarray | None, out: np.ndarray, scratch: np.ndarray,
+    n_records: int, table: np.ndarray | None, out: np.ndarray, scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, counts) of B blocks of N records from their atom indices
     a = 2 * rank + [y = +1], as block b's ``dataset_counts`` with its keys
-    offset by 2K * cells * b.  Each key ``rows + code_s(a)`` goes into
-    ``out``; ``rows`` is the (B, N) ``cells * fold_rows``.  The lookup route
-    reads code_s from the subset's ``table`` (``_atom_codes``); with None,
-    the digit route codes the subset's base-(q+1) digits of the rank a >> 1
-    after the label bit, each digit in ``scratch``."""
+    offset by 2K * cells * b.  Key ``code_s(a) + 2 * cells * (k + K * b)``, k
+    the record's fold, goes into ``out``, the offsets added by broadcast over
+    a (B, K - 1, [N/K]) view of folds 1..K-1 and over the last.  The lookup
+    route reads code_s from the subset's ``table`` (``_atom_codes``); with
+    None, the digit route codes the subset's base-(q+1) digits of the rank
+    a >> 1 after the label bit by divisions into ``scratch``, no remainder."""
     cells = cylinder_count(subset.r, space.q)
+    fold = fold_size(n_records, n_folds)
     if table is not None:  # every atom indexes the table: "clip" only spares take a copy
         np.take(table, atoms, out=out, mode="clip")
     else:
         base = space.q + 1
         np.bitwise_and(atoms, 1, out=out)
-        for i in subset.indices:
+        for i in subset.indices:  # digit a // d - (q+1) * (a // ((q+1) * d)), d = 2(q+1)^(n-i)
+            out -= np.floor_divide(atoms, 2 * base ** (space.n - i + 1), out=scratch)
             out *= base
-            np.floor_divide(atoms, 2 * base ** (space.n - i), out=scratch)
-            out += np.remainder(scratch, base, out=scratch)
-    out += rows.reshape(-1)
-    counts = np.bincount(out, minlength=len(rows) * n_folds * 2 * cells)
-    return out.reshape(rows.shape), counts.reshape(len(rows), n_folds, 2, cells)
+            out += np.floor_divide(atoms, 2 * base ** (space.n - i), out=scratch)
+    keys = out.reshape(-1, n_records)
+    offsets = 2 * cells * (np.arange(n_folds) + n_folds * np.arange(len(keys))[:, None])
+    head = keys[:, : (n_folds - 1) * fold].reshape(len(keys), n_folds - 1, fold)
+    head += offsets[:, :-1, None]
+    keys[:, (n_folds - 1) * fold :] += offsets[:, -1:]
+    counts = np.bincount(out, minlength=offsets.size * 2 * cells)
+    return keys, counts.reshape(len(keys), n_folds, 2, cells)
 
 
 def _batch_buffers(context: tuple, blocks: int) -> tuple:
     """The arrays of a batch of ``blocks`` replications, made once per run
     or pool worker; a shorter batch uses their leading entries.  They are
     ``sample``'s buffers (draws, atoms, scratch, mask), the (S, B, N)
-    influence buffer, and per subset the ``rows`` and ``table`` of
-    ``_atom_counts``: one rows array per distinct cell count, and one
-    ``_atom_codes`` table per distinct subset on the lookup route, taken
-    when the table has no more atoms than the batch has draws, ``sample``'s
-    guide-table test.  Roles never alive at once share an array: the draws
-    live in the influence buffer, the search scratch holds each subset's
-    keys, and its influence row its digits."""
-    dist, subsets, _, n_records, n_folds = context[:5]
+    influence buffer, 8S + 17 bytes a record (33 for S = 2), and per subset
+    the ``table`` of ``_atom_counts``: one ``_atom_codes`` table per distinct
+    subset on the lookup route, taken when the table has no more atoms than
+    the batch has draws, ``sample``'s guide-table test.  Roles never alive at
+    once share an array: the draws live in the influence buffer, the search
+    scratch holds each subset's keys, and its influence row its digits."""
+    dist, subsets, _, n_records = context[:4]
     size = blocks * n_records
     influences = np.empty((len(subsets), blocks, n_records))
     records = (influences[0].reshape(-1), np.empty(size, dtype=np.intp), np.empty(size),
                np.empty(size, dtype=np.bool_))
-    cells = []
     for s in subsets:
         s.validate_for(dist.space)
-        cells.append(cylinder_count(s.r, dist.space.q))
-    rows = {c: fold_rows(blocks, n_records, n_folds) * c for c in set(cells)}
     tables = {s: _atom_codes(dist, s) for s in subsets} if dist.probs.size <= size else {}
-    return records, [(rows[c], tables.get(s)) for s, c in zip(subsets, cells)], influences
+    return records, [tables.get(s) for s in subsets], influences
 
 
 def _init_worker(context: tuple, blocks: int) -> None:
@@ -183,7 +185,7 @@ def _replicate_batch(batch: slice, work=None) -> tuple[np.ndarray, ...]:
     ``work`` is the run's context and ``_batch_buffers``, the pool worker's
     by default; every returned array is new.  ``batch`` slices the run's
     seeds, the context's last entry."""
-    context, (records, keyers, influences) = work or _WORKER_CONTEXT
+    context, (records, tables, influences) = work or _WORKER_CONTEXT
     dist, subsets, oracle_errors, n_records, n_folds, schedule, run_seeds = context
     seeds = run_seeds[batch]
     atoms = sample(dist, n_records, seeds, out=records)
@@ -191,9 +193,9 @@ def _replicate_batch(batch: slice, work=None) -> tuple[np.ndarray, ...]:
     keys_out = records[2][: atoms.size].view(np.int64)
     z = np.empty((len(seeds), len(subsets)))
     influences = influences[:, : len(seeds)]
-    for i, (s, err, (rows, table)) in enumerate(zip(subsets, oracle_errors, keyers)):
+    for i, (s, err, table) in enumerate(zip(subsets, oracle_errors, tables)):
         scratch = influences[i].reshape(-1).view(np.int64)
-        keys, counts = _atom_counts(dist.space, s, n_folds, atoms, rows[: len(seeds)], table,
+        keys, counts = _atom_counts(dist.space, s, n_folds, atoms, n_records, table,
                                     keys_out, scratch)
         z[:, i] = math.sqrt(n_records) * (cv_error_stack(counts, eps)[0] - err)
         influence_values(keys, counts, eps, influences[i])
@@ -216,16 +218,17 @@ def run_replications(
     ``derive_seed`` call, row m-1 of every array is replication m.
     Deviations are centred at ``oracle_errors``, each subset's exact optimal
     error.  Batches hold at most ``RECORDS_PER_BATCH`` records, each scored
-    in one pass: one array of atom indices, one key pass and bincount per
-    subset, one influence buffer and one centring, all in arrays made once
-    per run (``_batch_buffers``).  ``workers > 1`` spreads them over a
-    process pool of at most one process per CPU.  Neither changes any result."""
+    in one pass: one ``sample`` call, one key pass and bincount per subset
+    (``_atom_counts``), one influence buffer and one centring, all in arrays
+    made once per run (``_batch_buffers``).  ``workers > 1`` spreads them over
+    a process pool of at most one process per CPU.  Neither changes any result."""
     if (n_replications := _integer("n_replications", n_replications)) < 1:
         raise ValidationError("need at least one replication")
     if (n_records := _integer("n_records", n_records)) < 1:  # it divides the batch size
         raise ValidationError(f"sample size must be >= 1, got {n_records}")
     if (workers := _integer("workers", workers)) < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    fold_size(n_records, n_folds)  # a fold count outside 2..N is refused before any batch
     subsets = list(subsets)
     if not subsets:
         raise ValidationError("need at least one subset")

@@ -455,11 +455,12 @@ def _guide_table(dist: JointDistribution) -> tuple:
     A draw u in bucket b = floor(u * G) has its atom in lo[b]..lo[b+1], lo[b]
     counting the CDF values below b/G; a branchless binary search of
     ``rounds`` steps over ``pad``, the CDF padded with +inf, finishes it.  G
-    is a power of two >= 2 * atoms, so u * G is exact and every step
-    compares the same float64 values as ``searchsorted``."""
+    is the least power of two >= max(2 * atoms, 2**12), so u * G is exact,
+    every step compares the same float64 values as ``searchsorted``, and a
+    table whose atoms all weigh over 2**-12 takes one round (32 KiB of lo)."""
     atoms = dist.probs.size
     cdf = _block_cdf(dist, np.arange(dist._cdf_ends.size)).ravel()[:atoms]
-    guide = 1 << (2 * atoms - 1).bit_length()
+    guide = 1 << (max(2 * atoms, 2**12) - 1).bit_length()
     lo = np.searchsorted(cdf, np.arange(guide + 1) / guide, "left")
     rounds = int(np.diff(lo).max()).bit_length()
     pad = np.full(atoms + (1 << rounds) - 1, np.inf)  # past the bucket: > u

@@ -16,7 +16,6 @@ from mdrcv.estimator import (
     cv_prediction_error,
     dataset_counts,
     fold_index,
-    fold_rows,
     influence_values,
     plugin_moments,
     _POSITIVE,
@@ -584,8 +583,7 @@ def test_influence_stack_zeroes_one_class_blocks(data, eps):
     n_records = len(dataset) // b
     # the harness's keys, from each record's atom 2 * rank + [y = +1]
     atoms = 2 * cylinder_codes(dataset.x, subset, space.q) + (dataset.y == 1)
-    rows = fold_rows(b, n_records, k) * cylinder_count(subset.r, space.q)
-    keys, counts = _atom_counts(space, subset, k, atoms, rows, None,
+    keys, counts = _atom_counts(space, subset, k, atoms, n_records, None,
                                 *np.empty((2, atoms.size), np.int64))
     got = influence_values(keys, counts, eps)
     sds = plugin_moments(got.copy()[:, None, :])[0][:, 0]

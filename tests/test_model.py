@@ -1001,10 +1001,9 @@ class TestBlockedCdf:
     @settings(max_examples=60, deadline=None)
     def test_guide_bucket_edges_match_full_cdf_search(self, dist):
         # at least as many draws as atoms: the guide table is searched.  Draws
-        # sit on every bucket edge b/G and one ulp either side, G the smallest
-        # power of two >= 2 * atoms
+        # sit on every bucket edge b/G and one ulp either side, G the table's
         c = reference_cdf(dist)
-        guide = 2 ** int(np.ceil(np.log2(2 * c.size)))
+        guide = dist._guide[0]
         edges = np.arange(guide) / guide
         u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
                             [0.0, np.nextafter(1.0, 0.0)]])
@@ -1023,9 +1022,9 @@ class TestBlockedCdf:
         p[heavy] = 1.0 - p.sum() + p[heavy]
         dist = JointDistribution(FactorSpace(6, 1), p.reshape(-1, 2))
         c = reference_cdf(dist)
-        guide = 256
+        guide, _, rounds, _, _ = dist._guide
         bucket = np.diff(np.searchsorted(c, np.arange(guide + 1) / guide, side="left"))
-        assert bucket.max() >= 64  # seven rounds or more
+        assert bucket.max() >= 64 and rounds >= 7
         exact = c[c < 1.0]
         edges = np.arange(guide) / guide
         u = np.concatenate([exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0), edges,
@@ -1198,6 +1197,17 @@ class TestGuideTableOnce:
         assert not (lo.flags.writeable or pad.flags.writeable or grid.flags.writeable)
         assert np.array_equal(pad[: dist.probs.size], reference_cdf(dist))
         assert np.array_equal(grid, grid_reference(dist.space))
+
+    @pytest.mark.parametrize("dist, guide, rounds", [
+        (scenario_a(), 2**12, 1),  # its lightest atom, 0.05 / 27, spans 7 buckets of 2**-12
+        (generate_scenario("independent", 11, 1), 2**13, None),  # 4096 atoms
+        (generate_scenario("pair-epistasis", 7, 2), 2**14, None),  # 4374 atoms
+    ])
+    def test_guide_size_is_the_least_power_of_two_over_twice_the_atoms_and_2_12(
+            self, dist, guide, rounds):
+        got_guide, lo, got_rounds, _, _ = dist._guide
+        assert got_guide == guide and lo.size == guide + 1
+        assert rounds in (None, got_rounds)
 
     def test_large_table_builds_no_guide_table(self):
         dist = generate_scenario("pair-epistasis", 9, 2)  # 39366 atoms
